@@ -7,6 +7,10 @@ generator, so identical inputs always produce identical reports.  A
 failed check carries a witness -- the lexicographically smallest violating
 argument tuple -- that re-evaluates to a violation beyond the tolerance.
 
+Each axiom is one row of a table (label, description, relation, grid
+points, seeded sample draw, and the two sides the relation compares);
+one function, ``_verify``, evaluates the rows of all four kinds.
+
 Sampling falsifies, it does not prove: a report in which every axiom
 passes means no counterexample was found at the examined points.
 
@@ -22,7 +26,8 @@ the grid resolution; the default 64 steps gives roughly 275k triples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -307,14 +312,10 @@ def _require_arity(candidate: ScalarConnective, arity: int) -> None:
         )
 
 
-def _lex_min_index(rows: np.ndarray) -> int:
-    order = np.lexsort(rows.T[::-1])
-    return int(order[0])
-
-
 def _violations(got: np.ndarray, want, relation: str, tol: float) -> np.ndarray:
     if relation == "==":
-        return ~(np.abs(got - want) <= tol)
+        diff = np.subtract(got, want)
+        return ~(np.abs(diff, out=diff) <= tol)
     if relation == "<=":
         return ~(got <= want + tol)
     if relation == ">=":
@@ -324,60 +325,35 @@ def _violations(got: np.ndarray, want, relation: str, tol: float) -> np.ndarray:
     raise ValueError(f"unknown relation {relation!r}")
 
 
-def _check_from_violations(
-    label: str,
-    description: str,
-    relation: str,
-    points: int,
-    viol_rows: np.ndarray,
-    viol_got: np.ndarray,
-    viol_want: np.ndarray | None,
-    param: str | None = None,
-) -> AxiomCheck:
-    if viol_rows.shape[0] == 0:
-        return AxiomCheck(label, description, True, None, points, param)
-    index = _lex_min_index(viol_rows)
-    witness = Witness(
-        args=tuple(float(v) for v in viol_rows[index]),
-        got=float(viol_got[index]),
-        want=None if viol_want is None else float(viol_want[index]),
-        relation=relation,
-    )
-    return AxiomCheck(label, description, False, witness, points, param)
+# ---------------------------------------------------------------------------
+# Argument columns: grid points and seeded samples
 
 
-def _check(
-    label: str,
-    description: str,
-    rows: np.ndarray,
-    got: np.ndarray,
-    want,
-    relation: str,
-    tol: float,
-    param: str | None = None,
-) -> AxiomCheck:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    got = np.asarray(got, dtype=float).ravel()
-    viol = _violations(got, want, relation, tol)
-    points = int(got.size)
-    if not viol.any():
-        return AxiomCheck(label, description, True, None, points, param)
-    want_arr = None if want is None else np.broadcast_to(np.asarray(want, dtype=float).ravel(), got.shape)
-    return _check_from_violations(
-        label,
-        description,
-        relation,
-        points,
-        rows[viol],
-        got[viol],
-        None if want_arr is None else want_arr[viol],
-        param,
-    )
+def _pairs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every grid pair (x, y), x-major."""
+    return np.repeat(g, len(g)), np.tile(g, len(g))
 
 
-def _pairs_rows(g: np.ndarray) -> np.ndarray:
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    return np.column_stack([X.ravel(), Y.ravel()])
+def _adjacent(g: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
+    """Neighbouring grid points along one axis, as columns (x1, y1, x2, y2)."""
+    n = len(g)
+    if axis == 0:
+        y = np.tile(g, n - 1)
+        return np.repeat(g[:-1], n), y, np.repeat(g[1:], n), y
+    x = np.repeat(g, n - 1)
+    return x, np.tile(g[:-1], n), x, np.tile(g[1:], n)
+
+
+def _cube_slabs(g: np.ndarray):
+    """The grid cube as x-slabs of about 4M points each, keeping memory flat."""
+    n = len(g)
+    block = max(1, 4_000_000 // (n * n))
+    for start in range(0, n, block):
+        yield g[start:start + block, None, None], g[None, :, None], g[None, None, :]
+
+
+def _uniform(count: int):
+    return lambda rng, m: tuple(rng.random(m) for _ in range(count))
 
 
 def _sorted_pair(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,254 +361,185 @@ def _sorted_pair(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.n
     return draw[:, 0], draw[:, 1]
 
 
-def _cube_violations(candidate: ScalarConnective, g: np.ndarray, tol: float, form: str):
-    """Walk the grid cube in x-slabs, keeping memory flat; returns the
-    total point count plus every violating (args, got, want) triple."""
-    n = len(g)
-    rows, got, want = [], [], []
-    points = 0
-    block = max(1, 4_000_000 // max(n * n, 1))
-    Y = g[None, :, None]
-    Z = g[None, None, :]
-    for start in range(0, n, block):
-        xs = g[start:start + block]
-        X = xs[:, None, None]
-        if form == "assoc":
-            lhs = _call(candidate, X, _call(candidate, Y, Z))
-            rhs = _call(candidate, _call(candidate, X, Y), Z)
-        else:  # exchange
-            lhs = _call(candidate, X, _call(candidate, Y, Z))
-            rhs = _call(candidate, Y, _call(candidate, X, Z))
-        points += lhs.size
-        viol = ~(np.abs(lhs - rhs) <= tol)
-        if viol.any():
-            ii, jj, kk = np.nonzero(viol)
-            rows.append(np.column_stack([xs[ii], g[jj], g[kk]]))
-            got.append(lhs[viol])
-            want.append(rhs[viol])
-    if rows:
-        return points, np.concatenate(rows), np.concatenate(got), np.concatenate(want)
-    return points, np.zeros((0, 3)), np.zeros(0), np.zeros(0)
-
-
-def _cube_check(
-    candidate: ScalarConnective,
-    g: np.ndarray,
-    rng: np.random.Generator,
-    cfg: CheckConfig,
-    form: str,
-    label: str,
-    description: str,
-) -> AxiomCheck:
-    tol = cfg.tolerance
-    points, rows, got, want = _cube_violations(candidate, g, tol, form)
-    m = cfg.random_samples
-    sx, sy, sz = rng.random(m), rng.random(m), rng.random(m)
-    if form == "assoc":
-        lhs = _call(candidate, sx, _call(candidate, sy, sz))
-        rhs = _call(candidate, _call(candidate, sx, sy), sz)
-    else:
-        lhs = _call(candidate, sx, _call(candidate, sy, sz))
-        rhs = _call(candidate, sy, _call(candidate, sx, sz))
-    points += lhs.size
-    viol = ~(np.abs(lhs - rhs) <= tol)
-    if viol.any():
-        rows = np.concatenate([rows, np.column_stack([sx[viol], sy[viol], sz[viol]])])
-        got = np.concatenate([got, lhs[viol]])
-        want = np.concatenate([want, rhs[viol]])
-    return _check_from_violations(label, description, "==", points, rows, got, want)
+def _pair_draw(sort_x: bool, sort_y: bool):
+    """Sampled columns (x1, y1, x2, y2), x drawn first: a sorted pair per
+    argument, or one value repeated."""
+    def draw(rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
+        x1, x2 = _sorted_pair(rng, m) if sort_x else (rng.random(m),) * 2
+        y1, y2 = _sorted_pair(rng, m) if sort_y else (rng.random(m),) * 2
+        return x1, y1, x2, y2
+    return draw
 
 
 # ---------------------------------------------------------------------------
-# Binary connective checks
+# The axiom table and its evaluator
 
 
-def _check_binary_common(
-    candidate: ScalarConnective,
+@dataclass(frozen=True)
+class _Axiom:
+    """One axiom: ``sides(f, *args)`` returns the (got, want) pair that
+    must satisfy ``relation``, evaluated at the argument columns
+    ``grid(g)`` (``None``: the whole grid cube) and ``draw(rng, m)``
+    (``None``: no samples).  Columns may be floats; they broadcast."""
+
+    label: str
+    description: str
+    relation: str
+    grid: Callable | None
+    draw: Callable | None
+    sides: Callable
+
+
+def _pair_sides(f, x1, y1, x2, y2):
+    return f(x1, y1), f(x2, y2)
+
+
+_BINARY_CODOMAIN = _Axiom("codomain", "values stay in [0, 1]", "in [0, 1]", _pairs,
+                          _uniform(2), lambda f, x, y: (f(x, y), None))
+
+
+def _unit_first(label: str, description: str, unit: float) -> _Axiom:
+    return _Axiom(label, description, "==", lambda g: (unit, g),
+                  lambda rng, m: (unit, rng.random(m)), lambda f, x, y: (f(x, y), y))
+
+
+def _unit_second(label: str, description: str, unit: float) -> _Axiom:
+    return _Axiom(label, description, "==", lambda g: (g, unit),
+                  lambda rng, m: (rng.random(m), unit), lambda f, x, y: (f(x, y), x))
+
+
+def _binary_axioms(unit: float, name: str) -> tuple[_Axiom, ...]:
+    """The t-norm axioms (unit 1) or the t-conorm axioms (unit 0), after
+    Klement, Mesiar and Pap, *Triangular Norms*."""
+    return (
+        _BINARY_CODOMAIN,
+        _unit_first("i", f"boundary f({name}, y) = y", unit),
+        _unit_second("ii", f"boundary f(x, {name}) = x", unit),
+        _Axiom("iii", "commutativity f(x, y) = f(y, x)", "==", _pairs, _uniform(2),
+               lambda f, x, y: (f(x, y), f(y, x))),
+        _Axiom("iv", "associativity f(x, f(y, z)) = f(f(x, y), z)", "==", None, _uniform(3),
+               lambda f, x, y, z: (f(x, f(y, z)), f(f(x, y), z))),
+        _Axiom("v", "monotonicity: f(x1, y1) <= f(x2, y2) whenever x1 <= x2 and y1 <= y2",
+               "<=", lambda g: tuple(map(np.concatenate, zip(_adjacent(g, 0),
+                                                             _adjacent(g, 1)))),
+               _pair_draw(True, True), _pair_sides),
+    )
+
+
+_TNORM_AXIOMS = _binary_axioms(1.0, "1")
+_TCONORM_AXIOMS = _binary_axioms(0.0, "0")
+
+#: After Baczyński and Jayaram, *Fuzzy Implications*.
+_IMPLICATION_AXIOMS = (
+    _BINARY_CODOMAIN,
+    _Axiom("i", "antitone in the first argument: h(x1, y) >= h(x2, y) for x1 <= x2", ">=",
+           lambda g: _adjacent(g, 0), _pair_draw(True, False), _pair_sides),
+    _Axiom("ii", "monotone in the second argument: h(x, y1) <= h(x, y2) for y1 <= y2", "<=",
+           lambda g: _adjacent(g, 1), _pair_draw(False, True), _pair_sides),
+    _unit_first("iii", "boundary h(1, y) = y", 1.0),
+    _Axiom("iv", "boundary h(0, y) = 1", "==", lambda g: (0.0, g),
+           lambda rng, m: (0.0, rng.random(m)), lambda f, x, y: (f(x, y), 1.0)),
+    _Axiom("v", "exchange h(x, h(y, z)) = h(y, h(x, z))", "==", None, _uniform(3),
+           lambda f, x, y, z: (f(x, f(y, z)), f(y, f(x, z)))),
+)
+
+_NEGATION_AXIOMS = (
+    _Axiom("codomain", "values stay in [0, 1]", "in [0, 1]", lambda g: (g,), _uniform(1),
+           lambda f, x: (f(x), None)),
+    _Axiom("i", "boundary n(1) = 0 and n(0) = 1", "==", lambda g: (np.array([1.0, 0.0]),),
+           None, lambda f, x: (f(x), 1.0 - x)),
+    _Axiom("ii", "antitonicity: n(x1) >= n(x2) for x1 <= x2", ">=",
+           lambda g: (g[:-1], g[1:]), _sorted_pair, lambda f, x1, x2: (f(x1), f(x2))),
+    _Axiom("iii", "involution n(n(x)) = x", "==", lambda g: (g,), _uniform(1),
+           lambda f, x: (f(f(x)), x)),
+)
+
+
+def _verify(
+    axiom: _Axiom,
+    call: Callable,
+    table: Callable | None,
+    g: np.ndarray,
+    rng: np.random.Generator,
     cfg: CheckConfig,
-    boundary_unit: float,
-    boundary_desc_i: str,
-    boundary_desc_ii: str,
-) -> tuple[AxiomCheck, ...]:
-    """Codomain, two boundary axioms, commutativity, associativity and
-    joint monotonicity, shared by the t-norm and t-conorm checks."""
+    param: str | None = None,
+) -> AxiomCheck:
+    """Evaluate one axiom on its grid points, or on the grid cube, then on
+    its samples; the witness is the lexicographically smallest violation.
+
+    Binary grids read their values from ``table`` (the grid matrix F,
+    computed once).  A unary grid is a single row of points, so with no
+    ``table`` the grid and the samples are evaluated in one call each,
+    grid first."""
+    sample = None if axiom.draw is None else axiom.draw(rng, cfg.random_samples)
+    if axiom.grid is None:
+        parts = [(call, slab) for slab in _cube_slabs(g)]
+    elif table is None and sample is not None:
+        parts = [(call, tuple(map(np.concatenate, zip(axiom.grid(g), sample))))]
+        sample = None
+    else:
+        parts = [(table or call, axiom.grid(g))]
+    if sample is not None:
+        parts.append((call, sample))
+
+    points, rows, got_bad, want_bad = 0, [], [], []
+    for f, cols in parts:
+        got, want = axiom.sides(f, *cols)
+        bad = _violations(got, want, axiom.relation, cfg.tolerance)
+        points += bad.size
+        if bad.any():
+            rows.append(np.column_stack([np.broadcast_to(c, bad.shape)[bad] for c in cols]))
+            got_bad.append(got[bad])
+            if want is not None:
+                want_bad.append(np.broadcast_to(want, bad.shape)[bad])
+        # Free this part's values before the next cube slab is computed.
+        del got, want
+    if not rows:
+        return AxiomCheck(axiom.label, axiom.description, True, None, points, param)
+    rows = np.concatenate(rows)
+    index = int(np.lexsort(rows.T[::-1])[0])
+    witness = Witness(
+        args=tuple(float(v) for v in rows[index]),
+        got=float(np.concatenate(got_bad)[index]),
+        want=float(np.concatenate(want_bad)[index]) if want_bad else None,
+        relation=axiom.relation,
+    )
+    return AxiomCheck(axiom.label, axiom.description, False, witness, points, param)
+
+
+def _check_binary(
+    kind: str, axioms: tuple[_Axiom, ...], candidate: ScalarConnective, cfg: CheckConfig | None
+) -> AxiomReport:
+    cfg = cfg or CheckConfig()
+    _require_arity(candidate, 2)
     g = _grid(cfg)
-    tol = cfg.tolerance
-    m = cfg.random_samples
+    call = partial(_call, candidate)
+    F = call(g[:, None], g[None, :])
+
+    def table(x, y):
+        return F[np.rint(np.multiply(x, cfg.grid_steps)).astype(np.intp),
+                 np.rint(np.multiply(y, cfg.grid_steps)).astype(np.intp)]
+
     rng = np.random.default_rng(cfg.seed)
-    F = _call(candidate, g[:, None], g[None, :])
-
-    checks: list[AxiomCheck] = []
-
-    # Codomain containment over the grid and sampled pairs.
-    cod_x, cod_y = rng.random(m), rng.random(m)
-    cod_vals = _call(candidate, cod_x, cod_y)
-    rows = np.concatenate([_pairs_rows(g), np.column_stack([cod_x, cod_y])])
-    got = np.concatenate([F.ravel(), cod_vals])
-    checks.append(_check("codomain", "values stay in [0, 1]", rows, got, None, "in [0, 1]", tol))
-
-    # Boundary axioms (i) and (ii); the unit is 1 for t-norms, 0 for t-conorms.
-    unit_index = -1 if boundary_unit == 1.0 else 0
-    b1_y = rng.random(m)
-    rows = np.column_stack([
-        np.concatenate([np.full_like(g, boundary_unit), np.full_like(b1_y, boundary_unit)]),
-        np.concatenate([g, b1_y]),
-    ])
-    got = np.concatenate([F[unit_index, :], _call(candidate, boundary_unit, b1_y)])
-    want = np.concatenate([g, b1_y])
-    checks.append(_check("i", boundary_desc_i, rows, got, want, "==", tol))
-
-    b2_x = rng.random(m)
-    rows = np.column_stack([
-        np.concatenate([g, b2_x]),
-        np.concatenate([np.full_like(g, boundary_unit), np.full_like(b2_x, boundary_unit)]),
-    ])
-    got = np.concatenate([F[:, unit_index], _call(candidate, b2_x, boundary_unit)])
-    want = np.concatenate([g, b2_x])
-    checks.append(_check("ii", boundary_desc_ii, rows, got, want, "==", tol))
-
-    # (iii) commutativity.
-    com_x, com_y = rng.random(m), rng.random(m)
-    rows = np.concatenate([_pairs_rows(g), np.column_stack([com_x, com_y])])
-    got = np.concatenate([F.ravel(), _call(candidate, com_x, com_y)])
-    want = np.concatenate([F.T.ravel(), _call(candidate, com_y, com_x)])
-    checks.append(_check("iii", "commutativity f(x, y) = f(y, x)", rows, got, want, "==", tol))
-
-    # (iv) associativity on the grid cube plus sampled triples.
-    checks.append(
-        _cube_check(candidate, g, rng, cfg, "assoc",
-                    "iv", "associativity f(x, f(y, z)) = f(f(x, y), z)")
-    )
-
-    # (v) monotonicity: adjacent grid points along each axis, plus the
-    # joint form on sampled pairs of pairs.
-    lo_rows = []
-    lo_vals = []
-    hi_vals = []
-    X, Y = np.meshgrid(g[:-1], g, indexing="ij")
-    X2 = np.meshgrid(g[1:], g, indexing="ij")[0]
-    lo_rows.append(np.column_stack([X.ravel(), Y.ravel(), X2.ravel(), Y.ravel()]))
-    lo_vals.append(F[:-1, :].ravel())
-    hi_vals.append(F[1:, :].ravel())
-    X, Y = np.meshgrid(g, g[:-1], indexing="ij")
-    Y2 = np.meshgrid(g, g[1:], indexing="ij")[1]
-    lo_rows.append(np.column_stack([X.ravel(), Y.ravel(), X.ravel(), Y2.ravel()]))
-    lo_vals.append(F[:, :-1].ravel())
-    hi_vals.append(F[:, 1:].ravel())
-    x1, x2 = _sorted_pair(rng, m)
-    y1, y2 = _sorted_pair(rng, m)
-    lo_rows.append(np.column_stack([x1, y1, x2, y2]))
-    lo_vals.append(_call(candidate, x1, y1))
-    hi_vals.append(_call(candidate, x2, y2))
-    checks.append(
-        _check(
-            "v",
-            "monotonicity: f(x1, y1) <= f(x2, y2) whenever x1 <= x2 and y1 <= y2",
-            np.concatenate(lo_rows),
-            np.concatenate(lo_vals),
-            np.concatenate(hi_vals),
-            "<=",
-            tol,
-        )
-    )
-    return tuple(checks)
+    checks = tuple(_verify(axiom, call, table, g, rng, cfg) for axiom in axioms)
+    return AxiomReport(kind, candidate.name, cfg, checks)
 
 
 def check_tnorm_axioms(candidate: ScalarConnective, cfg: CheckConfig | None = None) -> AxiomReport:
     """Verify the five t-norm axioms: boundary with 1 in each argument,
     commutativity, associativity, and joint monotonicity."""
-    cfg = cfg or CheckConfig()
-    _require_arity(candidate, 2)
-    checks = _check_binary_common(
-        candidate, cfg, 1.0,
-        "boundary f(1, y) = y", "boundary f(x, 1) = x",
-    )
-    return AxiomReport("tnorm", candidate.name, cfg, checks)
+    return _check_binary("tnorm", _TNORM_AXIOMS, candidate, cfg)
 
 
 def check_tconorm_axioms(candidate: ScalarConnective, cfg: CheckConfig | None = None) -> AxiomReport:
     """Mirror of the t-norm check with the boundary taken at 0."""
-    cfg = cfg or CheckConfig()
-    _require_arity(candidate, 2)
-    checks = _check_binary_common(
-        candidate, cfg, 0.0,
-        "boundary f(0, y) = y", "boundary f(x, 0) = x",
-    )
-    return AxiomReport("tconorm", candidate.name, cfg, checks)
+    return _check_binary("tconorm", _TCONORM_AXIOMS, candidate, cfg)
 
 
 def check_implication_axioms(candidate: ScalarConnective, cfg: CheckConfig | None = None) -> AxiomReport:
     """Verify the five implication axioms: antitone in the first argument,
     monotone in the second, the two boundary identities, and exchange."""
-    cfg = cfg or CheckConfig()
-    _require_arity(candidate, 2)
-    g = _grid(cfg)
-    tol = cfg.tolerance
-    m = cfg.random_samples
-    rng = np.random.default_rng(cfg.seed)
-    F = _call(candidate, g[:, None], g[None, :])
-
-    checks: list[AxiomCheck] = []
-
-    cod_x, cod_y = rng.random(m), rng.random(m)
-    cod_vals = _call(candidate, cod_x, cod_y)
-    rows = np.concatenate([_pairs_rows(g), np.column_stack([cod_x, cod_y])])
-    got = np.concatenate([F.ravel(), cod_vals])
-    checks.append(_check("codomain", "values stay in [0, 1]", rows, got, None, "in [0, 1]", tol))
-
-    # (i) antitone in the first argument: h(x1, y) >= h(x2, y) for x1 <= x2.
-    X, Y = np.meshgrid(g[:-1], g, indexing="ij")
-    X2 = np.meshgrid(g[1:], g, indexing="ij")[0]
-    rows_grid = np.column_stack([X.ravel(), Y.ravel(), X2.ravel(), Y.ravel()])
-    x1, x2 = _sorted_pair(rng, m)
-    ay = rng.random(m)
-    rows = np.concatenate([rows_grid, np.column_stack([x1, ay, x2, ay])])
-    got = np.concatenate([F[:-1, :].ravel(), _call(candidate, x1, ay)])
-    want = np.concatenate([F[1:, :].ravel(), _call(candidate, x2, ay)])
-    checks.append(
-        _check("i", "antitone in the first argument: h(x1, y) >= h(x2, y) for x1 <= x2",
-               rows, got, want, ">=", tol)
-    )
-
-    # (ii) monotone in the second argument.
-    X, Y = np.meshgrid(g, g[:-1], indexing="ij")
-    Y2 = np.meshgrid(g, g[1:], indexing="ij")[1]
-    rows_grid = np.column_stack([X.ravel(), Y.ravel(), X.ravel(), Y2.ravel()])
-    mx = rng.random(m)
-    y1, y2 = _sorted_pair(rng, m)
-    rows = np.concatenate([rows_grid, np.column_stack([mx, y1, mx, y2])])
-    got = np.concatenate([F[:, :-1].ravel(), _call(candidate, mx, y1)])
-    want = np.concatenate([F[:, 1:].ravel(), _call(candidate, mx, y2)])
-    checks.append(
-        _check("ii", "monotone in the second argument: h(x, y1) <= h(x, y2) for y1 <= y2",
-               rows, got, want, "<=", tol)
-    )
-
-    # (iii) boundary h(1, y) = y.
-    b3_y = rng.random(m)
-    rows = np.column_stack([
-        np.concatenate([np.ones_like(g), np.ones_like(b3_y)]),
-        np.concatenate([g, b3_y]),
-    ])
-    got = np.concatenate([F[-1, :], _call(candidate, 1.0, b3_y)])
-    want = np.concatenate([g, b3_y])
-    checks.append(_check("iii", "boundary h(1, y) = y", rows, got, want, "==", tol))
-
-    # (iv) boundary h(0, y) = 1.
-    b4_y = rng.random(m)
-    rows = np.column_stack([
-        np.concatenate([np.zeros_like(g), np.zeros_like(b4_y)]),
-        np.concatenate([g, b4_y]),
-    ])
-    got = np.concatenate([F[0, :], _call(candidate, 0.0, b4_y)])
-    checks.append(_check("iv", "boundary h(0, y) = 1", rows, got, 1.0, "==", tol))
-
-    # (v) exchange on the grid cube plus sampled triples.
-    checks.append(
-        _cube_check(candidate, g, rng, cfg, "exchange",
-                    "v", "exchange h(x, h(y, z)) = h(y, h(x, z))")
-    )
-    return AxiomReport("implication", candidate.name, cfg, tuple(checks))
+    return _check_binary("implication", _IMPLICATION_AXIOMS, candidate, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +553,7 @@ def _as_negation_lift(
         if candidate.kind != LIFT_NEGATION:
             raise ArityError(f"expected a negation lift, got kind {candidate.kind!r}")
         return candidate
-    if isinstance(candidate, ScalarConnective):
-        return lift_negation(candidate)
-    if isinstance(candidate, Mapping):
+    if isinstance(candidate, (ScalarConnective, Mapping)):
         return lift_negation(candidate)
     raise ArityError(f"not a negation candidate: {candidate!r}")
 
@@ -675,8 +580,6 @@ def check_negation_axioms(
             labels = (None,)
 
     g = _grid(cfg)
-    tol = cfg.tolerance
-    m = cfg.random_samples
     rng = np.random.default_rng(cfg.seed)
     checks: list[AxiomCheck] = []
     for label in labels:
@@ -684,44 +587,8 @@ def check_negation_axioms(
             scalar = lifted.scalar if lifted.scalar is not None else lifted.default
         else:
             scalar = lifted.scalar_for(ParamTag(label))
-        N = _call(scalar, g)
-
-        cod_x = rng.random(m)
-        rows = np.concatenate([g, cod_x])[:, None]
-        got = np.concatenate([N, _call(scalar, cod_x)])
-        checks.append(
-            _check("codomain", "values stay in [0, 1]", rows, got, None, "in [0, 1]", tol,
-                   param=label)
-        )
-
-        rows = np.array([[1.0], [0.0]])
-        got = np.array([float(N[-1]), float(N[0])])
-        want = np.array([0.0, 1.0])
-        checks.append(
-            _check("i", "boundary n(1) = 0 and n(0) = 1", rows, got, want, "==", tol,
-                   param=label)
-        )
-
-        x1, x2 = _sorted_pair(rng, m)
-        rows = np.concatenate([
-            np.column_stack([g[:-1], g[1:]]),
-            np.column_stack([x1, x2]),
-        ])
-        got = np.concatenate([N[:-1], _call(scalar, x1)])
-        want = np.concatenate([N[1:], _call(scalar, x2)])
-        checks.append(
-            _check("ii", "antitonicity: n(x1) >= n(x2) for x1 <= x2", rows, got, want,
-                   ">=", tol, param=label)
-        )
-
-        inv_x = rng.random(m)
-        xs = np.concatenate([g, inv_x])
-        rows = xs[:, None]
-        inner = np.concatenate([N, _call(scalar, inv_x)])
-        got = _call(scalar, inner)
-        checks.append(
-            _check("iii", "involution n(n(x)) = x", rows, got, xs, "==", tol, param=label)
-        )
+        call = partial(_call, scalar)
+        checks += [_verify(axiom, call, None, g, rng, cfg, label) for axiom in _NEGATION_AXIOMS]
     return AxiomReport("negation", lifted.name, cfg, tuple(checks))
 
 

@@ -35,24 +35,18 @@ from .analysis import (
 )
 from .connectives import (
     ScalarConnective,
-    builtin,
-    resolve_connective,
     dual_of,
     lift_negation,
+    resolve_builtin,
+    resolve_connective,
     scalar_from_expression,
 )
 from .errors import (
     ArityError,
-    CandidateEvaluationError,
-    CodomainError,
     DocumentError,
-    EvalError,
     FuzzySoftError,
     ParseError,
-    TagCollisionError,
-    UniverseMismatchError,
     UnknownBuiltinError,
-    ValidationError,
 )
 from .fileio import load_fss, save_fss
 from .script import eval_script, parse_script
@@ -150,13 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_candidate(args, arity: int) -> ScalarConnective:
     if args.builtin is not None:
-        scalar = builtin(args.builtin)
-        if scalar.arity != arity:
-            raise ArityError(
-                f"builtin {scalar.name!r} has arity {scalar.arity}, "
-                f"but this use needs arity {arity}"
-            )
-        return scalar
+        return resolve_builtin(args.builtin, arity)
     return scalar_from_expression(args.expr, arity=arity)
 
 
@@ -248,9 +236,7 @@ def _cmd_check(args) -> int:
     cfg = CheckConfig(grid_steps=args.grid, random_samples=args.samples,
                       tolerance=args.tol, seed=args.seed)
     candidate = _resolve_candidate(args, arity=1 if args.kind == "negation" else 2)
-    checker = _CHECKERS[args.kind]
-    report = checker(candidate, cfg=cfg) if args.kind != "negation" else checker(
-        candidate, labels=None, cfg=cfg)
+    report = _CHECKERS[args.kind](candidate, cfg=cfg)
     if args.format == "json":
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     else:
@@ -287,7 +273,7 @@ def _cmd_equilibrium(args) -> int:
         }
         negation = lift_negation(family)
     else:
-        negation = lift_negation(resolve_connective(args.builtin or args.expr, arity=1))
+        negation = lift_negation(_resolve_candidate(args, arity=1))
     result = find_equilibria(negation, labels, cfg=cfg)
     _print_equilibria(result)
     return EXIT_OK
@@ -369,18 +355,11 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, UnknownBuiltinError, ArityError) as err:
+    except (ParseError, UnknownBuiltinError, ArityError, ValueError) as err:
+        # ValueError: CheckConfig and table/flag validation.
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as err:
-        # CheckConfig and table/flag validation.
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DocumentError, ValidationError, UniverseMismatchError, TagCollisionError,
-            CodomainError, CandidateEvaluationError, EvalError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except FuzzySoftError as err:
+    except (FuzzySoftError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

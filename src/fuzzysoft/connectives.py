@@ -236,17 +236,23 @@ def scalar_from_expression(
                               continuity=continuity)
 
 
+def resolve_builtin(name: str, arity: int) -> ScalarConnective:
+    """Look up a builtin and require the given arity."""
+    scalar = builtin(name)
+    if scalar.arity != arity:
+        raise ArityError(
+            f"builtin {scalar.name!r} has arity {scalar.arity}, "
+            f"but this use needs arity {arity}"
+        )
+    return scalar
+
+
 def resolve_connective(text: str, arity: int = 2) -> ScalarConnective:
     """Resolve ``text`` as a builtin name first, else parse it as an expression."""
     try:
-        scalar = builtin(text)
+        return resolve_builtin(text, arity)
     except UnknownBuiltinError:
         return scalar_from_expression(text, arity=arity)
-    if scalar.arity != arity:
-        raise ArityError(
-            f"builtin {scalar.name!r} has arity {scalar.arity}, expected {arity}"
-        )
-    return scalar
 
 
 def dual_of(scalar: ScalarConnective) -> ScalarConnective:

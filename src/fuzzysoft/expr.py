@@ -19,6 +19,7 @@ byte offsets for ASCII sources).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -218,10 +219,25 @@ _CALL_ARITY = {"min": 2, "max": 2, "pow": 2, "abs": 1}
 _VARIABLES = ("x", "y")
 
 
+#: Deepest nesting the parsers accept.  Each parenthesised group, call,
+#: unary minus and binary operator is a level, as is each script
+#: ``complement``, ``union``, ``intersect``, ``apply`` and ``dual``; the
+#: left-associative chain ``x+x+...`` with n operators is n levels deep.
+#: Parsing, evaluation and printing recurse per level, so this keeps
+#: hostile input well inside Python's recursion limit.
+MAX_DEPTH = 100
+
+
 class _ScalarParser:
+    """Token cursor plus the scalar-expression grammar; the script parser
+    extends it.  ``depth`` counts the levels open around the current
+    token and ``height`` the levels inside the subtree parsed last."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+        self.height = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -245,38 +261,59 @@ class _ScalarParser:
             return self.advance()
         raise ParseError(f"expected {text!r} {context}, found {tok.describe()}", tok.span)
 
+    def expect_ident(self, context: str) -> Token:
+        tok = self.peek()
+        if tok.kind == IDENT:
+            return self.advance()
+        raise ParseError(f"expected identifier {context}, found {tok.describe()}", tok.span)
+
+    def check_depth(self, levels: int, tok: Token) -> None:
+        if levels > MAX_DEPTH:
+            raise ParseError(f"input nests deeper than {MAX_DEPTH} levels", tok.span)
+
+    @contextmanager
+    def level(self, tok: Token):
+        """Parse one level deeper, opened at ``tok``; the subtree parsed
+        inside gains one level of height."""
+        self.depth += 1
+        self.check_depth(self.depth, tok)
+        yield
+        self.depth -= 1
+        self.height += 1
+
     def parse_expr(self) -> ScalarExpr:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == PUNCT and tok.text in ("+", "-"):
-                self.advance()
-                right = self.parse_term()
-                node = BinOp(tok.text, node, right, node.span.merge(right.span))
-            else:
-                return node
+        return self._chain(("+", "-"), self.parse_term)
 
     def parse_term(self) -> ScalarExpr:
-        node = self.parse_factor()
+        return self._chain(("*", "/"), self.parse_factor)
+
+    def _chain(self, ops: tuple[str, str], parse_operand) -> ScalarExpr:
+        """Left-associative: each operator puts the chain so far a level deeper."""
+        node = parse_operand()
+        height = self.height
         while True:
             tok = self.peek()
-            if tok.kind == PUNCT and tok.text in ("*", "/"):
-                self.advance()
-                right = self.parse_factor()
-                node = BinOp(tok.text, node, right, node.span.merge(right.span))
-            else:
+            if tok.kind != PUNCT or tok.text not in ops:
+                self.height = height
                 return node
+            self.advance()
+            right = parse_operand()
+            height = max(height, self.height) + 1
+            self.check_depth(self.depth + height, tok)
+            node = BinOp(tok.text, node, right, node.span.merge(right.span))
 
     def parse_factor(self) -> ScalarExpr:
         tok = self.peek()
         if tok.kind == PUNCT and tok.text == "-":
             self.advance()
-            operand = self.parse_factor()
+            with self.level(tok):
+                operand = self.parse_factor()
             return Neg(operand, tok.span.merge(operand.span))
         return self.parse_atom()
 
     def parse_atom(self) -> ScalarExpr:
         tok = self.peek()
+        self.height = 0
         if tok.kind == NUMBER:
             self.advance()
             return Num(tok.value, tok.span)
@@ -293,7 +330,8 @@ class _ScalarParser:
             )
         if tok.kind == PUNCT and tok.text == "(":
             self.advance()
-            node = self.parse_expr()
+            with self.level(tok):
+                node = self.parse_expr()
             self.expect_punct(")", "to close the parenthesized expression")
             return node
         raise ParseError(f"expected expression, found {tok.describe()}", tok.span)
@@ -303,9 +341,13 @@ class _ScalarParser:
         func = name_tok.text
         arity = _CALL_ARITY[func]
         self.expect_punct("(", f"after {func!r}")
-        args = [self.parse_expr()]
-        while self.match_punct(","):
-            args.append(self.parse_expr())
+        with self.level(name_tok):
+            args = [self.parse_expr()]
+            height = self.height
+            while self.match_punct(","):
+                args.append(self.parse_expr())
+                height = max(height, self.height)
+            self.height = height
         close = self.expect_punct(")", f"to close the arguments of {func!r}")
         if len(args) != arity:
             raise ParseError(

@@ -59,15 +59,17 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
     if not isinstance(raw_universe, list) or not raw_universe:
         raise DocumentError("'universe' must be a non-empty array of strings",
                             json_path="universe")
+    elements_seen: set[str] = set()
     for index, element in enumerate(raw_universe):
         if not isinstance(element, str) or not element:
             raise DocumentError(
                 f"universe element must be a non-empty string, got {element!r}",
                 json_path=f"universe[{index}]",
             )
-        if element in raw_universe[:index]:
+        if element in elements_seen:
             raise DocumentError(f"duplicate universe element {element!r}",
                                 json_path=f"universe[{index}]")
+        elements_seen.add(element)
     universe = Universe(tuple(raw_universe))
 
     raw_parameters = doc["parameters"]

@@ -23,10 +23,10 @@ from typing import Iterable, Mapping, Union
 from .connectives import (
     ScalarConnective,
     builtin,
+    builtin_names,
     dual_of,
     scalar_from_parsed,
 )
-from .connectives import _BUILTINS  # stable builtin name table
 from .errors import (
     FuzzySoftError,
     ParseError,
@@ -152,39 +152,10 @@ class Script:
 
 # --- Parser ----------------------------------------------------------------
 
-class _ScriptParser:
+class _ScriptParser(_ScalarParser):
     def __init__(self, tokens: list[Token], externals: frozenset[str]):
-        self.tokens = tokens
-        self.pos = 0
+        super().__init__(tokens)
         self.defined: set[str] = set(externals)
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != EOF:
-            self.pos += 1
-        return tok
-
-    def match_punct(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind == PUNCT and tok.text == text:
-            self.advance()
-            return True
-        return False
-
-    def expect_punct(self, text: str, context: str) -> Token:
-        tok = self.peek()
-        if tok.kind == PUNCT and tok.text == text:
-            return self.advance()
-        raise ParseError(f"expected {text!r} {context}, found {tok.describe()}", tok.span)
-
-    def expect_ident(self, context: str) -> Token:
-        tok = self.peek()
-        if tok.kind == IDENT:
-            return self.advance()
-        raise ParseError(f"expected identifier {context}, found {tok.describe()}", tok.span)
 
     def parse_script(self) -> Script:
         statements = []
@@ -220,7 +191,7 @@ class _ScriptParser:
             expr = self.parse_setexpr()
             end = self.expect_punct(";", "to end the assignment")
             name = name_tok.text
-            if name in _KEYWORDS or name in _BUILTINS:
+            if name in _KEYWORDS or name in builtin_names():
                 raise ParseError(
                     f"cannot shadow the builtin name {name!r}", name_tok.span
                 )
@@ -235,26 +206,29 @@ class _ScriptParser:
         if tok.text == "complement":
             self.advance()
             self.expect_punct("(", "after 'complement'")
-            operand = self.parse_setexpr()
+            with self.level(tok):
+                operand = self.parse_setexpr()
             end = self.expect_punct(")", "to close 'complement'")
             return ComplementOp(operand, tok.span.merge(end.span))
         if tok.text in ("union", "intersect"):
             self.advance()
             self.expect_punct("(", f"after {tok.text!r}")
-            left = self.parse_setexpr()
-            self.expect_punct(",", f"between the operands of {tok.text!r}")
-            right = self.parse_setexpr()
+            with self.level(tok):
+                left = self.parse_setexpr()
+                self.expect_punct(",", f"between the operands of {tok.text!r}")
+                right = self.parse_setexpr()
             end = self.expect_punct(")", f"to close {tok.text!r}")
             cls = UnionOp if tok.text == "union" else IntersectOp
             return cls(left, right, tok.span.merge(end.span))
         if tok.text == "apply":
             self.advance()
             self.expect_punct("(", "after 'apply'")
-            conn = self.parse_connective()
-            self.expect_punct(",", "after the connective")
-            left = self.parse_setexpr()
-            self.expect_punct(",", "between the operands of 'apply'")
-            right = self.parse_setexpr()
+            with self.level(tok):
+                conn = self.parse_connective()
+                self.expect_punct(",", "after the connective")
+                left = self.parse_setexpr()
+                self.expect_punct(",", "between the operands of 'apply'")
+                right = self.parse_setexpr()
             end = self.expect_punct(")", "to close 'apply'")
             return ApplyOp(conn, left, right, tok.span.merge(end.span))
         name_tok = self.advance()
@@ -273,7 +247,8 @@ class _ScriptParser:
         if tok.kind == IDENT and tok.text == "dual":
             self.advance()
             self.expect_punct("(", "after 'dual'")
-            inner = self.parse_connective()
+            with self.level(tok):
+                inner = self.parse_connective()
             end = self.expect_punct(")", "to close 'dual'")
             return DualRef(inner, tok.span.merge(end.span))
         if tok.kind == IDENT and tok.text == "fn":
@@ -290,12 +265,8 @@ class _ScriptParser:
                                  second.span)
             self.expect_punct(")", "after fn parameters")
             self.expect_punct("=>", "before the fn body")
-            inner = _ScalarParser(self.tokens)
-            inner.pos = self.pos
-            body = inner.parse_expr()
-            end_span = self.tokens[inner.pos - 1].span
-            self.pos = inner.pos
-            return InlineFn(body, tok.span.merge(end_span))
+            body = self.parse_expr()
+            return InlineFn(body, tok.span.merge(self.tokens[self.pos - 1].span))
         if tok.kind == IDENT:
             return self.parse_builtin_name()
         raise ParseError(f"expected a connective, found {tok.describe()}", tok.span)
@@ -306,25 +277,16 @@ class _ScriptParser:
         first = self.advance()
         parts = [first.text]
         span = first.span
-        while True:
-            tok = self.peek()
-            nxt = self.tokens[self.pos + 1] if tok.kind != EOF else tok
-            if tok.kind == PUNCT and tok.text == "-" and nxt.kind == IDENT:
-                self.advance()
-                part = self.advance()
-                parts.append(part.text)
-                span = span.merge(part.span)
-            else:
-                break
-        name = "-".join(parts)
-        if self.peek().kind == PUNCT and self.peek().text == "(":
+        while (self.peek().kind == PUNCT and self.peek().text == "-"
+               and self.tokens[self.pos + 1].kind == IDENT):
             self.advance()
+            part = self.advance()
+            parts.append(part.text)
+            span = span.merge(part.span)
+        name = "-".join(parts)
+        if self.match_punct("("):
+            sign = "-" if self.match_punct("-") else ""
             num = self.peek()
-            negative = False
-            if num.kind == PUNCT and num.text == "-":
-                self.advance()
-                negative = True
-                num = self.peek()
             if num.kind != NUMBER:
                 raise ParseError(
                     f"expected a numeric parameter for {name!r}, found {num.describe()}",
@@ -332,8 +294,7 @@ class _ScriptParser:
                 )
             self.advance()
             end = self.expect_punct(")", f"to close the parameter of {name!r}")
-            value = -num.value if negative else num.value
-            name = f"{name}({num.text if not negative else '-' + num.text})"
+            name = f"{name}({sign}{num.text})"
             span = span.merge(end.span)
         try:
             builtin(name)

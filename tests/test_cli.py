@@ -124,6 +124,16 @@ def test_equilibrium_family_with_parenthesized_commas(capsys):
     assert code == 0
 
 
+def test_equilibrium_resolves_candidates_like_check(capsys):
+    # --expr is always an expression and --builtin always a builtin name.
+    assert run_cli(["equilibrium", "--expr", "standard-negation", "--params", "a1"]) == 2
+    assert "unknown identifier 'standard'" in capsys.readouterr().err
+    assert run_cli(["equilibrium", "--builtin", "nonsense", "--params", "a1"]) == 2
+    assert "unknown builtin 'nonsense'" in capsys.readouterr().err
+    assert run_cli(["equilibrium", "--builtin", "product", "--params", "a1"]) == 2
+    assert "has arity 2" in capsys.readouterr().err
+
+
 def test_apply_union(files, capsys):
     tmp_path, paths = files
     out_path = tmp_path / "out.fss"
@@ -186,6 +196,19 @@ def test_check_remaining_kinds(capsys):
                     "--grid", "16", "--samples", "100"]) == 0
     assert run_cli(["check", "--kind", "negation", "--expr", "1-x*x",
                     "--grid", "16", "--samples", "100"]) == 1
+
+
+def test_deeply_nested_expression_is_a_parse_error(capsys):
+    for text in ("(" * 250 + "x*y" + ")" * 250, "+".join(["x*y"] * 2000)):
+        assert run_cli(["check", "--kind", "tnorm", "--expr", text]) == 2
+        assert "nests deeper than 100 levels" in capsys.readouterr().err
+
+
+def test_expression_at_the_depth_limit_is_checked(capsys):
+    text = "abs(" * 99 + "x*y" + ")" * 99
+    assert run_cli(["check", "--kind", "tnorm", "--expr", text,
+                    "--grid", "4", "--samples", "10"]) == 0
+    assert run_cli(["check", "--kind", "tnorm", "--expr", "abs(" + text + ")"]) == 2
 
 
 def test_bad_grid_config_is_usage_error(capsys):

@@ -11,7 +11,7 @@ from fuzzysoft import (
     pretty_print,
     tokenize,
 )
-from fuzzysoft.expr import BinOp, Call, Neg, Num, Var
+from fuzzysoft.expr import MAX_DEPTH, BinOp, Call, Neg, Num, Var
 
 
 def test_token_count_matches_grammar():
@@ -108,6 +108,35 @@ def test_unknown_identifier_rejected():
     with pytest.raises(ParseError) as err:
         parse_scalar("x + z")
     assert "z" in str(err.value)
+
+
+def test_nesting_past_the_depth_limit_is_a_spanned_parse_error():
+    # The first "(" past the limit and the first operator past it.
+    with pytest.raises(ParseError) as err:
+        parse_scalar("(" * 250 + "x" + ")" * 250)
+    assert err.value.span.start == MAX_DEPTH
+    assert "deeper than" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_scalar("+".join(["x"] * 2000))
+    assert err.value.span.start == 2 * MAX_DEPTH + 1
+
+
+def test_depth_counts_the_deepest_operand_of_a_chain():
+    # A parenthesised left operand sits one level deeper per operator.
+    deep = "(" * (MAX_DEPTH // 2) + "x" + ")" * (MAX_DEPTH // 2)
+    assert parse_scalar(deep + "+x" * (MAX_DEPTH // 2))
+    with pytest.raises(ParseError):
+        parse_scalar(deep + "+x" * (MAX_DEPTH // 2 + 1))
+
+
+def test_expressions_at_the_depth_limit_parse_evaluate_and_print():
+    for text in ("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+                 "-" * MAX_DEPTH + "x",
+                 "abs(" * (MAX_DEPTH - 1) + "x*y" + ")" * (MAX_DEPTH - 1),
+                 "+".join(["x"] * (MAX_DEPTH + 1))):
+        node = parse_scalar(text)
+        assert parse_scalar(pretty_print(node)) == node
+        assert eval_scalar(node, 0.5, 0.5) == eval_scalar(parse_scalar(pretty_print(node)), 0.5, 0.5)
 
 
 # --- evaluation ------------------------------------------------------------

@@ -70,6 +70,14 @@ def test_extra_element_is_an_error():
     assert err.value.json_path == "parameters.a1.zz"
 
 
+def test_duplicate_universe_element_rejected_at_first_repeat():
+    doc = {"universe": ["u1", "u2", "u1", "u2"], "parameters": {"a1": {"u1": 0.3, "u2": 0.7}}}
+    with pytest.raises(DocumentError) as err:
+        document_to_fss(doc)
+    assert err.value.json_path == "universe[2]"
+    assert "duplicate universe element 'u1'" in str(err.value)
+
+
 def test_non_numeric_membership_rejected():
     doc = {"universe": ["u1"], "parameters": {"a1": {"u1": "high"}}}
     with pytest.raises(DocumentError):

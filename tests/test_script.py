@@ -76,6 +76,16 @@ def test_parse_errors_are_spanned():
         assert err.value.span is not None
 
 
+def test_script_nesting_depth_is_limited():
+    deep = "complement(" * 250 + "S" + ")" * 250
+    with pytest.raises(ParseError) as err:
+        parse_script(f"print {deep};", externals=["S"])
+    assert "deeper than" in str(err.value)
+    with pytest.raises(ParseError):
+        parse_script("H = apply(" + "dual(" * 250 + "product" + ")" * 250 + ", S, S);",
+                     externals=["S"])
+
+
 def test_eval_union_print(env):
     script = parse_script("print union(S, G);", externals=env)
     result = eval_script(script, env)
