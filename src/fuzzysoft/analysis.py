@@ -36,6 +36,7 @@ from .connectives import (
     LiftedConnective,
     ScalarConnective,
     lift_negation,
+    require_arity,
 )
 from .errors import ArityError, CandidateEvaluationError, DslError, FuzzySoftError
 from .tags import ParamTag
@@ -48,6 +49,11 @@ BISECTION_BRACKET = 1e-12
 #: fine-grid spacing (builtin connectives move at most one spacing per
 #: step along an axis).
 CONTINUITY_JUMP_FACTOR = 10.0
+
+#: Largest float64 array (2**24 values, 128 MiB) a ``CheckConfig`` may
+#: create: the continuity probe's (4n + 1)**2 grid matrix caps n at 1023,
+#: and the (samples, 4) pair-of-pairs columns cap the samples at 2**22.
+MAX_ARRAY_VALUES = 2**24
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,11 @@ class CheckConfig:
             raise ValueError(f"grid_steps must be >= 2, got {self.grid_steps}")
         if self.random_samples < 0:
             raise ValueError(f"random_samples must be >= 0, got {self.random_samples}")
+        for name, size in (("grid_steps", (4 * self.grid_steps + 1) ** 2),
+                           ("random_samples", 4 * self.random_samples)):
+            if size > MAX_ARRAY_VALUES:
+                raise ValueError(f"{name} = {getattr(self, name)} needs an array of {size} "
+                                 f"values, more than MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
@@ -302,16 +313,6 @@ def _call(candidate: ScalarConnective, *args) -> np.ndarray:
     return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
-def _require_arity(candidate: ScalarConnective, arity: int) -> None:
-    if not isinstance(candidate, ScalarConnective):
-        raise ArityError(f"not a scalar connective: {candidate!r}")
-    if candidate.arity != arity:
-        raise ArityError(
-            f"expected a {'unary' if arity == 1 else 'binary'} scalar connective, "
-            f"{candidate.name!r} has arity {candidate.arity}"
-        )
-
-
 def _violations(got: np.ndarray, want, relation: str, tol: float) -> np.ndarray:
     if relation == "==":
         diff = np.subtract(got, want)
@@ -511,7 +512,7 @@ def _check_binary(
     kind: str, axioms: tuple[_Axiom, ...], candidate: ScalarConnective, cfg: CheckConfig | None
 ) -> AxiomReport:
     cfg = cfg or CheckConfig()
-    _require_arity(candidate, 2)
+    require_arity(candidate, 2)
     g = _grid(cfg)
     call = partial(_call, candidate)
     F = call(g[:, None], g[None, :])
@@ -553,9 +554,7 @@ def _as_negation_lift(
         if candidate.kind != LIFT_NEGATION:
             raise ArityError(f"expected a negation lift, got kind {candidate.kind!r}")
         return candidate
-    if isinstance(candidate, (ScalarConnective, Mapping)):
-        return lift_negation(candidate)
-    raise ArityError(f"not a negation candidate: {candidate!r}")
+    return lift_negation(candidate)
 
 
 def check_negation_axioms(
@@ -605,7 +604,7 @@ def classify_elements(candidate: ScalarConnective, cfg: CheckConfig | None = Non
     order and keeps the first hit, so witnesses are deterministic.
     """
     cfg = cfg or CheckConfig()
-    _require_arity(candidate, 2)
+    require_arity(candidate, 2)
     g = _grid(cfg)
     tol = cfg.tolerance
     F = _call(candidate, g[:, None], g[None, :])
@@ -701,7 +700,7 @@ def continuity_probe(candidate: ScalarConnective, cfg: CheckConfig | None = None
     discontinuity; the absence of one proves nothing.
     """
     cfg = cfg or CheckConfig()
-    _require_arity(candidate, 2)
+    require_arity(candidate, 2)
     fine_steps = 4 * cfg.grid_steps
     g = np.arange(fine_steps + 1, dtype=float) / fine_steps
     spacing = 1.0 / fine_steps

@@ -236,15 +236,22 @@ def scalar_from_expression(
                               continuity=continuity)
 
 
-def resolve_builtin(name: str, arity: int) -> ScalarConnective:
-    """Look up a builtin and require the given arity."""
-    scalar = builtin(name)
+def require_arity(scalar, arity: int) -> ScalarConnective:
+    """Return ``scalar`` if it is a scalar connective of the given arity;
+    otherwise raise ``ArityError``."""
+    if not isinstance(scalar, ScalarConnective):
+        raise ArityError(f"not a scalar connective: {scalar!r}")
     if scalar.arity != arity:
         raise ArityError(
-            f"builtin {scalar.name!r} has arity {scalar.arity}, "
+            f"connective {scalar.name!r} has arity {scalar.arity}, "
             f"but this use needs arity {arity}"
         )
     return scalar
+
+
+def resolve_builtin(name: str, arity: int) -> ScalarConnective:
+    """Look up a builtin and require the given arity."""
+    return require_arity(builtin(name), arity)
 
 
 def resolve_connective(text: str, arity: int = 2) -> ScalarConnective:
@@ -262,8 +269,7 @@ def dual_of(scalar: ScalarConnective) -> ScalarConnective:
     Turns a t-norm into a t-conorm and back; any other kind becomes
     unclassified.  Purely numeric wrapping -- no symbolic simplification.
     """
-    if scalar.arity != 2:
-        raise ArityError(f"dual is defined for binary connectives, {scalar.name!r} is unary")
+    require_arity(scalar, 2)
     kind = {KIND_TNORM: KIND_TCONORM, KIND_TCONORM: KIND_TNORM}.get(
         scalar.kind, KIND_UNCLASSIFIED
     )
@@ -310,26 +316,19 @@ class LiftedConnective:
         """
         if self.scalar is not None:
             return self.scalar
-        key = tag.text
-        for label, scalar in self.family or ():
-            if label == key:
-                return scalar
-        if self.default is not None:
-            return self.default
-        raise MissingLabelError(
-            f"negation family has no entry for label {key!r} and no default"
-        )
+        scalar = dict(self.family or ()).get(tag.text, self.default)
+        if scalar is None:
+            raise MissingLabelError(
+                f"negation family has no entry for label {tag.text!r} and no default"
+            )
+        return scalar
 
     def __call__(self, *args: TaggedMembership) -> TaggedMembership:
         return eval_lifted(self, *args)
 
 
 def _lift_binary(scalar: ScalarConnective, lift_kind: str) -> LiftedConnective:
-    if scalar.arity != 2:
-        raise ArityError(
-            f"{lift_kind} lift needs a binary scalar, {scalar.name!r} is unary"
-        )
-    return LiftedConnective(kind=lift_kind, scalar=scalar)
+    return LiftedConnective(kind=lift_kind, scalar=require_arity(scalar, 2))
 
 
 def lift_tnorm(scalar: ScalarConnective) -> LiftedConnective:
@@ -353,21 +352,13 @@ def lift_negation(
 ) -> LiftedConnective:
     """Lift a negation: one unary scalar for every parameter, or a
     label-to-scalar family with an optional default."""
-    if isinstance(scalars, ScalarConnective):
-        if scalars.arity != 1:
-            raise ArityError(f"negation lift needs a unary scalar, {scalars.name!r} is binary")
+    if not isinstance(scalars, Mapping):
         if default is not None:
             raise ArityError("a uniform negation lift does not take a default")
-        return LiftedConnective(kind=LIFT_NEGATION, scalar=scalars)
-    family = []
-    for label, scalar in scalars.items():
-        if scalar.arity != 1:
-            raise ArityError(
-                f"negation family entry {label!r} must be unary, {scalar.name!r} is binary"
-            )
-        family.append((str(label), scalar))
-    if default is not None and default.arity != 1:
-        raise ArityError(f"negation default must be unary, {default.name!r} is binary")
+        return LiftedConnective(kind=LIFT_NEGATION, scalar=require_arity(scalars, 1))
+    family = [(str(label), require_arity(scalar, 1)) for label, scalar in scalars.items()]
+    if default is not None:
+        require_arity(default, 1)
     if not family and default is None:
         raise MissingLabelError("negation family is empty and has no default")
     return LiftedConnective(
@@ -375,20 +366,24 @@ def lift_negation(
     )
 
 
-def into_unit_interval(value, context: str) -> float:
+def into_unit_interval(value, context: Callable[[tuple[int, ...]], str]):
     """Clamp near-boundary floating-point drift; reject real violations.
 
-    Values within ``CLAMP_TOLERANCE`` of [0, 1] are snapped to the
-    boundary; anything farther out (including NaN) raises ``CodomainError``.
+    ``value`` is a float or an array.  Values within ``CLAMP_TOLERANCE`` of
+    [0, 1] are snapped to the boundary; anything farther out (including
+    NaN) raises ``CodomainError`` for the first such value in C order.
+    ``context(index)`` names where that value came from; it is called only
+    on failure.
     """
-    v = float(value)
-    if 0.0 <= v <= 1.0:
-        return v
-    if -CLAMP_TOLERANCE <= v < 0.0:
-        return 0.0
-    if 1.0 < v <= 1.0 + CLAMP_TOLERANCE:
-        return 1.0
-    raise CodomainError(f"{context} produced {v!r}, outside [0, 1]")
+    v = np.asarray(value, dtype=float)
+    inside = (v >= -CLAMP_TOLERANCE) & (v <= 1.0 + CLAMP_TOLERANCE)
+    if not inside.all():
+        index = tuple(map(int, np.unravel_index(np.argmin(inside), v.shape)))
+        raise CodomainError(
+            f"{context(index)} produced {float(v[index])!r}, outside [0, 1]", index
+        )
+    out = np.clip(v, 0.0, 1.0)
+    return out if out.ndim else float(out)
 
 
 def eval_lifted(conn: LiftedConnective, *args: TaggedMembership) -> TaggedMembership:
@@ -403,8 +398,10 @@ def eval_lifted(conn: LiftedConnective, *args: TaggedMembership) -> TaggedMember
             raise ArityError(f"negation lift takes 1 argument, got {len(args)}")
         (arg,) = args
         scalar = conn.scalar_for(arg.tag)
-        raw = scalar(arg.value)
-        value = into_unit_interval(raw, f"negation {scalar.name!r} at ({arg.tag.text}, {arg.value!r})")
+        value = into_unit_interval(
+            scalar(arg.value),
+            lambda _: f"negation {scalar.name!r} at ({arg.tag.text}, {arg.value!r})",
+        )
         return TaggedMembership(arg.tag, value)
     if len(args) != 2:
         raise ArityError(f"{conn.kind} takes 2 arguments, got {len(args)}")
@@ -413,7 +410,7 @@ def eval_lifted(conn: LiftedConnective, *args: TaggedMembership) -> TaggedMember
     tag = combine_tags(first.tag, second.tag)
     value = into_unit_interval(
         raw,
-        f"connective {conn.scalar.name!r} at (({first.tag.text}, {first.value!r}), "
+        lambda _: f"connective {conn.scalar.name!r} at (({first.tag.text}, {first.value!r}), "
         f"({second.tag.text}, {second.value!r}))",
     )
     return TaggedMembership(tag, value)

@@ -25,7 +25,11 @@ class ArityError(FuzzySoftError):
 
 
 class CodomainError(FuzzySoftError):
-    """A connective produced a value outside [0, 1]."""
+    """A connective produced a value outside [0, 1], at ``index`` of its output."""
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.index = index
 
 
 class UnknownBuiltinError(FuzzySoftError):

@@ -13,31 +13,43 @@ Document shape::
 A parameter key is the canonical text of its tag: atomic labels joined
 with ``*`` in sorted order (non-canonical key order is accepted on load
 and re-canonicalized).  Every universe element must appear under every
-parameter -- there are no implicit zero memberships.  Saving is
-deterministic: universe in stored order, tags sorted, values rendered
-with the shortest decimal that round-trips, so load(save(s)) == s
-bit-exactly.
+parameter -- there are no implicit zero memberships, and no object may
+repeat a key.  Saving is deterministic: universe in stored order, tags
+sorted, values rendered with the shortest decimal that round-trips, so
+load(save(s)) == s bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 from .errors import DocumentError, ValidationError
-from .sets import FuzzySet, FuzzySoftSet, Universe
+from .sets import FuzzySoftSet, Universe
 from .tags import ParamTag
+
+
+class _RepeatedKey(dict):
+    """A decoded JSON object that names ``key`` more than once."""
+
+
+def _decode_object(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` that keeps the first repeated key of an object
+    for ``document_to_fss`` to report with its JSON path."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj = _RepeatedKey(obj)
+        obj.key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+    return obj
 
 
 def fss_to_document(fss: FuzzySoftSet) -> dict:
     """Plain-dict form of a fuzzy soft set, with deterministic ordering."""
-    parameters = {}
-    for tag, fuzzy in fss.assignments:
-        parameters[tag.text] = {
-            element: value
-            for element, value in zip(fss.universe.elements, fuzzy.memberships)
-        }
-    return {"universe": list(fss.universe.elements), "parameters": parameters}
+    elements = fss.universe.elements
+    parameters = {tag.text: dict(zip(elements, row))
+                  for tag, row in zip(fss.tags, fss.values.tolist())}
+    return {"universe": list(elements), "parameters": parameters}
 
 
 def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
@@ -76,7 +88,12 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
     if not isinstance(raw_parameters, dict) or not raw_parameters:
         raise DocumentError("'parameters' must be a non-empty object",
                             json_path="parameters")
-    assignments: list[tuple[ParamTag, FuzzySet]] = []
+    objects = [("", doc), ("parameters.", raw_parameters)]
+    objects += [(f"parameters.{key}.", value) for key, value in raw_parameters.items()]
+    for path, obj in objects:
+        if isinstance(obj, _RepeatedKey):
+            raise DocumentError(f"duplicate key {obj.key!r}", json_path=path + obj.key)
+    rows: list[list[float]] = []
     seen: dict[ParamTag, str] = {}
     for key, mapping in raw_parameters.items():
         path = f"parameters.{key}"
@@ -104,7 +121,6 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
         if extra:
             raise DocumentError(f"element {extra[0]!r} is not in the universe",
                                 json_path=f"{path}.{extra[0]}")
-        values = []
         for element in universe.elements:
             value = mapping[element]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -117,9 +133,8 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
                     f"membership {value!r} is outside [0, 1]",
                     json_path=f"{path}.{element}",
                 )
-            values.append(float(value))
-        assignments.append((tag, FuzzySet(universe, tuple(values))))
-    return FuzzySoftSet(universe, tuple(assignments))
+        rows.append([mapping[element] for element in universe.elements])
+    return FuzzySoftSet(universe, tuple(seen), rows)
 
 
 def load_fss(path: str | Path) -> FuzzySoftSet:
@@ -130,7 +145,7 @@ def load_fss(path: str | Path) -> FuzzySoftSet:
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_decode_object)
     except json.JSONDecodeError as err:
         raise DocumentError(f"{path} is not valid JSON: {err}") from None
     return document_to_fss(doc, source=str(path))

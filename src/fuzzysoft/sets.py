@@ -1,9 +1,12 @@
 """Fuzzy sets over finite universes, fuzzy soft sets, and their operations.
 
 A fuzzy soft set assigns a fuzzy set over a fixed finite universe to each
-parameter tag.  Binary operations between two fuzzy soft sets produce one
-assignment per pair of source tags, under the canonical product tag; when
-two source pairs collapse to the same canonical tag they must agree
+parameter tag.  It is stored as one read-only (P, U) float64 matrix,
+``fss.values``, whose rows follow the sorted canonical tags ``fss.tags``;
+``fss[tag]``, ``fss.assignments`` and ``tau_family`` build ``FuzzySet``
+row views when read.  Binary operations between two fuzzy soft sets
+produce one row per pair of source tags, under the canonical product tag;
+when two source pairs collapse to the same canonical tag they must agree
 exactly, otherwise the collision is an error rather than a silent merge.
 
 All types are immutable values; operations are pure functions.
@@ -11,14 +14,21 @@ All types are immutable values; operations are pure functions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .connectives import LiftedConnective, ScalarConnective, builtin, into_unit_interval
+from .connectives import (
+    LiftedConnective,
+    ScalarConnective,
+    builtin,
+    into_unit_interval,
+    require_arity,
+)
 from .errors import (
-    ArityError,
+    CodomainError,
     TagCollisionError,
     UniverseMismatchError,
     ValidationError,
@@ -55,30 +65,14 @@ class Universe:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, element: str) -> bool:
-        return element in self.elements
-
 
 @dataclass(frozen=True)
 class FuzzySet:
-    """Membership values in [0, 1], one per universe element, in order."""
+    """Membership values in [0, 1], one per universe element, in order:
+    a row of a ``FuzzySoftSet``, built when read and not checked again."""
 
     universe: Universe
     memberships: tuple[float, ...]
-
-    def __post_init__(self):
-        memberships = tuple(float(m) for m in self.memberships)
-        if len(memberships) != len(self.universe):
-            raise ValidationError(
-                f"expected {len(self.universe)} membership values "
-                f"for universe {list(self.universe.elements)}, got {len(memberships)}"
-            )
-        for element, value in zip(self.universe.elements, memberships):
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"membership {value!r} for element {element!r} is outside [0, 1]"
-                )
-        object.__setattr__(self, "memberships", memberships)
 
     def membership(self, element: str) -> float:
         try:
@@ -87,54 +81,76 @@ class FuzzySet:
             raise ValidationError(f"element {element!r} is not in the universe") from None
         return self.memberships[index]
 
-    def complement(self) -> "FuzzySet":
-        return FuzzySet(self.universe, tuple(1.0 - m for m in self.memberships))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuzzySoftSet:
-    """A universe plus a mapping from canonical parameter tags to fuzzy sets.
+    """A universe plus one membership row per canonical parameter tag.
 
-    Assignments are stored as a tag-sorted tuple of pairs, which makes
-    equality exact (same universe, same tags, bitwise-identical
-    membership vectors) and iteration deterministic.
+    ``values`` is a read-only float64 matrix, one row per tag in the order
+    of the sorted ``tags`` and one column per universe element.  The
+    constructor sorts the given tags and rows together and is the one place
+    the set invariants are checked.  Equality is exact; the hash covers the
+    universe and the tags.
     """
 
     universe: Universe
-    assignments: tuple[tuple[ParamTag, FuzzySet], ...]
+    tags: tuple[ParamTag, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        pairs = tuple(self.assignments)
-        if not pairs:
+        tags = tuple(self.tags)
+        if not tags:
             raise ValidationError("a fuzzy soft set needs at least one parameter tag")
-        seen: set[ParamTag] = set()
-        for tag, fuzzy in pairs:
-            if fuzzy.universe != self.universe:
+        for tag, row in zip(tags, self.values, strict=True):
+            if len(row) != len(self.universe):
                 raise ValidationError(
-                    f"fuzzy set under tag {tag.text!r} belongs to a different universe"
+                    f"tag {tag.text!r}: expected {len(self.universe)} membership values "
+                    f"for universe {list(self.universe.elements)}, got {len(row)}"
                 )
-            if tag in seen:
+        values = np.asarray(self.values, dtype=float)
+        outside = ~((values >= 0.0) & (values <= 1.0))
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise ValidationError(
+                f"tag {tags[i].text!r}: membership {float(values[i, j])!r} "
+                f"for element {self.universe.elements[j]!r} is outside [0, 1]"
+            )
+        order = sorted(range(len(tags)), key=tags.__getitem__)
+        tags = tuple(tags[i] for i in order)
+        for tag, following in zip(tags, tags[1:]):
+            if tag == following:
                 raise ValidationError(f"duplicate parameter tag {tag.text!r}")
-            seen.add(tag)
-        object.__setattr__(self, "assignments", tuple(sorted(pairs, key=lambda p: p[0])))
+        values = values[order]
+        values.flags.writeable = False
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FuzzySoftSet):
+            return NotImplemented
+        return (self.universe == other.universe and self.tags == other.tags
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.tags))
 
     @property
-    def tags(self) -> tuple[ParamTag, ...]:
-        return tuple(tag for tag, _ in self.assignments)
+    def assignments(self) -> tuple[tuple[ParamTag, FuzzySet], ...]:
+        """(tag, approximation) pairs in tag order."""
+        return tuple(zip(self.tags, tau_family(self)))
 
     def approximation(self, tag: ParamTag | str) -> FuzzySet:
         if isinstance(tag, str):
             tag = ParamTag.parse(tag)
-        for candidate, fuzzy in self.assignments:
-            if candidate == tag:
-                return fuzzy
-        raise ValidationError(f"no assignment for tag {tag.text!r}")
+        i = bisect_left(self.tags, tag)
+        if i == len(self.tags) or self.tags[i] != tag:
+            raise ValidationError(f"no assignment for tag {tag.text!r}")
+        return FuzzySet(self.universe, tuple(self.values[i].tolist()))
 
-    def __getitem__(self, tag: ParamTag | str) -> FuzzySet:
-        return self.approximation(tag)
+    __getitem__ = approximation
 
     def __len__(self) -> int:
-        return len(self.assignments)
+        return len(self.tags)
 
 
 def make_fuzzy_soft_set(
@@ -150,23 +166,10 @@ def make_fuzzy_soft_set(
     """
     if not isinstance(universe, Universe):
         universe = Universe(tuple(universe))
-    if isinstance(assignments, Mapping):
-        items = assignments.items()
-    else:
-        items = list(assignments)
-    pairs: list[tuple[ParamTag, FuzzySet]] = []
-    seen: set[ParamTag] = set()
-    for raw_tag, values in items:
-        tag = raw_tag if isinstance(raw_tag, ParamTag) else ParamTag.parse(str(raw_tag))
-        if tag in seen:
-            raise ValidationError(f"duplicate parameter tag {tag.text!r}")
-        seen.add(tag)
-        try:
-            fuzzy = FuzzySet(universe, tuple(float(v) for v in values))
-        except ValidationError as err:
-            raise ValidationError(f"tag {tag.text!r}: {err}") from None
-        pairs.append((tag, fuzzy))
-    return FuzzySoftSet(universe, tuple(pairs))
+    items = list(assignments.items() if isinstance(assignments, Mapping) else assignments)
+    tags = tuple(tag if isinstance(tag, ParamTag) else ParamTag.parse(str(tag))
+                 for tag, _ in items)
+    return FuzzySoftSet(universe, tags, [tuple(values) for _, values in items])
 
 
 def tau_family(fss: FuzzySoftSet, distinct: bool = False) -> tuple[FuzzySet, ...]:
@@ -175,14 +178,8 @@ def tau_family(fss: FuzzySoftSet, distinct: bool = False) -> tuple[FuzzySet, ...
     With ``distinct=True``, identical fuzzy sets reached under different
     tags are reported once (set semantics), keeping first-seen order.
     """
-    family = tuple(fuzzy for _, fuzzy in fss.assignments)
-    if not distinct:
-        return family
-    out: list[FuzzySet] = []
-    for fuzzy in family:
-        if fuzzy not in out:
-            out.append(fuzzy)
-    return tuple(out)
+    family = tuple(FuzzySet(fss.universe, tuple(row)) for row in fss.values.tolist())
+    return tuple(dict.fromkeys(family)) if distinct else family
 
 
 def complement_fss(fss: FuzzySoftSet) -> FuzzySoftSet:
@@ -192,22 +189,7 @@ def complement_fss(fss: FuzzySoftSet) -> FuzzySoftSet:
     only when 1 - m is itself representable (true for all multiples of
     2**-53, e.g. anything drawn from a standard uniform generator).
     """
-    return FuzzySoftSet(
-        fss.universe,
-        tuple((tag, fuzzy.complement()) for tag, fuzzy in fss.assignments),
-    )
-
-
-def _binary_scalar(conn: LiftedConnective | ScalarConnective) -> ScalarConnective:
-    if isinstance(conn, LiftedConnective):
-        if conn.arity != 2:
-            raise ArityError("set application needs a binary connective, got a negation lift")
-        return conn.scalar
-    if not isinstance(conn, ScalarConnective):
-        raise ArityError(f"not a connective: {conn!r}")
-    if conn.arity != 2:
-        raise ArityError(f"set application needs a binary connective, {conn.name!r} is unary")
-    return conn
+    return FuzzySoftSet(fss.universe, fss.tags, 1.0 - fss.values)
 
 
 def apply_connective(
@@ -218,46 +200,53 @@ def apply_connective(
     """Combine two fuzzy soft sets pointwise under a binary connective.
 
     For every tag pair (a, b) the result assigns, under the canonical
-    product tag, the vector ``scalar(m1(u), m2(u))`` per element.  Two
-    pairs collapsing to one canonical tag must produce bitwise-identical
-    vectors, otherwise ``TagCollisionError`` is raised.  Scalar outputs
-    are codomain-checked with near-boundary clamping.
+    product tag, the vector ``scalar(m1(u), m2(u))`` per element.  The
+    scalar is called once per row of ``f1``, against all rows of ``f2``,
+    and its outputs are codomain-checked with near-boundary clamping.
+    Two pairs collapsing to one canonical tag must produce equal vectors,
+    otherwise ``TagCollisionError`` is raised.
+
+    Faults are reported row of ``f1`` by row.  An error raised by the
+    scalar anywhere in a row comes first.  Then the row's pairs are taken
+    in order; for each, an out-of-range output (``CodomainError``) is
+    reported before a collision with an earlier pair.
     """
-    scalar = _binary_scalar(conn)
+    if isinstance(conn, LiftedConnective):
+        conn = conn.scalar  # None for a negation family, which the gate rejects
+    scalar = require_arity(conn, 2)
     if f1.universe != f2.universe:
         raise UniverseMismatchError(
             "operands are defined over different universes "
             f"({list(f1.universe.elements)} vs {list(f2.universe.elements)})"
         )
-    universe = f1.universe
-    out: dict[ParamTag, tuple[float, ...]] = {}
+    elements = f1.universe.elements
+    rows: dict[ParamTag, np.ndarray] = {}
     with np.errstate(all="ignore"):
-        for tag_a, fs_a in f1.assignments:
-            va = np.asarray(fs_a.memberships, dtype=float)
-            for tag_b, fs_b in f2.assignments:
-                vb = np.asarray(fs_b.memberships, dtype=float)
+        for tag_a, row in zip(f1.tags, f1.values):
+            raw = np.broadcast_to(np.asarray(scalar(row, f2.values), dtype=float),
+                                  f2.values.shape)
+
+            def where(index: tuple[int, ...]) -> str:
+                tag = combine_tags(tag_a, f2.tags[index[0]])
+                return (f"connective {scalar.name!r} under tag {tag.text!r} "
+                        f"at element {elements[index[1]]!r}")
+
+            try:
+                block, fault = into_unit_interval(raw, where), None
+            except CodomainError as err:
+                # The pairs before the out-of-range one still merge first.
+                block, fault = into_unit_interval(raw[:err.index[0]], where), err
+            for tag_b, vector in zip(f2.tags, block):
                 tag = combine_tags(tag_a, tag_b)
-                raw = np.broadcast_to(np.asarray(scalar(va, vb), dtype=float), va.shape)
-                vector = tuple(
-                    into_unit_interval(
-                        value,
-                        f"connective {scalar.name!r} under tag {tag.text!r} "
-                        f"at element {element!r}",
-                    )
-                    for element, value in zip(universe.elements, raw)
-                )
-                previous = out.get(tag)
-                if previous is None:
-                    out[tag] = vector
-                elif previous != vector:
+                previous = rows.setdefault(tag, vector)
+                if previous is not vector and not np.array_equal(previous, vector):
                     raise TagCollisionError(
                         f"tag pairs ({tag_a.text}, {tag_b.text}) collide on canonical tag "
                         f"{tag.text!r} with different membership vectors"
                     )
-    return FuzzySoftSet(
-        universe,
-        tuple((tag, FuzzySet(universe, vector)) for tag, vector in out.items()),
-    )
+            if fault is not None:
+                raise fault
+    return FuzzySoftSet(f1.universe, tuple(rows), list(rows.values()))
 
 
 def union_fss(f1: FuzzySoftSet, f2: FuzzySoftSet) -> FuzzySoftSet:
@@ -273,7 +262,6 @@ def intersect_fss(f1: FuzzySoftSet, f2: FuzzySoftSet) -> FuzzySoftSet:
 def render_fss(fss: FuzzySoftSet) -> str:
     """Deterministic plain-text rendering used by scripts and the CLI."""
     lines = [f"universe: {' '.join(fss.universe.elements)}"]
-    for tag, fuzzy in fss.assignments:
-        values = " ".join(repr(v) for v in fuzzy.memberships)
-        lines.append(f"{tag.text}: {values}")
+    for tag, row in zip(fss.tags, fss.values.tolist()):
+        lines.append(f"{tag.text}: {' '.join(map(repr, row))}")
     return "\n".join(lines)

@@ -9,6 +9,7 @@ equal: combining ``{a}`` with ``{b}`` gives the same tag as combining
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 
 from .errors import ValidationError
 
@@ -77,6 +78,7 @@ def combine_tags(t1: ParamTag, t2: ParamTag) -> ParamTag:
     return t1.combine(t2)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class TaggedMembership:
     """A parameter tag paired with a membership value in [0, 1].
@@ -105,21 +107,9 @@ class TaggedMembership:
                 f"{self.tag.text!r} and {other.tag.text!r}"
             )
 
-    def __le__(self, other: "TaggedMembership") -> bool:
-        self._require_same_tag(other)
-        return self.value <= other.value
-
     def __lt__(self, other: "TaggedMembership") -> bool:
         self._require_same_tag(other)
         return self.value < other.value
-
-    def __ge__(self, other: "TaggedMembership") -> bool:
-        self._require_same_tag(other)
-        return self.value >= other.value
-
-    def __gt__(self, other: "TaggedMembership") -> bool:
-        self._require_same_tag(other)
-        return self.value > other.value
 
     def __repr__(self) -> str:
         return f"({self.tag.text}, {self.value!r})"

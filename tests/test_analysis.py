@@ -17,6 +17,7 @@ from fuzzysoft import (
     lift_negation,
     scalar_from_expression,
 )
+from fuzzysoft.analysis import MAX_ARRAY_VALUES
 
 FAST = CheckConfig(grid_steps=16, random_samples=200, seed=5)
 
@@ -353,3 +354,19 @@ def test_probe_flags_jump():
     x1, y1, x2, y2 = estimate.at
     g = builtin("godel-implication")
     assert abs(float(g(x2, y2)) - float(g(x1, y1))) == estimate.max_jump
+
+
+# --- configuration bounds --------------------------------------------------------
+
+def test_config_bounds_the_largest_array_without_allocating():
+    # Sizes in use: the default, the golden reports' grid 180, the benchmark's
+    # grid 256 and 20,000 samples, and the largest grid the bound admits.
+    for grid, samples in ((64, 10000), (180, 2000), (256, 20000), (1023, 2**22)):
+        CheckConfig(grid_steps=grid, random_samples=samples)
+    assert (4 * 1023 + 1) ** 2 <= MAX_ARRAY_VALUES < (4 * 1024 + 1) ** 2
+    with pytest.raises(ValueError, match="grid_steps = 1024 needs an array"):
+        CheckConfig(grid_steps=1024)
+    with pytest.raises(ValueError, match="random_samples = 4194305 needs an array"):
+        CheckConfig(random_samples=2**22 + 1)
+    with pytest.raises(ValueError, match="grid_steps"):
+        CheckConfig(grid_steps=10**12)

@@ -263,3 +263,26 @@ def test_load_save_identity_randomized(tmp_path):
         path = tmp_path / f"case{case}.fss"
         save_fss(s, path)
         assert load_fss(path) == s
+
+
+def test_oversized_grid_or_samples_exit_two(capsys):
+    # CheckConfig rejects the size before any array is made.
+    assert run_cli(["check", "--kind", "tnorm", "--builtin", "product",
+                    "--grid", "1000000000"]) == 2
+    assert "grid_steps = 1000000000 needs an array" in capsys.readouterr().err
+    assert run_cli(["classify", "--builtin", "product", "--grid", "5000"]) == 2
+    assert run_cli(["check", "--kind", "negation", "--builtin", "standard-negation",
+                    "--samples", "100000000"]) == 2
+    assert "random_samples" in capsys.readouterr().err
+
+
+def test_apply_rejects_a_repeated_parameter_key_exit_three(files, capsys):
+    tmp_path, paths = files
+    repeated = tmp_path / "repeated.fss"
+    repeated.write_text('{"universe": ["u1", "u2"], "parameters": '
+                        '{"b1": {"u1": 0.5, "u2": 0.2}, "b1": {"u1": 0.1, "u2": 0.2}}}')
+    code = run_cli(["apply", "--op", "union", str(paths["a"]), str(repeated),
+                    "-o", str(tmp_path / "out.fss")])
+    assert code == 3
+    assert "duplicate key 'b1' (at parameters.b1)" in capsys.readouterr().err
+    assert not (tmp_path / "out.fss").exists()

@@ -10,16 +10,22 @@ from fuzzysoft import (
     ParseError,
     TaggedMembership,
     UnknownBuiltinError,
+    apply_connective,
     builtin,
     builtin_names,
+    check_tnorm_axioms,
+    classify_elements,
     dual_of,
     eval_lifted,
     lift_implication,
     lift_negation,
     lift_tconorm,
     lift_tnorm,
+    make_fuzzy_soft_set,
+    resolve_connective,
     scalar_from_expression,
 )
+from fuzzysoft.connectives import into_unit_interval, resolve_builtin
 
 units = st.floats(0, 1)
 
@@ -274,3 +280,44 @@ def test_lift_is_scalar_on_values_and_product_on_tags(x, y, name):
     out = lifted(tm("p", x), tm("q", y))
     assert out.tag == ParamTag(("p", "q"))
     assert out.value == float(scalar(x, y))
+
+
+# --- one arity gate ---------------------------------------------------------------
+
+def test_every_binary_use_rejects_a_unary_connective_in_one_wording():
+    s = make_fuzzy_soft_set(["u"], {"a": (0.5,)})
+    negation = builtin("standard-negation")
+    uses = [
+        lambda: apply_connective(negation, s, s),
+        lambda: apply_connective(lift_negation(negation), s, s),
+        lambda: check_tnorm_axioms(negation),
+        lambda: classify_elements(negation),
+        lambda: dual_of(negation),
+        lambda: lift_tnorm(negation),
+        lambda: resolve_builtin("standard-negation", 2),
+        lambda: resolve_connective("standard-negation", 2),
+    ]
+    for use in uses:
+        with pytest.raises(ArityError) as err:
+            use()
+        assert str(err.value) == (
+            "connective 'standard-negation' has arity 1, but this use needs arity 2")
+    with pytest.raises(ArityError, match="has arity 2, but this use needs arity 1"):
+        lift_negation({"a": builtin("product")})
+    with pytest.raises(ArityError, match="not a scalar connective"):
+        check_tnorm_axioms(lift_tnorm(builtin("product")))
+
+
+def test_into_unit_interval_clamps_arrays_and_names_the_first_fault_lazily():
+    calls = []
+
+    def context(index):
+        calls.append(index)
+        return f"value {index}"
+
+    out = into_unit_interval(np.array([[-1e-13, 0.5], [1.0 + 1e-13, -0.0]]), context)
+    assert out.tolist() == [[0.0, 0.5], [1.0, 0.0]] and np.signbit(out[1, 1])
+    assert into_unit_interval(0.25, context) == 0.25 and calls == []
+    with pytest.raises(CodomainError, match=r"value \(1, 0\) produced 1.5") as err:
+        into_unit_interval(np.array([[0.5, 0.5], [1.5, 2.0]]), context)
+    assert err.value.index == (1, 0) and calls == [(1, 0)]

@@ -146,3 +146,22 @@ def test_document_round_trip_through_json_text(v1, v2):
     s = make_fuzzy_soft_set(["u1", "u2"], {"a": tuple(v1), "b*c": tuple(v2)})
     doc = json.loads(json.dumps(fss_to_document(s)))
     assert document_to_fss(doc) == s
+
+
+# --- repeated JSON keys ----------------------------------------------------------
+
+@pytest.mark.parametrize("text,path", [
+    ('{"universe": ["u1"], "parameters": {"a": {"u1": 0.1}}, "universe": ["u1"]}',
+     "universe"),
+    ('{"universe": ["u1"], "parameters": {"a": {"u1": 0.1}, "a": {"u1": 0.2}}}',
+     "parameters.a"),
+    ('{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 0.1, "u2": 0.3, "u1": 0.2}}}',
+     "parameters.a.u1"),
+], ids=["top-level", "parameter", "element"])
+def test_repeated_key_is_rejected_with_its_json_path(tmp_path, text, path):
+    doc = tmp_path / "repeated.fss"
+    doc.write_text(text)
+    with pytest.raises(DocumentError) as err:
+        load_fss(doc)
+    assert err.value.json_path == path
+    assert f"duplicate key {path.rsplit('.', 1)[-1]!r}" in str(err.value)

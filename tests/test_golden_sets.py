@@ -1,0 +1,115 @@
+"""Byte-for-byte golden outputs of ``apply`` and ``eval`` on small set files.
+
+Each case stores the exit code, stdout, stderr and the bytes of the file
+the run wrote (``None`` when it wrote none) for one ``run_cli`` call made
+in a scratch directory holding the demo inputs and a few fault inputs, so
+any change to result values, tag order, document layout, error messages
+or fault precedence shows up as a diff.  Regenerate the stored file only
+when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden_sets.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from fuzzysoft.cli import run_cli
+
+GOLDEN = Path(__file__).with_name("golden_sets.json")
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+
+# Fault inputs next to the demo files: a universe the demos do not use, and
+# an all-zero approximation (a zero divisor under x/y, -0.0 under -x*y).
+EXTRA_INPUTS = {
+    "other.fss": {"universe": ["h1", "h2"], "parameters": {"old": {"h1": 0.5, "h2": 0.5}}},
+    "zero.fss": {"universe": ["h1", "h2", "h3"],
+                 "parameters": {"none": {"h1": 0.0, "h2": 0.0, "h3": 0.0}}},
+}
+OUTPUTS = ("out.fss", "product.fss")
+
+
+def _apply(*args: str, left: str = "quality.fss", right: str = "price.fss") -> list[str]:
+    return ["apply", *args, left, right, "-o", "out.fss"]
+
+
+CASES = [
+    _apply("--op", "union"),
+    _apply("--op", "intersect"),
+    _apply("--op", "connective", "--conn", "product"),
+    _apply("--op", "connective", "--conn", "lukasiewicz-implication"),
+    _apply("--op", "connective", "--conn", "x*y"),
+    _apply("--op", "connective", "--conn", "max(x, y) - x*y/3"),
+    # A applied to itself: both orders of a tag pair merge on one canonical tag.
+    _apply("--op", "connective", "--conn", "maximum", right="quality.fss"),
+    _apply("--op", "union", right="quality.fss"),
+    _apply("--op", "connective", "--conn=-x*y", left="zero.fss"),
+    # single-fault inputs
+    _apply("--op", "connective", "--conn", "x*y+1"),
+    _apply("--op", "connective", "--conn", "lukasiewicz-implication", right="quality.fss"),
+    _apply("--op", "union", right="other.fss"),
+    _apply("--op", "connective", "--conn", "x/y", right="zero.fss"),
+    ["eval", "combine.fss", "--bind", "S=quality.fss", "--bind", "G=price.fss"],
+]
+
+
+def _run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    written = {}
+    for name in OUTPUTS:
+        path = Path(name)
+        if path.exists():
+            written[name] = path.read_text(encoding="utf-8")
+            path.unlink()
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+            "written": written or None}
+
+
+@contextlib.contextmanager
+def _inputs_dir():
+    """Enter a scratch directory holding every input file the cases name."""
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in ("quality.fss", "price.fss", "combine.fss"):
+            shutil.copy(DATA / name, Path(scratch) / name)
+        for name, doc in EXTRA_INPUTS.items():
+            (Path(scratch) / name).write_text(json.dumps(doc), encoding="utf-8")
+        os.chdir(scratch)
+        try:
+            yield
+        finally:
+            os.chdir(previous)
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture()
+def inputs():
+    with _inputs_dir():
+        yield
+
+
+def test_golden_case_list_is_current(golden):
+    assert set(golden) == {" ".join(argv) for argv in CASES}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_set_output_bytes(golden, inputs, argv):
+    assert _run(argv) == golden[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    with _inputs_dir():
+        outputs = {" ".join(argv): _run(argv) for argv in CASES}
+    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")

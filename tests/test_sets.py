@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 
 from fuzzysoft import (
     CodomainError,
+    DivisionByZeroError,
+    FuzzySoftSet,
     ParamTag,
     TagCollisionError,
     Universe,
@@ -13,8 +15,10 @@ from fuzzysoft import (
     builtin,
     complement_fss,
     intersect_fss,
+    load_fss,
     make_fuzzy_soft_set,
     render_fss,
+    save_fss,
     scalar_from_expression,
     tau_family,
     union_fss,
@@ -236,3 +240,86 @@ def test_randomized_set_algebra_laws():
 def test_render_deterministic():
     s = fss(["u1", "u2"], {"b": (0.5, 0.25), "a": (0.1, 1.0)})
     assert render_fss(s) == "universe: u1 u2\na: 0.1 1.0\nb: 0.5 0.25"
+
+
+# --- the tag x element matrix --------------------------------------------------
+
+def test_negative_zero_survives_apply_render_save_and_load(tmp_path):
+    s = fss(["u1", "u2"], {"a1": (0.0, 0.0)})
+    g = fss(["u1", "u2"], {"b1": (0.5, 0.25)})
+    out = apply_connective(scalar_from_expression("-x*y", arity=2), s, g)
+    assert np.signbit(out.values).all()
+    assert render_fss(out) == "universe: u1 u2\na1*b1: -0.0 -0.0"
+    path = tmp_path / "zero.fss"
+    save_fss(out, path)
+    loaded = load_fss(path)
+    assert np.signbit(loaded.values).all()
+    assert loaded == out == make_fuzzy_soft_set(["u1", "u2"], {"a1*b1": (0.0, 0.0)})
+
+
+def test_hash_is_consistent_with_equality():
+    s = fss(["u1", "u2"], {"b": (0.5, 0.0), "a": (0.1, 1.0)})
+    same = fss(["u1", "u2"], [("a", (0.1, 1.0)), ("b", (0.5, -0.0))])
+    other = fss(["u1", "u2"], {"b": (0.5, 0.25), "a": (0.1, 1.0)})
+    assert s == same and hash(s) == hash(same)
+    assert s != other
+    assert len({s, same, other}) == 2
+
+
+def test_values_are_a_read_only_copy():
+    rows = np.array([[0.3, 0.7]])
+    s = FuzzySoftSet(Universe.of("u1", "u2"), (ParamTag.parse("a1"),), rows)
+    rows[0, 0] = 0.9
+    assert s.values.tolist() == [[0.3, 0.7]]
+    assert not s.values.flags.writeable
+    with pytest.raises(ValueError):
+        s.values[0, 0] = 0.5
+
+
+def test_constructor_sorts_tags_with_their_rows():
+    s = FuzzySoftSet(Universe.of("u"), (ParamTag.parse("b"), ParamTag.parse("a")),
+                     [(0.2,), (0.1,)])
+    assert [t.text for t in s.tags] == ["a", "b"]
+    assert s.values.tolist() == [[0.1], [0.2]]
+    assert s.assignments[1][1].memberships == (0.2,)
+
+
+def test_lookup_canonicalizes_the_tag_text():
+    s = fss(["u"], {"a1*b1": (0.3,), "a2": (0.4,), "b2": (0.5,)})
+    assert s["b1*a1"].memberships == (0.3,)
+    assert s[ParamTag(("b2",))].memberships == (0.5,)
+    with pytest.raises(ValidationError, match="no assignment for tag 'a3'"):
+        s["a3"]
+
+
+# x*x + y/2 is not commutative; at p = 0.2, q = 0.8, z = 0.9 its values are
+# p row: 0.14 (p,p), 0.44 (p,q), 0.49 (p,z); q row: 0.74 (q,p), 1.04 (q,q),
+# 1.09 (q,z).  (q,p) collides with (p,q), and (q,q), (q,z) are out of range.
+_SKEW = "x*x + y/2"
+
+
+def test_collision_on_an_earlier_pair_of_a_row_is_reported_first():
+    s = fss(["u"], {"p": (0.2,), "q": (0.8,)})
+    g = fss(["u"], {"p": (0.2,), "q": (0.8,), "z": (0.9,)})
+    with pytest.raises(TagCollisionError, match="'p\\*q'"):
+        apply_connective(scalar_from_expression(_SKEW), s, g)
+
+
+def test_codomain_fault_on_an_earlier_pair_of_a_row_is_reported_first():
+    s = fss(["u"], {"p": (0.2,), "q": (0.8,)})
+    g = fss(["u"], {"a": (0.9,), "p": (0.2,), "q": (0.8,)})  # (q,a) comes before (q,p)
+    with pytest.raises(CodomainError, match="under tag 'a\\*q' at element 'u'"):
+        apply_connective(scalar_from_expression(_SKEW), s, g)
+
+
+def test_kernel_error_in_a_row_is_raised_before_that_rows_other_faults():
+    # Row p: (p,a) = 1.8 is out of range, but (p,z) divides by zero, and the
+    # kernel runs on the whole row before any of its pairs is checked.
+    s = fss(["u"], {"p": (0.9,)})
+    g = fss(["u"], {"a": (0.5,), "z": (0.0,)})
+    with pytest.raises(DivisionByZeroError):
+        apply_connective(scalar_from_expression("x/y"), s, g)
+    # Rows are still taken in order: row p's fault precedes row q's kernel error.
+    s = fss(["u"], {"p": (0.25,), "q": (0.0,)})
+    with pytest.raises(CodomainError, match="under tag 'a\\*p'"):
+        apply_connective(scalar_from_expression("y/x"), s, fss(["u"], {"a": (0.5,)}))
