@@ -14,15 +14,20 @@ A parameter key is the canonical text of its tag: atomic labels joined
 with ``*`` in sorted order (non-canonical key order is accepted on load
 and re-canonicalized).  Every universe element must appear under every
 parameter -- there are no implicit zero memberships, and no object may
-repeat a key.  Saving is deterministic: universe in stored order, tags
-sorted, values rendered with the shortest decimal that round-trips, so
-load(save(s)) == s bit-exactly.
+repeat a key.  Saving is deterministic, so load(save(s)) == s bit-exactly.
+``save_fss`` writes exactly the bytes of ``json.dump(doc, indent=2)``
+followed by a newline: two-space indent, one universe element or
+membership per line, strings with ASCII ``\\uXXXX`` escapes (as
+``ensure_ascii`` gives), values as the shortest decimal that round-trips
+(``float.__repr__``, so ``-0.0`` stays ``-0.0``), the universe in stored
+order, rows in sorted tag order, and a trailing newline.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import DocumentError, ValidationError
@@ -128,7 +133,7 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
                     f"membership must be a number, got {value!r}",
                     json_path=f"{path}.{element}",
                 )
-            if not 0.0 <= float(value) <= 1.0:
+            if not 0 <= value <= 1:  # exact, even for ints too large for a float
                 raise DocumentError(
                     f"membership {value!r} is outside [0, 1]",
                     json_path=f"{path}.{element}",
@@ -146,15 +151,33 @@ def load_fss(path: str | Path) -> FuzzySoftSet:
         raise DocumentError(f"cannot read {path}: {err}") from None
     try:
         doc = json.loads(text, object_pairs_hook=_decode_object)
-    except json.JSONDecodeError as err:
+    except RecursionError:
+        raise DocumentError(f"{path} is not valid JSON: nesting too deep") from None
+    except ValueError as err:  # JSONDecodeError, or an integer past the digit limit
         raise DocumentError(f"{path} is not valid JSON: {err}") from None
     return document_to_fss(doc, source=str(path))
 
 
 def save_fss(fss: FuzzySoftSet, path: str | Path) -> None:
-    """Write a fuzzy soft set document; output bytes are deterministic."""
+    """Write a fuzzy soft set document, streaming one tag row at a time.
+
+    The bytes are those of ``json.dump(fss_to_document(fss), handle,
+    indent=2)`` plus a newline: strings go through the stdlib's own ASCII
+    quoter and values through ``float.__repr__``, as ``json`` does for
+    finite floats (the set invariant rules out NaN and infinities).
+    """
     path = Path(path)
-    document = fss_to_document(fss)
+    keys = [encode_basestring_ascii(element) for element in fss.universe.elements]
+    prefixes = [",\n      " + key + ": " for key in keys]
+    prefixes[0] = prefixes[0][1:]
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+        handle.write('{\n  "universe": [\n    ' + ",\n    ".join(keys)
+                     + '\n  ],\n  "parameters": {')
+        separator = "\n    "
+        for tag, row in zip(fss.tags, fss.values):
+            handle.write(separator + encode_basestring_ascii(tag.text) + ": {"
+                         + "".join(map(str.__add__, prefixes,
+                                       map(float.__repr__, row.tolist())))
+                         + "\n    }")
+            separator = ",\n    "
+        handle.write("\n  }\n}\n")

@@ -286,3 +286,23 @@ def test_apply_rejects_a_repeated_parameter_key_exit_three(files, capsys):
     assert code == 3
     assert "duplicate key 'b1' (at parameters.b1)" in capsys.readouterr().err
     assert not (tmp_path / "out.fss").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[" * 100_000 + "]" * 100_000, "is not valid JSON: nesting too deep"),
+    ('{"universe": ["u1", "u2"], "parameters": {"b1": {"u1": 0.5, "u2": ' + "1" * 5000 + "}}}",
+     "is not valid JSON: Exceeds the limit (4300 digits)"),
+    ('{"universe": ["u1", "u2"], "parameters": {"b1": {"u1": 0.5, "u2": 1' + "0" * 400 + "}}}",
+     "0 is outside [0, 1] (at parameters.b1.u2)"),
+], ids=["deep-nesting", "huge-integer", "overflowing-integer"])
+def test_apply_rejects_a_hostile_document_exit_three(files, capsys, text, message):
+    tmp_path, paths = files
+    hostile = tmp_path / "hostile.fss"
+    hostile.write_text(text)
+    code = run_cli(["apply", "--op", "union", str(paths["a"]), str(hostile),
+                    "-o", str(tmp_path / "out.fss")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out.fss").exists()

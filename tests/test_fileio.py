@@ -2,15 +2,17 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fuzzysoft import (
     DocumentError,
+    ParamTag,
     document_to_fss,
     fss_to_document,
     load_fss,
     make_fuzzy_soft_set,
     save_fss,
+    union_fss,
 )
 
 
@@ -165,3 +167,51 @@ def test_repeated_key_is_rejected_with_its_json_path(tmp_path, text, path):
         load_fss(doc)
     assert err.value.json_path == path
     assert f"duplicate key {path.rsplit('.', 1)[-1]!r}" in str(err.value)
+
+
+# --- the streaming writer against json.dump ---------------------------------------
+
+def _reference_bytes(fss) -> bytes:
+    return (json.dumps(fss_to_document(fss), indent=2) + "\n").encode()
+
+
+edge_values = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 1 - 2**-53])
+hostile_chars = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\xe9", "\U0001d11e"]),
+    st.characters(blacklist_categories=("Cs",)),
+)
+names = st.text(hostile_chars, min_size=1, max_size=6)
+labels = names.filter(lambda label: "*" not in label)
+
+
+@st.composite
+def fuzzy_soft_sets(draw):
+    universe = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    tags = draw(st.lists(st.lists(labels, min_size=1, max_size=3), min_size=1, max_size=5,
+                         unique_by=lambda tag: tuple(sorted(tag))))
+    rows = draw(st.lists(st.lists(edge_values | memberships, min_size=len(universe),
+                                  max_size=len(universe)),
+                         min_size=len(tags), max_size=len(tags)))
+    return make_fuzzy_soft_set(universe, zip(map(ParamTag, tags), rows))
+
+
+@given(fuzzy_soft_sets())
+@example(make_fuzzy_soft_set(["u"], {"a": (0.5,)}))
+@example(make_fuzzy_soft_set(['q"\\\x01\xe9\U0001d11e', "u"],
+                             {"b\x1f*\u2028": (5e-324, 1 - 2**-53), "a": (-0.0, 1.0)}))
+def test_save_writes_the_bytes_of_json_dump(tmp_path_factory, fss):
+    path = tmp_path_factory.getbasetemp() / "writer.fss"
+    save_fss(fss, path)
+    assert path.read_bytes() == _reference_bytes(fss)
+    assert load_fss(path) == fss
+
+
+def test_save_writes_the_bytes_of_json_dump_for_a_wide_union(tmp_path):
+    rng = np.random.default_rng(80)
+    universe = [f"u{i}" for i in range(8)]
+    a = make_fuzzy_soft_set(universe, {f"a{i:03d}": rng.random(8) for i in range(80)})
+    b = make_fuzzy_soft_set(universe, {f"b{i:03d}": rng.random(8) for i in range(80)})
+    union = union_fss(a, b)
+    assert len(union.tags) == 80 * 80
+    save_fss(union, tmp_path / "union.fss")
+    assert (tmp_path / "union.fss").read_bytes() == _reference_bytes(union)
