@@ -4,8 +4,12 @@ equilibrium solving, and a continuity probe.
 Every check evaluates the candidate over a regular grid on [0, 1] plus a
 configurable number of pseudo-random samples drawn from a seeded
 generator, so identical inputs always produce identical reports.  A
-failed check carries a witness -- the lexicographically smallest violating
-argument tuple -- that re-evaluates to a violation beyond the tolerance.
+failed check carries a witness that re-evaluates to a violation beyond the
+tolerance: the lexicographically smallest violating argument tuple over
+the grid points (or grid cube) and the samples, equal tuples going to the
+first found, grid before samples.  Each part is reduced to its smallest
+violation as it is evaluated, so a failing check holds at most one
+4M-point cube slab in memory, however many points violate.
 
 Each axiom is one row of a table (label, description, relation, grid
 points, seeded sample draw, and the two sides the relation compares);
@@ -25,7 +29,7 @@ the grid resolution; the default 64 steps gives roughly 275k triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -79,12 +83,7 @@ class CheckConfig:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
     def to_dict(self) -> dict:
-        return {
-            "grid_steps": self.grid_steps,
-            "random_samples": self.random_samples,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -219,13 +218,7 @@ class EquilibriumEntry:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "value": self.value,
-            "residual": self.residual,
-            "is_equilibrium": self.is_equilibrium,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -268,15 +261,7 @@ class ContinuityEstimate:
     suspected_discontinuity: bool
 
     def to_dict(self) -> dict:
-        return {
-            "candidate": self.candidate,
-            "fine_steps": self.fine_steps,
-            "spacing": self.spacing,
-            "max_jump": self.max_jump,
-            "at": list(self.at),
-            "threshold": self.threshold,
-            "suspected_discontinuity": self.suspected_discontinuity,
-        }
+        return {**asdict(self), "at": list(self.at)}
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +273,27 @@ def _grid(cfg: CheckConfig) -> np.ndarray:
 
 
 def _locate_failure(candidate: ScalarConnective, args, shape) -> tuple[float, ...]:
-    broadcast = [np.broadcast_to(np.asarray(a, dtype=float), shape) for a in args]
-    for idx in np.ndindex(shape):
-        point = tuple(float(b[idx]) for b in broadcast)
+    """The first point in C order at which the candidate raises.  Evaluation
+    is elementwise, so bisect the leading axis for the first row that
+    raises, then that row, down to one point that a scalar call confirms:
+    O(log N) calls on views, not a walk over the N points."""
+    def raises(cols) -> bool:
         try:
-            candidate(*point)
+            with np.errstate(all="ignore"):
+                candidate(*cols)
         except (DslError, FuzzySoftError):
-            return point
-    return tuple(float("nan") for _ in args)
+            return True
+        return False
+
+    views = [np.broadcast_to(np.asarray(a, dtype=float), shape) for a in args]
+    while views[0].ndim:
+        lo, hi = 0, views[0].shape[0]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if raises([v[lo:mid] for v in views]) else (mid, hi)
+        views = [v[lo] for v in views]
+    point = tuple(map(float, views))
+    return point if raises(point) else (float("nan"),) * len(args)
 
 
 def _call(candidate: ScalarConnective, *args) -> np.ndarray:
@@ -314,16 +312,35 @@ def _call(candidate: ScalarConnective, *args) -> np.ndarray:
 
 
 def _violations(got: np.ndarray, want, relation: str, tol: float) -> np.ndarray:
-    if relation == "==":
-        diff = np.subtract(got, want)
-        return ~(np.abs(diff, out=diff) <= tol)
-    if relation == "<=":
-        return ~(got <= want + tol)
-    if relation == ">=":
-        return ~(got >= want - tol)
-    if relation == "in [0, 1]":
-        return ~((got >= -tol) & (got <= 1.0 + tol))
+    with np.errstate(invalid="ignore"):  # NaN, from inf - inf say, violates
+        if relation == "==":
+            diff = np.subtract(got, want)
+            return ~(np.abs(diff, out=diff) <= tol)
+        if relation == "<=":
+            return ~(got <= want + tol)
+        if relation == ">=":
+            return ~(got >= want - tol)
+        if relation == "in [0, 1]":
+            return ~((got >= -tol) & (got <= 1.0 + tol))
     raise ValueError(f"unknown relation {relation!r}")
+
+
+def _smallest_violation(cols, got, want, bad: np.ndarray, relation: str) -> tuple[int, Witness]:
+    """The C-order index in ``bad`` of the lexicographically smallest
+    violating argument tuple (of equal tuples the first, as a stable sort
+    keeps), and its witness.  Needs ``bad.any()`` and NaN-free columns."""
+    mask = bad
+    for col in cols:
+        col = np.broadcast_to(col, bad.shape)
+        mask = mask & (col == np.min(col, where=mask, initial=np.inf))
+    index = int(np.argmax(mask))
+    at = np.unravel_index(index, bad.shape)
+
+    def pick(values) -> float:
+        return float(np.broadcast_to(values, bad.shape)[at])
+
+    return index, Witness(tuple(map(pick, cols)), pick(got),
+                          None if want is None else pick(want), relation)
 
 
 # ---------------------------------------------------------------------------
@@ -483,29 +500,19 @@ def _verify(
     if sample is not None:
         parts.append((call, sample))
 
-    points, rows, got_bad, want_bad = 0, [], [], []
+    points, witness = 0, None
     for f, cols in parts:
         got, want = axiom.sides(f, *cols)
         bad = _violations(got, want, axiom.relation, cfg.tolerance)
         points += bad.size
         if bad.any():
-            rows.append(np.column_stack([np.broadcast_to(c, bad.shape)[bad] for c in cols]))
-            got_bad.append(got[bad])
-            if want is not None:
-                want_bad.append(np.broadcast_to(want, bad.shape)[bad])
+            found = _smallest_violation(cols, got, want, bad, axiom.relation)[1]
+            # Strictly smaller only: on a tie the earlier part's point stays.
+            if witness is None or found.args < witness.args:
+                witness = found
         # Free this part's values before the next cube slab is computed.
         del got, want
-    if not rows:
-        return AxiomCheck(axiom.label, axiom.description, True, None, points, param)
-    rows = np.concatenate(rows)
-    index = int(np.lexsort(rows.T[::-1])[0])
-    witness = Witness(
-        args=tuple(float(v) for v in rows[index]),
-        got=float(np.concatenate(got_bad)[index]),
-        want=float(np.concatenate(want_bad)[index]) if want_bad else None,
-        relation=axiom.relation,
-    )
-    return AxiomCheck(axiom.label, axiom.description, False, witness, points, param)
+    return AxiomCheck(axiom.label, axiom.description, witness is None, witness, points, param)
 
 
 def _check_binary(
@@ -615,20 +622,15 @@ def classify_elements(candidate: ScalarConnective, cfg: CheckConfig | None = Non
 
     positive = g[1:]
     zero_hits = np.abs(F[1:, 1:]) <= tol
-    zero_divisors = []
-    for i in range(len(positive)):
-        hits = np.nonzero(zero_hits[i])[0]
-        if hits.size:
-            zero_divisors.append(
-                ZeroDivisor(float(positive[i]), float(positive[hits[0]]))
-            )
+    zero_divisors = tuple(ZeroDivisor(float(positive[i]), float(positive[np.argmax(zero_hits[i])]))
+                          for i in np.flatnonzero(zero_hits.any(axis=1)))
     return ClassificationReport(
         candidate=candidate.name,
         grid_steps=cfg.grid_steps,
         tolerance=tol,
         idempotents=idempotents,
         nilpotents=nilpotents,
-        zero_divisors=tuple(zero_divisors),
+        zero_divisors=zero_divisors,
     )
 
 
@@ -672,11 +674,7 @@ def find_equilibria(
     cfg = cfg or CheckConfig()
     lifted = _as_negation_lift(negation)
     entries = []
-    seen: set[str] = set()
-    for label in labels:
-        if label in seen:
-            continue
-        seen.add(label)
+    for label in dict.fromkeys(labels):
         scalar = lifted.scalar_for(ParamTag(label))
         x_star = _bisect_fixed_point(scalar)
         if x_star is None:
@@ -706,18 +704,13 @@ def continuity_probe(candidate: ScalarConnective, cfg: CheckConfig | None = None
     spacing = 1.0 / fine_steps
     F = _call(candidate, g[:, None], g[None, :])
 
-    jumps_x = np.abs(F[1:, :] - F[:-1, :])
-    jumps_y = np.abs(F[:, 1:] - F[:, :-1])
-    ix = np.unravel_index(np.argmax(jumps_x), jumps_x.shape)
-    iy = np.unravel_index(np.argmax(jumps_y), jumps_y.shape)
-    max_x = float(jumps_x[ix])
-    max_y = float(jumps_y[iy])
-    if max_x >= max_y:
-        max_jump = max_x
-        at = (float(g[ix[0]]), float(g[ix[1]]), float(g[ix[0] + 1]), float(g[ix[1]]))
-    else:
-        max_jump = max_y
-        at = (float(g[iy[0]]), float(g[iy[1]]), float(g[iy[0]]), float(g[iy[1] + 1]))
+    found = []  # (largest jump, its two points) along x, then along y
+    for axis in (0, 1):
+        jumps = np.abs(np.diff(F, axis=axis))
+        i, j = np.unravel_index(np.argmax(jumps), jumps.shape)
+        at = (g[i], g[j], g[i + 1 - axis], g[j + axis])
+        found.append((float(jumps[i, j]), tuple(map(float, at))))
+    max_jump, at = found[0] if found[0][0] >= found[1][0] else found[1]
     threshold = CONTINUITY_JUMP_FACTOR * spacing
     return ContinuityEstimate(
         candidate=candidate.name,

@@ -60,7 +60,10 @@ class ParamTag:
         return len(self.labels) == 1
 
     def combine(self, other: "ParamTag") -> "ParamTag":
-        return ParamTag(self.labels + other.labels)
+        # Both label tuples are valid already: sort them, skip __post_init__.
+        tag = object.__new__(ParamTag)
+        object.__setattr__(tag, "labels", tuple(sorted(self.labels + other.labels)))
+        return tag
 
     def __str__(self) -> str:
         return self.text

@@ -1,6 +1,10 @@
+import dataclasses
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzysoft import (
     CandidateEvaluationError,
@@ -17,7 +21,16 @@ from fuzzysoft import (
     lift_negation,
     scalar_from_expression,
 )
-from fuzzysoft.analysis import MAX_ARRAY_VALUES
+from fuzzysoft.analysis import (
+    MAX_ARRAY_VALUES,
+    Witness,
+    _Axiom,
+    _locate_failure,
+    _smallest_violation,
+    _verify,
+)
+from fuzzysoft.connectives import resolve_connective
+from fuzzysoft.errors import DslError, FuzzySoftError
 
 FAST = CheckConfig(grid_steps=16, random_samples=200, seed=5)
 
@@ -370,3 +383,176 @@ def test_config_bounds_the_largest_array_without_allocating():
         CheckConfig(random_samples=2**22 + 1)
     with pytest.raises(ValueError, match="grid_steps"):
         CheckConfig(grid_steps=10**12)
+
+
+# --- witness selection -------------------------------------------------------------
+
+def _lexsort_witness(parts):
+    """Reference: gather every violation of every part and take the first
+    row of a stable lexsort, as the verifier once did."""
+    rows, got_bad, want_bad, where = [], [], [], []
+    for number, (cols, got, want, bad) in enumerate(parts):
+        if bad.any():
+            rows.append(np.column_stack([np.broadcast_to(c, bad.shape)[bad] for c in cols]))
+            got_bad.append(got[bad])
+            want_bad.append(np.broadcast_to(want, bad.shape)[bad])
+            where += [(number, int(i)) for i in np.flatnonzero(bad)]
+    if not rows:
+        return None
+    rows = np.concatenate(rows)
+    index = int(np.lexsort(rows.T[::-1])[0])
+    return (where[index], tuple(float(v) for v in rows[index]),
+            float(np.concatenate(got_bad)[index]), float(np.concatenate(want_bad)[index]))
+
+
+def _streamed_witness(parts):
+    """Each part reduced on its own; a later part replaces the kept point
+    only with a strictly smaller tuple, as ``_verify`` does."""
+    best = None
+    for number, (cols, got, want, bad) in enumerate(parts):
+        if bad.any():
+            index, found = _smallest_violation(cols, got, want, bad, "==")
+            if best is None or found.args < best[1].args:
+                best = ((number, index), found)
+    if best is None:
+        return None
+    return best[0], best[1].args, best[1].got, best[1].want
+
+
+#: Few distinct values, so equal columns and equal tuples are common.
+_POOL = np.array([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def _violation_parts(draw):
+    """Parts of one axiom: the same number of columns in each, each column
+    a scalar or an array broadcasting to the part's 1-D or (b, n, n)
+    shape, a random violation mask, and got values that tell the points
+    apart.  A part may reuse the previous part's columns, so identical
+    tuples turn up in different parts."""
+    arity = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            shape = (draw(st.integers(1, 12)),)
+            layouts = [(), shape]
+        else:
+            b, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+            shape = (b, n, n)
+            layouts = [(), (b, 1, 1), (1, n, 1), (1, 1, n)]
+        if parts and parts[-1][3].shape == shape and draw(st.booleans()):
+            cols = parts[-1][0]
+        else:
+            cols = tuple(float(rng.choice(_POOL)) if layout == () else rng.choice(_POOL, layout)
+                         for layout in (draw(st.sampled_from(layouts)) for _ in range(arity)))
+        bad = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.7, 1.0]))
+        got = rng.random(shape)
+        want = float(rng.random()) if draw(st.booleans()) else rng.random(shape)
+        parts.append((cols, got, want, bad))
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_violation_parts())
+def test_streamed_witness_matches_the_lexsort_pick(parts):
+    assert _streamed_witness(parts) == _lexsort_witness(parts)
+
+
+def test_witness_ties_go_to_the_earlier_part():
+    cols = (np.array([0.5, 0.25]), 1.0)
+    first = (cols, np.array([0.1, 0.2]), 0.0, np.array([False, True]))
+    second = (cols, np.array([0.3, 0.4]), 0.0, np.array([True, True]))
+    expected = ((0, 1), (0.25, 1.0), 0.2, 0.0)
+    assert _streamed_witness([first, second]) == _lexsort_witness([first, second]) == expected
+
+
+def test_verify_gives_a_tie_to_the_grid_point():
+    # Both parts violate everywhere and share the smallest tuple (0.5,);
+    # the grid part reads the table (got 3), the samples call (got 2).
+    axiom = _Axiom("t", "tie", "==", lambda g: (np.array([0.75, 0.5]),),
+                   lambda rng, m: (np.array([0.9, 0.5]),), lambda f, x: (f(x), 0.0))
+    check = _verify(axiom, lambda x: np.full(np.shape(x), 2.0),
+                    lambda x: np.full(np.shape(x), 3.0), np.array([0.0]),
+                    np.random.default_rng(0), CheckConfig(random_samples=2))
+    assert check.witness == Witness((0.5,), 3.0, 0.0, "==")
+    assert check.points == 4 and not check.passed
+
+
+def test_failing_check_memory_is_bounded_by_one_cube_slab():
+    # 181 grid points: associativity walks a 4M-point slab and a second one,
+    # and fails at almost every point.  Holding the violations, as a gather
+    # and sort would, costs several slabs; the streamed witness needs only
+    # the slab's got, want and one evaluation temporary.
+    slab_bytes = 4_000_000 * 8
+    tracemalloc.start()
+    try:
+        report = check_tnorm_axioms(resolve_connective("x*y*y", 2),
+                                    CheckConfig(grid_steps=180, random_samples=2000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [c.label for c in report.failures()] == ["i", "iii", "iv"]
+    assert peak < 4 * slab_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+# --- locating an evaluation error ------------------------------------------------------
+
+def _walk_to_failure(candidate, args, shape):
+    """Reference: call the candidate point by point in C order."""
+    broadcast = [np.broadcast_to(np.asarray(a, dtype=float), shape) for a in args]
+    for idx in np.ndindex(shape):
+        point = tuple(float(b[idx]) for b in broadcast)
+        try:
+            candidate(*point)
+        except (DslError, FuzzySoftError):
+            return point
+    return tuple(float("nan") for _ in args)
+
+
+_NUMERATORS = ("1", "x", "y", "x*y", "1-x")
+_DENOMINATORS = ("x - 0.5", "y - 0.25", "x - y", "x*y - 0.25", "x + y - 1", "1 - x", "y",
+                 "x - 0.75*y", "min(x, y) - 0.5")
+
+
+@st.composite
+def _division_cases(draw):
+    terms = draw(st.lists(st.tuples(st.sampled_from(_NUMERATORS), st.sampled_from(_DENOMINATORS)),
+                          min_size=1, max_size=3))
+    text = " + ".join(f"{num}/({den})" for num, den in terms)
+    n = draw(st.integers(2, 12))
+    g = np.arange(n + 1, dtype=float) / n
+    layout = draw(st.sampled_from(["grid", "cube", "samples"]))
+    if layout == "grid":
+        args = (g[:, None], g[None, :])
+    elif layout == "cube":
+        args = (g[:, None, None], (g[None, :, None] + g[None, None, :]) / 2)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        args = (rng.choice(g, 40), rng.choice(g, 40))
+    return scalar_from_expression(text), args
+
+
+@settings(max_examples=200, deadline=None)
+@given(_division_cases())
+def test_located_failure_matches_a_point_by_point_walk(case):
+    candidate, args = case
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    assert repr(_locate_failure(candidate, args, shape)) == repr(
+        _walk_to_failure(candidate, args, shape))
+
+
+def test_locating_a_failure_takes_logarithmically_many_calls():
+    inner = scalar_from_expression("y/(x-1)")
+    calls = []
+
+    def counted(x, y):
+        calls.append(np.size(x))
+        return inner(x, y)
+
+    with pytest.raises(CandidateEvaluationError) as err:
+        check_tnorm_axioms(dataclasses.replace(inner, fn=counted),
+                           CheckConfig(grid_steps=600, random_samples=0))
+    # The first failing point opens the last row: a walk makes 360,601 calls.
+    assert err.value.point == (1.0, 0.0)
+    assert len(calls) <= 2 * math.ceil(math.log2(601)) + 2

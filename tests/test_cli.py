@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,3 +310,19 @@ def test_apply_rejects_a_hostile_document_exit_three(files, capsys, text, messag
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out.fss").exists()
+
+
+def test_infinite_candidate_prints_no_runtime_warning():
+    # inf - inf in the "==" comparison is a violation, and no warning.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = ["check", "--kind", "tnorm", "--expr", "pow(0, -1) + x", "--grid", "4",
+            "--samples", "10"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-c",
+         "import sys; from fuzzysoft.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))",
+         *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    assert "commutativity f(x, y) = f(y, x): FAIL at (0, 0): got inf, want == inf" in proc.stdout

@@ -77,3 +77,13 @@ def test_ordering_only_within_a_tag():
 def test_same_tag_ordering_mirrors_values(x, y):
     tag = ParamTag("a")
     assert (TaggedMembership(tag, x) <= TaggedMembership(tag, y)) == (x <= y)
+
+
+@given(label_lists, label_lists)
+def test_combine_equals_a_validated_tag(l1, l2):
+    a, b = ParamTag(tuple(l1)), ParamTag(tuple(l2))
+    combined, validated = a.combine(b), ParamTag(a.labels + b.labels)
+    assert combined == validated
+    assert hash(combined) == hash(validated)
+    assert combined.text == validated.text
+    assert combined.labels == tuple(sorted(l1 + l2))
