@@ -8,8 +8,10 @@ failed check carries a witness that re-evaluates to a violation beyond the
 tolerance: the lexicographically smallest violating argument tuple over
 the grid points (or grid cube) and the samples, equal tuples going to the
 first found, grid before samples.  Each part is reduced to its smallest
-violation as it is evaluated, so a failing check holds at most one
-4M-point cube slab in memory, however many points violate.
+violation as it is evaluated, and the grid cube is walked in C order in
+tiles of at most 2**15 points whose inner values are views of the grid
+matrix, so a check holds one cache-sized tile of the cube in memory,
+however many points violate.
 
 Each axiom is one row of a table (label, description, relation, grid
 points, seeded sample draw, and the two sides the relation compares);
@@ -58,6 +60,12 @@ CONTINUITY_JUMP_FACTOR = 10.0
 #: create: the continuity probe's (4n + 1)**2 grid matrix caps n at 1023,
 #: and the (samples, 4) pair-of-pairs columns cap the samples at 2**22.
 MAX_ARRAY_VALUES = 2**24
+
+#: Most points in one tile of the grid cube: each float64 temporary of a
+#: tile is 256 KiB, so an expression's few live temporaries stay in a
+#: 2 MiB L2 cache.  Larger tiles leave the heap trimmed and regrown per
+#: tile, which costs a fresh process more page faults than it saves.
+CUBE_TILE_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -362,12 +370,26 @@ def _adjacent(g: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
     return x, np.tile(g[:-1], n), x, np.tile(g[1:], n)
 
 
-def _cube_slabs(g: np.ndarray):
-    """The grid cube as x-slabs of about 4M points each, keeping memory flat."""
-    n = len(g)
-    block = max(1, 4_000_000 // (n * n))
-    for start in range(0, n, block):
-        yield g[start:start + block, None, None], g[None, :, None], g[None, None, :]
+def _cube_tiles(n: int):
+    """The grid cube of ``n`` points a side as index ranges (xs, ys, zs) in
+    C order, each tile at most ``CUBE_TILE_POINTS`` points: a block of
+    x-planes, or, when one plane is larger than that, a block of y-rows
+    inside one plane.  z always spans the grid."""
+    rows = max(1, CUBE_TILE_POINTS // n)
+    if rows >= n:
+        block = rows // n
+        for x in range(0, n, block):
+            yield slice(x, x + block), slice(None), slice(None)
+    else:
+        for x in range(n):
+            for y in range(0, n, rows):
+                yield slice(x, x + 1), slice(y, y + rows), slice(None)
+
+
+def _tile_inner(F: np.ndarray, tile: tuple[slice, ...], i: int, j: int) -> np.ndarray:
+    """f at a tile's argument columns i < j, as a view of the grid matrix F
+    laid out along the tile's axes: no candidate call, no gather."""
+    return np.expand_dims(F[tile[i], tile[j]], 3 - i - j)
 
 
 def _uniform(count: int):
@@ -397,8 +419,10 @@ def _pair_draw(sort_x: bool, sort_y: bool):
 class _Axiom:
     """One axiom: ``sides(f, *args)`` returns the (got, want) pair that
     must satisfy ``relation``, evaluated at the argument columns
-    ``grid(g)`` (``None``: the whole grid cube) and ``draw(rng, m)``
-    (``None``: no samples).  Columns may be floats; they broadcast."""
+    ``grid(g)`` and ``draw(rng, m)`` (``None``: no samples).  Columns may
+    be floats; they broadcast.  With ``grid`` ``None`` the axiom walks the
+    whole grid cube, and its sides are ``sides(f, inner, x, y, z)``, where
+    ``inner(i, j)`` is f at argument columns i and j."""
 
     label: str
     description: str
@@ -436,7 +460,7 @@ def _binary_axioms(unit: float, name: str) -> tuple[_Axiom, ...]:
         _Axiom("iii", "commutativity f(x, y) = f(y, x)", "==", _pairs, _uniform(2),
                lambda f, x, y: (f(x, y), f(y, x))),
         _Axiom("iv", "associativity f(x, f(y, z)) = f(f(x, y), z)", "==", None, _uniform(3),
-               lambda f, x, y, z: (f(x, f(y, z)), f(f(x, y), z))),
+               lambda f, inner, x, y, z: (f(x, inner(1, 2)), f(inner(0, 1), z))),
         _Axiom("v", "monotonicity: f(x1, y1) <= f(x2, y2) whenever x1 <= x2 and y1 <= y2",
                "<=", lambda g: tuple(map(np.concatenate, zip(_adjacent(g, 0),
                                                              _adjacent(g, 1)))),
@@ -458,7 +482,7 @@ _IMPLICATION_AXIOMS = (
     _Axiom("iv", "boundary h(0, y) = 1", "==", lambda g: (0.0, g),
            lambda rng, m: (0.0, rng.random(m)), lambda f, x, y: (f(x, y), 1.0)),
     _Axiom("v", "exchange h(x, h(y, z)) = h(y, h(x, z))", "==", None, _uniform(3),
-           lambda f, x, y, z: (f(x, f(y, z)), f(y, f(x, z)))),
+           lambda f, inner, x, y, z: (f(x, inner(1, 2)), f(y, inner(0, 2)))),
 )
 
 _NEGATION_AXIOMS = (
@@ -481,36 +505,47 @@ def _verify(
     rng: np.random.Generator,
     cfg: CheckConfig,
     param: str | None = None,
+    F: np.ndarray | None = None,
 ) -> AxiomCheck:
     """Evaluate one axiom on its grid points, or on the grid cube, then on
     its samples; the witness is the lexicographically smallest violation.
 
-    Binary grids read their values from ``table`` (the grid matrix F,
-    computed once).  A unary grid is a single row of points, so with no
-    ``table`` the grid and the samples are evaluated in one call each,
-    grid first."""
+    Binary grids read their values from ``table`` (the grid matrix ``F``,
+    computed once), and each cube tile takes its inner values as views of
+    ``F``.  A unary grid is a single row of points, so with no ``table``
+    the grid and the samples are evaluated in one call each, grid first."""
     sample = None if axiom.draw is None else axiom.draw(rng, cfg.random_samples)
+    on_samples = partial(axiom.sides, call)
+    tiles = 0  # how many leading parts are cube tiles, in C order
     if axiom.grid is None:
-        parts = [(call, slab) for slab in _cube_slabs(g)]
+        parts = [(partial(axiom.sides, call, partial(_tile_inner, F, tile)),
+                  (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]]))
+                 for tile in _cube_tiles(len(g))]
+        tiles = len(parts)
+        if sample is not None:
+            on_samples = partial(on_samples, lambda i, j: call(sample[i], sample[j]))
     elif table is None and sample is not None:
-        parts = [(call, tuple(map(np.concatenate, zip(axiom.grid(g), sample))))]
+        parts = [(on_samples, tuple(map(np.concatenate, zip(axiom.grid(g), sample))))]
         sample = None
     else:
-        parts = [(table or call, axiom.grid(g))]
+        parts = [(partial(axiom.sides, table or call), axiom.grid(g))]
     if sample is not None:
-        parts.append((call, sample))
+        parts.append((on_samples, sample))
 
     points, witness = 0, None
-    for f, cols in parts:
-        got, want = axiom.sides(f, *cols)
+    for number, (sides, cols) in enumerate(parts):
+        got, want = sides(*cols)
         bad = _violations(got, want, axiom.relation, cfg.tolerance)
         points += bad.size
-        if bad.any():
+        # C order over an increasing grid is lexicographic order: once a
+        # cube tile has given the witness, no later tile holds a strictly
+        # smaller tuple, so later tiles are evaluated and counted only.
+        if (witness is None or number >= tiles) and bad.any():
             found = _smallest_violation(cols, got, want, bad, axiom.relation)[1]
             # Strictly smaller only: on a tie the earlier part's point stays.
             if witness is None or found.args < witness.args:
                 witness = found
-        # Free this part's values before the next cube slab is computed.
+        # Free this part's values before the next cube tile is computed.
         del got, want
     return AxiomCheck(axiom.label, axiom.description, witness is None, witness, points, param)
 
@@ -529,7 +564,7 @@ def _check_binary(
                  np.rint(np.multiply(y, cfg.grid_steps)).astype(np.intp)]
 
     rng = np.random.default_rng(cfg.seed)
-    checks = tuple(_verify(axiom, call, table, g, rng, cfg) for axiom in axioms)
+    checks = tuple(_verify(axiom, call, table, g, rng, cfg, F=F) for axiom in axioms)
     return AxiomReport(kind, candidate.name, cfg, checks)
 
 
@@ -706,7 +741,8 @@ def continuity_probe(candidate: ScalarConnective, cfg: CheckConfig | None = None
 
     found = []  # (largest jump, its two points) along x, then along y
     for axis in (0, 1):
-        jumps = np.abs(np.diff(F, axis=axis))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and argmax picks NaN
+            jumps = np.abs(np.diff(F, axis=axis))
         i, j = np.unravel_index(np.argmax(jumps), jumps.shape)
         at = (g[i], g[j], g[i + 1 - axis], g[j + axis])
         found.append((float(jumps[i, j]), tuple(map(float, at))))

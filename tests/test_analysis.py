@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,15 +24,18 @@ from fuzzysoft import (
     scalar_from_expression,
 )
 from fuzzysoft.analysis import (
+    CUBE_TILE_POINTS,
     MAX_ARRAY_VALUES,
     Witness,
     _Axiom,
+    _call,
+    _cube_tiles,
     _locate_failure,
     _smallest_violation,
     _verify,
 )
 from fuzzysoft.connectives import resolve_connective
-from fuzzysoft.errors import DslError, FuzzySoftError
+from fuzzysoft.errors import DslError, EvalError, FuzzySoftError
 
 FAST = CheckConfig(grid_steps=16, random_samples=200, seed=5)
 
@@ -369,6 +374,19 @@ def test_probe_flags_jump():
     assert abs(float(g(x2, y2)) - float(g(x1, y1))) == estimate.max_jump
 
 
+def test_probe_of_an_infinite_grid_matrix_warns_nothing():
+    # 1/x is inf along x = 0, so adjacent differences there are inf - inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = continuity_probe(scalar_from_expression("pow(x, -1)"),
+                                    CheckConfig(grid_steps=4))
+    report = estimate.to_dict()
+    assert math.isnan(report.pop("max_jump"))
+    assert report == {"candidate": "pow(x, -1)", "fine_steps": 16, "spacing": 0.0625,
+                      "at": [0.0, 0.0, 0.0, 0.0625], "threshold": 0.625,
+                      "suspected_discontinuity": False}
+
+
 # --- configuration bounds --------------------------------------------------------
 
 def test_config_bounds_the_largest_array_without_allocating():
@@ -494,6 +512,102 @@ def test_failing_check_memory_is_bounded_by_one_cube_slab():
         tracemalloc.stop()
     assert [c.label for c in report.failures()] == ["i", "iii", "iv"]
     assert peak < 4 * slab_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_passing_check_memory_is_bounded_by_cache_sized_cube_tiles():
+    # The benchmark's passing check: 257**3 triples, walked in tiles whose
+    # inner values are views of the grid matrix (10 MiB).  4M-point slabs
+    # that called the candidate for the inner values peaked at 100 MiB.
+    tracemalloc.start()
+    try:
+        report = check_tnorm_axioms(resolve_connective("max(x + y - 1, 0)", 2),
+                                    CheckConfig(grid_steps=256, random_samples=20000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# --- the tiled cube walk ---------------------------------------------------------
+
+_CUBE_CHECKS = {"tnorm": (check_tnorm_axioms, "iv"),
+                "implication": (check_implication_axioms, "v")}
+
+
+def _whole_cube_check(candidate, kind, steps, tol):
+    """Reference: the whole cube in one broadcast, witness the first row of
+    a stable lexsort of the violating triples; (witness, points)."""
+    g = np.arange(steps + 1, dtype=float) / steps
+    x, y, z = g[:, None, None], g[None, :, None], g[None, None, :]
+    f = partial(_call, candidate)
+    got = f(x, f(y, z))
+    want = f(f(x, y), z) if kind == "tnorm" else f(y, f(x, z))
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.abs(got - want) <= tol)
+    if not bad.any():
+        return None, bad.size
+    triples = [np.broadcast_to(c, bad.shape)[bad] for c in (x, y, z)]
+    first = np.lexsort(triples[::-1])[0]
+    return (Witness(tuple(float(c[first]) for c in triples), float(got[bad][first]),
+                    float(want[bad][first]), "=="), bad.size)
+
+
+def _tile_of(triple, steps):
+    """The number of the cube tile that holds a grid triple."""
+    i, j = (round(v * steps) for v in triple[:2])
+    return next(number for number, (xs, ys, _) in enumerate(_cube_tiles(steps + 1))
+                if xs.start <= i < xs.stop and (ys.start or 0) <= j < (ys.stop or steps + 1))
+
+
+#: Associative below the threshold t, so the first violation has x > t.
+_LATE = "min(x, y) + 0.001*max(x - {t}, 0)*max(y - {t}, 0)"
+
+
+@pytest.mark.parametrize("kind, text, steps, first_tile", [
+    ("tnorm", "x*y*y", 100, 0),
+    ("tnorm", "max(x + y - 1, 0)", 100, None),
+    ("tnorm", _LATE.format(t=0.7), 100, 23),
+    ("tnorm", _LATE.format(t=0.98), 100, 33),
+    ("tnorm", _LATE.format(t=0.99), 181, 361),
+    ("implication", "min(1, 1 - x + y*y)", 100, 0),
+    ("implication", "max(1 - x, y)", 181, None),
+])
+def test_tiled_cube_matches_one_broadcast(kind, text, steps, first_tile):
+    # Grid 100 walks blocks of 3 x-planes; grid 181 walks blocks of y-rows,
+    # two tiles to a plane.
+    n = steps + 1
+    assert (n * n <= CUBE_TILE_POINTS) == (steps == 100)
+    candidate = scalar_from_expression(text)
+    check_fn, label = _CUBE_CHECKS[kind]
+    check = check_fn(candidate, CheckConfig(grid_steps=steps, random_samples=0)).check(label)
+    witness, points = _whole_cube_check(candidate, kind, steps, CheckConfig().tolerance)
+    assert (check.witness, check.points, check.passed) == (witness, points, witness is None)
+    assert (None if witness is None else _tile_of(witness.args, steps)) == first_tile
+
+
+def test_tiled_cube_raises_at_the_same_point_as_one_broadcast():
+    # x*y*y violates associativity in the first tile; the candidate raises
+    # only on off-grid second arguments with x >= 0.5, which no grid matrix
+    # value gives, but the outer call f(x, f(y, z)) of a later tile does.
+    steps = 100
+    g = np.arange(steps + 1, dtype=float) / steps
+    inner = scalar_from_expression("x*y*y")
+
+    def raising(x, y):
+        if np.any((np.asarray(x) >= 0.5) & ~np.isin(y, g)):
+            raise EvalError("off-grid second argument")
+        return inner(x, y)
+
+    cfg = CheckConfig(grid_steps=steps, random_samples=0)
+    assert _tile_of(check_tnorm_axioms(inner, cfg).check("iv").witness.args, steps) == 0
+    candidate = dataclasses.replace(inner, fn=raising)
+    with pytest.raises(CandidateEvaluationError) as whole:
+        _whole_cube_check(candidate, "tnorm", steps, cfg.tolerance)
+    with pytest.raises(CandidateEvaluationError) as tiled:
+        check_tnorm_axioms(candidate, cfg)
+    assert whole.value.point[0] == 0.5
+    assert repr(tiled.value.point) == repr(whole.value.point)
 
 
 # --- locating an evaluation error ------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzysoft import (
     DivisionByZeroError,
+    FuzzySoftError,
     ParseError,
     UnboundVariableError,
     eval_scalar,
@@ -266,3 +267,19 @@ def test_grammar_totality(text):
     except ParseError as err:
         assert err.span is not None
         assert 0 <= err.span.start <= err.span.end <= len(text)
+
+
+#: Characters and words of the expression and script grammars, so random
+#: text often gets past the first token.
+_SOURCE_CHARS = st.sampled_from(list("xyz01.5e+-*/(),;=>#\"_ \n\tAS") + ["pow", "min", "fn"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.lists(_SOURCE_CHARS, max_size=30).map("".join)))
+def test_tokenizer_totality(text):
+    # every input either tokenizes, ending in EOF, or raises a FuzzySoftError
+    try:
+        tokens = tokenize(text)
+    except FuzzySoftError:
+        return
+    assert tokens[-1].kind == "eof"

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzysoft import (
     DocumentError,
+    FuzzySoftError,
     ParamTag,
     document_to_fss,
     fss_to_document,
@@ -215,3 +216,30 @@ def test_save_writes_the_bytes_of_json_dump_for_a_wide_union(tmp_path):
     assert len(union.tags) == 80 * 80
     save_fss(union, tmp_path / "union.fss")
     assert (tmp_path / "union.fss").read_bytes() == _reference_bytes(union)
+
+
+_JSON_KEYS = st.sampled_from(["universe", "parameters", "u1", "u2", "a1", "a1*b1", "b1*a1",
+                              "", "*", "a 1"]) | st.text(max_size=5)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_KEYS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_KEYS, children, max_size=4),
+    max_leaves=20)
+
+
+_MEMBERSHIPS = st.fixed_dictionaries({"u1": _JSON_VALUES | st.floats(0, 1),
+                                      "u2": _JSON_VALUES | st.floats(0, 1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES | st.fixed_dictionaries({"universe": _JSON_VALUES, "parameters": _JSON_VALUES})
+       | st.fixed_dictionaries({"universe": st.just(["u1", "u2"]),
+                                "parameters": st.dictionaries(_JSON_KEYS,
+                                                              _JSON_VALUES | _MEMBERSHIPS,
+                                                              max_size=3)}))
+def test_document_decoding_totality(doc):
+    # any decoded JSON either builds a set or raises a FuzzySoftError
+    try:
+        document_to_fss(doc)
+    except FuzzySoftError:
+        pass

@@ -55,7 +55,7 @@ def _cases() -> list[list[str]]:
         ["check", "--kind", "implication", "--expr", "x*y/2", "--grid", "8",
          "--samples", "0"],
         ["check", "--kind", "negation", "--expr", "1-x*x", "--grid", "8", "--samples", "0"],
-        # 181 grid points: the associativity cube is walked in two slabs.
+        # 181 grid points: the associativity cube is walked in 181 one-plane tiles.
         ["check", "--kind", "tnorm", "--expr", "x*y*y", "--grid", "180",
          "--samples", "2000", "--seed", "1"],
         ["check", "--kind", "implication", "--expr", "x*y", "--grid", "33",

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzysoft import (
+    FuzzySoftError,
     ParseError,
     ScriptRuntimeError,
     UndefinedNameError,
@@ -157,3 +159,20 @@ def test_comments_allowed(env):
         externals=env,
     )
     assert len(script.statements) == 2
+
+
+#: Tokens of the script grammar, joined with spaces into random statements.
+_SCRIPT_WORDS = st.sampled_from(
+    ["H", "S", "G", "=", ";", "(", ")", ",", "print", "save", "union", "intersect",
+     "complement", "apply", "dual", "fn", "x", "y", "=>", "*", "+", "-", "/", "0.5", "1",
+     '"o.fss"', "product", "minimum", "sugeno", "yager", "#", "\n", "@"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.lists(_SCRIPT_WORDS, max_size=20).map(" ".join)))
+def test_parse_script_totality(text):
+    # every input either parses or raises a FuzzySoftError, never another exception
+    try:
+        parse_script(text, externals=["S", "G"])
+    except FuzzySoftError:
+        pass
