@@ -729,8 +729,9 @@ def continuity_probe(candidate: ScalarConnective, cfg: CheckConfig | None = None
     """Heuristic continuity scan on a grid four times finer than the
     configured one: the largest jump between adjacent neighbours along
     either axis is compared against ``CONTINUITY_JUMP_FACTOR`` spacings
-    (builtins move at most one spacing per step).  A flag here suggests a
-    discontinuity; the absence of one proves nothing.
+    (builtins move at most one spacing per step); a NaN jump, as inf - inf
+    at a pole, counts as unbounded.  A flag here suggests a discontinuity;
+    the absence of one proves nothing.
     """
     cfg = cfg or CheckConfig()
     require_arity(candidate, 2)
@@ -741,8 +742,9 @@ def continuity_probe(candidate: ScalarConnective, cfg: CheckConfig | None = None
 
     found = []  # (largest jump, its two points) along x, then along y
     for axis in (0, 1):
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and argmax picks NaN
+        with np.errstate(invalid="ignore"):
             jumps = np.abs(np.diff(F, axis=axis))
+        jumps[np.isnan(jumps)] = np.inf
         i, j = np.unravel_index(np.argmax(jumps), jumps.shape)
         at = (g[i], g[j], g[i + 1 - axis], g[j + axis])
         found.append((float(jumps[i, j]), tuple(map(float, at))))

@@ -22,6 +22,7 @@ import sys
 from typing import Sequence
 
 from .analysis import (
+    MAX_ARRAY_VALUES,
     AxiomReport,
     CheckConfig,
     ClassificationReport,
@@ -303,6 +304,9 @@ def _cmd_dual(args) -> int:
     n = args.table
     if n < 2:
         raise ValueError(f"--table needs at least 2 points, got {n}")
+    if n * n > MAX_ARRAY_VALUES:
+        raise ValueError(f"--table {n} needs {n * n} cells, more than "
+                         f"MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
     grid = [k / (n - 1) for k in range(n)]
     print(f"dual of {scalar.name}: {dual.name} (kind: {dual.kind})")
     header = "        " + "".join(f"y={g:<8.4g}" for g in grid)

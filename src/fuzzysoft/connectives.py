@@ -47,7 +47,6 @@ from .expr import (
     format_number,
     parse_scalar,
     pretty_print,
-    variables_used,
 )
 from .tags import ParamTag, TaggedMembership, combine_tags
 
@@ -204,10 +203,10 @@ def scalar_from_parsed(
     """Wrap an already-parsed expression AST as a scalar connective."""
     if arity not in (1, 2):
         raise ArityError(f"connective arity must be 1 or 2, got {arity}")
-    if arity == 1 and "y" in variables_used(ast):
-        offending = find_variable(ast, "y")
-        raise ParseError("unary connective must not reference 'y'", offending.span)
     if arity == 1:
+        offending = find_variable(ast, "y")
+        if offending is not None:
+            raise ParseError("unary connective must not reference 'y'", offending.span)
         def fn(x, _ast=ast):
             return eval_scalar(_ast, x)
     else:

@@ -368,21 +368,6 @@ def parse_scalar(text: str) -> ScalarExpr:
     return node
 
 
-def variables_used(node: ScalarExpr) -> frozenset[str]:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return variables_used(node.operand)
-    if isinstance(node, BinOp):
-        return variables_used(node.left) | variables_used(node.right)
-    if isinstance(node, Call):
-        out: frozenset[str] = frozenset()
-        for arg in node.args:
-            out |= variables_used(arg)
-        return out
-    return frozenset()
-
-
 def find_variable(node: ScalarExpr, name: str) -> Var | None:
     """First (left-most) occurrence of a variable, for diagnostics."""
     if isinstance(node, Var):

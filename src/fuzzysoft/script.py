@@ -11,7 +11,9 @@ Statement forms (full EBNF in docs/grammar.md)::
 
 Free identifiers must be declared external at parse time (the CLI passes
 the names bound via ``--bind``); everything else must be assigned before
-use, and builtin connective names cannot be shadowed.
+use, and builtin connective names cannot be shadowed.  ``apply`` and
+``dual`` take binary connectives only, resolved at parse time: a unary
+builtin there, such as ``sugeno(1)``, is a ``ParseError`` at its name.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from typing import Iterable, Mapping, Union
 
 from .connectives import (
     ScalarConnective,
-    builtin,
     builtin_names,
     dual_of,
+    resolve_builtin,
     scalar_from_parsed,
 )
 from .errors import (
+    ArityError,
     FuzzySoftError,
     ParseError,
     ScriptRuntimeError,
@@ -40,7 +43,6 @@ from .expr import (
     NUMBER,
     PUNCT,
     STRING,
-    ScalarExpr,
     SourceSpan,
     Token,
     _ScalarParser,
@@ -91,29 +93,8 @@ class IntersectOp:
 
 
 @dataclass(frozen=True)
-class BuiltinRef:
-    name: str
-    span: SourceSpan = field(compare=False)
-
-
-@dataclass(frozen=True)
-class DualRef:
-    inner: "ConnTerm"
-    span: SourceSpan = field(compare=False)
-
-
-@dataclass(frozen=True)
-class InlineFn:
-    body: ScalarExpr
-    span: SourceSpan = field(compare=False)
-
-
-ConnTerm = Union[BuiltinRef, DualRef, InlineFn]
-
-
-@dataclass(frozen=True)
 class ApplyOp:
-    connective: ConnTerm
+    connective: ScalarConnective
     left: "SetExpr"
     right: "SetExpr"
     span: SourceSpan = field(compare=False)
@@ -242,48 +223,42 @@ class _ScriptParser(_ScalarParser):
             )
         return NameRef(name_tok.text, name_tok.span)
 
-    def parse_connective(self) -> ConnTerm:
+    def parse_connective(self) -> ScalarConnective:
+        """A resolved binary connective: a builtin, ``dual(c)`` or ``fn(x, y) => e``."""
         tok = self.peek()
         if tok.kind == IDENT and tok.text == "dual":
             self.advance()
             self.expect_punct("(", "after 'dual'")
             with self.level(tok):
                 inner = self.parse_connective()
-            end = self.expect_punct(")", "to close 'dual'")
-            return DualRef(inner, tok.span.merge(end.span))
+            self.expect_punct(")", "to close 'dual'")
+            return dual_of(inner)
         if tok.kind == IDENT and tok.text == "fn":
             self.advance()
             self.expect_punct("(", "after 'fn'")
-            first = self.expect_ident("as the first parameter")
-            if first.text != "x":
-                raise ParseError(f"inline fn parameters are (x, y), found {first.text!r}",
-                                 first.span)
-            self.expect_punct(",", "between fn parameters")
-            second = self.expect_ident("as the second parameter")
-            if second.text != "y":
-                raise ParseError(f"inline fn parameters are (x, y), found {second.text!r}",
-                                 second.span)
-            self.expect_punct(")", "after fn parameters")
+            for name, place, punct, context in (("x", "first", ",", "between fn parameters"),
+                                                ("y", "second", ")", "after fn parameters")):
+                param = self.expect_ident(f"as the {place} parameter")
+                if param.text != name:
+                    raise ParseError(f"inline fn parameters are (x, y), found {param.text!r}",
+                                     param.span)
+                self.expect_punct(punct, context)
             self.expect_punct("=>", "before the fn body")
-            body = self.parse_expr()
-            return InlineFn(body, tok.span.merge(self.tokens[self.pos - 1].span))
+            return scalar_from_parsed(self.parse_expr(), arity=2)
         if tok.kind == IDENT:
             return self.parse_builtin_name()
         raise ParseError(f"expected a connective, found {tok.describe()}", tok.span)
 
-    def parse_builtin_name(self) -> BuiltinRef:
-        """A builtin name: hyphen-joined identifiers, optionally with a
-        numeric parameter, e.g. ``standard-negation`` or ``sugeno(1)``."""
+    def parse_builtin_name(self) -> ScalarConnective:
+        """A binary builtin by name: hyphen-joined identifiers, optionally
+        with a numeric parameter, e.g. ``lukasiewicz-implication``."""
         first = self.advance()
-        parts = [first.text]
-        span = first.span
+        name, span = first.text, first.span
         while (self.peek().kind == PUNCT and self.peek().text == "-"
                and self.tokens[self.pos + 1].kind == IDENT):
             self.advance()
             part = self.advance()
-            parts.append(part.text)
-            span = span.merge(part.span)
-        name = "-".join(parts)
+            name, span = f"{name}-{part.text}", span.merge(part.span)
         if self.match_punct("("):
             sign = "-" if self.match_punct("-") else ""
             num = self.peek()
@@ -297,10 +272,9 @@ class _ScriptParser(_ScalarParser):
             name = f"{name}({sign}{num.text})"
             span = span.merge(end.span)
         try:
-            builtin(name)
-        except UnknownBuiltinError as err:
+            return resolve_builtin(name, 2)
+        except (UnknownBuiltinError, ArityError) as err:
             raise ParseError(str(err), span) from None
-        return BuiltinRef(name, span)
 
 
 def parse_script(text: str, externals: Iterable[str] = ()) -> Script:
@@ -321,14 +295,6 @@ class ScriptResult:
     printed: tuple[str, ...]
     saved: tuple[str, ...]
     env: dict[str, FuzzySoftSet]
-
-
-def _resolve_connective(term: ConnTerm) -> ScalarConnective:
-    if isinstance(term, BuiltinRef):
-        return builtin(term.name)
-    if isinstance(term, DualRef):
-        return dual_of(_resolve_connective(term.inner))
-    return scalar_from_parsed(term.body, arity=2)
 
 
 def eval_script(
@@ -363,8 +329,7 @@ def eval_script(
         if isinstance(node, IntersectOp):
             return intersect_fss(eval_set(node.left), eval_set(node.right))
         if isinstance(node, ApplyOp):
-            connective = _resolve_connective(node.connective)
-            return apply_connective(connective, eval_set(node.left), eval_set(node.right))
+            return apply_connective(node.connective, eval_set(node.left), eval_set(node.right))
         raise TypeError(f"not a set expression node: {node!r}")
 
     for statement in script.statements:
@@ -381,7 +346,7 @@ def eval_script(
             else:
                 raise TypeError(f"not a statement node: {statement!r}")
         except FuzzySoftError as err:
-            if isinstance(err, (UndefinedNameError, ScriptRuntimeError)):
+            if isinstance(err, UndefinedNameError):
                 raise
             raise ScriptRuntimeError(str(err), statement.span) from err
     return ScriptResult(tuple(printed), tuple(saved), bindings)

@@ -82,6 +82,13 @@ class FuzzySet:
         return self.memberships[index]
 
 
+def _is_number(value) -> bool:
+    try:
+        return np.asarray(value, dtype=float).ndim == 0
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass(frozen=True, eq=False)
 class FuzzySoftSet:
     """A universe plus one membership row per canonical parameter tag.
@@ -101,13 +108,25 @@ class FuzzySoftSet:
         tags = tuple(self.tags)
         if not tags:
             raise ValidationError("a fuzzy soft set needs at least one parameter tag")
-        for tag, row in zip(tags, self.values, strict=True):
+        if len(self.values) != len(tags):
+            raise ValidationError(f"{len(self.values)} membership rows for the "
+                                  f"{len(tags)} tags {[tag.text for tag in tags]}")
+        for tag, row in zip(tags, self.values):
             if len(row) != len(self.universe):
                 raise ValidationError(
                     f"tag {tag.text!r}: expected {len(self.universe)} membership values "
                     f"for universe {list(self.universe.elements)}, got {len(row)}"
                 )
-        values = np.asarray(self.values, dtype=float)
+        try:
+            values = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.ndim != 2:
+            for tag, row in zip(tags, self.values):
+                for element, value in zip(self.universe.elements, row):
+                    if not _is_number(value):
+                        raise ValidationError(f"tag {tag.text!r}: membership {value!r} "
+                                              f"for element {element!r} is not a number")
         outside = ~((values >= 0.0) & (values <= 1.0))
         if outside.any():
             i, j = np.argwhere(outside)[0]

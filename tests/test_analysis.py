@@ -380,11 +380,19 @@ def test_probe_of_an_infinite_grid_matrix_warns_nothing():
         warnings.simplefilter("error")
         estimate = continuity_probe(scalar_from_expression("pow(x, -1)"),
                                     CheckConfig(grid_steps=4))
-    report = estimate.to_dict()
-    assert math.isnan(report.pop("max_jump"))
-    assert report == {"candidate": "pow(x, -1)", "fine_steps": 16, "spacing": 0.0625,
-                      "at": [0.0, 0.0, 0.0, 0.0625], "threshold": 0.625,
-                      "suspected_discontinuity": False}
+    # An undefined jump counts as unbounded, so the pole is flagged.
+    assert estimate.to_dict() == {
+        "candidate": "pow(x, -1)", "fine_steps": 16, "spacing": 0.0625,
+        "max_jump": math.inf, "at": [0.0, 0.0, 0.0625, 0.0], "threshold": 0.625,
+        "suspected_discontinuity": True}
+
+
+@pytest.mark.parametrize("text", ["pow(x, -1)", "pow(x, -1)*0 + x*y", "pow(x - 2, 0.5)"])
+def test_probe_counts_an_undefined_jump_as_unbounded(text):
+    # inf - inf and inf * 0 put NaN into the differences or the grid matrix.
+    estimate = continuity_probe(scalar_from_expression(text), CheckConfig(grid_steps=4))
+    assert estimate.max_jump == math.inf
+    assert estimate.suspected_discontinuity
 
 
 # --- configuration bounds --------------------------------------------------------
@@ -670,3 +678,92 @@ def test_locating_a_failure_takes_logarithmically_many_calls():
     # The first failing point opens the last row: a walk makes 360,601 calls.
     assert err.value.point == (1.0, 0.0)
     assert len(calls) <= 2 * math.ceil(math.log2(601)) + 2
+
+
+# --- witness re-evaluation (ROADMAP contract 3b) -----------------------------------
+
+def _pair_sides_scalar(f, x1, y1, x2, y2):
+    return f(x1, y1), f(x2, y2)
+
+
+def _unit_boundary(unit: float, free: int):
+    def sides(f, x, y):
+        assert (x, y)[1 - free] == unit
+        return f(x, y), (x, y)[free]
+    return sides
+
+
+def _falsity_boundary(f, x, y):
+    assert x == 0.0
+    return f(x, y), 1.0
+
+
+#: Each axiom written again with scalar calls: (kind, label) -> (relation, sides).
+_SCALAR_AXIOMS = {
+    **{(kind, label): entry
+       for kind, unit in (("tnorm", 1.0), ("tconorm", 0.0))
+       for label, entry in {
+           "codomain": ("in [0, 1]", lambda f, x, y: (f(x, y), None)),
+           "i": ("==", _unit_boundary(unit, 1)),
+           "ii": ("==", _unit_boundary(unit, 0)),
+           "iii": ("==", lambda f, x, y: (f(x, y), f(y, x))),
+           "iv": ("==", lambda f, x, y, z: (f(x, f(y, z)), f(f(x, y), z))),
+           "v": ("<=", _pair_sides_scalar),
+       }.items()},
+    ("implication", "codomain"): ("in [0, 1]", lambda f, x, y: (f(x, y), None)),
+    ("implication", "i"): (">=", _pair_sides_scalar),
+    ("implication", "ii"): ("<=", _pair_sides_scalar),
+    ("implication", "iii"): ("==", _unit_boundary(1.0, 1)),
+    ("implication", "iv"): ("==", _falsity_boundary),
+    ("implication", "v"): ("==", lambda f, x, y, z: (f(x, f(y, z)), f(y, f(x, z)))),
+    ("negation", "codomain"): ("in [0, 1]", lambda f, x: (f(x), None)),
+    ("negation", "i"): ("==", lambda f, x: (f(x), 1.0 - x)),
+    ("negation", "ii"): (">=", lambda f, x1, x2: (f(x1), f(x2))),
+    ("negation", "iii"): ("==", lambda f, x: (f(f(x)), x)),
+}
+
+
+def _holds(got: float, want: float | None, relation: str, tol: float) -> bool:
+    if relation == "==":
+        return abs(got - want) <= tol
+    if relation == "<=":
+        return got <= want + tol
+    if relation == ">=":
+        return got >= want - tol
+    return -tol <= got <= 1.0 + tol
+
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["x", "y", "0", "1", "0.5", "0.25", "2", "-1"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["min", "max", "pow"]), inner, inner).map(
+            lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+        inner.map(lambda e: f"abs({e})")),
+    max_leaves=6)
+
+_CHECKERS = {"tnorm": check_tnorm_axioms, "tconorm": check_tconorm_axioms,
+             "implication": check_implication_axioms, "negation": check_negation_axioms}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_CHECKERS)), text=_EXPRESSIONS,
+       steps=st.integers(2, 12), samples=st.integers(0, 40), seed=st.integers(0, 2**16),
+       tol=st.sampled_from([1e-9, 1e-3, 0.1]))
+def test_every_witness_violates_its_axiom_when_evaluated_again(kind, text, steps, samples,
+                                                               seed, tol):
+    arity = 1 if kind == "negation" else 2
+    candidate = scalar_from_expression(text.replace("y", "x") if arity == 1 else text,
+                                       arity=arity)
+    cfg = CheckConfig(grid_steps=steps, random_samples=samples, seed=seed, tolerance=tol)
+    report = _CHECKERS[kind](candidate, cfg=cfg)
+    for check in report.checks:
+        if check.passed:
+            assert check.witness is None
+            continue
+        relation, sides = _SCALAR_AXIOMS[kind, check.label]
+        witness = check.witness
+        assert witness.relation == relation
+        evaluated = sides(lambda *args: float(candidate(*args)), *witness.args)
+        assert not _holds(*evaluated, relation, tol), (check.label, witness, evaluated)

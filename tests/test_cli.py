@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fuzzysoft import load_fss, make_fuzzy_soft_set, save_fss
 from fuzzysoft.cli import run_cli
@@ -248,6 +249,31 @@ def test_eval_script_parse_error_exit_two(files, tmp_path):
     assert run_cli(["eval", str(script)]) == 2
 
 
+@pytest.mark.parametrize("connective, column", [("standard-negation", 11),
+                                                 ("dual(sugeno(1))", 16)])
+def test_eval_script_unary_connective_exit_two(files, capsys, connective, column):
+    tmp_path, paths = files
+    script = tmp_path / "unary.fss"
+    script.write_text(f"print S;\nH = apply({connective}, S, G);\n")
+    code = run_cli(["eval", str(script),
+                    "--bind", f"S={paths['a']}", "--bind", f"G={paths['b']}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: 2:{column}: connective ")
+    assert "has arity 1, but this use needs arity 2" in captured.err
+
+
+def test_dual_table_is_bounded_like_a_check_grid(capsys):
+    # 4096**2 cells is the most MAX_ARRAY_VALUES admits; one more point is
+    # refused before anything is printed or evaluated.
+    assert run_cli(["dual", "--builtin", "product", "--table", "4097"]) == 2
+    assert capsys.readouterr() == ("", "error: --table 4097 needs 16785409 cells, "
+                                       "more than MAX_ARRAY_VALUES = 16777216\n")
+    assert run_cli(["dual", "--expr", "x*y", "--table", str(10**9)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_eval_script_missing_bind_file_exit_three(tmp_path):
     script = tmp_path / "combine.fss"
     script.write_text("print S;")
@@ -326,3 +352,81 @@ def test_infinite_candidate_prints_no_runtime_warning():
     assert proc.stderr == ""
     assert proc.returncode == 1
     assert "commutativity f(x, y) = f(y, x): FAIL at (0, 0): got inf, want == inf" in proc.stdout
+
+
+# --- totality of run_cli (ROADMAP contract 3a) -------------------------------------
+
+#: Values for each flag, valid and invalid, none large enough to allocate
+#: much or to run long: oversized grids, sample counts and tables must be
+#: refused.
+_FLAG_VALUES = {
+    "--kind": ["tnorm", "tconorm", "negation", "implication", "nonsense"],
+    "--expr": ["x*y", "min(x, y)", "1 - x", "x/y", "pow(x, -1)", "x +", "y", "1/(x - y)"],
+    "--builtin": ["product", "lukasiewicz", "godel-implication", "standard-negation",
+                  "sugeno(1)", "sugeno(-2)", "einstein"],
+    "--grid": ["-1", "0", "1", "2", "8", "1024", "x"],
+    "--samples": ["-1", "0", "20", "4194305", "many"],
+    "--tol": ["0", "-1", "1e-9", "0.5", "nan", "inf", "t"],
+    "--seed": ["0", "7", "-3", "s"],
+    "--format": ["text", "json", "xml"],
+    "--expect-none": ["zero-divisors", "nonzero-nilpotents", "all"],
+    "--family": ["a=1-x", "a=1-x,b=1-x*x", "a", "=1-x", "a=y", "a=1-x,a=x"],
+    "--params": ["a", "a,b", "", ",", "a,a"],
+    "--op": ["union", "intersect", "connective", "xor"],
+    "--conn": ["product", "standard-negation", "x*y + 1", "x/y", "(("],
+    "-o": ["out.fss", "missing/out.fss", "a.fss"],
+    "--table": ["-1", "1", "2", "4", "4097", "k"],
+    "--bind": ["S=a.fss", "G=b.fss", "W=w.fss", "S=bad.fss", "S=absent.fss", "S", "=a.fss"],
+}
+_CANDIDATE = ("--expr", "--builtin")
+#: Per subcommand: required flags (a tuple is a choice of one), optional
+#: flags, and the pool and count of its positional arguments.
+_COMMANDS = {
+    "check": (["--kind", _CANDIDATE],
+              ["--grid", "--samples", "--tol", "--seed", "--format"], [], 0),
+    "classify": ([_CANDIDATE], ["--grid", "--tol", "--expect-none", "--format"], [], 0),
+    "equilibrium": ([_CANDIDATE + ("--family",), "--params"], ["--tol", "--family"], [], 0),
+    "apply": (["--op", "-o"], ["--conn"], ["a.fss", "b.fss", "w.fss", "bad.fss", "absent.fss"], 2),
+    "dual": ([_CANDIDATE], ["--table"], [], 0),
+    "eval": ([], ["--bind", "--bind", "--bind"],
+             ["ok.script", "unary.script", "broken.script", "absent.script"], 1),
+}
+_SCRIPTS = {
+    "ok.script": 'H = apply(dual(product), S, G);\nprint H;\nsave(H, "saved.fss");\n',
+    "unary.script": "H = apply(standard-negation, S, G);\n",
+    "broken.script": "H = union(S G);\n",
+}
+
+
+@st.composite
+def _argv(draw):
+    """Mostly well-formed argv; one draw in ten drops a required flag, a
+    flag's value or a positional, or adds a stray token."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional, pool, count = _COMMANDS[command]
+    flags = [draw(st.sampled_from(flag)) if isinstance(flag, tuple) else flag
+             for flag in required]
+    flags += draw(st.lists(st.sampled_from(optional), max_size=4)) if optional else []
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    argv += [draw(st.sampled_from(pool)) for _ in range(count)]
+    if draw(st.integers(0, 9)) == 0 and len(argv) > 1:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--help", "--nonsense", "-", "", "a.fss"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_run_cli_returns_a_documented_code_on_random_argv(files, monkeypatch, capsys, argv):
+    tmp_path, _ = files
+    (tmp_path / "bad.fss").write_text('{"universe": ["u1"], "parameters": {"a": {"u1": 2}}}')
+    for name, text in _SCRIPTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) in (0, 1, 2, 3)
+    capsys.readouterr()

@@ -13,6 +13,7 @@ from fuzzysoft import (
     render_fss,
     union_fss,
 )
+from fuzzysoft.connectives import ScalarConnective, builtin, dual_of
 from fuzzysoft.script import Assign, Print
 
 
@@ -34,17 +35,59 @@ def test_parse_statement_shapes():
 def test_parse_apply_with_dual():
     script = parse_script("H = apply(dual(product), S, G);", externals=["S", "G"])
     (stmt,) = script.statements
-    assert stmt.expr.connective.inner.name == "product"
+    assert stmt.expr.connective == dual_of(builtin("product"))
 
 
 def test_parse_hyphenated_builtin_and_parameter():
+    script = parse_script("H = apply(lukasiewicz-implication, S, G);",
+                          externals=["S", "G"])
+    assert script.statements[0].expr.connective.name == "lukasiewicz-implication"
+    # sugeno is unary, so dual() of it is rejected when the script is parsed
+    with pytest.raises(ParseError, match="'sugeno\\(1\\)' has arity 1"):
+        parse_script("K = apply(dual(sugeno(1)), S, G);", externals=["S", "G"])
+
+
+@pytest.mark.parametrize("text, column, name", [
+    ("H = apply(standard-negation, S, G);", 11, "standard-negation"),
+    ("H = apply(dual(sugeno(1)), S, G);", 16, "sugeno(1)"),
+    ("H = apply(dual(dual(sugeno(-0.5))), S, G);", 21, "sugeno(-0.5)"),
+])
+def test_unary_builtin_in_connective_position_is_a_spanned_parse_error(text, column, name):
+    with pytest.raises(ParseError) as err:
+        parse_script("print S;\n" + text, externals=["S", "G"])
+    assert err.value.message == (
+        f"connective {name!r} has arity 1, but this use needs arity 2")
+    span = err.value.span
+    assert (span.line, span.column) == (2, column)
+    assert span.excerpt("print S;\n" + text) == name
+
+
+@pytest.mark.parametrize("body, message, column", [
+    ("fn(y, x) => x", "inline fn parameters are (x, y), found 'y'", 14),
+    ("fn(x, z) => x", "inline fn parameters are (x, y), found 'z'", 17),
+    ("fn(x y) => x", "expected ',' between fn parameters, found 'y'", 16),
+    ("fn(x, y => x", "expected ')' after fn parameters, found '=>'", 19),
+    ("fn(x, y) x", "expected '=>' before the fn body, found 'x'", 20),
+    ("fn(1, y) => x", "expected identifier as the first parameter, found '1'", 14),
+    ("fn(x,) => x", "expected identifier as the second parameter, found ')'", 16),
+])
+def test_inline_fn_parameter_errors(body, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_script(f"H = apply({body}, S, G);", externals=["S", "G"])
+    assert (err.value.message, err.value.span.column) == (message, column)
+
+
+def test_apply_holds_the_resolved_connective():
     script = parse_script(
-        "H = apply(lukasiewicz-implication, S, G); K = apply(dual(sugeno(1)), S, G);",
+        "H = apply(product, S, G); K = apply(dual(lukasiewicz), S, G);"
+        " L = apply(fn(x, y) => x * y, S, G);",
         externals=["S", "G"],
     )
-    # sugeno is unary; resolving dual() of it fails at evaluation, but the
-    # names parse and resolve against the builtin table
-    assert script.statements[0].expr.connective.name == "lukasiewicz-implication"
+    connectives = [stmt.expr.connective for stmt in script.statements]
+    assert all(isinstance(c, ScalarConnective) and c.arity == 2 for c in connectives)
+    assert [c.name for c in connectives] == ["product", "dual(lukasiewicz)", "x * y"]
+    assert connectives[1].kind == "t-conorm"
+    assert connectives[2](0.5, 0.25) == 0.125
 
 
 def test_undefined_identifier_is_an_error():

@@ -284,6 +284,28 @@ def test_constructor_sorts_tags_with_their_rows():
     assert s.assignments[1][1].memberships == (0.2,)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([(0.2,)], r"1 membership rows for the 2 tags \['b', 'a'\]"),
+    ([(0.2,), (0.1,), (0.0,)], r"3 membership rows for the 2 tags \['b', 'a'\]"),
+])
+def test_constructor_rejects_a_row_count_that_differs_from_the_tags(rows, message):
+    with pytest.raises(ValidationError, match=message):
+        FuzzySoftSet(Universe.of("u"), (ParamTag.parse("b"), ParamTag.parse("a")), rows)
+
+
+@pytest.mark.parametrize("assignments, message", [
+    ({"a": ["x"]}, "tag 'a': membership 'x' for element 'u' is not a number"),
+    ({"a": [None]}, "tag 'a': membership nan for element 'u' is outside"),
+    ({"a": [[1.0]]}, r"tag 'a': membership \[1.0\] for element 'u' is not a number"),
+    ({"a": [0.5], "b": [[0.5, 0.5]]}, r"tag 'b': membership \[0.5, 0.5\] for element"),
+])
+def test_non_numeric_membership_names_its_tag(assignments, message):
+    with pytest.raises(ValidationError, match=message):
+        make_fuzzy_soft_set(["u"], assignments)
+    with pytest.raises(ValidationError, match="tag 'b': membership <object"):
+        make_fuzzy_soft_set(["u", "v"], {"a": [0.5, 1.0], "b": [0.5, object()]})
+
+
 def test_lookup_canonicalizes_the_tag_text():
     s = fss(["u"], {"a1*b1": (0.3,), "a2": (0.4,), "b2": (0.5,)})
     assert s["b1*a1"].memberships == (0.3,)
