@@ -512,8 +512,7 @@ def _verify(
 
     Binary grids read their values from ``table`` (the grid matrix ``F``,
     computed once), and each cube tile takes its inner values as views of
-    ``F``.  A unary grid is a single row of points, so with no ``table``
-    the grid and the samples are evaluated in one call each, grid first."""
+    ``F``."""
     sample = None if axiom.draw is None else axiom.draw(rng, cfg.random_samples)
     on_samples = partial(axiom.sides, call)
     tiles = 0  # how many leading parts are cube tiles, in C order
@@ -524,9 +523,6 @@ def _verify(
         tiles = len(parts)
         if sample is not None:
             on_samples = partial(on_samples, lambda i, j: call(sample[i], sample[j]))
-    elif table is None and sample is not None:
-        parts = [(on_samples, tuple(map(np.concatenate, zip(axiom.grid(g), sample))))]
-        sample = None
     else:
         parts = [(partial(axiom.sides, table or call), axiom.grid(g))]
     if sample is not None:
@@ -650,7 +646,7 @@ def classify_elements(candidate: ScalarConnective, cfg: CheckConfig | None = Non
     g = _grid(cfg)
     tol = cfg.tolerance
     F = _call(candidate, g[:, None], g[None, :])
-    diag = _call(candidate, g, g)
+    diag = np.diagonal(F)
 
     idempotents = tuple(float(v) for v in g[np.abs(diag - g) <= tol])
     nilpotents = tuple(float(v) for v in g[np.abs(diag) <= tol])

@@ -21,6 +21,8 @@ import json
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .analysis import (
     MAX_ARRAY_VALUES,
     AxiomReport,
@@ -307,13 +309,14 @@ def _cmd_dual(args) -> int:
     if n * n > MAX_ARRAY_VALUES:
         raise ValueError(f"--table {n} needs {n * n} cells, more than "
                          f"MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
-    grid = [k / (n - 1) for k in range(n)]
+    g = np.arange(n) / (n - 1)
+    # A constant body returns a scalar, so broadcast to the table's shape.
+    table = np.broadcast_to(dual(g[:, None], g[None, :]), (n, n))
+    grid = g.tolist()
     print(f"dual of {scalar.name}: {dual.name} (kind: {dual.kind})")
-    header = "        " + "".join(f"y={g:<8.4g}" for g in grid)
-    print(header)
-    for gx in grid:
-        cells = "".join(f"{float(dual(gx, gy)):<10.6g}" for gy in grid)
-        print(f"x={gx:<6.4g}{cells}")
+    print("        " + "".join(f"y={gy:<8.4g}" for gy in grid))
+    for gx, row in zip(grid, table):
+        print(f"x={gx:<6.4g}" + "".join(f"{v:<10.6g}" for v in row.tolist()))
     return EXIT_OK
 
 

@@ -194,13 +194,10 @@ def builtin(name: str) -> ScalarConnective:
     )
 
 
-def scalar_from_parsed(
-    ast: ScalarExpr,
-    arity: int = 2,
-    kind: str = KIND_UNCLASSIFIED,
-    continuity: bool = False,
-) -> ScalarConnective:
-    """Wrap an already-parsed expression AST as a scalar connective."""
+def scalar_from_parsed(ast: ScalarExpr, arity: int = 2) -> ScalarConnective:
+    """Wrap an already-parsed expression AST as an unclassified scalar
+    connective.  It is not declared continuous: finitely many samples
+    cannot prove continuity."""
     if arity not in (1, 2):
         raise ArityError(f"connective arity must be 1 or 2, got {arity}")
     if arity == 1:
@@ -213,26 +210,18 @@ def scalar_from_parsed(
         def fn(x, y, _ast=ast):
             return eval_scalar(_ast, x, y)
     return ScalarConnective(
-        name=pretty_print(ast), arity=arity, kind=kind, continuity=continuity,
+        name=pretty_print(ast), arity=arity, kind=KIND_UNCLASSIFIED, continuity=False,
         fn=fn, expr=ast,
     )
 
 
-def scalar_from_expression(
-    text: str,
-    arity: int = 2,
-    kind: str = KIND_UNCLASSIFIED,
-    continuity: bool = False,
-) -> ScalarConnective:
+def scalar_from_expression(text: str, arity: int = 2) -> ScalarConnective:
     """Build a scalar connective from expression source text.
 
     Unary connectives use the variable ``x`` only; referencing ``y`` in a
-    unary connective is rejected with the offending span.  ``continuity``
-    is caller-asserted metadata (builtins declare it; expressions cannot
-    prove it from finitely many samples).
+    unary connective is rejected with the offending span.
     """
-    return scalar_from_parsed(parse_scalar(text), arity=arity, kind=kind,
-                              continuity=continuity)
+    return scalar_from_parsed(parse_scalar(text), arity=arity)
 
 
 def require_arity(scalar, arity: int) -> ScalarConnective:

@@ -11,14 +11,18 @@ Grammar (full EBNF in docs/grammar.md):
             | "abs" "(" expr ")"
             | "(" expr ")"
 
-Numbers are plain decimals with an optional fraction; exponent notation
-is rejected so test vectors stay human-auditable.  ``#`` starts a comment
-running to the end of the line.  Offsets are in characters (identical to
-byte offsets for ASCII sources).
+Numbers are plain decimals of ASCII digits with an optional fraction;
+exponent notation is rejected so test vectors stay human-auditable.
+Identifiers start with a ``str.isalpha()`` character or ``_`` and continue
+with ``str.isalnum()`` characters or ``_``.  ``#`` starts a comment running
+to the end of the line.  Offsets are in characters (identical to byte
+offsets for ASCII sources); a column is one more than the characters since
+the last newline, for the end-of-input token too.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Union
@@ -61,8 +65,6 @@ STRING = "string"
 PUNCT = "punct"
 EOF = "eof"
 
-_PUNCT_CHARS = set("(),;=+-*/")
-
 
 @dataclass(frozen=True)
 class Token:
@@ -77,9 +79,13 @@ class Token:
         return f"{self.text!r}"
 
 
-def _is_digit(c: str) -> bool:
-    # ASCII only: str.isdigit() accepts characters float() rejects.
-    return "0" <= c <= "9"
+#: Alternatives tried in order; groups number, ident, string and punct are
+#: token kinds.  ``ident`` also takes runs not starting with a letter or "_",
+#: and ``other`` any one character, so that ``tokenize`` reports the error.
+_LEXEME = re.compile(r"""
+    (?P<newline>\n) | (?P<skip>[ \t\r]+ | \#[^\n]*)
+  | (?P<number>[0-9]+(?:\.[0-9]*)?) | (?P<ident>\w+) | (?P<string>"[^"\n]*"?)
+  | (?P<punct>=>|[(),;=+\-*/]) | (?P<other>.)""", re.VERBOSE)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -89,90 +95,34 @@ def tokenize(text: str) -> list[Token]:
     malformed number, or unterminated string.
     """
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def span(start: int, end: int, sline: int, scol: int) -> SourceSpan:
-        return SourceSpan(start, end, sline, scol)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(text):
+        kind = match.lastgroup
+        if kind == "skip":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        start, end = match.span()
+        if kind == "newline":
+            line, line_start = line + 1, end
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start, sline, scol = i, line, col
-        if _is_digit(c):
-            while i < n and _is_digit(text[i]):
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                if i >= n or not _is_digit(text[i]):
-                    raise ParseError(
-                        "malformed number: expected digits after the decimal point",
-                        span(start, i, sline, scol),
-                    )
-                while i < n and _is_digit(text[i]):
-                    i += 1
-            if i < n and (text[i].isalpha() or text[i] == "_" or text[i] == "."):
-                reason = (
-                    "only one decimal point is allowed"
-                    if text[i] == "."
-                    else "exponent notation is not supported"
-                )
-                raise ParseError(
-                    f"malformed number {text[start:i + 1]!r} ({reason})",
-                    span(start, i + 1, sline, scol),
-                )
-            lexeme = text[start:i]
-            col += i - start
-            tokens.append(Token(NUMBER, lexeme, span(start, i, sline, scol), float(lexeme)))
-            continue
-        if c.isalpha() or c == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            lexeme = text[start:i]
-            col += i - start
-            tokens.append(Token(IDENT, lexeme, span(start, i, sline, scol)))
-            continue
-        if c == '"':
-            i += 1
-            while i < n and text[i] not in ('"', "\n"):
-                i += 1
-            if i >= n or text[i] != '"':
-                raise ParseError("unterminated string", span(start, i, sline, scol))
-            i += 1
-            lexeme = text[start:i]
-            col += i - start
-            tokens.append(Token(STRING, lexeme, span(start, i, sline, scol)))
-            continue
-        if c == "=":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(Token(PUNCT, "=>", span(i, i + 2, sline, scol)))
-                i += 2
-                col += 2
-            else:
-                tokens.append(Token(PUNCT, "=", span(i, i + 1, sline, scol)))
-                i += 1
-                col += 1
-            continue
-        if c in _PUNCT_CHARS:
-            tokens.append(Token(PUNCT, c, span(i, i + 1, sline, scol)))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"illegal character {c!r}", span(i, i + 1, sline, scol))
-
-    tokens.append(Token(EOF, "", SourceSpan(n, n, line, col)))
+        lexeme = match.group()
+        span = SourceSpan(start, end, line, start - line_start + 1)
+        if kind == NUMBER:
+            after = text[end:end + 1]
+            if lexeme.endswith("."):
+                raise ParseError("malformed number: expected digits after the decimal point", span)
+            if after.isalpha() or after in ("_", "."):
+                reason = ("only one decimal point is allowed" if after == "."
+                          else "exponent notation is not supported")
+                raise ParseError(f"malformed number {lexeme + after!r} ({reason})",
+                                 SourceSpan(start, end + 1, line, span.column))
+        if kind == STRING and (len(lexeme) == 1 or not lexeme.endswith('"')):
+            raise ParseError("unterminated string", span)
+        if kind == "other" or (kind == IDENT and not (lexeme[0].isalpha() or lexeme[0] == "_")):
+            raise ParseError(f"illegal character {lexeme[0]!r}",
+                             SourceSpan(start, start + 1, line, span.column))
+        tokens.append(Token(kind, lexeme, span, float(lexeme) if kind == NUMBER else None))
+    end = len(text)
+    tokens.append(Token(EOF, "", SourceSpan(end, end, line, end - line_start + 1)))
     return tokens
 
 

@@ -85,7 +85,7 @@ class FuzzySet:
 def _is_number(value) -> bool:
     try:
         return np.asarray(value, dtype=float).ndim == 0
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
 
 
@@ -119,7 +119,7 @@ class FuzzySoftSet:
                 )
         try:
             values = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             values = None
         if values is None or values.ndim != 2:
             for tag, row in zip(tags, self.values):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fuzzysoft import load_fss, make_fuzzy_soft_set, save_fss
+from fuzzysoft import (builtin, dual_of, load_fss, make_fuzzy_soft_set, save_fss,
+                       scalar_from_expression)
 from fuzzysoft.cli import run_cli
 
 
@@ -186,6 +187,27 @@ def test_dual_table(capsys):
     assert code == 0
     assert "t-conorm" in out
     assert "0.75" in out  # dual(product)(0.5, 0.5) = probsum(0.5, 0.5)
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--builtin", "product"), ("--builtin", "godel-implication"),
+    ("--expr", "pow(x, 2) * y"), ("--expr", "1"),
+])
+def test_dual_table_matches_one_scalar_call_per_cell(capsys, flag, text):
+    scalar = builtin(text) if flag == "--builtin" else scalar_from_expression(text)
+    dual = dual_of(scalar)
+    grid = [k / 6 for k in range(7)]
+    expected = [f"dual of {scalar.name}: {dual.name} (kind: {dual.kind})",
+                "        " + "".join(f"y={g:<8.4g}" for g in grid)]
+    expected += [f"x={gx:<6.4g}" + "".join(f"{float(dual(gx, gy)):<10.6g}" for gy in grid)
+                 for gx in grid]
+    assert run_cli(["dual", flag, text, "--table", "7"]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_dual_table_of_a_raising_candidate_prints_no_rows(capsys):
+    assert run_cli(["dual", "--expr", "x/(y-0.5)", "--table", "5"]) == 3
+    assert capsys.readouterr() == ("", "error: 1:1: division by zero\n")
 
 
 def test_dual_expression_and_table_validation(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +60,42 @@ def test_scientific_notation_rejected():
         tokenize("1.")
     with pytest.raises(ParseError):
         tokenize("0.5.5")
+
+
+def _lex(text):
+    """Tokens as (kind, text, start, end, line, column), EOF excluded, or
+    the error as ("error", message, start, end, line, column)."""
+    try:
+        return [(t.kind, t.text, t.span.start, t.span.end, t.span.line, t.span.column)
+                for t in tokenize(text)[:-1]]
+    except ParseError as err:
+        span = err.span
+        return ("error", err.message, span.start, span.end, span.line, span.column)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("é", [("ident", "é", 0, 1, 1, 1)]),
+    ("_x", [("ident", "_x", 0, 2, 1, 1)]),
+    ("x²", [("ident", "x²", 0, 2, 1, 1)]),
+    ("²", ("error", "illegal character '²'", 0, 1, 1, 1)),
+    ("1٣", ("error", "illegal character '٣'", 1, 2, 1, 2)),
+    ("1.", ("error", "malformed number: expected digits after the decimal point", 0, 2, 1, 1)),
+    ("1.2.3", ("error", "malformed number '1.2.' (only one decimal point is allowed)",
+               0, 4, 1, 1)),
+    ("1e3", ("error", "malformed number '1e' (exponent notation is not supported)",
+             0, 2, 1, 1)),
+    ("fn=>x", [("ident", "fn", 0, 2, 1, 1), ("punct", "=>", 2, 4, 1, 3),
+               ("ident", "x", 4, 5, 1, 5)]),
+    ("S = T", [("ident", "S", 0, 1, 1, 1), ("punct", "=", 2, 3, 1, 3),
+               ("ident", "T", 4, 5, 1, 5)]),
+    ("==>", [("punct", "=", 0, 1, 1, 1), ("punct", "=>", 1, 3, 1, 2)]),
+    ('x "ab\n"', ("error", "unterminated string", 2, 5, 1, 3)),
+    ('x "ab', ("error", "unterminated string", 2, 5, 1, 3)),
+    ('"', ("error", "unterminated string", 0, 1, 1, 1)),
+    ("x\n\ty", [("ident", "x", 0, 1, 1, 1), ("ident", "y", 3, 4, 2, 2)]),
+])
+def test_lexer_edge_cases(text, expected):
+    assert _lex(text) == expected
 
 
 # --- parsing ---------------------------------------------------------------
@@ -283,3 +321,30 @@ def test_tokenizer_totality(text):
     except FuzzySoftError:
         return
     assert tokens[-1].kind == "eof"
+
+
+#: Whole lexemes, so that most joined inputs tokenize; "#" often ends one.
+_LEXEMES = st.sampled_from(["x", "pow", "_a", "é", "0", "1.5", '"s"', "=>", "=", "(", ")",
+                            ",", ";", "+", "-", "*", "/", " ", "\t", "\r", "\n", "#", "# c"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LEXEMES, max_size=20).map("".join))
+def test_tokens_and_skipped_text_rebuild_the_input_with_true_columns(text):
+    # Between tokens there are only blanks, newlines and comments; every
+    # span, EOF and errors included, sits at its offset's line and column.
+    try:
+        tokens = tokenize(text)
+    except ParseError as err:
+        spans = [err.span]
+    else:
+        spans = [token.span for token in tokens]
+        offset = 0
+        for token in tokens:
+            assert re.fullmatch(r"(?:[ \t\r\n]|#[^\n]*)*", text[offset:token.span.start])
+            assert text[token.span.start:token.span.end] == token.text
+            offset = token.span.end
+        assert tokens[-1].kind == "eof" and offset == len(text)
+    for span in spans:
+        assert span.line == text.count("\n", 0, span.start) + 1
+        assert span.column == span.start - text.rfind("\n", 0, span.start)

@@ -298,6 +298,12 @@ def test_constructor_rejects_a_row_count_that_differs_from_the_tags(rows, messag
     ({"a": [None]}, "tag 'a': membership nan for element 'u' is outside"),
     ({"a": [[1.0]]}, r"tag 'a': membership \[1.0\] for element 'u' is not a number"),
     ({"a": [0.5], "b": [[0.5, 0.5]]}, r"tag 'b': membership \[0.5, 0.5\] for element"),
+    # Past the float range: numpy raises OverflowError converting these.
+    pytest.param({"a": [10**400]},
+                 "tag 'a': membership 1" + "0" * 400 + " for element 'u' is not a number",
+                 id="int-above-the-float-range"),
+    pytest.param({"a": [0.5], "b": [-10**400]}, "tag 'b': membership -1" + "0" * 400 + " for",
+                 id="int-below-the-float-range"),
 ])
 def test_non_numeric_membership_names_its_tag(assignments, message):
     with pytest.raises(ValidationError, match=message):
