@@ -31,7 +31,6 @@ the grid resolution; the default 64 steps gives roughly 275k triples.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -45,6 +44,7 @@ from .connectives import (
     require_arity,
 )
 from .errors import ArityError, CandidateEvaluationError, DslError, FuzzySoftError
+from .record import Record
 from .tags import ParamTag
 
 #: Bisection stops once the bracket is narrower than this; three orders
@@ -68,8 +68,7 @@ MAX_ARRAY_VALUES = 2**24
 CUBE_TILE_POINTS = 2**15
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Record):
     """Shared configuration for every verification routine."""
 
     grid_steps: int = 64
@@ -91,11 +90,10 @@ class CheckConfig:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A reproducible counterexample: re-evaluating the candidate at
     ``args`` violates the stated relation beyond the tolerance."""
 
@@ -113,8 +111,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
     """Verdict for one axiom; ``param`` names the family label for
     per-parameter negation checks."""
 
@@ -136,8 +133,7 @@ class AxiomCheck:
         }
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """All axiom verdicts for one candidate under one configuration."""
 
     kind: str
@@ -168,8 +164,7 @@ class AxiomReport:
         }
 
 
-@dataclass(frozen=True)
-class ZeroDivisor:
+class ZeroDivisor(Record):
     value: float
     witness: float
 
@@ -177,8 +172,7 @@ class ZeroDivisor:
         return {"value": self.value, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Grid scan for idempotent, nilpotent and zero-divisor elements."""
 
     candidate: str
@@ -215,8 +209,7 @@ class ClassificationReport:
         }
 
 
-@dataclass(frozen=True)
-class EquilibriumEntry:
+class EquilibriumEntry(Record):
     """Fixed-point verdict for one parameter label."""
 
     label: str
@@ -226,11 +219,10 @@ class EquilibriumEntry:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(Record):
     entries: tuple[EquilibriumEntry, ...]
     tolerance: float
 
@@ -256,8 +248,7 @@ class EquilibriumResult:
         }
 
 
-@dataclass(frozen=True)
-class ContinuityEstimate:
+class ContinuityEstimate(Record):
     """Heuristic continuity estimate from a fine-grid scan; never a proof."""
 
     candidate: str
@@ -269,7 +260,7 @@ class ContinuityEstimate:
     suspected_discontinuity: bool
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "at": list(self.at)}
+        return {**vars(self), "at": list(self.at)}
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +406,7 @@ def _pair_draw(sort_x: bool, sort_y: bool):
 # The axiom table and its evaluator
 
 
-@dataclass(frozen=True)
-class _Axiom:
+class _Axiom(Record):
     """One axiom: ``sides(f, *args)`` returns the (got, want) pair that
     must satisfy ``relation``, evaluated at the argument columns
     ``grid(g)`` and ``draw(rng, m)`` (``None``: no samples).  Columns may

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import (
+    CUBE_TILE_POINTS,
     MAX_ARRAY_VALUES,
     AxiomReport,
     CheckConfig,
@@ -310,8 +311,12 @@ def _cmd_dual(args) -> int:
         raise ValueError(f"--table {n} needs {n * n} cells, more than "
                          f"MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
     g = np.arange(n) / (n - 1)
-    # A constant body returns a scalar, so broadcast to the table's shape.
-    table = np.broadcast_to(dual(g[:, None], g[None, :]), (n, n))
+    # Blocks of rows keep each expression temporary to one cube tile, and
+    # assignment broadcasts a constant body.  All run before any print.
+    table = np.empty((n, n))
+    rows = max(1, CUBE_TILE_POINTS // n)
+    for i in range(0, n, rows):
+        table[i:i + rows] = dual(g[i:i + rows, None], g[None, :])
     grid = g.tolist()
     print(f"dual of {scalar.name}: {dual.name} (kind: {dual.kind})")
     print("        " + "".join(f"y={gy:<8.4g}" for gy in grid))

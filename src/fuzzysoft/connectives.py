@@ -48,6 +48,7 @@ from .expr import (
     parse_scalar,
     pretty_print,
 )
+from .record import Record
 from .tags import ParamTag, TaggedMembership, combine_tags
 
 # Scalar connective kinds (metadata only; never affects evaluation).
@@ -271,8 +272,7 @@ def dual_of(scalar: ScalarConnective) -> ScalarConnective:
     )
 
 
-@dataclass(frozen=True)
-class LiftedConnective:
+class LiftedConnective(Record):
     """A scalar connective lifted to tagged memberships.
 
     Binary kinds map ``((a, x), (b, y))`` to ``(combine(a, b), f(x, y))``.

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -34,10 +33,10 @@ from .errors import (
     ParseError,
     UnboundVariableError,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """Extent of a token or AST node: character offsets plus 1-based line/column."""
 
     start: int
@@ -66,8 +65,7 @@ PUNCT = "punct"
 EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str
     text: str
     span: SourceSpan
@@ -127,40 +125,41 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar expression AST.  Spans never participate in equality, so two parses
-# of the same shape compare structurally equal.
+# Scalar expression AST.
 
-@dataclass(frozen=True)
-class Num:
+class SyntaxNode(Record):
+    """Base of the expression and script AST nodes.  Spans never take part
+    in equality, so two parses of the same shape compare structurally equal."""
+
+    _uncompared = ("span",)
+
+
+class Num(SyntaxNode):
     value: float
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(SyntaxNode):
     name: str
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(SyntaxNode):
     operand: "ScalarExpr"
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(SyntaxNode):
     op: str
     left: "ScalarExpr"
     right: "ScalarExpr"
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(SyntaxNode):
     func: str
     args: tuple["ScalarExpr", ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
 ScalarExpr = Union[Num, Var, Neg, BinOp, Call]

@@ -18,7 +18,6 @@ builtin there, such as ``sugeno(1)``, is a ``ParseError`` at its name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
@@ -44,11 +43,13 @@ from .expr import (
     PUNCT,
     STRING,
     SourceSpan,
+    SyntaxNode,
     Token,
     _ScalarParser,
     tokenize,
 )
 from .fileio import save_fss
+from .record import Record
 from .sets import (
     FuzzySoftSet,
     apply_connective,
@@ -66,68 +67,59 @@ _KEYWORDS = frozenset(
 
 # --- AST ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NameRef:
+class NameRef(SyntaxNode):
     name: str
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class ComplementOp:
+class ComplementOp(SyntaxNode):
     operand: "SetExpr"
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class UnionOp:
+class UnionOp(SyntaxNode):
     left: "SetExpr"
     right: "SetExpr"
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class IntersectOp:
+class IntersectOp(SyntaxNode):
     left: "SetExpr"
     right: "SetExpr"
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class ApplyOp:
+class ApplyOp(SyntaxNode):
     connective: ScalarConnective
     left: "SetExpr"
     right: "SetExpr"
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
 SetExpr = Union[NameRef, ComplementOp, UnionOp, IntersectOp, ApplyOp]
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(SyntaxNode):
     name: str
     expr: SetExpr
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class Print:
+class Print(SyntaxNode):
     expr: SetExpr
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class Save:
+class Save(SyntaxNode):
     expr: SetExpr
     path: str
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
 Statement = Union[Assign, Print, Save]
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(Record):
     statements: tuple[Statement, ...]
 
 
@@ -287,8 +279,7 @@ def parse_script(text: str, externals: Iterable[str] = ()) -> Script:
 
 # --- Evaluator ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScriptResult:
+class ScriptResult(Record):
     """Outputs of a script run: printed renderings, saved paths, final
     name bindings."""
 

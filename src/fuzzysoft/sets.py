@@ -15,7 +15,6 @@ All types are immutable values; operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,11 +32,11 @@ from .errors import (
     UniverseMismatchError,
     ValidationError,
 )
+from .record import Record
 from .tags import ParamTag, combine_tags
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Record):
     """An ordered, non-empty sequence of distinct element identifiers."""
 
     elements: tuple[str, ...]
@@ -66,8 +65,7 @@ class Universe:
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
-class FuzzySet:
+class FuzzySet(Record):
     """Membership values in [0, 1], one per universe element, in order:
     a row of a ``FuzzySoftSet``, built when read and not checked again."""
 
@@ -89,8 +87,7 @@ def _is_number(value) -> bool:
         return False
 
 
-@dataclass(frozen=True, eq=False)
-class FuzzySoftSet:
+class FuzzySoftSet(Record):
     """A universe plus one membership row per canonical parameter tag.
 
     ``values`` is a read-only float64 matrix, one row per tag in the order

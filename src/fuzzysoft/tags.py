@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import ValidationError
+from .record import Record
 
 #: Separator used in the textual form of a product tag; banned from labels.
 RESERVED_SEPARATOR = "*"
@@ -82,8 +83,7 @@ def combine_tags(t1: ParamTag, t2: ParamTag) -> ParamTag:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class TaggedMembership:
+class TaggedMembership(Record):
     """A parameter tag paired with a membership value in [0, 1].
 
     Ordering is defined only between values carrying the same tag;

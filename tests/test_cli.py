@@ -1,7 +1,9 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +210,20 @@ def test_dual_table_matches_one_scalar_call_per_cell(capsys, flag, text):
 def test_dual_table_of_a_raising_candidate_prints_no_rows(capsys):
     assert run_cli(["dual", "--expr", "x/(y-0.5)", "--table", "5"]) == 3
     assert capsys.readouterr() == ("", "error: 1:1: division by zero\n")
+
+
+def test_dual_table_memory_is_the_table_plus_one_block(tmp_path):
+    # The 1024 x 1024 table is 8 MiB.  Evaluated whole, each expression
+    # node also held a temporary of the table's size (16.2 MiB peak).
+    with open(tmp_path / "table.txt", "w") as out, contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = run_cli(["dual", "--expr", "pow(x, 2) * y", "--table", "1024"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak <= 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_dual_expression_and_table_validation(capsys):
