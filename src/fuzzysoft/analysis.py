@@ -8,10 +8,12 @@ failed check carries a witness that re-evaluates to a violation beyond the
 tolerance: the lexicographically smallest violating argument tuple over
 the grid points (or grid cube) and the samples, equal tuples going to the
 first found, grid before samples.  Each part is reduced to its smallest
-violation as it is evaluated, and the grid cube is walked in C order in
-tiles of at most 2**15 points whose inner values are views of the grid
-matrix, so a check holds one cache-sized tile of the cube in memory,
-however many points violate.
+violation as it is evaluated.  The grid cube is walked in C order in tiles
+of at most 2**15 points whose inner values are views of the grid matrix.
+The walk writes each tile's sides (those of a compiled expression) and
+their difference into one workspace, so a tile allocates nothing in
+steady state, and a check holds one cache-sized tile of the cube in
+memory, however many points violate.
 
 Each axiom is one row of a table (label, description, relation, grid
 points, seeded sample draw, and the two sides the relation compares);
@@ -31,6 +33,7 @@ the grid resolution; the default 64 steps gives roughly 275k triples.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -44,6 +47,7 @@ from .connectives import (
     require_arity,
 )
 from .errors import ArityError, CandidateEvaluationError, DslError, FuzzySoftError
+from .expr import CompiledExpr
 from .record import Record
 from .tags import ParamTag
 
@@ -61,10 +65,11 @@ CONTINUITY_JUMP_FACTOR = 10.0
 #: and the (samples, 4) pair-of-pairs columns cap the samples at 2**22.
 MAX_ARRAY_VALUES = 2**24
 
-#: Most points in one tile of the grid cube: each float64 temporary of a
-#: tile is 256 KiB, so an expression's few live temporaries stay in a
-#: 2 MiB L2 cache.  Larger tiles leave the heap trimmed and regrown per
-#: tile, which costs a fresh process more page faults than it saves.
+#: Most points in one tile of the grid cube: each float64 buffer of the
+#: walk's workspace is 256 KiB, so a tile's registers and difference stay
+#: in a 2 MiB L2 cache.  A tile allocates nothing: when tile temporaries
+#: come from the heap, some heap layouts trim and regrow it every tile,
+#: which costs a fresh process about 8x the page faults.
 CUBE_TILE_POINTS = 2**15
 
 
@@ -295,32 +300,37 @@ def _locate_failure(candidate: ScalarConnective, args, shape) -> tuple[float, ..
     return point if raises(point) else (float("nan"),) * len(args)
 
 
-def _call(candidate: ScalarConnective, *args) -> np.ndarray:
-    """Evaluate on broadcast arrays; wrap evaluation errors with the
-    first (lexicographically smallest) offending point."""
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+def _call(candidate: ScalarConnective, *args, regs=None):
+    """Evaluate on broadcasting arrays, into the register file ``regs`` of a
+    compiled expression if given, under the caller's ``np.errstate``; wrap
+    evaluation errors with the first (lexicographically smallest)
+    offending point.  The value comes back as the candidate returns it."""
     try:
-        with np.errstate(all="ignore"):
-            out = candidate(*args)
+        return candidate(*args) if regs is None else candidate.fn(*args, regs=regs)
     except (DslError, FuzzySoftError) as err:
-        point = _locate_failure(candidate, args, shape)
+        point = _locate_failure(candidate, args, np.broadcast_shapes(*map(np.shape, args)))
         raise CandidateEvaluationError(
             f"candidate {candidate.name!r} failed at {point}: {err}", point
         ) from err
-    return np.broadcast_to(np.asarray(out, dtype=float), shape)
+
+
+def _grid_matrix(candidate: ScalarConnective, g: np.ndarray) -> np.ndarray:
+    """f at every pair of grid points, as an (n, n) float matrix."""
+    with np.errstate(all="ignore"):
+        out = _call(candidate, g[:, None], g[None, :])
+    return np.broadcast_to(np.asarray(out, dtype=float), (len(g), len(g)))
 
 
 def _violations(got: np.ndarray, want, relation: str, tol: float) -> np.ndarray:
-    with np.errstate(invalid="ignore"):  # NaN, from inf - inf say, violates
-        if relation == "==":
-            diff = np.subtract(got, want)
-            return ~(np.abs(diff, out=diff) <= tol)
-        if relation == "<=":
-            return ~(got <= want + tol)
-        if relation == ">=":
-            return ~(got >= want - tol)
-        if relation == "in [0, 1]":
-            return ~((got >= -tol) & (got <= 1.0 + tol))
+    if relation == "==":
+        diff = np.subtract(got, want)
+        return ~(np.abs(diff, out=diff) <= tol)
+    if relation == "<=":
+        return ~(got <= want + tol)
+    if relation == ">=":
+        return ~(got >= want - tol)
+    if relation == "in [0, 1]":
+        return ~((got >= -tol) & (got <= 1.0 + tol))
     raise ValueError(f"unknown relation {relation!r}")
 
 
@@ -377,10 +387,12 @@ def _cube_tiles(n: int):
                 yield slice(x, x + 1), slice(y, y + rows), slice(None)
 
 
-def _tile_inner(F: np.ndarray, tile: tuple[slice, ...], i: int, j: int) -> np.ndarray:
+def _tile_inner(layouts, tile: tuple[slice, ...], i: int, j: int) -> np.ndarray:
     """f at a tile's argument columns i < j, as a view of the grid matrix F
-    laid out along the tile's axes: no candidate call, no gather."""
-    return np.expand_dims(F[tile[i], tile[j]], 3 - i - j)
+    laid out along the tile's axes (``layouts[k]`` is F with a unit axis k
+    inserted): no candidate call, no gather."""
+    k = 3 - i - j
+    return layouts[k][tile[:k] + (slice(None),) + tile[k + 1:]]
 
 
 def _uniform(count: int):
@@ -411,8 +423,10 @@ class _Axiom(Record):
     must satisfy ``relation``, evaluated at the argument columns
     ``grid(g)`` and ``draw(rng, m)`` (``None``: no samples).  Columns may
     be floats; they broadcast.  With ``grid`` ``None`` the axiom walks the
-    whole grid cube, and its sides are ``sides(f, inner, x, y, z)``, where
-    ``inner(i, j)`` is f at argument columns i and j."""
+    whole grid cube, its relation is "==", and its sides are
+    ``sides(f, h, inner, x, y, z)``: got is a call of f and want a call
+    of h (the candidate, each side with its own output), and ``inner(i,
+    j)`` is f at argument columns i and j."""
 
     label: str
     description: str
@@ -450,7 +464,7 @@ def _binary_axioms(unit: float, name: str) -> tuple[_Axiom, ...]:
         _Axiom("iii", "commutativity f(x, y) = f(y, x)", "==", _pairs, _uniform(2),
                lambda f, x, y: (f(x, y), f(y, x))),
         _Axiom("iv", "associativity f(x, f(y, z)) = f(f(x, y), z)", "==", None, _uniform(3),
-               lambda f, inner, x, y, z: (f(x, inner(1, 2)), f(inner(0, 1), z))),
+               lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(inner(0, 1), z))),
         _Axiom("v", "monotonicity: f(x1, y1) <= f(x2, y2) whenever x1 <= x2 and y1 <= y2",
                "<=", lambda g: tuple(map(np.concatenate, zip(_adjacent(g, 0),
                                                              _adjacent(g, 1)))),
@@ -472,7 +486,7 @@ _IMPLICATION_AXIOMS = (
     _Axiom("iv", "boundary h(0, y) = 1", "==", lambda g: (0.0, g),
            lambda rng, m: (0.0, rng.random(m)), lambda f, x, y: (f(x, y), 1.0)),
     _Axiom("v", "exchange h(x, h(y, z)) = h(y, h(x, z))", "==", None, _uniform(3),
-           lambda f, inner, x, y, z: (f(x, inner(1, 2)), f(y, inner(0, 2)))),
+           lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(y, inner(0, 2)))),
 )
 
 _NEGATION_AXIOMS = (
@@ -487,9 +501,55 @@ _NEGATION_AXIOMS = (
 )
 
 
+def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
+               tol: float) -> tuple[Witness | None, int]:
+    """(witness, points) of an axiom over the grid cube, walked tile by tile
+    in C order, under the caller's ``np.errstate``.
+
+    The walk owns one workspace: flat buffers the size of the largest
+    tile, viewed per tile shape.  They hold a tile's |got - want| and, for
+    a compiled expression, the register files of its two sides (a first
+    register each, the rest shared), so a tile allocates nothing.  Any
+    other candidate is called as usual and its arrays are compared.  A tile
+    passes when its largest difference is within ``tol`` (NaN fails), and
+    only a failing tile builds its violation mask."""
+    n = len(g)
+    compiled = isinstance(getattr(candidate, "fn", None), CompiledExpr)
+    size = min(n ** 3, max(CUBE_TILE_POINTS, n))
+    buffers = [np.empty(size) for _ in range(candidate.fn.registers + 2 if compiled else 1)]
+    layouts = [np.expand_dims(F, k) for k in range(3)]
+    workspace = {}  # tile shape -> (diff, f, h)
+
+    def views(shape):
+        diff, *regs = (b[:math.prod(shape)].reshape(shape) for b in buffers)
+        if not regs:
+            return diff, partial(_call, candidate), partial(_call, candidate)
+        got, want, *scratch = regs
+        return (diff, partial(_call, candidate, regs=[got, *scratch]),
+                partial(_call, candidate, regs=[want, *scratch]))
+
+    witness, points = None, 0
+    for tile in _cube_tiles(n):
+        cols = (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]])
+        shape = (cols[0].size, cols[1].size, n)
+        if shape not in workspace:
+            workspace[shape] = views(shape)
+        diff, f, h = workspace[shape]
+        got, want = axiom.sides(f, h, partial(_tile_inner, layouts, tile), *cols)
+        points += diff.size
+        # C order over an increasing grid is lexicographic order: once a
+        # tile has given the witness, no later tile holds a strictly
+        # smaller tuple, so later tiles are evaluated and counted only.
+        if witness is None:
+            np.subtract(got, want, out=diff)
+            if not np.max(np.abs(diff, out=diff), initial=0.0) <= tol:
+                witness = _smallest_violation(cols, got, want, ~(diff <= tol), "==")[1]
+    return witness, points
+
+
 def _verify(
     axiom: _Axiom,
-    call: Callable,
+    candidate: Callable,
     table: Callable | None,
     g: np.ndarray,
     rng: np.random.Generator,
@@ -504,35 +564,29 @@ def _verify(
     computed once), and each cube tile takes its inner values as views of
     ``F``."""
     sample = None if axiom.draw is None else axiom.draw(rng, cfg.random_samples)
-    on_samples = partial(axiom.sides, call)
-    tiles = 0  # how many leading parts are cube tiles, in C order
-    if axiom.grid is None:
-        parts = [(partial(axiom.sides, call, partial(_tile_inner, F, tile)),
-                  (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]]))
-                 for tile in _cube_tiles(len(g))]
-        tiles = len(parts)
-        if sample is not None:
-            on_samples = partial(on_samples, lambda i, j: call(sample[i], sample[j]))
-    else:
-        parts = [(partial(axiom.sides, table or call), axiom.grid(g))]
-    if sample is not None:
-        parts.append((on_samples, sample))
-
-    points, witness = 0, None
-    for number, (sides, cols) in enumerate(parts):
-        got, want = sides(*cols)
-        bad = _violations(got, want, axiom.relation, cfg.tolerance)
-        points += bad.size
-        # C order over an increasing grid is lexicographic order: once a
-        # cube tile has given the witness, no later tile holds a strictly
-        # smaller tuple, so later tiles are evaluated and counted only.
-        if (witness is None or number >= tiles) and bad.any():
-            found = _smallest_violation(cols, got, want, bad, axiom.relation)[1]
-            # Strictly smaller only: on a tie the earlier part's point stays.
-            if witness is None or found.args < witness.args:
-                witness = found
-        # Free this part's values before the next cube tile is computed.
-        del got, want
+    call = partial(_call, candidate)
+    # NaN, from inf - inf say, violates; no part warns.
+    with np.errstate(all="ignore"):
+        if axiom.grid is None:
+            witness, points = _walk_cube(axiom, candidate, F, g, cfg.tolerance)
+            parts = [] if sample is None else [
+                (partial(axiom.sides, call, call, lambda i, j: call(sample[i], sample[j])), sample)]
+        else:
+            witness, points = None, 0
+            parts = [(partial(axiom.sides, table or call), axiom.grid(g))]
+            if sample is not None:
+                parts.append((partial(axiom.sides, call), sample))
+        for sides, cols in parts:
+            got, want = sides(*cols)
+            got = np.broadcast_to(np.asarray(got, dtype=float),
+                                  np.broadcast_shapes(*map(np.shape, cols)))
+            bad = _violations(got, want, axiom.relation, cfg.tolerance)
+            points += bad.size
+            if bad.any():
+                found = _smallest_violation(cols, got, want, bad, axiom.relation)[1]
+                # Strictly smaller only: on a tie the earlier part's point stays.
+                if witness is None or found.args < witness.args:
+                    witness = found
     return AxiomCheck(axiom.label, axiom.description, witness is None, witness, points, param)
 
 
@@ -542,15 +596,14 @@ def _check_binary(
     cfg = cfg or CheckConfig()
     require_arity(candidate, 2)
     g = _grid(cfg)
-    call = partial(_call, candidate)
-    F = call(g[:, None], g[None, :])
+    F = _grid_matrix(candidate, g)
 
     def table(x, y):
         return F[np.rint(np.multiply(x, cfg.grid_steps)).astype(np.intp),
                  np.rint(np.multiply(y, cfg.grid_steps)).astype(np.intp)]
 
     rng = np.random.default_rng(cfg.seed)
-    checks = tuple(_verify(axiom, call, table, g, rng, cfg, F=F) for axiom in axioms)
+    checks = tuple(_verify(axiom, candidate, table, g, rng, cfg, F=F) for axiom in axioms)
     return AxiomReport(kind, candidate.name, cfg, checks)
 
 
@@ -614,8 +667,7 @@ def check_negation_axioms(
             scalar = lifted.scalar if lifted.scalar is not None else lifted.default
         else:
             scalar = lifted.scalar_for(ParamTag(label))
-        call = partial(_call, scalar)
-        checks += [_verify(axiom, call, None, g, rng, cfg, label) for axiom in _NEGATION_AXIOMS]
+        checks += [_verify(axiom, scalar, None, g, rng, cfg, label) for axiom in _NEGATION_AXIOMS]
     return AxiomReport("negation", lifted.name, cfg, tuple(checks))
 
 
@@ -635,7 +687,7 @@ def classify_elements(candidate: ScalarConnective, cfg: CheckConfig | None = Non
     require_arity(candidate, 2)
     g = _grid(cfg)
     tol = cfg.tolerance
-    F = _call(candidate, g[:, None], g[None, :])
+    F = _grid_matrix(candidate, g)
     diag = np.diagonal(F)
 
     idempotents = tuple(float(v) for v in g[np.abs(diag - g) <= tol])
@@ -724,7 +776,7 @@ def continuity_probe(candidate: ScalarConnective, cfg: CheckConfig | None = None
     fine_steps = 4 * cfg.grid_steps
     g = np.arange(fine_steps + 1, dtype=float) / fine_steps
     spacing = 1.0 / fine_steps
-    F = _call(candidate, g[:, None], g[None, :])
+    F = _grid_matrix(candidate, g)
 
     found = []  # (largest jump, its two points) along x, then along y
     for axis in (0, 1):

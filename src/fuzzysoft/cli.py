@@ -61,6 +61,10 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
+#: Most points a side of a ``dual --table``: 1024 rows of 1024 cells of
+#: ten characters are about 10 MB of stdout.
+MAX_TABLE = 1024
+
 _CHECKERS = {
     "tnorm": check_tnorm_axioms,
     "tconorm": check_tconorm_axioms,
@@ -137,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     dual = sub.add_parser("dual", help="order-dual of a binary connective")
     add_candidate(dual)
     dual.add_argument("--table", type=int, default=5, metavar="N",
-                      help="print an NxN evaluation table (default 5)")
+                      help=f"print an NxN evaluation table (default 5, at most {MAX_TABLE})")
 
     eval_cmd = sub.add_parser("eval", help="run a set-composition script")
     eval_cmd.add_argument("script", metavar="SCRIPT.fss")
@@ -310,6 +314,8 @@ def _cmd_dual(args) -> int:
     if n * n > MAX_ARRAY_VALUES:
         raise ValueError(f"--table {n} needs {n * n} cells, more than "
                          f"MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
+    if n > MAX_TABLE:
+        raise ValueError(f"--table {n} is larger than MAX_TABLE = {MAX_TABLE}")
     g = np.arange(n) / (n - 1)
     # Blocks of rows keep each expression temporary to one cube tile, and
     # assignment broadcasts a constant body.  All run before any print.

@@ -41,8 +41,8 @@ from .errors import (
     UnknownBuiltinError,
 )
 from .expr import (
+    CompiledExpr,
     ScalarExpr,
-    eval_scalar,
     find_variable,
     format_number,
     parse_scalar,
@@ -196,23 +196,18 @@ def builtin(name: str) -> ScalarConnective:
 
 
 def scalar_from_parsed(ast: ScalarExpr, arity: int = 2) -> ScalarConnective:
-    """Wrap an already-parsed expression AST as an unclassified scalar
-    connective.  It is not declared continuous: finitely many samples
-    cannot prove continuity."""
+    """Wrap an already-parsed expression AST, compiled once, as an
+    unclassified scalar connective.  It is not declared continuous:
+    finitely many samples cannot prove continuity."""
     if arity not in (1, 2):
         raise ArityError(f"connective arity must be 1 or 2, got {arity}")
     if arity == 1:
         offending = find_variable(ast, "y")
         if offending is not None:
             raise ParseError("unary connective must not reference 'y'", offending.span)
-        def fn(x, _ast=ast):
-            return eval_scalar(_ast, x)
-    else:
-        def fn(x, y, _ast=ast):
-            return eval_scalar(_ast, x, y)
     return ScalarConnective(
         name=pretty_print(ast), arity=arity, kind=KIND_UNCLASSIFIED, continuity=False,
-        fn=fn, expr=ast,
+        fn=CompiledExpr(ast), expr=ast,
     )
 
 

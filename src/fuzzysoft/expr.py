@@ -1,5 +1,5 @@
-"""Tokenizer, recursive-descent parser, evaluator and printer for scalar
-connective expressions over the variables ``x`` and ``y``.
+"""Tokenizer, recursive-descent parser, compiled evaluator and printer for
+scalar connective expressions over the variables ``x`` and ``y``.
 
 Grammar (full EBNF in docs/grammar.md):
 
@@ -22,6 +22,7 @@ the last newline, for the end-of-input token too.
 
 from __future__ import annotations
 
+import operator
 import re
 from contextlib import contextmanager
 from typing import Union
@@ -172,8 +173,8 @@ _VARIABLES = ("x", "y")
 #: unary minus and binary operator is a level, as is each script
 #: ``complement``, ``union``, ``intersect``, ``apply`` and ``dual``; the
 #: left-associative chain ``x+x+...`` with n operators is n levels deep.
-#: Parsing, evaluation and printing recurse per level, so this keeps
-#: hostile input well inside Python's recursion limit.
+#: Parsing, compiling, evaluation and printing recurse per level, so this
+#: keeps hostile input well inside Python's recursion limit.
 MAX_DEPTH = 100
 
 
@@ -339,46 +340,91 @@ def eval_scalar(node: ScalarExpr, x, y=None):
     Accepts floats or numpy arrays; arrays broadcast through every node.
     The result is returned unclamped -- codomain policy belongs to callers.
     """
-    scalar_inputs = not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray))
-    with np.errstate(all="ignore"):
-        out = _eval(node, x, y)
-    if scalar_inputs:
+    return CompiledExpr(node)(x, y)
+
+
+#: Per operator: the operation on fresh values, and the ufunc that writes
+#: the same result into a register.
+_BINARY_OPS = {"+": (operator.add, np.add), "-": (operator.sub, np.subtract),
+               "*": (operator.mul, np.multiply), "/": (operator.truediv, np.divide)}
+_CALL_UFUNCS = {"min": np.minimum, "max": np.maximum, "pow": np.power, "abs": np.abs}
+
+
+class CompiledExpr:
+    """An expression compiled once into a tree of closures.
+
+    ``evaluate(x, y=None, regs=None)``: with no register file every node
+    allocates its value, as numpy operators do.  ``regs`` is a sequence of
+    at least ``registers`` writable float64 arrays of the output's shape,
+    into which the inputs broadcast; then node k writes its value into
+    register k (a node's first operand shares its register, the second
+    takes the next one), the result is ``regs[0]``, and nothing is
+    allocated.  Both give the same bits.  A register call runs under the
+    caller's ``np.errstate``; a plain call ignores floating-point errors.
+    """
+
+    __slots__ = ("_run", "registers")
+
+    def __init__(self, node: ScalarExpr):
+        self._run, top = _compile(node, 0)
+        self.registers = max(1, top + 1)
+
+    def __call__(self, x, y=None, regs=None):
+        if regs is not None:
+            out = self._run(x, y, regs)
+            if out is not regs[0]:  # the whole expression is a variable or a number
+                np.copyto(regs[0], out)
+            return regs[0]
+        with np.errstate(all="ignore"):
+            out = self._run(x, y, None)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            return out
         return float(out)
-    return out
 
 
-def _eval(node: ScalarExpr, x, y):
+def _compile(node: ScalarExpr, r: int):
+    """``(run, top)``: ``run(x, y, regs)`` evaluates ``node`` as register r,
+    and ``top`` is the highest register it writes, -1 for a leaf."""
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return (lambda x, y, regs: value), -1
     if isinstance(node, Var):
-        bound = x if node.name == "x" else y
-        if bound is None:
-            raise UnboundVariableError(f"variable {node.name!r} is not bound", node.span)
-        return bound
+        first, name, span = node.name == "x", node.name, node.span
+
+        def run_var(x, y, regs):
+            bound = x if first else y
+            if bound is None:
+                raise UnboundVariableError(f"variable {name!r} is not bound", span)
+            return bound
+        return run_var, -1
     if isinstance(node, Neg):
-        return -_eval(node.operand, x, y)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, x, y)
-        right = _eval(node.right, x, y)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if np.any(np.asarray(right) == 0.0):
-            raise DivisionByZeroError("division by zero", node.span)
-        return left / right
-    if isinstance(node, Call):
-        args = [_eval(arg, x, y) for arg in node.args]
-        if node.func == "min":
-            return np.minimum(args[0], args[1])
-        if node.func == "max":
-            return np.maximum(args[0], args[1])
-        if node.func == "pow":
-            return np.power(args[0], args[1])
-        return np.abs(args[0])
-    raise TypeError(f"not a scalar expression node: {node!r}")
+        kids, op, ufunc = (node.operand,), operator.neg, np.negative
+    elif isinstance(node, BinOp):
+        kids, (op, ufunc) = (node.left, node.right), _BINARY_OPS[node.op]
+    elif isinstance(node, Call):
+        kids = node.args
+        op = ufunc = _CALL_UFUNCS[node.func]
+    else:
+        raise TypeError(f"not a scalar expression node: {node!r}")
+    compiled = [_compile(kid, r + i) for i, kid in enumerate(kids)]
+    top = max(r, *(kid_top for _, kid_top in compiled))
+    if len(compiled) == 1:
+        operand = compiled[0][0]
+
+        def run_unary(x, y, regs):
+            a = operand(x, y, regs)
+            return op(a) if regs is None else ufunc(a, out=regs[r])
+        return run_unary, top
+    (left, _), (right, _) = compiled
+    divides, span = op is operator.truediv, node.span
+
+    def run_binary(x, y, regs):
+        a = left(x, y, regs)
+        b = right(x, y, regs)
+        if divides and not np.all(b):  # some divisor is 0 or -0
+            raise DivisionByZeroError("division by zero", span)
+        return op(a, b) if regs is None else ufunc(a, b, out=regs[r])
+    return run_binary, top
 
 
 # ---------------------------------------------------------------------------

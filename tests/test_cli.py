@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fuzzysoft import (builtin, dual_of, load_fss, make_fuzzy_soft_set, save_fss,
                        scalar_from_expression)
-from fuzzysoft.cli import run_cli
+from fuzzysoft.cli import MAX_TABLE, build_parser, run_cli
 
 
 @pytest.fixture
@@ -376,20 +376,63 @@ def test_apply_rejects_a_hostile_document_exit_three(files, capsys, text, messag
     assert not (tmp_path / "out.fss").exists()
 
 
-def test_infinite_candidate_prints_no_runtime_warning():
-    # inf - inf in the "==" comparison is a violation, and no warning.
+def _env_with_src() -> dict:
+    """The environment, with this checkout's package first on the path."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_infinite_candidate_prints_no_runtime_warning():
+    # inf - inf in the "==" comparison is a violation, and no warning.
     argv = ["check", "--kind", "tnorm", "--expr", "pow(0, -1) + x", "--grid", "4",
             "--samples", "10"]
     proc = subprocess.run(
         [sys.executable, "-W", "always::RuntimeWarning", "-c",
          "import sys; from fuzzysoft.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))",
-         *argv], env=env, capture_output=True, text=True, timeout=120)
+         *argv], env=_env_with_src(), capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
     assert proc.returncode == 1
     assert "commutativity f(x, y) = f(y, x): FAIL at (0, 0): got inf, want == inf" in proc.stdout
+
+
+#: A fresh grid-256 check (the benchmark's passing one), printing its exit
+#: code and its own minor page faults; argv[1] only pads the process.
+_FAULT_CHILD = """\
+import contextlib, io, resource
+from fuzzysoft.cli import run_cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run_cli(["check", "--kind", "tnorm", "--expr", "max(x + y - 1, 0)",
+                    "--grid", "256", "--samples", "20000"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+"""
+
+
+def test_cube_walk_page_faults_do_not_depend_on_the_heap_layout():
+    # The length of argv shifts the heap layout of a fresh process.  A cube
+    # walk that allocates its tile temporaries can fall, at some lengths,
+    # into trimming and regrowing the heap every tile: about 84k minor
+    # faults instead of 9.8k.  A walk that writes into one workspace
+    # allocates nothing per tile, whatever the layout.
+    faults = []
+    for pad in range(0, 96, 8):
+        proc = subprocess.run([sys.executable, "-c", _FAULT_CHILD, "p" * pad],
+                              env=_env_with_src(), capture_output=True, text=True, timeout=120)
+        code, minflt = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        faults.append(minflt)
+    assert max(faults) < 2 * min(faults), faults
+
+
+def test_dual_table_is_capped_at_max_table(capsys):
+    # 1024 points a side print about 10 MB; one more is refused before
+    # anything is evaluated.
+    assert run_cli(["dual", "--builtin", "product", "--table", str(MAX_TABLE + 1)]) == 2
+    assert capsys.readouterr() == ("", "error: --table 1025 is larger than MAX_TABLE = 1024\n")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["dual", "--help"])
+    assert "at most 1024" in " ".join(capsys.readouterr().out.split())
 
 
 # --- totality of run_cli (ROADMAP contract 3a) -------------------------------------

@@ -14,7 +14,7 @@ from fuzzysoft import (
     pretty_print,
     tokenize,
 )
-from fuzzysoft.expr import MAX_DEPTH, BinOp, Call, Neg, Num, Var
+from fuzzysoft.expr import MAX_DEPTH, BinOp, Call, CompiledExpr, Neg, Num, Var
 
 
 def test_token_count_matches_grammar():
@@ -275,6 +275,49 @@ asts = st.recursive(_leaves, _compound, max_leaves=25)
 def test_pretty_print_reparse_is_structural_identity(ast):
     rendered = pretty_print(ast)
     assert parse_scalar(rendered) == ast
+
+
+#: Values that make NaN, inf and -0.0 turn up through division, pow and minus.
+_EDGE_VALUES = np.array([0.0, -0.0, 0.25, 0.5, 1.0, 3.0, -2.0, 1e300])
+
+
+def _bits(value, shape) -> np.ndarray:
+    return np.broadcast_to(np.asarray(value, dtype=float), shape).view(np.uint64)
+
+
+def _outcome(evaluate, x, y, regs=None):
+    """(True, value) or (False, (error type, message, span))."""
+    try:
+        return True, evaluate(x, y, regs)
+    except DivisionByZeroError as err:
+        return False, (type(err), str(err), err.span)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.sampled_from(["pow(x, 2)", "x", "2", "-(1 + 2)", "abs(-1) * y",
+                                       "1/(x - x)", "x/(1 - 1)", "max(x + y - 1, 0)"]),
+                      asts.map(pretty_print)),
+       a=st.integers(1, 3), b=st.integers(1, 3), c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_compiled_expression_gives_the_same_bits_with_registers(text, a, b, c, seed):
+    # Read-only broadcast inputs: a register file that aliased one would
+    # raise on the write.  The registers start as garbage and serve two
+    # calls with different inputs.
+    compiled = CompiledExpr(parse_scalar(text))
+    rng = np.random.default_rng(seed)
+    shape = (a, b, c)
+    regs = [np.full(shape, np.nan) for _ in range(compiled.registers)]
+    for _ in range(2):
+        x = np.broadcast_to(rng.choice(_EDGE_VALUES, (a, 1, 1)), (a, 1, 1))
+        y = np.broadcast_to(rng.choice(_EDGE_VALUES, (1, b, c)), (1, b, c))
+        ok, plain = _outcome(compiled, x, y)
+        with np.errstate(all="ignore"):
+            ok_regs, written = _outcome(compiled, x, y, regs)
+        assert ok_regs == ok
+        if not ok:
+            assert written == plain
+            continue
+        assert written is regs[0]
+        assert np.array_equal(_bits(written, shape), _bits(plain, shape))
 
 
 def test_number_rendering_round_trips():
