@@ -68,6 +68,7 @@ from .errors import (
     FuzzySoftError,
     MissingLabelError,
     ParseError,
+    ProductSizeError,
     ScriptRuntimeError,
     TagCollisionError,
     UnboundVariableError,

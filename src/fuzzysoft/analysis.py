@@ -49,6 +49,7 @@ from .connectives import (
 from .errors import ArityError, CandidateEvaluationError, DslError, FuzzySoftError
 from .expr import CompiledExpr
 from .record import Record
+from .sets import MAX_ARRAY_VALUES
 from .tags import ParamTag
 
 #: Bisection stops once the bracket is narrower than this; three orders
@@ -60,11 +61,6 @@ BISECTION_BRACKET = 1e-12
 #: step along an axis).
 CONTINUITY_JUMP_FACTOR = 10.0
 
-#: Largest float64 array (2**24 values, 128 MiB) a ``CheckConfig`` may
-#: create: the continuity probe's (4n + 1)**2 grid matrix caps n at 1023,
-#: and the (samples, 4) pair-of-pairs columns cap the samples at 2**22.
-MAX_ARRAY_VALUES = 2**24
-
 #: Most points in one tile of the grid cube: each float64 buffer of the
 #: walk's workspace is 256 KiB, so a tile's registers and difference stay
 #: in a 2 MiB L2 cache.  A tile allocates nothing: when tile temporaries
@@ -74,7 +70,12 @@ CUBE_TILE_POINTS = 2**15
 
 
 class CheckConfig(Record):
-    """Shared configuration for every verification routine."""
+    """Shared configuration for every verification routine.
+
+    No array it asks for may exceed ``MAX_ARRAY_VALUES``: the continuity
+    probe's (4n + 1)**2 grid matrix caps n at 1023, and the (samples, 4)
+    pair-of-pairs columns cap the samples at 2**22.
+    """
 
     grid_steps: int = 64
     random_samples: int = 10000

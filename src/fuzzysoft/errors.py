@@ -20,6 +20,11 @@ class TagCollisionError(FuzzySoftError):
     different membership values, so merging them would lose information."""
 
 
+class ProductSizeError(FuzzySoftError):
+    """A binary set operation would build more membership values than
+    ``MAX_ARRAY_VALUES``."""
+
+
 class ArityError(FuzzySoftError):
     """A connective was applied with the wrong number of arguments."""
 

@@ -21,6 +21,14 @@ membership per line, strings with ASCII ``\\uXXXX`` escapes (as
 ``ensure_ascii`` gives), values as the shortest decimal that round-trips
 (``float.__repr__``, so ``-0.0`` stays ``-0.0``), the universe in stored
 order, rows in sorted tag order, and a trailing newline.
+
+The writer works in blocks of about ``SAVE_BLOCK_VALUES`` values: it
+repr-s each distinct value of a block once (the rows of a union or an
+intersection repeat a few input values) and writes the block's text in
+one join.  Blocks, not the whole matrix, keep a save's extra memory to
+one block's strings and indices.  A document is first checked in one pass
+of whole-object tests; only a document that misses goes through the field
+by field loop that reports the first fault.
 """
 
 from __future__ import annotations
@@ -30,9 +38,16 @@ from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DocumentError, ValidationError
 from .sets import FuzzySoftSet, Universe
 from .tags import ParamTag
+
+
+#: Values per block of ``save_fss``: one block's distinct strings, indices
+#: and text layout stay well under a MiB.
+SAVE_BLOCK_VALUES = 4096
 
 
 class _RepeatedKey(dict):
@@ -61,7 +76,55 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
     """Validate a decoded JSON document and build the fuzzy soft set.
 
     Raises ``DocumentError`` with the JSON path of the offending field.
+    A document that passes every check of ``_well_formed`` at once is
+    built from it; any other goes through ``_checked_document``, which
+    finds and reports the first fault.
     """
+    fss = _well_formed(doc)
+    return _checked_document(doc, source) if fss is None else fss
+
+
+def _well_formed(doc) -> FuzzySoftSet | None:
+    """The set of a document that is valid with float memberships, or None.
+
+    One pass of whole-object checks: exact key sets, one type set per row
+    and one range check of the stacked matrix.  ``None`` is a miss, not an
+    error: the document may hold int memberships or be invalid, and
+    ``_checked_document`` decides which.  A repeated key decodes to a
+    ``_RepeatedKey``, which is not exactly a ``dict``, so it misses too.
+    """
+    if type(doc) is not dict or doc.keys() != {"universe", "parameters"}:
+        return None
+    elements, parameters = doc["universe"], doc["parameters"]
+    if (type(elements) is not list or set(map(type, elements)) != {str}
+            or type(parameters) is not dict or set(map(type, parameters)) != {str}):
+        return None
+    element_set = set(elements)
+    if len(element_set) != len(elements) or "" in element_set:
+        return None
+    rows = []
+    for mapping in parameters.values():
+        if type(mapping) is not dict or mapping.keys() != element_set:
+            return None
+        row = list(map(mapping.__getitem__, elements))
+        if set(map(type, row)) != {float}:
+            return None
+        rows.append(row)
+    matrix = np.array(rows, dtype=float)
+    if not ((matrix >= 0.0) & (matrix <= 1.0)).all():
+        return None
+    try:
+        tags = tuple(map(ParamTag.parse, parameters))
+    except ValidationError:
+        return None
+    if len(set(tags)) != len(tags):
+        return None
+    return FuzzySoftSet(Universe(tuple(elements)), tags, matrix)
+
+
+def _checked_document(doc, source: str) -> FuzzySoftSet:
+    """``document_to_fss`` field by field: the first fault raises a
+    ``DocumentError`` with its JSON path."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{source} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - {"universe", "parameters"})
@@ -158,26 +221,55 @@ def load_fss(path: str | Path) -> FuzzySoftSet:
     return document_to_fss(doc, source=str(path))
 
 
+def _reprs(block: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of every value of ``block``, as an object array of
+    its shape, calling it once per distinct bit pattern."""
+    distinct, inverse = np.unique(block.reshape(-1).view(np.uint64), return_inverse=True)
+    text = np.fromiter(map(float.__repr__, distinct.view(np.float64).tolist()),
+                       dtype=object, count=len(distinct))
+    return text[inverse.reshape(block.shape)]
+
+
 def save_fss(fss: FuzzySoftSet, path: str | Path) -> None:
-    """Write a fuzzy soft set document, streaming one tag row at a time.
+    """Write a fuzzy soft set document, one block of rows at a time.
 
     The bytes are those of ``json.dump(fss_to_document(fss), handle,
     indent=2)`` plus a newline: strings go through the stdlib's own ASCII
     quoter and values through ``float.__repr__``, as ``json`` does for
     finite floats (the set invariant rules out NaN and infinities).
+
+    A block is ``max(1, SAVE_BLOCK_VALUES // U)`` rows.  Its values are
+    deduplicated by bit pattern (so ``-0.0`` and ``0.0`` stay apart) and
+    each distinct one is repr-ed once: a union or intersection only picks
+    input values, so most of its result repeats.  The block's strings,
+    the element prefixes and the tag heads are laid out in one object
+    array and joined into one write.  Working in blocks keeps the extra
+    memory to one block's strings and indices whatever the set's size; a
+    whole-matrix dedupe held them all at once and raised the peak RSS of
+    a save by several MiB.
     """
     path = Path(path)
-    keys = [encode_basestring_ascii(element) for element in fss.universe.elements]
-    prefixes = [",\n      " + key + ": " for key in keys]
+    values = fss.values
+    elements = fss.universe.elements
+    prefixes = [",\n      " + encode_basestring_ascii(element) + ": " for element in elements]
     prefixes[0] = prefixes[0][1:]
+    rows = max(1, SAVE_BLOCK_VALUES // len(elements))
     with path.open("w", encoding="utf-8") as handle:
-        handle.write('{\n  "universe": [\n    ' + ",\n    ".join(keys)
+        handle.write('{\n  "universe": [\n    '
+                     + ",\n    ".join(map(encode_basestring_ascii, elements))
                      + '\n  ],\n  "parameters": {')
-        separator = "\n    "
-        for tag, row in zip(fss.tags, fss.values):
-            handle.write(separator + encode_basestring_ascii(tag.text) + ": {"
-                         + "".join(map(str.__add__, prefixes,
-                                       map(float.__repr__, row.tolist())))
-                         + "\n    }")
-            separator = ",\n    "
+        for start in range(0, len(values), rows):
+            block = values[start:start + rows]
+            # A block as text: each row's tag head, then the prefix and
+            # value of each element, then the closing brace.  A fresh
+            # layout lets the last block's strings go before new ones come.
+            layout = np.empty((len(block), 2 * len(elements) + 2), dtype=object)
+            layout[:, 0] = [",\n    " + encode_basestring_ascii(tag.text) + ": {"
+                            for tag in fss.tags[start:start + rows]]
+            layout[:, 1:-1:2] = prefixes
+            layout[:, 2:-1:2] = _reprs(block)
+            layout[:, -1] = "\n    }"
+            if start == 0:
+                layout[0, 0] = layout[0, 0][1:]
+            handle.write("".join(layout.reshape(-1).tolist()))
         handle.write("\n  }\n}\n")

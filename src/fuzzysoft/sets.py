@@ -28,12 +28,18 @@ from .connectives import (
 )
 from .errors import (
     CodomainError,
+    ProductSizeError,
     TagCollisionError,
     UniverseMismatchError,
     ValidationError,
 )
 from .record import Record
 from .tags import ParamTag, combine_tags
+
+#: Largest float64 array (2**24 values, 128 MiB) one operation may create:
+#: a binary set operation's P1 * P2 * U result values, and the arrays of a
+#: ``CheckConfig`` (see ``analysis``).
+MAX_ARRAY_VALUES = 2**24
 
 
 class Universe(Record):
@@ -220,7 +226,9 @@ def apply_connective(
     scalar is called once per row of ``f1``, against all rows of ``f2``,
     and its outputs are codomain-checked with near-boundary clamping.
     Two pairs collapsing to one canonical tag must produce equal vectors,
-    otherwise ``TagCollisionError`` is raised.
+    otherwise ``TagCollisionError`` is raised.  A product of more than
+    ``MAX_ARRAY_VALUES`` values (P1 * P2 * U) raises ``ProductSizeError``
+    before anything is evaluated.
 
     Faults are reported row of ``f1`` by row.  An error raised by the
     scalar anywhere in a row comes first.  Then the row's pairs are taken
@@ -236,6 +244,12 @@ def apply_connective(
             f"({list(f1.universe.elements)} vs {list(f2.universe.elements)})"
         )
     elements = f1.universe.elements
+    size = len(f1.tags) * len(f2.tags) * len(elements)
+    if size > MAX_ARRAY_VALUES:
+        raise ProductSizeError(
+            f"the product of {len(f1.tags)} by {len(f2.tags)} tags over {len(elements)} "
+            f"elements needs {size} values, more than MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}"
+        )
     rows: dict[ParamTag, np.ndarray] = {}
     with np.errstate(all="ignore"):
         for tag_a, row in zip(f1.tags, f1.values):

@@ -312,6 +312,24 @@ def test_dual_table_is_bounded_like_a_check_grid(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_eval_script_nested_apply_past_the_product_bound_exit_three(tmp_path, capsys):
+    # The inner self-apply merges 20 x 20 pairs into 210 tags; the outer
+    # apply would then need 210 * 20 * 4096 values, past MAX_ARRAY_VALUES.
+    universe = [f"u{k}" for k in range(4096)]
+    rows = np.random.default_rng(5).random((20, 4096))
+    save_fss(make_fuzzy_soft_set(universe, {f"s{i:02d}": row for i, row in
+                                            zip(range(20), rows.tolist())}),
+             tmp_path / "s.fss")
+    script = tmp_path / "nested.fss"
+    script.write_text("print S;\nH = apply(maximum, apply(maximum, S, S), S);\nprint H;\n")
+    code = run_cli(["eval", str(script), "--bind", f"S={tmp_path / 's.fss'}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("error: 2:1: the product of 210 by 20 tags over 4096 elements "
+                            "needs 17203200 values, more than MAX_ARRAY_VALUES = 16777216\n")
+
+
 def test_eval_script_missing_bind_file_exit_three(tmp_path):
     script = tmp_path / "combine.fss"
     script.write_text("print S;")

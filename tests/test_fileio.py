@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fuzzysoft import (
     save_fss,
     union_fss,
 )
+from fuzzysoft.fileio import SAVE_BLOCK_VALUES, _checked_document, _decode_object, _well_formed
 
 
 def test_load_simple_document(tmp_path):
@@ -170,7 +172,7 @@ def test_repeated_key_is_rejected_with_its_json_path(tmp_path, text, path):
     assert f"duplicate key {path.rsplit('.', 1)[-1]!r}" in str(err.value)
 
 
-# --- the streaming writer against json.dump ---------------------------------------
+# --- the block writer against json.dump ------------------------------------------
 
 def _reference_bytes(fss) -> bytes:
     return (json.dumps(fss_to_document(fss), indent=2) + "\n").encode()
@@ -196,10 +198,28 @@ def fuzzy_soft_sets(draw):
     return make_fuzzy_soft_set(universe, zip(map(ParamTag, tags), rows))
 
 
+def _pooled_set(tags: int, width: int, pool, seed: int = 0):
+    """A set whose values are drawn from ``pool``, with tags ``t0000``..."""
+    values = np.random.default_rng(seed).choice(pool, size=(tags, width))
+    return make_fuzzy_soft_set([f"u{k}" for k in range(width)],
+                               {f"t{i:04d}": row for i, row in enumerate(values.tolist())})
+
+
 @given(fuzzy_soft_sets())
 @example(make_fuzzy_soft_set(["u"], {"a": (0.5,)}))
 @example(make_fuzzy_soft_set(['q"\\\x01\xe9\U0001d11e', "u"],
                              {"b\x1f*\u2028": (5e-324, 1 - 2**-53), "a": (-0.0, 1.0)}))
+# heavy repeats: every value from a pool of two or three
+@example(_pooled_set(40, 7, [0.25, 0.75]))
+@example(_pooled_set(40, 7, [0.0, 0.1, 1.0]))
+# -0.0 and 0.0 in one block keep their own text
+@example(make_fuzzy_soft_set(["u1", "u2", "u3"], {"a": (-0.0, 0.0, -0.0), "b": (0.0, 0.0, -0.0)}))
+# a single distinct value
+@example(_pooled_set(5, 4, [0.3]))
+# rows spanning several blocks, the last one short
+@example(_pooled_set(2 * (SAVE_BLOCK_VALUES // 3) + 5, 3, [0.0, 0.5, 1 / 3, 1.0, 5e-324]))
+# a universe larger than a block: each row is its own block
+@example(_pooled_set(3, SAVE_BLOCK_VALUES + 7, np.random.default_rng(1).random(50)))
 def test_save_writes_the_bytes_of_json_dump(tmp_path_factory, fss):
     path = tmp_path_factory.getbasetemp() / "writer.fss"
     save_fss(fss, path)
@@ -216,6 +236,24 @@ def test_save_writes_the_bytes_of_json_dump_for_a_wide_union(tmp_path):
     assert len(union.tags) == 80 * 80
     save_fss(union, tmp_path / "union.fss")
     assert (tmp_path / "union.fss").read_bytes() == _reference_bytes(union)
+
+
+def test_save_holds_one_block_of_strings_at_a_time(tmp_path):
+    # 55 x 2000 all-distinct values: deduplicating and joining the whole
+    # matrix at once would hold about 7.7 MiB of strings and indices.
+    values = np.random.default_rng(3).random((55, 2000))
+    fss = make_fuzzy_soft_set([f"u{k:04d}" for k in range(2000)],
+                              {f"a{i:02d}": row for i, row in enumerate(values.tolist())})
+    assert len(np.unique(fss.values)) == fss.values.size
+    save_fss(fss, tmp_path / "warm.fss")
+    tracemalloc.start()
+    try:
+        save_fss(fss, tmp_path / "distinct.fss")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert (tmp_path / "distinct.fss").read_bytes() == _reference_bytes(fss)
 
 
 _JSON_KEYS = st.sampled_from(["universe", "parameters", "u1", "u2", "a1", "a1*b1", "b1*a1",
@@ -243,3 +281,117 @@ def test_document_decoding_totality(doc):
         document_to_fss(doc)
     except FuzzySoftError:
         pass
+
+
+# --- the one-pass check against the field-by-field loop --------------------------
+
+def _outcome(build, doc):
+    """The set ``build`` gives, with its value bits, or its error's type,
+    message and JSON path."""
+    try:
+        fss = build(doc)
+    except FuzzySoftError as err:
+        return type(err), str(err), getattr(err, "json_path", None)
+    return fss, fss.values.view(np.uint64).tolist()
+
+
+def _assert_same_as_the_loop(doc):
+    assert (_outcome(document_to_fss, doc)
+            == _outcome(lambda d: _checked_document(d, "document"), doc))
+
+
+def _decode(text: str):
+    return json.loads(text, object_pairs_hook=_decode_object)
+
+
+_MALFORMED = [
+    '{"universe": ["u1", "u2"], "parameters": {"a1": {"u1": 0.3, "u2": 1.2}}}',
+    '{"universe": ["u"], "parameters": {"a*b": {"u": 0.5}, "b*a": {"u": 0.5}}}',
+    '{"universe": ["u1", "u2"], "parameters": {"a1": {"u1": 0.3}}}',
+    '{"universe": ["u1"], "parameters": {"a1": {"u1": 0.3, "zz": 0.1}}}',
+    '{"universe": ["u1", "u2", "u1", "u2"], "parameters": {"a1": {"u1": 0.3, "u2": 0.7}}}',
+    '{"universe": ["u1"], "parameters": {"a1": {"u1": "high"}}}',
+    '{"universe": ["u1"], "parameters": {"a1": {"u1": true}}}',
+    '[1, 2]',
+    '{"universe": ["u"], "parameters": {"a": {"u": 1}}, "extra": 1}',
+    '{"universe": ["u1"], "parameters": {"a": {"u1": 0.1}}, "universe": ["u1"]}',
+    '{"universe": ["u1"], "parameters": {"a": {"u1": 0.1}, "a": {"u1": 0.2}}}',
+    '{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 0.1, "u2": 0.3, "u1": 0.2}}}',
+    '{"universe": ["u1"], "parameters": {"a": {"u1": NaN}}}',
+    '{"universe": ["u1"], "parameters": {"a": {"u1": Infinity}}}',
+    '{"universe": ["u1"], "parameters": {"a": {"u1": -Infinity}}}',
+    '{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 0, "u2": 1}}}',
+    '{"universe": ["u1", "u2"], "parameters": {"a": {"u2": 0.5, "u1": 0.25}}}',
+    '{"universe": ["u1", ""], "parameters": {"a": {"u1": 0.5, "": 0.25}}}',
+    '{"universe": [], "parameters": {"a": {}}}',
+    '{"universe": ["u1"], "parameters": {}}',
+    '{"universe": ["u1"], "parameters": {"a**b": {"u1": 0.5}}}',
+    '{"universe": ["u1"], "parameters": {"a": [0.5]}}',
+    '{"universe": ["u1"]}',
+    '{"parameters": {"a": {"u1": 0.5}}}',
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED)
+def test_one_pass_check_matches_the_loop_on_malformed_documents(text):
+    _assert_same_as_the_loop(_decode(text))
+
+
+def test_one_pass_check_builds_float_documents_and_defers_the_rest():
+    valid = _decode('{"universe": ["u1", "u2"], "parameters": '
+                    '{"b*a": {"u2": 0.5, "u1": -0.0}, "c": {"u1": 1.0, "u2": 0.0}}}')
+    assert _well_formed(valid) == _checked_document(valid, "document")
+    ints = _decode('{"universe": ["u1"], "parameters": {"a": {"u1": 1}}}')
+    assert _well_formed(ints) is None
+    assert document_to_fss(ints) == make_fuzzy_soft_set(["u1"], {"a": (1.0,)})
+
+
+_ODD_VALUES = (st.sampled_from([0, 1, True, False, 2, -1, 10**400, "0.5", None, [], {}])
+               | st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-0.0",
+                                  "1.0000000000000002", "-5e-324"]).map(json.loads))
+_MEMBERSHIP = st.floats(0, 1) | st.just(-0.0)
+_TAGS = st.sampled_from(["a", "b", "c", "a*b", "a*a", "c*b*a", "b*c"])
+_BAD_TAGS = st.sampled_from(["", "*", "a**b", "a*", "a b"])
+
+
+@st.composite
+def near_valid_documents(draw):
+    """Decoded documents that are valid, or nearly: each rare branch below
+    breaks or bends one part, and objects may repeat a key as JSON text can."""
+    def rarely(odds: int = 8) -> bool:
+        return draw(st.sampled_from(range(odds))) == odds // 2
+
+    universe = list(draw(st.permutations(["u1", "u2", "u3"])))[:draw(st.integers(1, 3))]
+
+    def memberships():
+        elements = list(draw(st.permutations(universe)))  # any order, as JSON may have
+        if rarely():
+            elements.pop()
+        if rarely():
+            elements.append(draw(st.sampled_from(["u1", "u2", "zz", ""])))
+        return _decode_object([(element, draw(_ODD_VALUES) if rarely(40) else draw(_MEMBERSHIP))
+                               for element in elements])
+
+    tags = draw(st.lists(_TAGS, min_size=1, max_size=4, unique=True))
+    if rarely():
+        tags.append(draw(_TAGS | _BAD_TAGS | st.sampled_from(["b*a", "a*c*b"])))
+    parameters = [(tag, draw(_ODD_VALUES) if rarely() else memberships()) for tag in tags]
+    stated = list(universe)
+    if rarely():
+        stated.append(draw(st.sampled_from(["u1", "", 1, None])))
+    top = [("universe", draw(_ODD_VALUES) if rarely() else stated),
+           ("parameters", _decode_object(parameters))]
+    if rarely():
+        top.reverse()
+    if rarely():
+        top.pop(draw(st.integers(0, 1)))
+    if rarely():
+        top.append((draw(st.sampled_from(["universe", "parameters", "extra"])),
+                    draw(_ODD_VALUES)))
+    return _decode_object(top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_valid_documents())
+def test_one_pass_check_matches_the_loop_on_near_valid_documents(doc):
+    _assert_same_as_the_loop(doc)

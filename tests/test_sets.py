@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from fuzzysoft import (
     DivisionByZeroError,
     FuzzySoftSet,
     ParamTag,
+    ProductSizeError,
     TagCollisionError,
     Universe,
     UniverseMismatchError,
@@ -23,6 +26,8 @@ from fuzzysoft import (
     tau_family,
     union_fss,
 )
+from fuzzysoft.analysis import MAX_ARRAY_VALUES as CHECK_MAX_ARRAY_VALUES
+from fuzzysoft.sets import MAX_ARRAY_VALUES
 
 
 def fss(universe, assignments):
@@ -351,3 +356,30 @@ def test_kernel_error_in_a_row_is_raised_before_that_rows_other_faults():
     s = fss(["u"], {"p": (0.25,), "q": (0.0,)})
     with pytest.raises(CodomainError, match="under tag 'a\\*p'"):
         apply_connective(scalar_from_expression("y/x"), s, fss(["u"], {"a": (0.5,)}))
+
+
+# --- the size bound on a product ----------------------------------------------------
+
+def test_product_is_bounded_before_anything_is_allocated():
+    # 64 x 64 tags over 4096 elements is the largest product the bound
+    # admits; 65 x 65 would need a 132 MiB result and is refused first.
+    assert CHECK_MAX_ARRAY_VALUES is MAX_ARRAY_VALUES
+    assert 64 * 64 * 4096 == MAX_ARRAY_VALUES < 65 * 65 * 4096
+    universe = Universe(tuple(f"u{k}" for k in range(4096)))
+    left = FuzzySoftSet(universe, tuple(ParamTag.parse(f"a{i}") for i in range(65)),
+                        np.zeros((65, 4096)))
+    right = FuzzySoftSet(universe, tuple(ParamTag.parse(f"b{i}") for i in range(65)),
+                         np.zeros((65, 4096)))
+    message = ("the product of 65 by 65 tags over 4096 elements needs 17305600 values, "
+               "more than MAX_ARRAY_VALUES = 16777216")
+    tracemalloc.start()
+    try:
+        for operation in (union_fss, intersect_fss,
+                          lambda f1, f2: apply_connective(builtin("product"), f1, f2)):
+            with pytest.raises(ProductSizeError) as err:
+                operation(left, right)
+            assert str(err.value) == message
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**10, f"peak {peak / 2**10:.0f} KiB"
