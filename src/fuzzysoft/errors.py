@@ -21,8 +21,8 @@ class TagCollisionError(FuzzySoftError):
 
 
 class ProductSizeError(FuzzySoftError):
-    """A binary set operation would build more membership values than
-    ``MAX_ARRAY_VALUES``."""
+    """A binary set operation would form more tag pairs than ``MAX_PAIRS``
+    or build more membership values than ``MAX_ARRAY_VALUES``."""
 
 
 class ArityError(FuzzySoftError):

@@ -8,6 +8,10 @@ row views when read.  Binary operations between two fuzzy soft sets
 produce one row per pair of source tags, under the canonical product tag;
 when two source pairs collapse to the same canonical tag they must agree
 exactly, otherwise the collision is an error rather than a silent merge.
+``apply_connective`` writes every pair's row into one (P1 * P2, U) result
+matrix, keys the pairs by their sorted label tuples, and checks each
+repeated pair against the first pair with its key; the result's rows are
+gathered from that matrix in one step.
 
 All types are immutable values; operations are pure functions.
 """
@@ -15,6 +19,8 @@ All types are immutable values; operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress, count
+from operator import eq, ne
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,12 +40,20 @@ from .errors import (
     ValidationError,
 )
 from .record import Record
-from .tags import ParamTag, combine_tags
+from .tags import RESERVED_SEPARATOR, ParamTag, canonical_tags, combine_tags
 
 #: Largest float64 array (2**24 values, 128 MiB) one operation may create:
 #: a binary set operation's P1 * P2 * U result values, and the arrays of a
 #: ``CheckConfig`` (see ``analysis``).
 MAX_ARRAY_VALUES = 2**24
+
+#: Largest number of tag pairs (P1 * P2) one binary set operation may form
+#: (2**18, so 512 by 512 tags).  Measured at U = 1 with 262,144 distinct
+#: result tags: a tracemalloc peak of 266 B and 112 B kept per result tag
+#: (its tag, label tuple and value), 70 MiB in all; the CLI ``apply`` of
+#: that product peaked at 102 MiB RSS and ran 1.2 s.  From U = 64 up,
+#: ``MAX_ARRAY_VALUES`` is the tighter bound.
+MAX_PAIRS = 2**18
 
 
 class Universe(Record):
@@ -111,15 +125,17 @@ class FuzzySoftSet(Record):
         tags = tuple(self.tags)
         if not tags:
             raise ValidationError("a fuzzy soft set needs at least one parameter tag")
-        if len(self.values) != len(tags):
-            raise ValidationError(f"{len(self.values)} membership rows for the "
-                                  f"{len(tags)} tags {[tag.text for tag in tags]}")
-        for tag, row in zip(tags, self.values):
-            if len(row) != len(self.universe):
-                raise ValidationError(
-                    f"tag {tag.text!r}: expected {len(self.universe)} membership values "
-                    f"for universe {list(self.universe.elements)}, got {len(row)}"
-                )
+        if not (isinstance(self.values, np.ndarray)
+                and self.values.shape == (len(tags), len(self.universe))):
+            if len(self.values) != len(tags):
+                raise ValidationError(f"{len(self.values)} membership rows for the "
+                                      f"{len(tags)} tags {[tag.text for tag in tags]}")
+            for tag, row in zip(tags, self.values):
+                if len(row) != len(self.universe):
+                    raise ValidationError(
+                        f"tag {tag.text!r}: expected {len(self.universe)} membership values "
+                        f"for universe {list(self.universe.elements)}, got {len(row)}"
+                    )
         try:
             values = np.asarray(self.values, dtype=float)
         except (TypeError, ValueError, OverflowError):
@@ -137,11 +153,13 @@ class FuzzySoftSet(Record):
                 f"tag {tags[i].text!r}: membership {float(values[i, j])!r} "
                 f"for element {self.universe.elements[j]!r} is outside [0, 1]"
             )
-        order = sorted(range(len(tags)), key=tags.__getitem__)
-        tags = tuple(tags[i] for i in order)
-        for tag, following in zip(tags, tags[1:]):
-            if tag == following:
-                raise ValidationError(f"duplicate parameter tag {tag.text!r}")
+        labels = [tag.labels for tag in tags]
+        order = sorted(range(len(tags)), key=labels.__getitem__)
+        tags = tuple(map(tags.__getitem__, order))
+        labels = list(map(labels.__getitem__, order))
+        duplicate = next(compress(count(), map(eq, labels, labels[1:])), None)
+        if duplicate is not None:
+            raise ValidationError(f"duplicate parameter tag {tags[duplicate].text!r}")
         values = values[order]
         values.flags.writeable = False
         object.__setattr__(self, "tags", tags)
@@ -224,16 +242,21 @@ def apply_connective(
     For every tag pair (a, b) the result assigns, under the canonical
     product tag, the vector ``scalar(m1(u), m2(u))`` per element.  The
     scalar is called once per row of ``f1``, against all rows of ``f2``,
-    and its outputs are codomain-checked with near-boundary clamping.
-    Two pairs collapsing to one canonical tag must produce equal vectors,
-    otherwise ``TagCollisionError`` is raised.  A product of more than
-    ``MAX_ARRAY_VALUES`` values (P1 * P2 * U) raises ``ProductSizeError``
-    before anything is evaluated.
+    and its outputs are codomain-checked with near-boundary clamping and
+    written into one (P1 * P2, U) matrix, pair (i, j) in row i * P2 + j.  Two pairs collapsing to one
+    canonical tag must produce equal vectors, otherwise
+    ``TagCollisionError`` is raised: each pair is keyed by its sorted label
+    tuple, and a pair whose key was seen before is compared with the first
+    pair that had it.  The result's rows are gathered from the matrix, in
+    sorted key order, in one step.  More than ``MAX_PAIRS`` tag pairs
+    (P1 * P2) or ``MAX_ARRAY_VALUES`` values (P1 * P2 * U) raise
+    ``ProductSizeError`` before anything is allocated or evaluated.
 
     Faults are reported row of ``f1`` by row.  An error raised by the
     scalar anywhere in a row comes first.  Then the row's pairs are taken
-    in order; for each, an out-of-range output (``CodomainError``) is
-    reported before a collision with an earlier pair.
+    in order; for each, an out-of-range output (``CodomainError``, whose
+    ``index`` is (pair in the row, element)) is reported before a
+    collision with an earlier pair.
     """
     if isinstance(conn, LiftedConnective):
         conn = conn.scalar  # None for a negation family, which the gate rejects
@@ -244,15 +267,23 @@ def apply_connective(
             f"({list(f1.universe.elements)} vs {list(f2.universe.elements)})"
         )
     elements = f1.universe.elements
-    size = len(f1.tags) * len(f2.tags) * len(elements)
+    p1, p2 = len(f1.tags), len(f2.tags)
+    if p1 * p2 > MAX_PAIRS:
+        raise ProductSizeError(
+            f"the product of {p1} by {p2} tags makes {p1 * p2} tag pairs, "
+            f"more than MAX_PAIRS = {MAX_PAIRS}"
+        )
+    size = p1 * p2 * len(elements)
     if size > MAX_ARRAY_VALUES:
         raise ProductSizeError(
-            f"the product of {len(f1.tags)} by {len(f2.tags)} tags over {len(elements)} "
+            f"the product of {p1} by {p2} tags over {len(elements)} "
             f"elements needs {size} values, more than MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}"
         )
-    rows: dict[ParamTag, np.ndarray] = {}
+    labels_b = [tag.labels for tag in f2.tags]
+    pair_values = np.empty((p1 * p2, len(elements)))  # pair (i, j) in row i * p2 + j
+    first: dict[tuple[str, ...], int] = {}
     with np.errstate(all="ignore"):
-        for tag_a, row in zip(f1.tags, f1.values):
+        for i, (tag_a, row) in enumerate(zip(f1.tags, f1.values)):
             raw = np.broadcast_to(np.asarray(scalar(row, f2.values), dtype=float),
                                   f2.values.shape)
 
@@ -261,22 +292,31 @@ def apply_connective(
                 return (f"connective {scalar.name!r} under tag {tag.text!r} "
                         f"at element {elements[index[1]]!r}")
 
+            start = i * p2
             try:
-                block, fault = into_unit_interval(raw, where), None
+                pair_values[start:start + p2] = into_unit_interval(raw, where)
+                checked, fault = p2, None
             except CodomainError as err:
-                # The pairs before the out-of-range one still merge first.
-                block, fault = into_unit_interval(raw[:err.index[0]], where), err
-            for tag_b, vector in zip(f2.tags, block):
-                tag = combine_tags(tag_a, tag_b)
-                previous = rows.setdefault(tag, vector)
-                if previous is not vector and not np.array_equal(previous, vector):
+                # The pairs before the out-of-range one are still checked first.
+                checked, fault = err.index[0], err
+                pair_values[start:start + checked] = into_unit_interval(raw[:checked], where)
+            pairs, labels_a = range(start, start + checked), tag_a.labels
+            row_keys = [tuple(sorted(labels_a + labels)) for labels in labels_b[:checked]]
+            firsts = list(map(first.setdefault, row_keys, pairs))
+            # Only a pair whose key has an earlier first pair is compared.
+            for j in compress(range(checked), map(ne, firsts, pairs)):
+                if not np.array_equal(pair_values[firsts[j]], pair_values[pairs[j]]):
+                    tag = RESERVED_SEPARATOR.join(row_keys[j])
                     raise TagCollisionError(
-                        f"tag pairs ({tag_a.text}, {tag_b.text}) collide on canonical tag "
-                        f"{tag.text!r} with different membership vectors"
+                        f"tag pairs ({tag_a.text}, {f2.tags[j].text}) collide on canonical "
+                        f"tag {tag!r} with different membership vectors"
                     )
             if fault is not None:
                 raise fault
-    return FuzzySoftSet(f1.universe, tuple(rows), list(rows.values()))
+    keys = sorted(first)
+    values = pair_values[[first[key] for key in keys]]
+    del pair_values
+    return FuzzySoftSet(f1.universe, canonical_tags(keys), values)
 
 
 def union_fss(f1: FuzzySoftSet, f2: FuzzySoftSet) -> FuzzySoftSet:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
+from typing import Iterable
 
 from .errors import ValidationError
 from .record import Record
@@ -18,7 +19,7 @@ from .record import Record
 RESERVED_SEPARATOR = "*"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ParamTag:
     """A canonical multiset of atomic parameter labels.
 
@@ -71,6 +72,21 @@ class ParamTag:
 
     def __repr__(self) -> str:
         return f"ParamTag({self.text!r})"
+
+
+def canonical_tags(label_tuples: Iterable[tuple[str, ...]]) -> tuple[ParamTag, ...]:
+    """One tag per label tuple, each already valid and sorted, unchecked.
+
+    Like ``ParamTag.combine`` this skips ``__post_init__``: the sorted
+    labels of two valid tags make a valid tag.
+    """
+    new, set_labels = object.__new__, ParamTag.labels.__set__
+    tags = []
+    for labels in label_tuples:
+        tag = new(ParamTag)
+        set_labels(tag, labels)
+        tags.append(tag)
+    return tuple(tags)
 
 
 def combine_tags(t1: ParamTag, t2: ParamTag) -> ParamTag:

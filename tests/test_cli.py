@@ -330,6 +330,22 @@ def test_eval_script_nested_apply_past_the_product_bound_exit_three(tmp_path, ca
                             "needs 17203200 values, more than MAX_ARRAY_VALUES = 16777216\n")
 
 
+def test_apply_past_the_pair_bound_exit_three(tmp_path, capsys):
+    # 1000 x 1000 tags at U = 1 is only 10**6 values, far under
+    # MAX_ARRAY_VALUES, but 10**6 tag pairs is past MAX_PAIRS.
+    for side in ("a", "b"):
+        save_fss(make_fuzzy_soft_set(["u"], {f"{side}{i:03d}": (i / 999,) for i in range(1000)}),
+                 tmp_path / f"{side}.fss")
+    code = run_cli(["apply", "--op", "union", str(tmp_path / "a.fss"), str(tmp_path / "b.fss"),
+                    "-o", str(tmp_path / "out.fss")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("error: the product of 1000 by 1000 tags makes 1000000 tag pairs, "
+                            "more than MAX_PAIRS = 262144\n")
+    assert not (tmp_path / "out.fss").exists()
+
+
 def test_eval_script_missing_bind_file_exit_three(tmp_path):
     script = tmp_path / "combine.fss"
     script.write_text("print S;")

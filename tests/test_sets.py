@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzysoft import (
     CodomainError,
     DivisionByZeroError,
+    FuzzySoftError,
     FuzzySoftSet,
     ParamTag,
     ProductSizeError,
@@ -27,7 +28,9 @@ from fuzzysoft import (
     union_fss,
 )
 from fuzzysoft.analysis import MAX_ARRAY_VALUES as CHECK_MAX_ARRAY_VALUES
-from fuzzysoft.sets import MAX_ARRAY_VALUES
+from fuzzysoft.connectives import LiftedConnective, into_unit_interval, require_arity
+from fuzzysoft.sets import MAX_ARRAY_VALUES, MAX_PAIRS
+from fuzzysoft.tags import combine_tags
 
 
 def fss(universe, assignments):
@@ -281,6 +284,19 @@ def test_values_are_a_read_only_copy():
         s.values[0, 0] = 0.5
 
 
+def test_constructor_sorts_like_param_tags_and_catches_respelled_duplicates():
+    texts = ["b", "a*b", "a", "a*a", "b*b", "a*a*b"]
+    for seed in range(5):
+        shuffled = list(np.random.default_rng(seed).permutation(texts))
+        tags = tuple(ParamTag.parse(text) for text in shuffled)
+        s = FuzzySoftSet(Universe.of("u"), tags, [(texts.index(t) / 8,) for t in shuffled])
+        assert s.tags == tuple(sorted(tags))
+        assert s.values[:, 0].tolist() == [texts.index(tag.text) / 8 for tag in sorted(tags)]
+    with pytest.raises(ValidationError, match=r"^duplicate parameter tag 'a\*b'$"):
+        FuzzySoftSet(Universe.of("u"), (ParamTag.parse("a*b"), ParamTag.parse("a"),
+                                        ParamTag.parse("b*a")), np.zeros((3, 1)))
+
+
 def test_constructor_sorts_tags_with_their_rows():
     s = FuzzySoftSet(Universe.of("u"), (ParamTag.parse("b"), ParamTag.parse("a")),
                      [(0.2,), (0.1,)])
@@ -358,6 +374,95 @@ def test_kernel_error_in_a_row_is_raised_before_that_rows_other_faults():
         apply_connective(scalar_from_expression("y/x"), s, fss(["u"], {"a": (0.5,)}))
 
 
+# --- the pair loop against the per-row reference ------------------------------------
+
+def _reference_apply(conn, f1, f2):
+    """apply_connective as one dict of row views, merged pair by pair."""
+    if isinstance(conn, LiftedConnective):
+        conn = conn.scalar
+    scalar = require_arity(conn, 2)
+    if f1.universe != f2.universe:
+        raise UniverseMismatchError(
+            "operands are defined over different universes "
+            f"({list(f1.universe.elements)} vs {list(f2.universe.elements)})"
+        )
+    elements = f1.universe.elements
+    rows: dict[ParamTag, np.ndarray] = {}
+    with np.errstate(all="ignore"):
+        for tag_a, row in zip(f1.tags, f1.values):
+            raw = np.broadcast_to(np.asarray(scalar(row, f2.values), dtype=float),
+                                  f2.values.shape)
+
+            def where(index):
+                tag = combine_tags(tag_a, f2.tags[index[0]])
+                return (f"connective {scalar.name!r} under tag {tag.text!r} "
+                        f"at element {elements[index[1]]!r}")
+
+            try:
+                block, fault = into_unit_interval(raw, where), None
+            except CodomainError as err:
+                block, fault = into_unit_interval(raw[:err.index[0]], where), err
+            for tag_b, vector in zip(f2.tags, block):
+                tag = combine_tags(tag_a, tag_b)
+                previous = rows.setdefault(tag, vector)
+                if previous is not vector and not np.array_equal(previous, vector):
+                    raise TagCollisionError(
+                        f"tag pairs ({tag_a.text}, {tag_b.text}) collide on canonical tag "
+                        f"{tag.text!r} with different membership vectors"
+                    )
+            if fault is not None:
+                raise fault
+    return FuzzySoftSet(f1.universe, tuple(rows), list(rows.values()))
+
+
+# Commutative and not, clamped just below 0 and just above 1, out of range,
+# dividing by a row that holds 0, and producing -0.0.
+_DIFFERENTIAL_EXPRESSIONS = [
+    "max(x, y)", "x*y", _SKEW, "y", "x - y", "x + y",
+    "x*y - 0.0000000000005", "min(1, x + y) + 0.0000000000005", "x/y", "-x*y",
+]
+_tag_texts = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map("*".join)
+_memberships = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25, 1e-13, 1 - 1e-13]),
+                         st.floats(0, 1))
+
+
+@st.composite
+def _operands(draw):
+    size = draw(st.integers(1, 3))
+    universe = [f"u{k}" for k in range(size)]
+
+    def one_set():
+        texts = draw(st.lists(_tag_texts, min_size=1, max_size=5,
+                              unique_by=lambda text: ParamTag.parse(text)))
+        rows = [draw(st.lists(_memberships, min_size=size, max_size=size)) for _ in texts]
+        return fss(universe, zip(texts, rows))
+
+    left = one_set()
+    return left, left if draw(st.booleans()) else one_set()
+
+
+_PQ = fss(["u"], {"p": (0.2,), "q": (0.8,)})
+
+
+# A row whose collision comes before its out-of-range pair, and one whose
+# out-of-range pair comes first.
+@example(_SKEW, (_PQ, fss(["u"], {"p": (0.2,), "q": (0.8,), "z": (0.9,)})))
+@example(_SKEW, (_PQ, fss(["u"], {"a": (0.9,), "p": (0.2,), "q": (0.8,)})))
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_DIFFERENTIAL_EXPRESSIONS), _operands())
+def test_apply_matches_the_per_row_reference(expression, operands):
+    conn = scalar_from_expression(expression, arity=2)
+    outcomes = []
+    for apply in (apply_connective, _reference_apply):
+        try:
+            out = apply(conn, *operands)
+        except FuzzySoftError as err:
+            outcomes.append((type(err), str(err), getattr(err, "index", None)))
+        else:
+            outcomes.append((out.tags, out.values.view(np.uint64).tolist()))
+    assert outcomes[0] == outcomes[1]
+
+
 # --- the size bound on a product ----------------------------------------------------
 
 def test_product_is_bounded_before_anything_is_allocated():
@@ -372,6 +477,16 @@ def test_product_is_bounded_before_anything_is_allocated():
                          np.zeros((65, 4096)))
     message = ("the product of 65 by 65 tags over 4096 elements needs 17305600 values, "
                "more than MAX_ARRAY_VALUES = 16777216")
+    # 512 x 512 tags is the most pairs the pair bound admits; at U = 1 the
+    # 513 x 512 product is far under MAX_ARRAY_VALUES but is refused.
+    assert 512 * 512 == MAX_PAIRS < 513 * 512
+    one = Universe.of("u")
+    wide_left = FuzzySoftSet(one, tuple(ParamTag.parse(f"a{i}") for i in range(513)),
+                             np.zeros((513, 1)))
+    wide_right = FuzzySoftSet(one, tuple(ParamTag.parse(f"b{i}") for i in range(512)),
+                              np.zeros((512, 1)))
+    wide_message = ("the product of 513 by 512 tags makes 262656 tag pairs, "
+                    "more than MAX_PAIRS = 262144")
     tracemalloc.start()
     try:
         for operation in (union_fss, intersect_fss,
@@ -379,7 +494,29 @@ def test_product_is_bounded_before_anything_is_allocated():
             with pytest.raises(ProductSizeError) as err:
                 operation(left, right)
             assert str(err.value) == message
+            with pytest.raises(ProductSizeError) as err:
+                operation(wide_left, wide_right)
+            assert str(err.value) == wide_message
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**10, f"peak {peak / 2**10:.0f} KiB"
+
+
+def test_apply_holds_one_result_matrix():
+    # The shape of the apply-deep benchmark: 10 tags applied to themselves
+    # at U = 2000, 100 pairs merged into 55 tags.  The (100, 2000) pair
+    # matrix (1.5 MiB) and the gathered result (0.8 MiB) peak at 2.5 MiB;
+    # a second full-size copy of the pair matrix would reach 4 MiB.
+    universe = [f"u{k}" for k in range(2000)]
+    rows = np.random.default_rng(1).random((10, 2000))
+    s = fss(universe, {f"a{i}": row for i, row in enumerate(rows.tolist())})
+    conn = scalar_from_expression("max(x + y - 1, 0)", arity=2)
+    tracemalloc.start()
+    try:
+        out = apply_connective(conn, s, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 55
+    assert peak <= 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
