@@ -8,15 +8,17 @@ failed check carries a witness that re-evaluates to a violation beyond the
 tolerance: the lexicographically smallest violating argument tuple over
 the grid points (or grid cube) and the samples, equal tuples going to the
 first found, grid before samples.  Each part is reduced to its smallest
-violation as it is evaluated.  The grid cube is walked in C order in tiles
-of at most 2**15 points whose inner values are views of the grid matrix.
-The walk writes each tile's sides (those of a compiled expression) and
-their difference into one workspace, so a tile allocates nothing in
-steady state, and a check holds one cache-sized tile of the cube in
-memory, however many points violate.
+violation as it is evaluated.  Grid parts of binary axioms are views of
+the grid matrix F.  The grid cube is walked in C order in tiles of at
+most 2**15 points whose inner values are views of F too, and which pass
+on their largest and smallest difference.  The walk writes each tile's
+sides (those of a compiled expression) and their difference into one
+workspace, so a tile allocates nothing in steady state, and a check
+holds one cache-sized tile of the cube in memory, however many points
+violate.
 
 Each axiom is one row of a table (label, description, relation, grid
-points, seeded sample draw, and the two sides the relation compares);
+parts, seeded sample draw, and the two sides the relation compares);
 one function, ``_verify``, evaluates the rows of all four kinds.
 
 Sampling falsifies, it does not prove: a report in which every axiom
@@ -65,7 +67,10 @@ CONTINUITY_JUMP_FACTOR = 10.0
 #: walk's workspace is 256 KiB, so a tile's registers and difference stay
 #: in a 2 MiB L2 cache.  A tile allocates nothing: when tile temporaries
 #: come from the heap, some heap layouts trim and regrow it every tile,
-#: which costs a fresh process about 8x the page faults.
+#: which costs a fresh process about 8x the page faults.  Other candidates
+#: allocate their own arrays, so they walk half-size tiles and drop each
+#: tile's arrays before the next; at grids 64 to 256 that cut their page
+#: faults by up to 50x.
 CUBE_TILE_POINTS = 2**15
 
 
@@ -357,27 +362,19 @@ def _smallest_violation(cols, got, want, bad: np.ndarray, relation: str) -> tupl
 # Argument columns: grid points and seeded samples
 
 
-def _pairs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every grid pair (x, y), x-major."""
-    return np.repeat(g, len(g)), np.tile(g, len(g))
-
-
-def _adjacent(g: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
-    """Neighbouring grid points along one axis, as columns (x1, y1, x2, y2)."""
-    n = len(g)
+def _adjacent(F: np.ndarray, g: np.ndarray, axis: int) -> tuple:
+    """Neighbours along one axis: columns (x1, y1, x2, y2) as open meshes, and F at both."""
     if axis == 0:
-        y = np.tile(g, n - 1)
-        return np.repeat(g[:-1], n), y, np.repeat(g[1:], n), y
-    x = np.repeat(g, n - 1)
-    return x, np.tile(g[:-1], n), x, np.tile(g[1:], n)
+        return (g[:-1, None], g[None, :], g[1:, None], g[None, :]), F[:-1, :], F[1:, :]
+    return (g[:, None], g[None, :-1], g[:, None], g[None, 1:]), F[:, :-1], F[:, 1:]
 
 
-def _cube_tiles(n: int):
+def _cube_tiles(n: int, most: int = CUBE_TILE_POINTS):
     """The grid cube of ``n`` points a side as index ranges (xs, ys, zs) in
-    C order, each tile at most ``CUBE_TILE_POINTS`` points: a block of
-    x-planes, or, when one plane is larger than that, a block of y-rows
-    inside one plane.  z always spans the grid."""
-    rows = max(1, CUBE_TILE_POINTS // n)
+    C order, each tile at most ``most`` points: a block of x-planes, or,
+    when one plane is larger than that, a block of y-rows inside one
+    plane.  z always spans the grid."""
+    rows = max(1, most // n)
     if rows >= n:
         block = rows // n
         for x in range(0, n, block):
@@ -420,14 +417,15 @@ def _pair_draw(sort_x: bool, sort_y: bool):
 
 
 class _Axiom(Record):
-    """One axiom: ``sides(f, *args)`` returns the (got, want) pair that
-    must satisfy ``relation``, evaluated at the argument columns
-    ``grid(g)`` and ``draw(rng, m)`` (``None``: no samples).  Columns may
-    be floats; they broadcast.  With ``grid`` ``None`` the axiom walks the
-    whole grid cube, its relation is "==", and its sides are
-    ``sides(f, h, inner, x, y, z)``: got is a call of f and want a call
-    of h (the candidate, each side with its own output), and ``inner(i,
-    j)`` is f at argument columns i and j."""
+    """One axiom: ``grid(F, g)`` gives its grid parts as (columns, got,
+    want), got and want to satisfy ``relation``; F is a binary candidate's
+    grid matrix, read by slicing, or a negation candidate.  ``sides(f,
+    *args)`` gives (got, want) at the columns ``draw(rng, m)`` (``None``:
+    no samples).  Columns may be floats; they broadcast.  With ``grid``
+    ``None`` the axiom walks the grid cube, its relation is "==", and its
+    sides are ``sides(f, h, inner, x, y, z)``: got is a call of f and want
+    a call of h (the candidate, each side with its own output), and
+    ``inner(i, j)`` is f at argument columns i and j."""
 
     label: str
     description: str
@@ -441,18 +439,15 @@ def _pair_sides(f, x1, y1, x2, y2):
     return f(x1, y1), f(x2, y2)
 
 
-_BINARY_CODOMAIN = _Axiom("codomain", "values stay in [0, 1]", "in [0, 1]", _pairs,
+_BINARY_CODOMAIN = _Axiom("codomain", "values stay in [0, 1]", "in [0, 1]",
+                          lambda F, g: (((g[:, None], g[None, :]), F, None),),
                           _uniform(2), lambda f, x, y: (f(x, y), None))
 
 
+# The unit's row or column of F is its last (unit 1) or its first (unit 0).
 def _unit_first(label: str, description: str, unit: float) -> _Axiom:
-    return _Axiom(label, description, "==", lambda g: (unit, g),
+    return _Axiom(label, description, "==", lambda F, g: (((unit, g), F[-int(unit), :], g),),
                   lambda rng, m: (unit, rng.random(m)), lambda f, x, y: (f(x, y), y))
-
-
-def _unit_second(label: str, description: str, unit: float) -> _Axiom:
-    return _Axiom(label, description, "==", lambda g: (g, unit),
-                  lambda rng, m: (rng.random(m), unit), lambda f, x, y: (f(x, y), x))
 
 
 def _binary_axioms(unit: float, name: str) -> tuple[_Axiom, ...]:
@@ -461,14 +456,16 @@ def _binary_axioms(unit: float, name: str) -> tuple[_Axiom, ...]:
     return (
         _BINARY_CODOMAIN,
         _unit_first("i", f"boundary f({name}, y) = y", unit),
-        _unit_second("ii", f"boundary f(x, {name}) = x", unit),
-        _Axiom("iii", "commutativity f(x, y) = f(y, x)", "==", _pairs, _uniform(2),
+        _Axiom("ii", f"boundary f(x, {name}) = x", "==",
+               lambda F, g: (((g, unit), F[:, -int(unit)], g),),
+               lambda rng, m: (rng.random(m), unit), lambda f, x, y: (f(x, y), x)),
+        _Axiom("iii", "commutativity f(x, y) = f(y, x)", "==",
+               lambda F, g: (((g[:, None], g[None, :]), F, F.T),), _uniform(2),
                lambda f, x, y: (f(x, y), f(y, x))),
         _Axiom("iv", "associativity f(x, f(y, z)) = f(f(x, y), z)", "==", None, _uniform(3),
                lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(inner(0, 1), z))),
         _Axiom("v", "monotonicity: f(x1, y1) <= f(x2, y2) whenever x1 <= x2 and y1 <= y2",
-               "<=", lambda g: tuple(map(np.concatenate, zip(_adjacent(g, 0),
-                                                             _adjacent(g, 1)))),
+               "<=", lambda F, g: (_adjacent(F, g, 0), _adjacent(F, g, 1)),
                _pair_draw(True, True), _pair_sides),
     )
 
@@ -480,25 +477,29 @@ _TCONORM_AXIOMS = _binary_axioms(0.0, "0")
 _IMPLICATION_AXIOMS = (
     _BINARY_CODOMAIN,
     _Axiom("i", "antitone in the first argument: h(x1, y) >= h(x2, y) for x1 <= x2", ">=",
-           lambda g: _adjacent(g, 0), _pair_draw(True, False), _pair_sides),
+           lambda F, g: (_adjacent(F, g, 0),), _pair_draw(True, False), _pair_sides),
     _Axiom("ii", "monotone in the second argument: h(x, y1) <= h(x, y2) for y1 <= y2", "<=",
-           lambda g: _adjacent(g, 1), _pair_draw(False, True), _pair_sides),
+           lambda F, g: (_adjacent(F, g, 1),), _pair_draw(False, True), _pair_sides),
     _unit_first("iii", "boundary h(1, y) = y", 1.0),
-    _Axiom("iv", "boundary h(0, y) = 1", "==", lambda g: (0.0, g),
+    _Axiom("iv", "boundary h(0, y) = 1", "==", lambda F, g: (((0.0, g), F[0, :], 1.0),),
            lambda rng, m: (0.0, rng.random(m)), lambda f, x, y: (f(x, y), 1.0)),
     _Axiom("v", "exchange h(x, h(y, z)) = h(y, h(x, z))", "==", None, _uniform(3),
            lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(y, inner(0, 2)))),
 )
 
+_ENDS = np.array([1.0, 0.0])
+
 _NEGATION_AXIOMS = (
-    _Axiom("codomain", "values stay in [0, 1]", "in [0, 1]", lambda g: (g,), _uniform(1),
-           lambda f, x: (f(x), None)),
-    _Axiom("i", "boundary n(1) = 0 and n(0) = 1", "==", lambda g: (np.array([1.0, 0.0]),),
-           None, lambda f, x: (f(x), 1.0 - x)),
+    _Axiom("codomain", "values stay in [0, 1]", "in [0, 1]", lambda f, g: (((g,), f(g), None),),
+           _uniform(1), lambda f, x: (f(x), None)),
+    _Axiom("i", "boundary n(1) = 0 and n(0) = 1", "==",
+           lambda f, g: (((_ENDS,), f(_ENDS), 1.0 - _ENDS),), None,
+           lambda f, x: (f(x), 1.0 - x)),
     _Axiom("ii", "antitonicity: n(x1) >= n(x2) for x1 <= x2", ">=",
-           lambda g: (g[:-1], g[1:]), _sorted_pair, lambda f, x1, x2: (f(x1), f(x2))),
-    _Axiom("iii", "involution n(n(x)) = x", "==", lambda g: (g,), _uniform(1),
-           lambda f, x: (f(f(x)), x)),
+           lambda f, g: (((g[:-1], g[1:]), f(g[:-1]), f(g[1:])),), _sorted_pair,
+           lambda f, x1, x2: (f(x1), f(x2))),
+    _Axiom("iii", "involution n(n(x)) = x", "==", lambda f, g: (((g,), f(f(g)), g),),
+           _uniform(1), lambda f, x: (f(f(x)), x)),
 )
 
 
@@ -508,15 +509,16 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
     in C order, under the caller's ``np.errstate``.
 
     The walk owns one workspace: flat buffers the size of the largest
-    tile, viewed per tile shape.  They hold a tile's |got - want| and, for
-    a compiled expression, the register files of its two sides (a first
+    tile, viewed per tile shape, for a tile's |got - want| and, for a
+    compiled expression, the register files of its two sides (a first
     register each, the rest shared), so a tile allocates nothing.  Any
-    other candidate is called as usual and its arrays are compared.  A tile
-    passes when its largest difference is within ``tol`` (NaN fails), and
-    only a failing tile builds its violation mask."""
+    other candidate is called as usual, on half-size tiles.  A tile passes
+    when its largest difference is at most ``tol`` and its smallest at
+    least ``-tol`` (NaN fails); only a failing tile builds its mask."""
     n = len(g)
     compiled = isinstance(getattr(candidate, "fn", None), CompiledExpr)
-    size = min(n ** 3, max(CUBE_TILE_POINTS, n))
+    most = CUBE_TILE_POINTS if compiled else CUBE_TILE_POINTS // 2
+    size = min(n ** 3, max(most, n))
     buffers = [np.empty(size) for _ in range(candidate.fn.registers + 2 if compiled else 1)]
     layouts = [np.expand_dims(F, k) for k in range(3)]
     workspace = {}  # tile shape -> (diff, f, h)
@@ -530,7 +532,7 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
                 partial(_call, candidate, regs=[want, *scratch]))
 
     witness, points = None, 0
-    for tile in _cube_tiles(n):
+    for tile in _cube_tiles(n, most):
         cols = (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]])
         shape = (cols[0].size, cols[1].size, n)
         if shape not in workspace:
@@ -543,42 +545,34 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
         # smaller tuple, so later tiles are evaluated and counted only.
         if witness is None:
             np.subtract(got, want, out=diff)
-            if not np.max(np.abs(diff, out=diff), initial=0.0) <= tol:
-                witness = _smallest_violation(cols, got, want, ~(diff <= tol), "==")[1]
+            if not (diff.max() <= tol and diff.min() >= -tol):
+                bad = ~(np.abs(diff, out=diff) <= tol)
+                witness = _smallest_violation(cols, got, want, bad, "==")[1]
+        del got, want  # before the next tile's sides are allocated
     return witness, points
 
 
-def _verify(
-    axiom: _Axiom,
-    candidate: Callable,
-    table: Callable | None,
-    g: np.ndarray,
-    rng: np.random.Generator,
-    cfg: CheckConfig,
-    param: str | None = None,
-    F: np.ndarray | None = None,
-) -> AxiomCheck:
-    """Evaluate one axiom on its grid points, or on the grid cube, then on
+def _verify(axiom: _Axiom, candidate: Callable, F: np.ndarray | None, g: np.ndarray,
+            rng: np.random.Generator, cfg: CheckConfig, param: str | None = None) -> AxiomCheck:
+    """Evaluate one axiom on its grid parts, or on the grid cube, then on
     its samples; the witness is the lexicographically smallest violation.
 
-    Binary grids read their values from ``table`` (the grid matrix ``F``,
-    computed once), and each cube tile takes its inner values as views of
-    ``F``."""
+    A binary grid part is a view of the grid matrix ``F``, as is each cube
+    tile's inner values; a negation (``F`` None) has its grid parts call."""
     sample = None if axiom.draw is None else axiom.draw(rng, cfg.random_samples)
     call = partial(_call, candidate)
     # NaN, from inf - inf say, violates; no part warns.
     with np.errstate(all="ignore"):
         if axiom.grid is None:
             witness, points = _walk_cube(axiom, candidate, F, g, cfg.tolerance)
-            parts = [] if sample is None else [
-                (partial(axiom.sides, call, call, lambda i, j: call(sample[i], sample[j])), sample)]
+            parts, sides = [], partial(axiom.sides, call, call,
+                                       lambda i, j: call(sample[i], sample[j]))
         else:
             witness, points = None, 0
-            parts = [(partial(axiom.sides, table or call), axiom.grid(g))]
-            if sample is not None:
-                parts.append((partial(axiom.sides, call), sample))
-        for sides, cols in parts:
-            got, want = sides(*cols)
+            parts, sides = [*axiom.grid(call if F is None else F, g)], partial(axiom.sides, call)
+        if sample is not None:
+            parts.append((sample, *sides(*sample)))
+        for cols, got, want in parts:
             got = np.broadcast_to(np.asarray(got, dtype=float),
                                   np.broadcast_shapes(*map(np.shape, cols)))
             bad = _violations(got, want, axiom.relation, cfg.tolerance)
@@ -598,13 +592,8 @@ def _check_binary(
     require_arity(candidate, 2)
     g = _grid(cfg)
     F = _grid_matrix(candidate, g)
-
-    def table(x, y):
-        return F[np.rint(np.multiply(x, cfg.grid_steps)).astype(np.intp),
-                 np.rint(np.multiply(y, cfg.grid_steps)).astype(np.intp)]
-
     rng = np.random.default_rng(cfg.seed)
-    checks = tuple(_verify(axiom, candidate, table, g, rng, cfg, F=F) for axiom in axioms)
+    checks = tuple(_verify(axiom, candidate, F, g, rng, cfg) for axiom in axioms)
     return AxiomReport(kind, candidate.name, cfg, checks)
 
 

@@ -49,6 +49,11 @@ from .tags import ParamTag
 #: and text layout stay well under a MiB.
 SAVE_BLOCK_VALUES = 4096
 
+#: Largest document file ``load_fss`` reads: a load peaks at up to about 54
+#: bytes a file byte (compact, one int membership a parameter), so 216 MiB,
+#: less than an apply at ``MAX_ARRAY_VALUES`` values takes (about 270 MiB).
+MAX_DOCUMENT_BYTES = 2**22
+
 
 class _RepeatedKey(dict):
     """A decoded JSON object that names ``key`` more than once."""
@@ -206,9 +211,12 @@ def _checked_document(doc, source: str) -> FuzzySoftSet:
 
 
 def load_fss(path: str | Path) -> FuzzySoftSet:
-    """Read and validate a fuzzy soft set document from a JSON file."""
+    """Read and validate a JSON fuzzy soft set file of at most ``MAX_DOCUMENT_BYTES``."""
     path = Path(path)
     try:
+        if (size := path.stat().st_size) > MAX_DOCUMENT_BYTES:
+            raise DocumentError(f"{path} is {size} bytes, more than "
+                                f"MAX_DOCUMENT_BYTES = {MAX_DOCUMENT_BYTES}")
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}") from None

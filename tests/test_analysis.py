@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -26,15 +27,23 @@ from fuzzysoft import (
 from fuzzysoft.analysis import (
     CUBE_TILE_POINTS,
     MAX_ARRAY_VALUES,
+    AxiomCheck,
+    AxiomReport,
     Witness,
     _Axiom,
+    _IMPLICATION_AXIOMS,
+    _TCONORM_AXIOMS,
+    _TNORM_AXIOMS,
     _call,
     _cube_tiles,
+    _grid_matrix,
     _locate_failure,
     _smallest_violation,
     _verify,
+    _violations,
+    _walk_cube,
 )
-from fuzzysoft.connectives import resolve_connective
+from fuzzysoft.connectives import builtin_names, resolve_connective
 from fuzzysoft.errors import DslError, EvalError, FuzzySoftError
 
 FAST = CheckConfig(grid_steps=16, random_samples=200, seed=5)
@@ -495,11 +504,11 @@ def test_witness_ties_go_to_the_earlier_part():
 
 def test_verify_gives_a_tie_to_the_grid_point():
     # Both parts violate everywhere and share the smallest tuple (0.5,);
-    # the grid part reads the table (got 3), the samples call (got 2).
-    axiom = _Axiom("t", "tie", "==", lambda g: (np.array([0.75, 0.5]),),
+    # the grid part reads F (got 3), the samples call (got 2).
+    axiom = _Axiom("t", "tie", "==", lambda F, g: (((np.array([0.75, 0.5]),), F, 0.0),),
                    lambda rng, m: (np.array([0.9, 0.5]),), lambda f, x: (f(x), 0.0))
     check = _verify(axiom, lambda x: np.full(np.shape(x), 2.0),
-                    lambda x: np.full(np.shape(x), 3.0), np.array([0.0]),
+                    np.full(2, 3.0), np.array([0.0]),
                     np.random.default_rng(0), CheckConfig(random_samples=2))
     assert check.witness == Witness((0.5,), 3.0, 0.0, "==")
     assert check.points == 4 and not check.passed
@@ -524,8 +533,10 @@ def test_failing_check_memory_is_bounded_by_one_cube_slab():
 
 def test_passing_check_memory_is_bounded_by_cache_sized_cube_tiles():
     # The benchmark's passing check: 257**3 triples, walked in tiles whose
-    # inner values are views of the grid matrix (10 MiB).  4M-point slabs
-    # that called the candidate for the inner values peaked at 100 MiB.
+    # inner values are views of the grid matrix, with grid parts that are
+    # views of it too (2.9 MiB in a fresh process).  n**2-length grid
+    # argument columns peaked at 9.9 MiB; 4M-point slabs that called the
+    # candidate for the inner values, at 100 MiB.
     tracemalloc.start()
     try:
         report = check_tnorm_axioms(resolve_connective("max(x + y - 1, 0)", 2),
@@ -534,7 +545,7 @@ def test_passing_check_memory_is_bounded_by_cache_sized_cube_tiles():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- the tiled cube walk ---------------------------------------------------------
@@ -592,6 +603,25 @@ def test_tiled_cube_matches_one_broadcast(kind, text, steps, first_tile):
     witness, points = _whole_cube_check(candidate, kind, steps, CheckConfig().tolerance)
     assert (check.witness, check.points, check.passed) == (witness, points, witness is None)
     assert (None if witness is None else _tile_of(witness.args, steps)) == first_tile
+
+
+@pytest.mark.parametrize("kind, text, steps", [
+    ("tnorm", "x*y*y", 100),
+    ("tnorm", _LATE.format(t=0.7), 100),
+    ("tnorm", _LATE.format(t=0.99), 181),
+    ("tnorm", "pow(x - y, 0.5)", 100),
+    ("implication", "min(1, 1 - x + y*y)", 100),
+    ("implication", "max(1 - x, y)", 181),
+])
+def test_array_path_cube_matches_one_broadcast(kind, text, steps):
+    # A candidate that is not a compiled expression walks half-size tiles
+    # and returns fresh arrays.
+    inner = scalar_from_expression(text)
+    candidate = dataclasses.replace(inner, fn=lambda x, y: inner.fn(x, y))
+    check_fn, label = _CUBE_CHECKS[kind]
+    check = check_fn(candidate, CheckConfig(grid_steps=steps, random_samples=0)).check(label)
+    witness, points = _whole_cube_check(candidate, kind, steps, CheckConfig().tolerance)
+    assert repr((check.witness, check.points)) == repr((witness, points))
 
 
 def test_tiled_cube_raises_at_the_same_point_as_one_broadcast():
@@ -767,3 +797,153 @@ def test_every_witness_violates_its_axiom_when_evaluated_again(kind, text, steps
         assert witness.relation == relation
         evaluated = sides(lambda *args: float(candidate(*args)), *witness.args)
         assert not _holds(*evaluated, relation, tol), (check.label, witness, evaluated)
+
+
+# --- grid parts as views of the grid matrix --------------------------------------------
+
+def _repeated_pairs(g):
+    return np.repeat(g, len(g)), np.tile(g, len(g))
+
+
+def _repeated_adjacent(g, axis):
+    n = len(g)
+    if axis == 0:
+        y = np.tile(g, n - 1)
+        return np.repeat(g[:-1], n), y, np.repeat(g[1:], n), y
+    x = np.repeat(g, n - 1)
+    return x, np.tile(g[:-1], n), x, np.tile(g[1:], n)
+
+
+def _repeated_adjacent_both(g):
+    return tuple(map(np.concatenate, zip(_repeated_adjacent(g, 0), _repeated_adjacent(g, 1))))
+
+
+#: Each binary grid part as n**2-length argument columns: (kind, label) -> columns(g).
+_GATHERED_GRIDS = {
+    **{(kind, label): grid
+       for kind, unit in (("tnorm", 1.0), ("tconorm", 0.0))
+       for label, grid in {
+           "codomain": _repeated_pairs,
+           "i": lambda g, unit=unit: (unit, g),
+           "ii": lambda g, unit=unit: (g, unit),
+           "iii": _repeated_pairs,
+           "v": _repeated_adjacent_both,
+       }.items()},
+    ("implication", "codomain"): _repeated_pairs,
+    ("implication", "i"): partial(_repeated_adjacent, axis=0),
+    ("implication", "ii"): partial(_repeated_adjacent, axis=1),
+    ("implication", "iii"): lambda g: (1.0, g),
+    ("implication", "iv"): lambda g: (0.0, g),
+}
+
+_BINARY_AXIOMS = {"tnorm": _TNORM_AXIOMS, "tconorm": _TCONORM_AXIOMS,
+                  "implication": _IMPLICATION_AXIOMS}
+
+
+def _gathered_check(kind, candidate, cfg):
+    """Reference: the binary check as the verifier once ran it.  Each grid
+    part builds n**2-length argument columns and gathers the grid matrix at
+    them by rint; the cube walk and the samples are the module's own."""
+    g = np.arange(cfg.grid_steps + 1, dtype=float) / cfg.grid_steps
+    F = _grid_matrix(candidate, g)
+
+    def table(x, y):
+        return F[np.rint(np.multiply(x, cfg.grid_steps)).astype(np.intp),
+                 np.rint(np.multiply(y, cfg.grid_steps)).astype(np.intp)]
+
+    rng = np.random.default_rng(cfg.seed)
+    call = partial(_call, candidate)
+    checks = []
+    for axiom in _BINARY_AXIOMS[kind]:
+        sample = None if axiom.draw is None else axiom.draw(rng, cfg.random_samples)
+        with np.errstate(all="ignore"):
+            if axiom.grid is None:
+                witness, points = _walk_cube(axiom, candidate, F, g, cfg.tolerance)
+                parts = [] if sample is None else [
+                    (partial(axiom.sides, call, call, lambda i, j: call(sample[i], sample[j])),
+                     sample)]
+            else:
+                witness, points = None, 0
+                parts = [(partial(axiom.sides, table), _GATHERED_GRIDS[kind, axiom.label](g))]
+                if sample is not None:
+                    parts.append((partial(axiom.sides, call), sample))
+            for sides, cols in parts:
+                got, want = sides(*cols)
+                got = np.broadcast_to(np.asarray(got, dtype=float),
+                                      np.broadcast_shapes(*map(np.shape, cols)))
+                bad = _violations(got, want, axiom.relation, cfg.tolerance)
+                points += bad.size
+                if bad.any():
+                    found = _smallest_violation(cols, got, want, bad, axiom.relation)[1]
+                    if witness is None or found.args < witness.args:
+                        witness = found
+        checks.append(AxiomCheck(axiom.label, axiom.description, witness is None, witness,
+                                 points))
+    return AxiomReport(kind, candidate.name, cfg, tuple(checks))
+
+
+def _outcome(run):
+    """A report's JSON text (NaN and -0.0 spelled out), or the error's
+    type, message and point."""
+    try:
+        return json.dumps(run().to_dict())
+    except CandidateEvaluationError as err:
+        return type(err).__name__, str(err), repr(err.point)
+
+
+def _assert_views_match_the_gather(kind, candidate, steps, samples, seed=0):
+    cfg = CheckConfig(grid_steps=steps, random_samples=samples, seed=seed)
+    outcome = _outcome(lambda: _CHECKERS[kind](candidate, cfg))
+    assert outcome == _outcome(lambda: _gathered_check(kind, candidate, cfg))
+    return outcome
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_BINARY_AXIOMS)), text=_EXPRESSIONS,
+       steps=st.integers(2, 40), samples=st.sampled_from([0, 1, 7, 300]),
+       seed=st.integers(0, 2**16))
+def test_grid_views_match_the_gathered_columns(kind, text, steps, samples, seed):
+    _assert_views_match_the_gather(kind, scalar_from_expression(text), steps, samples, seed)
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() if n != "sugeno(L)"
+                                  and builtin(n).arity == 2])
+@pytest.mark.parametrize("kind", sorted(_BINARY_AXIOMS))
+@pytest.mark.parametrize("steps, samples", [(2, 0), (7, 50), (40, 200)])
+def test_grid_views_match_the_gathered_columns_on_builtins(name, kind, steps, samples):
+    _assert_views_match_the_gather(kind, builtin(name), steps, samples)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("pow(x - y, 0.5)", "NaN"),               # NaN below the diagonal
+    ("pow(x*y, 0 - 1)", "Infinity"),          # +inf on the axes
+    ("0 - pow(x + y, 0 - 1)", "-Infinity"),   # -inf at the origin
+    ("x*y*(0 - 1)", "-0.0"),                  # -0.0 where x or y is 0
+    ("x + y - 1", "-1.0"),                    # values outside [0, 1]
+])
+@pytest.mark.parametrize("kind", sorted(_BINARY_AXIOMS))
+def test_grid_views_match_the_gathered_columns_on_special_values(text, value, kind):
+    report = _assert_views_match_the_gather(kind, scalar_from_expression(text), 12, 40)
+    assert value in report
+
+
+def _raising_on(inner, where):
+    def raising(x, y):
+        if np.any(where(np.asarray(x, dtype=float), np.asarray(y, dtype=float))):
+            raise EvalError("raised")
+        return inner(x, y)
+    return dataclasses.replace(inner, fn=raising)
+
+
+@pytest.mark.parametrize("where, samples", [
+    (lambda x, y: (x == 0.5) & (y == 0.25), 0),             # a grid point: the grid matrix
+    (lambda x, y: (x > 0.3001) & (x < 0.3002), 20000),      # no grid point up to 40 steps
+    (lambda x, y: (x >= 0.5) & (y > 0.0) & (y < 0.01), 0),  # off-grid second arguments: the cube
+])
+@pytest.mark.parametrize("kind", sorted(_BINARY_AXIOMS))
+def test_grid_views_match_the_gathered_columns_when_the_candidate_raises(where, samples, kind):
+    candidate = _raising_on(scalar_from_expression("x*y*y"), where)
+    _assert_views_match_the_gather(kind, candidate, 40, samples)
+    with pytest.raises(CandidateEvaluationError) as err:
+        _CHECKERS[kind](candidate, CheckConfig(grid_steps=40, random_samples=samples))
+    assert where(*map(np.array, err.value.point))

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fuzzysoft import (builtin, dual_of, load_fss, make_fuzzy_soft_set, save_fss,
                        scalar_from_expression)
 from fuzzysoft.cli import MAX_TABLE, build_parser, run_cli
+from fuzzysoft.fileio import MAX_DOCUMENT_BYTES
 
 
 @pytest.fixture
@@ -343,6 +344,30 @@ def test_apply_past_the_pair_bound_exit_three(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: the product of 1000 by 1000 tags makes 1000000 tag pairs, "
                             "more than MAX_PAIRS = 262144\n")
+    assert not (tmp_path / "out.fss").exists()
+
+
+def test_document_past_the_byte_cap_exit_three(tmp_path, capsys):
+    # Sparse files: the cap is checked on the size before anything is read,
+    # so only the file at the cap is read (and fails to decode).
+    for name, size in (("at.fss", MAX_DOCUMENT_BYTES), ("past.fss", MAX_DOCUMENT_BYTES + 1)):
+        (tmp_path / name).touch()
+        os.truncate(tmp_path / name, size)
+    save_fss(make_fuzzy_soft_set(["u"], {"a": (0.5,)}), tmp_path / "small.fss")
+
+    def error_line(left):
+        code = run_cli(["apply", "--op", "union", str(tmp_path / left),
+                        str(tmp_path / "small.fss"), "-o", str(tmp_path / "out.fss")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        return line
+
+    assert error_line("past.fss") == (f"error: {tmp_path / 'past.fss'} is "
+                                       f"{MAX_DOCUMENT_BYTES + 1} bytes, more than "
+                                       f"MAX_DOCUMENT_BYTES = {MAX_DOCUMENT_BYTES}")
+    assert error_line("at.fss").startswith(f"error: {tmp_path / 'at.fss'} is not valid JSON")
     assert not (tmp_path / "out.fss").exists()
 
 
