@@ -13,9 +13,9 @@ the grid matrix F.  The grid cube is walked in C order in tiles of at
 most 2**15 points whose inner values are views of F too, and which pass
 on their largest and smallest difference.  The walk writes each tile's
 sides (those of a compiled expression) and their difference into one
-workspace, so a tile allocates nothing in steady state, and a check
-holds one cache-sized tile of the cube in memory, however many points
-violate.
+workspace, so a tile allocates no tile-sized array in steady state, and
+a check holds one cache-sized tile of the cube in memory, however many
+points violate.
 
 Each axiom is one row of a table (label, description, relation, grid
 parts, seeded sample draw, and the two sides the relation compares);
@@ -65,12 +65,13 @@ CONTINUITY_JUMP_FACTOR = 10.0
 
 #: Most points in one tile of the grid cube: each float64 buffer of the
 #: walk's workspace is 256 KiB, so a tile's registers and difference stay
-#: in a 2 MiB L2 cache.  A tile allocates nothing: when tile temporaries
-#: come from the heap, some heap layouts trim and regrow it every tile,
-#: which costs a fresh process about 8x the page faults.  Other candidates
-#: allocate their own arrays, so they walk half-size tiles and drop each
-#: tile's arrays before the next; at grids 64 to 256 that cut their page
-#: faults by up to 50x.
+#: in a 2 MiB L2 cache.  A tile allocates no tile-sized array: when tile
+#: temporaries come from the heap, some heap layouts trim and regrow it
+#: every tile, which costs a fresh process about 8x the page faults.  The
+#: other candidates (godel-implication, every dual, any ``fn`` that is not
+#: a ``CompiledExpr``) allocate their own arrays, so they walk half-size
+#: tiles and drop each tile's arrays before the next; at grids 64 to 256
+#: that cut their page faults by up to 50x.
 CUBE_TILE_POINTS = 2**15
 
 
@@ -510,11 +511,13 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
 
     The walk owns one workspace: flat buffers the size of the largest
     tile, viewed per tile shape, for a tile's |got - want| and, for a
-    compiled expression, the register files of its two sides (a first
-    register each, the rest shared), so a tile allocates nothing.  Any
-    other candidate is called as usual, on half-size tiles.  A tile passes
-    when its largest difference is at most ``tol`` and its smallest at
-    least ``-tol`` (NaN fails); only a failing tile builds its mask."""
+    compiled expression (every builtin but godel-implication too), the
+    register files of its two sides (a first register each, the rest
+    shared), so a tile allocates no tile-sized array.  Any other candidate
+    (godel-implication, a dual, an ``fn`` that is not a ``CompiledExpr``)
+    is called as usual, on half-size tiles.  A tile passes when its
+    largest difference is at most ``tol`` and its smallest at least
+    ``-tol`` (NaN fails); only a failing tile builds its mask."""
     n = len(g)
     compiled = isinstance(getattr(candidate, "fn", None), CompiledExpr)
     most = CUBE_TILE_POINTS if compiled else CUBE_TILE_POINTS // 2

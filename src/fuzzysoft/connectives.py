@@ -6,20 +6,9 @@ into an operation on tagged memberships: binary lifts combine the two
 tags into their canonical product and apply the scalar to the values;
 negation lifts keep the tag and map the value.
 
-Builtin names (stable identifiers, also used by the expression language
-and the command line):
-
-    product                    x * y
-    minimum                    min(x, y)
-    lukasiewicz                max(x + y - 1, 0)
-    maximum                    max(x, y)
-    probsum                    x + y - x * y
-    boundedsum                 min(1, x + y)
-    standard-negation          1 - x
-    sugeno(L)                  (1 - x) / (1 + L * x), with L > -1
-    lukasiewicz-implication    min(1, 1 - x + y)
-    godel-implication          1 if x <= y else y
-    kleene-dienes-implication  max(1 - x, y)
+Builtin names are stable identifiers, also used by the expression
+language and the command line.  ``_BUILTINS`` below is the table of them,
+and docs/grammar.md lists each with its definition.
 
 Lift constructors do not verify axioms; verification lives in
 ``fuzzysoft.analysis``.
@@ -27,6 +16,7 @@ Lift constructors do not verify axioms; verification lives in
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -98,57 +88,24 @@ class ScalarConnective:
         return f"ScalarConnective({self.name!r}, arity={self.arity}, kind={self.kind!r})"
 
 
-def _product(x, y):
-    return x * y
-
-
-def _minimum(x, y):
-    return np.minimum(x, y)
-
-
-def _lukasiewicz(x, y):
-    return np.maximum(x + y - 1.0, 0.0)
-
-
-def _maximum(x, y):
-    return np.maximum(x, y)
-
-
-def _probsum(x, y):
-    return x + y - x * y
-
-
-def _boundedsum(x, y):
-    return np.minimum(1.0, x + y)
-
-
-def _standard_negation(x):
-    return 1.0 - x
-
-
-def _lukasiewicz_implication(x, y):
-    return np.minimum(1.0, 1.0 - x + y)
-
-
 def _godel_implication(x, y):
     return np.where(x <= y, 1.0, y)
 
 
-def _kleene_dienes_implication(x, y):
-    return np.maximum(1.0 - x, y)
-
-
-_BUILTINS: dict[str, tuple[int, str, Callable]] = {
-    "product": (2, KIND_TNORM, _product),
-    "minimum": (2, KIND_TNORM, _minimum),
-    "lukasiewicz": (2, KIND_TNORM, _lukasiewicz),
-    "maximum": (2, KIND_TCONORM, _maximum),
-    "probsum": (2, KIND_TCONORM, _probsum),
-    "boundedsum": (2, KIND_TCONORM, _boundedsum),
-    "standard-negation": (1, KIND_NEGATION, _standard_negation),
-    "lukasiewicz-implication": (2, KIND_IMPLICATION, _lukasiewicz_implication),
+#: name -> (arity, kind, body).  A body is the expression text of the
+#: docs/grammar.md definition, compiled per lookup, except for the Goedel
+#: implication, which needs a conditional that the language does not have.
+_BUILTINS: dict[str, tuple[int, str, str | Callable]] = {
+    "product": (2, KIND_TNORM, "x * y"),
+    "minimum": (2, KIND_TNORM, "min(x, y)"),
+    "lukasiewicz": (2, KIND_TNORM, "max(x + y - 1, 0)"),
+    "maximum": (2, KIND_TCONORM, "max(x, y)"),
+    "probsum": (2, KIND_TCONORM, "x + y - x * y"),
+    "boundedsum": (2, KIND_TCONORM, "min(1, x + y)"),
+    "standard-negation": (1, KIND_NEGATION, "1 - x"),
+    "lukasiewicz-implication": (2, KIND_IMPLICATION, "min(1, 1 - x + y)"),
     "godel-implication": (2, KIND_IMPLICATION, _godel_implication),
-    "kleene-dienes-implication": (2, KIND_IMPLICATION, _kleene_dienes_implication),
+    "kleene-dienes-implication": (2, KIND_IMPLICATION, "max(1 - x, y)"),
 }
 
 _SUGENO_RE = re.compile(r"^sugeno\((.*)\)$")
@@ -166,33 +123,29 @@ def builtin(name: str) -> ScalarConnective:
     """
     name = name.strip()
     entry = _BUILTINS.get(name)
-    if entry is not None:
-        arity, kind, fn = entry
-        return ScalarConnective(name=name, arity=arity, kind=kind, continuity=True, fn=fn)
-    match = _SUGENO_RE.match(name)
-    if match:
+    if entry is None and (match := _SUGENO_RE.match(name)):
         try:
             lam = float(match.group(1))
         except ValueError:
             raise UnknownBuiltinError(
                 f"sugeno parameter {match.group(1)!r} is not a number"
             ) from None
-        if not lam > -1.0:
-            raise UnknownBuiltinError(f"sugeno parameter must be > -1, got {lam!r}")
-
-        def fn(x, lam=lam):
-            return (1.0 - x) / (1.0 + lam * x)
-
-        return ScalarConnective(
-            name=f"sugeno({format_number(lam)})",
-            arity=1,
-            kind=KIND_NEGATION,
-            continuity=True,
-            fn=fn,
+        if not -1.0 < lam < math.inf:
+            raise UnknownBuiltinError(
+                f"sugeno parameter must be finite and > -1, got {lam!r}")
+        # The compiled division never finds a zero divisor on [0, 1]: for
+        # finite lam > -1, rounding is monotone, so
+        # fl(1 + fl(lam * x)) >= fl(1 + lam) > 0.
+        lam_text = format_number(lam)
+        name = f"sugeno({lam_text})"
+        entry = (1, KIND_NEGATION, f"(1 - x) / (1 + {lam_text} * x)")
+    if entry is None:
+        raise UnknownBuiltinError(
+            f"unknown builtin {name!r}; known names: {', '.join(builtin_names())}"
         )
-    raise UnknownBuiltinError(
-        f"unknown builtin {name!r}; known names: {', '.join(builtin_names())}"
-    )
+    arity, kind, body = entry
+    fn = CompiledExpr(parse_scalar(body)) if isinstance(body, str) else body
+    return ScalarConnective(name=name, arity=arity, kind=kind, continuity=True, fn=fn)
 
 
 def scalar_from_parsed(ast: ScalarExpr, arity: int = 2) -> ScalarConnective:

@@ -358,15 +358,18 @@ class CompiledExpr:
     at least ``registers`` writable float64 arrays of the output's shape,
     into which the inputs broadcast; then node k writes its value into
     register k (a node's first operand shares its register, the second
-    takes the next one), the result is ``regs[0]``, and nothing is
-    allocated.  Both give the same bits.  A register call runs under the
-    caller's ``np.errstate``; a plain call ignores floating-point errors.
+    takes the next one), and the result is ``regs[0]``.  Only a subtree
+    that reads one variable or none, and so is smaller than the output
+    unless that variable has the output's shape, allocates its value as in
+    a plain call; nothing else is allocated.  Both give the same bits.  A
+    register call runs under the caller's ``np.errstate``; a plain call
+    ignores floating-point errors.
     """
 
     __slots__ = ("_run", "registers")
 
     def __init__(self, node: ScalarExpr):
-        self._run, top = _compile(node, 0)
+        self._run, top, _ = _compile(node, 0)
         self.registers = max(1, top + 1)
 
     def __call__(self, x, y=None, regs=None):
@@ -383,11 +386,12 @@ class CompiledExpr:
 
 
 def _compile(node: ScalarExpr, r: int):
-    """``(run, top)``: ``run(x, y, regs)`` evaluates ``node`` as register r,
-    and ``top`` is the highest register it writes, -1 for a leaf."""
+    """``(run, top, names)``: ``run(x, y, regs)`` evaluates ``node`` as
+    register r, ``top`` is the highest register it writes, -1 for a leaf,
+    and ``names`` is the set of variables it reads."""
     if isinstance(node, Num):
         value = node.value
-        return (lambda x, y, regs: value), -1
+        return (lambda x, y, regs: value), -1, frozenset()
     if isinstance(node, Var):
         first, name, span = node.name == "x", node.name, node.span
 
@@ -396,7 +400,7 @@ def _compile(node: ScalarExpr, r: int):
             if bound is None:
                 raise UnboundVariableError(f"variable {name!r} is not bound", span)
             return bound
-        return run_var, -1
+        return run_var, -1, frozenset((name,))
     if isinstance(node, Neg):
         kids, op, ufunc = (node.operand,), operator.neg, np.negative
     elif isinstance(node, BinOp):
@@ -407,15 +411,16 @@ def _compile(node: ScalarExpr, r: int):
     else:
         raise TypeError(f"not a scalar expression node: {node!r}")
     compiled = [_compile(kid, r + i) for i, kid in enumerate(kids)]
-    top = max(r, *(kid_top for _, kid_top in compiled))
+    top = max(r, *(kid_top for _, kid_top, _ in compiled))
+    names = frozenset().union(*(kid_names for *_, kid_names in compiled))
     if len(compiled) == 1:
         operand = compiled[0][0]
 
         def run_unary(x, y, regs):
             a = operand(x, y, regs)
             return op(a) if regs is None else ufunc(a, out=regs[r])
-        return run_unary, top
-    (left, _), (right, _) = compiled
+        return _in_own_shape(run_unary, names, r), top, names
+    (left, *_), (right, *_) = compiled
     divides, span = op is operator.truediv, node.span
 
     def run_binary(x, y, regs):
@@ -424,7 +429,25 @@ def _compile(node: ScalarExpr, r: int):
         if divides and not np.all(b):  # some divisor is 0 or -0
             raise DivisionByZeroError("division by zero", span)
         return op(a, b) if regs is None else ufunc(a, b, out=regs[r])
-    return run_binary, top
+    return _in_own_shape(run_binary, names, r), top, names
+
+
+def _in_own_shape(run, names, r: int):
+    """``run`` as it is for a node that reads both variables, whose value
+    has the output's shape.  A subtree that reads one variable or none has
+    that variable's shape or none; where that is smaller than register r,
+    it is evaluated as in a plain call instead of being broadcast through
+    the register: ``1 - x`` on a column of a cube tile costs the column,
+    not the tile."""
+    if len(names) == 2:
+        return run
+    first = "x" in names
+
+    def run_in_own_shape(x, y, regs):
+        if regs is not None and (not names or np.size(x if first else y) < regs[r].size):
+            regs = None
+        return run(x, y, regs)
+    return run_in_own_shape
 
 
 # ---------------------------------------------------------------------------

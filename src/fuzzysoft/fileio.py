@@ -211,15 +211,23 @@ def _checked_document(doc, source: str) -> FuzzySoftSet:
 
 
 def load_fss(path: str | Path) -> FuzzySoftSet:
-    """Read and validate a JSON fuzzy soft set file of at most ``MAX_DOCUMENT_BYTES``."""
+    """Read and validate a JSON fuzzy soft set file of at most ``MAX_DOCUMENT_BYTES``.
+
+    A regular file is refused on its size before anything is read; any
+    other file (a FIFO, a device) is read up to one byte past the cap."""
     path = Path(path)
     try:
         if (size := path.stat().st_size) > MAX_DOCUMENT_BYTES:
             raise DocumentError(f"{path} is {size} bytes, more than "
                                 f"MAX_DOCUMENT_BYTES = {MAX_DOCUMENT_BYTES}")
-        text = path.read_text(encoding="utf-8")
+        with path.open("rb") as handle:
+            data = handle.read(MAX_DOCUMENT_BYTES + 1)
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}") from None
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise DocumentError(f"{path} holds more than "
+                            f"MAX_DOCUMENT_BYTES = {MAX_DOCUMENT_BYTES} bytes")
+    text = data.decode("utf-8")
     try:
         doc = json.loads(text, object_pairs_hook=_decode_object)
     except RecursionError:

@@ -891,10 +891,18 @@ def _outcome(run):
         return type(err).__name__, str(err), repr(err.point)
 
 
-def _assert_views_match_the_gather(kind, candidate, steps, samples, seed=0):
+def _array_path_check(kind, candidate, cfg):
+    """Reference: the module's own check, with the candidate's body wrapped
+    so that the cube walk takes the array path, not the register path."""
+    forced = dataclasses.replace(candidate, fn=lambda x, y: candidate.fn(x, y))
+    return _CHECKERS[kind](forced, cfg)
+
+
+def _assert_views_match_the_gather(kind, candidate, steps, samples, seed=0,
+                                   reference=_gathered_check):
     cfg = CheckConfig(grid_steps=steps, random_samples=samples, seed=seed)
     outcome = _outcome(lambda: _CHECKERS[kind](candidate, cfg))
-    assert outcome == _outcome(lambda: _gathered_check(kind, candidate, cfg))
+    assert outcome == _outcome(lambda: reference(kind, candidate, cfg))
     return outcome
 
 
@@ -909,9 +917,13 @@ def test_grid_views_match_the_gathered_columns(kind, text, steps, samples, seed)
 @pytest.mark.parametrize("name", [n for n in builtin_names() if n != "sugeno(L)"
                                   and builtin(n).arity == 2])
 @pytest.mark.parametrize("kind", sorted(_BINARY_AXIOMS))
-@pytest.mark.parametrize("steps, samples", [(2, 0), (7, 50), (40, 200)])
-def test_grid_views_match_the_gathered_columns_on_builtins(name, kind, steps, samples):
-    _assert_views_match_the_gather(kind, builtin(name), steps, samples)
+@pytest.mark.parametrize("steps, samples, reference", [
+    (2, 0, _gathered_check), (7, 50, _gathered_check), (40, 200, _gathered_check),
+    (40, 200, _array_path_check),  # the register path against the array path
+], ids=["2-0", "7-50", "40-200", "40-200-array-path"])
+def test_grid_views_match_the_gathered_columns_on_builtins(name, kind, steps, samples,
+                                                           reference):
+    _assert_views_match_the_gather(kind, builtin(name), steps, samples, reference=reference)
 
 
 @pytest.mark.parametrize("text, value", [

@@ -55,6 +55,22 @@ def test_check_unknown_builtin_exit_two():
     assert run_cli(["check", "--kind", "tnorm", "--builtin", "einstein"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--kind", "negation", "--builtin", "sugeno(inf)"],
+    ["equilibrium", "--family", "a=sugeno(inf)", "--params", "a"],
+    ["apply", "--op", "connective", "--conn", "sugeno(1e400)", "a.fss", "b.fss", "-o", "o.fss"],
+    ["dual", "--builtin", "sugeno(inf)"],
+])
+def test_non_finite_sugeno_parameter_exit_two(files, monkeypatch, capsys, argv):
+    monkeypatch.chdir(files[0])
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert not (files[0] / "o.fss").exists()
+
+
 def test_check_usage_error_exit_two():
     assert run_cli(["check", "--kind", "tnorm"]) == 2
     assert run_cli(["check", "--kind", "nonsense", "--expr", "x*y"]) == 2
@@ -503,7 +519,7 @@ _FLAG_VALUES = {
     "--kind": ["tnorm", "tconorm", "negation", "implication", "nonsense"],
     "--expr": ["x*y", "min(x, y)", "1 - x", "x/y", "pow(x, -1)", "x +", "y", "1/(x - y)"],
     "--builtin": ["product", "lukasiewicz", "godel-implication", "standard-negation",
-                  "sugeno(1)", "sugeno(-2)", "einstein"],
+                  "sugeno(1)", "sugeno(-2)", "sugeno(inf)", "einstein"],
     "--grid": ["-1", "0", "1", "2", "8", "1024", "x"],
     "--samples": ["-1", "0", "20", "4194305", "many"],
     "--tol": ["0", "-1", "1e-9", "0.5", "nan", "inf", "t"],
@@ -513,7 +529,7 @@ _FLAG_VALUES = {
     "--family": ["a=1-x", "a=1-x,b=1-x*x", "a", "=1-x", "a=y", "a=1-x,a=x"],
     "--params": ["a", "a,b", "", ",", "a,a"],
     "--op": ["union", "intersect", "connective", "xor"],
-    "--conn": ["product", "standard-negation", "x*y + 1", "x/y", "(("],
+    "--conn": ["product", "standard-negation", "sugeno(1e400)", "x*y + 1", "x/y", "(("],
     "-o": ["out.fss", "missing/out.fss", "a.fss"],
     "--table": ["-1", "1", "2", "4", "4097", "k"],
     "--bind": ["S=a.fss", "G=b.fss", "W=w.fss", "S=bad.fss", "S=absent.fss", "S", "=a.fss"],

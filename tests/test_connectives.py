@@ -1,6 +1,9 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzysoft import (
     ArityError,
@@ -25,7 +28,8 @@ from fuzzysoft import (
     resolve_connective,
     scalar_from_expression,
 )
-from fuzzysoft.connectives import into_unit_interval, resolve_builtin
+from fuzzysoft.connectives import _BUILTINS, into_unit_interval, resolve_builtin
+from fuzzysoft.expr import format_number
 
 units = st.floats(0, 1)
 
@@ -91,7 +95,131 @@ def test_unknown_builtin():
         builtin("sugeno(-1)")  # parameter must be > -1
     with pytest.raises(UnknownBuiltinError):
         builtin("sugeno(oops)")
+    for name in ("sugeno(inf)", "sugeno(1e400)"):  # the parameter must be finite
+        with pytest.raises(UnknownBuiltinError, match="finite"):
+            builtin(name)
     assert "product" in builtin_names()
+
+
+# --- builtins against the numpy bodies their expressions replaced ------------
+
+def _product(x, y):
+    return x * y
+
+
+def _minimum(x, y):
+    return np.minimum(x, y)
+
+
+def _lukasiewicz(x, y):
+    return np.maximum(x + y - 1.0, 0.0)
+
+
+def _maximum(x, y):
+    return np.maximum(x, y)
+
+
+def _probsum(x, y):
+    return x + y - x * y
+
+
+def _boundedsum(x, y):
+    return np.minimum(1.0, x + y)
+
+
+def _standard_negation(x):
+    return 1.0 - x
+
+
+def _lukasiewicz_implication(x, y):
+    return np.minimum(1.0, 1.0 - x + y)
+
+
+def _kleene_dienes_implication(x, y):
+    return np.maximum(1.0 - x, y)
+
+
+def _sugeno(lam):
+    def fn(x):
+        return (1.0 - x) / (1.0 + lam * x)
+    return fn
+
+
+_REFERENCE_BODIES = {
+    "product": _product, "minimum": _minimum, "lukasiewicz": _lukasiewicz,
+    "maximum": _maximum, "probsum": _probsum, "boundedsum": _boundedsum,
+    "standard-negation": _standard_negation,
+    "lukasiewicz-implication": _lukasiewicz_implication,
+    "kleene-dienes-implication": _kleene_dienes_implication,
+}
+_SPECIAL_VALUES = [-0.0, 0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, 1e-300, 0.5]
+_SUGENO_PARAMETERS = [-1.0 + 2.0**-52, -0.9999999, -0.5, -0.0, 0.0, 0.5, 1.0, 3.25,
+                      123456.789, 1e20, 1e308]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64).tobytes()
+
+
+def _assert_same_bits(conn, reference, xs, ys=None):
+    """A broadcast call, a call into NaN-filled registers and calls on
+    Python floats all give the bits of the reference body."""
+    args = (np.array(xs),) if ys is None else (np.array(xs)[:, None], np.array(ys)[None, :])
+    want = reference(*args)
+    assert _bits(conn(*args)) == _bits(want)
+    regs = [np.full(np.shape(want), np.nan) for _ in range(conn.fn.registers)]
+    assert _bits(conn.fn(*args, regs=regs)) == _bits(want)
+    for point in zip(xs) if ys is None else itertools.product(xs, ys):
+        assert _bits(conn(*point)) == _bits(reference(*point))
+
+
+@settings(deadline=None)
+@given(xs=st.lists(units, min_size=1, max_size=12), ys=st.lists(units, min_size=1, max_size=12),
+       name=st.sampled_from(sorted(_REFERENCE_BODIES)))
+def test_builtin_expressions_give_the_bits_of_the_numpy_bodies(xs, ys, name):
+    conn = builtin(name)
+    _assert_same_bits(conn, _REFERENCE_BODIES[name], xs, None if conn.arity == 1 else ys)
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_BODIES))
+def test_builtin_expressions_give_the_bits_of_the_numpy_bodies_at_special_values(name):
+    conn = builtin(name)
+    _assert_same_bits(conn, _REFERENCE_BODIES[name], _SPECIAL_VALUES,
+                      None if conn.arity == 1 else _SPECIAL_VALUES)
+
+
+def _assert_sugeno_bits(lam, xs):
+    conn = builtin(f"sugeno({lam!r})")
+    assert conn.name == f"sugeno({format_number(lam)})"
+    _assert_same_bits(conn, _sugeno(lam), xs)
+
+
+@settings(deadline=None)
+@given(xs=st.lists(units, min_size=1, max_size=12),
+       lam=st.floats(-1.0, 1e308, exclude_min=True, allow_nan=False))
+def test_sugeno_expression_gives_the_bits_of_its_numpy_body(xs, lam):
+    _assert_sugeno_bits(lam, xs)
+
+
+@pytest.mark.parametrize("lam", _SUGENO_PARAMETERS)
+def test_sugeno_expression_gives_the_bits_of_its_numpy_body_at_special_values(lam):
+    _assert_sugeno_bits(lam, _SPECIAL_VALUES)
+
+
+def test_grammar_md_lists_the_builtin_table():
+    # The two rows that are not expression text: the Goedel implication
+    # needs a conditional, and sugeno(L) is built from its parameter.
+    grammar = (Path(__file__).parents[1] / "docs" / "grammar.md").read_text(encoding="utf-8")
+    section = grammar.split("\n## Builtin connectives\n")[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, arity, kind, definition = (c.strip() for c in line.strip("|").split("|"))
+            rows[name.strip("`")] = (int(arity), kind, definition)
+    assert rows.pop("sugeno(L)") == (1, "negation", "`(1 - x) / (1 + L * x)`, `L > -1`")
+    assert rows.pop("godel-implication") == (2, "implication", "`1 if x <= y else y`")
+    assert rows == {name: (arity, kind, f"`{body}`") for name, (arity, kind, body)
+                    in _BUILTINS.items() if name != "godel-implication"}
 
 
 def test_expression_connectives():

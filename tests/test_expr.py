@@ -295,7 +295,9 @@ def _outcome(evaluate, x, y, regs=None):
 
 @settings(max_examples=300, deadline=None)
 @given(text=st.one_of(st.sampled_from(["pow(x, 2)", "x", "2", "-(1 + 2)", "abs(-1) * y",
-                                       "1/(x - x)", "x/(1 - 1)", "max(x + y - 1, 0)"]),
+                                       "1/(x - x)", "x/(1 - 1)", "max(x + y - 1, 0)",
+                                       "max(1 - x, y)", "min(1, 1 - x + y)",
+                                       "(1 - x) / (1 + -0.5 * x)"]),
                       asts.map(pretty_print)),
        a=st.integers(1, 3), b=st.integers(1, 3), c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_compiled_expression_gives_the_same_bits_with_registers(text, a, b, c, seed):

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,13 @@ from fuzzysoft import (
     save_fss,
     union_fss,
 )
-from fuzzysoft.fileio import SAVE_BLOCK_VALUES, _checked_document, _decode_object, _well_formed
+from fuzzysoft.fileio import (
+    MAX_DOCUMENT_BYTES,
+    SAVE_BLOCK_VALUES,
+    _checked_document,
+    _decode_object,
+    _well_formed,
+)
 
 
 def test_load_simple_document(tmp_path):
@@ -103,6 +111,31 @@ def test_malformed_and_missing_files(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(DocumentError):
         load_fss(array)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_the_byte_cap_holds_for_a_fifo(tmp_path):
+    # A FIFO's size is 0, so only the bounded read can stop it.
+    fifo = tmp_path / "pipe.fss"
+    os.mkfifo(fifo)
+
+    def feed():
+        chunk = b" " * 2**16
+        try:
+            with open(fifo, "wb") as handle:
+                for _ in range(3 * MAX_DOCUMENT_BYTES // 2 // len(chunk)):
+                    handle.write(chunk)
+                handle.write(b"[]")
+        except BrokenPipeError:
+            pass  # the reader closed its end at the cap
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with pytest.raises(DocumentError, match=f"holds more than MAX_DOCUMENT_BYTES = "
+                                            f"{MAX_DOCUMENT_BYTES} bytes"):
+        load_fss(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_unknown_top_level_key_rejected():
