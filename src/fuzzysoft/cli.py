@@ -341,7 +341,7 @@ def _cmd_eval(args) -> int:
     try:
         with open(args.script, encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DocumentError(f"cannot read script {args.script}: {err}") from None
     script = parse_script(source, externals=binds.keys())
     env = {name: load_fss(path) for name, path in binds.items()}

@@ -26,9 +26,9 @@ The writer works in blocks of about ``SAVE_BLOCK_VALUES`` values: it
 repr-s each distinct value of a block once (the rows of a union or an
 intersection repeat a few input values) and writes the block's text in
 one join.  Blocks, not the whole matrix, keep a save's extra memory to
-one block's strings and indices.  A document is first checked in one pass
-of whole-object tests; only a document that misses goes through the field
-by field loop that reports the first fault.
+one block's strings and indices.  A document is validated once, one
+parameter row at a time, and the first fault is reported with its JSON
+path.
 """
 
 from __future__ import annotations
@@ -80,56 +80,15 @@ def fss_to_document(fss: FuzzySoftSet) -> dict:
 def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
     """Validate a decoded JSON document and build the fuzzy soft set.
 
-    Raises ``DocumentError`` with the JSON path of the offending field.
-    A document that passes every check of ``_well_formed`` at once is
-    built from it; any other goes through ``_checked_document``, which
-    finds and reports the first fault.
+    The first fault raises a ``DocumentError`` with its JSON path, in the
+    order of a field-by-field walk: the top-level keys, the universe
+    element by element, repeated keys, then each parameter in document
+    order (its tag, its key set, then each membership's type and range).
+    A parameter is checked as a whole row: it is walked value by value
+    only when its values are not all floats, and the float rows are
+    range-checked once, stacked.  Before a later row's fault is raised
+    the rows ahead of it get that stacked check, so theirs comes first.
     """
-    fss = _well_formed(doc)
-    return _checked_document(doc, source) if fss is None else fss
-
-
-def _well_formed(doc) -> FuzzySoftSet | None:
-    """The set of a document that is valid with float memberships, or None.
-
-    One pass of whole-object checks: exact key sets, one type set per row
-    and one range check of the stacked matrix.  ``None`` is a miss, not an
-    error: the document may hold int memberships or be invalid, and
-    ``_checked_document`` decides which.  A repeated key decodes to a
-    ``_RepeatedKey``, which is not exactly a ``dict``, so it misses too.
-    """
-    if type(doc) is not dict or doc.keys() != {"universe", "parameters"}:
-        return None
-    elements, parameters = doc["universe"], doc["parameters"]
-    if (type(elements) is not list or set(map(type, elements)) != {str}
-            or type(parameters) is not dict or set(map(type, parameters)) != {str}):
-        return None
-    element_set = set(elements)
-    if len(element_set) != len(elements) or "" in element_set:
-        return None
-    rows = []
-    for mapping in parameters.values():
-        if type(mapping) is not dict or mapping.keys() != element_set:
-            return None
-        row = list(map(mapping.__getitem__, elements))
-        if set(map(type, row)) != {float}:
-            return None
-        rows.append(row)
-    matrix = np.array(rows, dtype=float)
-    if not ((matrix >= 0.0) & (matrix <= 1.0)).all():
-        return None
-    try:
-        tags = tuple(map(ParamTag.parse, parameters))
-    except ValidationError:
-        return None
-    if len(set(tags)) != len(tags):
-        return None
-    return FuzzySoftSet(Universe(tuple(elements)), tags, matrix)
-
-
-def _checked_document(doc, source: str) -> FuzzySoftSet:
-    """``document_to_fss`` field by field: the first fault raises a
-    ``DocumentError`` with its JSON path."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{source} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - {"universe", "parameters"})
@@ -156,6 +115,7 @@ def _checked_document(doc, source: str) -> FuzzySoftSet:
                                 json_path=f"universe[{index}]")
         elements_seen.add(element)
     universe = Universe(tuple(raw_universe))
+    elements = universe.elements
 
     raw_parameters = doc["parameters"]
     if not isinstance(raw_parameters, dict) or not raw_parameters:
@@ -168,46 +128,56 @@ def _checked_document(doc, source: str) -> FuzzySoftSet:
             raise DocumentError(f"duplicate key {obj.key!r}", json_path=path + obj.key)
     rows: list[list[float]] = []
     seen: dict[ParamTag, str] = {}
-    for key, mapping in raw_parameters.items():
-        path = f"parameters.{key}"
-        try:
-            tag = ParamTag.parse(key)
-        except ValidationError as err:
-            raise DocumentError(f"bad parameter tag {key!r}: {err}", json_path=path) from None
-        if tag in seen:
-            raise DocumentError(
-                f"parameter keys {seen[tag]!r} and {key!r} are the same canonical tag "
-                f"{tag.text!r}",
-                json_path=path,
-            )
-        seen[tag] = key
-        if not isinstance(mapping, dict):
-            raise DocumentError("parameter value must be an object of memberships",
-                                json_path=path)
-        missing = [e for e in universe.elements if e not in mapping]
-        if missing:
-            raise DocumentError(
-                f"missing membership for element(s) {missing} (no implicit zeros)",
-                json_path=path,
-            )
-        extra = sorted(set(mapping) - set(universe.elements))
-        if extra:
-            raise DocumentError(f"element {extra[0]!r} is not in the universe",
-                                json_path=f"{path}.{extra[0]}")
-        for element in universe.elements:
-            value = mapping[element]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+    fault = None
+    try:
+        for key, mapping in raw_parameters.items():
+            try:
+                tag = ParamTag.parse(key)
+            except ValidationError as err:
+                raise DocumentError(f"bad parameter tag {key!r}: {err}",
+                                    json_path=f"parameters.{key}") from None
+            if (first := seen.setdefault(tag, key)) != key:
                 raise DocumentError(
-                    f"membership must be a number, got {value!r}",
-                    json_path=f"{path}.{element}",
+                    f"parameter keys {first!r} and {key!r} are the same canonical tag "
+                    f"{tag.text!r}",
+                    json_path=f"parameters.{key}",
                 )
-            if not 0 <= value <= 1:  # exact, even for ints too large for a float
-                raise DocumentError(
-                    f"membership {value!r} is outside [0, 1]",
-                    json_path=f"{path}.{element}",
-                )
-        rows.append([mapping[element] for element in universe.elements])
-    return FuzzySoftSet(universe, tuple(seen), rows)
+            if not isinstance(mapping, dict):
+                raise DocumentError("parameter value must be an object of memberships",
+                                    json_path=f"parameters.{key}")
+            if mapping.keys() != elements_seen:
+                missing = [e for e in elements if e not in mapping]
+                if missing:
+                    raise DocumentError(
+                        f"missing membership for element(s) {missing} (no implicit zeros)",
+                        json_path=f"parameters.{key}",
+                    )
+                extra = min(mapping.keys() - elements_seen)
+                raise DocumentError(f"element {extra!r} is not in the universe",
+                                    json_path=f"parameters.{key}.{extra}")
+            row = list(map(mapping.__getitem__, elements))
+            if set(map(type, row)) != {float}:
+                for element, value in zip(elements, row):
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise DocumentError(f"membership must be a number, got {value!r}",
+                                            json_path=f"parameters.{key}.{element}")
+                    if not 0 <= value <= 1:  # exact, even for ints too large for a float
+                        raise DocumentError(f"membership {value!r} is outside [0, 1]",
+                                            json_path=f"parameters.{key}.{element}")
+            rows.append(row)
+    except DocumentError as err:
+        fault = err
+    # Float rows were not range-checked one by one: any fault of theirs
+    # comes before the fault of a later row.
+    matrix = np.array(rows, dtype=float)
+    outside = ~((matrix >= 0.0) & (matrix <= 1.0))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise DocumentError(f"membership {rows[i][j]!r} is outside [0, 1]",
+                            json_path=f"parameters.{list(seen.values())[i]}.{elements[j]}")
+    if fault is not None:
+        raise fault
+    return FuzzySoftSet(universe, tuple(seen), matrix)
 
 
 def load_fss(path: str | Path) -> FuzzySoftSet:
@@ -227,12 +197,11 @@ def load_fss(path: str | Path) -> FuzzySoftSet:
     if len(data) > MAX_DOCUMENT_BYTES:
         raise DocumentError(f"{path} holds more than "
                             f"MAX_DOCUMENT_BYTES = {MAX_DOCUMENT_BYTES} bytes")
-    text = data.decode("utf-8")
     try:
-        doc = json.loads(text, object_pairs_hook=_decode_object)
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_decode_object)
     except RecursionError:
         raise DocumentError(f"{path} is not valid JSON: nesting too deep") from None
-    except ValueError as err:  # JSONDecodeError, or an integer past the digit limit
+    except ValueError as err:  # not UTF-8, JSONDecodeError, or an integer past the digit limit
         raise DocumentError(f"{path} is not valid JSON: {err}") from None
     return document_to_fss(doc, source=str(path))
 

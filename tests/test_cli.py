@@ -393,6 +393,14 @@ def test_eval_script_missing_bind_file_exit_three(tmp_path):
     assert run_cli(["eval", str(script), "--bind", f"S={tmp_path}/absent.fss"]) == 3
 
 
+def test_eval_script_not_utf8_exit_three(tmp_path, capsys):
+    script = tmp_path / "combine.fss"
+    script.write_bytes(b"print \xff;")
+    assert run_cli(["eval", str(script)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot read script {script}: 'utf-8' codec can't decode")
+
+
 def test_load_save_identity_randomized(tmp_path):
     rng = np.random.default_rng(99)
     for case in range(100):
@@ -437,11 +445,12 @@ def test_apply_rejects_a_repeated_parameter_key_exit_three(files, capsys):
      "is not valid JSON: Exceeds the limit (4300 digits)"),
     ('{"universe": ["u1", "u2"], "parameters": {"b1": {"u1": 0.5, "u2": 1' + "0" * 400 + "}}}",
      "0 is outside [0, 1] (at parameters.b1.u2)"),
-], ids=["deep-nesting", "huge-integer", "overflowing-integer"])
+    (b"\xff{}", "hostile.fss is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+], ids=["deep-nesting", "huge-integer", "overflowing-integer", "not-utf-8"])
 def test_apply_rejects_a_hostile_document_exit_three(files, capsys, text, message):
     tmp_path, paths = files
     hostile = tmp_path / "hostile.fss"
-    hostile.write_text(text)
+    hostile.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = run_cli(["apply", "--op", "union", str(paths["a"]), str(hostile),
                     "-o", str(tmp_path / "out.fss")])
     err = capsys.readouterr().err

@@ -1,9 +1,13 @@
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from fuzzysoft.cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
@@ -21,3 +25,23 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _readme_commands() -> list[str]:
+    """The ``fuzzysoft ...`` lines of README's "Command line" code block."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("fuzzysoft ")]
+
+
+def test_readme_lists_eleven_commands():
+    assert len(_readme_commands()) == 11
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_exits_zero(line, tmp_path, monkeypatch, capsys):
+    # The README's paths are relative to the repository root.
+    shutil.copytree(ROOT / "demos", tmp_path / "demos")
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(shlex.split(line)[1:])
+    assert code == 0, capsys.readouterr().err

@@ -10,7 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from fuzzysoft import (
     DocumentError,
     FuzzySoftError,
+    FuzzySoftSet,
     ParamTag,
+    Universe,
+    ValidationError,
     document_to_fss,
     fss_to_document,
     load_fss,
@@ -18,13 +21,7 @@ from fuzzysoft import (
     save_fss,
     union_fss,
 )
-from fuzzysoft.fileio import (
-    MAX_DOCUMENT_BYTES,
-    SAVE_BLOCK_VALUES,
-    _checked_document,
-    _decode_object,
-    _well_formed,
-)
+from fuzzysoft.fileio import MAX_DOCUMENT_BYTES, SAVE_BLOCK_VALUES, _RepeatedKey, _decode_object
 
 
 def test_load_simple_document(tmp_path):
@@ -316,7 +313,93 @@ def test_document_decoding_totality(doc):
         pass
 
 
-# --- the one-pass check against the field-by-field loop --------------------------
+# --- the row-wise validator against the field-by-field loop ---------------------
+
+# The reference: a field-by-field loop that reports the first fault in
+# document order, value by value.  ``document_to_fss`` must give the same
+# set, or the same error with the same JSON path.
+def _checked_document(doc, source: str) -> FuzzySoftSet:
+    """``document_to_fss`` field by field: the first fault raises a
+    ``DocumentError`` with its JSON path."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{source} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {"universe", "parameters"})
+    if unknown:
+        raise DocumentError(f"unknown top-level keys {unknown}", json_path=unknown[0])
+    if "universe" not in doc:
+        raise DocumentError("missing required key 'universe'", json_path="universe")
+    if "parameters" not in doc:
+        raise DocumentError("missing required key 'parameters'", json_path="parameters")
+
+    raw_universe = doc["universe"]
+    if not isinstance(raw_universe, list) or not raw_universe:
+        raise DocumentError("'universe' must be a non-empty array of strings",
+                            json_path="universe")
+    elements_seen: set[str] = set()
+    for index, element in enumerate(raw_universe):
+        if not isinstance(element, str) or not element:
+            raise DocumentError(
+                f"universe element must be a non-empty string, got {element!r}",
+                json_path=f"universe[{index}]",
+            )
+        if element in elements_seen:
+            raise DocumentError(f"duplicate universe element {element!r}",
+                                json_path=f"universe[{index}]")
+        elements_seen.add(element)
+    universe = Universe(tuple(raw_universe))
+
+    raw_parameters = doc["parameters"]
+    if not isinstance(raw_parameters, dict) or not raw_parameters:
+        raise DocumentError("'parameters' must be a non-empty object",
+                            json_path="parameters")
+    objects = [("", doc), ("parameters.", raw_parameters)]
+    objects += [(f"parameters.{key}.", value) for key, value in raw_parameters.items()]
+    for path, obj in objects:
+        if isinstance(obj, _RepeatedKey):
+            raise DocumentError(f"duplicate key {obj.key!r}", json_path=path + obj.key)
+    rows: list[list[float]] = []
+    seen: dict[ParamTag, str] = {}
+    for key, mapping in raw_parameters.items():
+        path = f"parameters.{key}"
+        try:
+            tag = ParamTag.parse(key)
+        except ValidationError as err:
+            raise DocumentError(f"bad parameter tag {key!r}: {err}", json_path=path) from None
+        if tag in seen:
+            raise DocumentError(
+                f"parameter keys {seen[tag]!r} and {key!r} are the same canonical tag "
+                f"{tag.text!r}",
+                json_path=path,
+            )
+        seen[tag] = key
+        if not isinstance(mapping, dict):
+            raise DocumentError("parameter value must be an object of memberships",
+                                json_path=path)
+        missing = [e for e in universe.elements if e not in mapping]
+        if missing:
+            raise DocumentError(
+                f"missing membership for element(s) {missing} (no implicit zeros)",
+                json_path=path,
+            )
+        extra = sorted(set(mapping) - set(universe.elements))
+        if extra:
+            raise DocumentError(f"element {extra[0]!r} is not in the universe",
+                                json_path=f"{path}.{extra[0]}")
+        for element in universe.elements:
+            value = mapping[element]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DocumentError(
+                    f"membership must be a number, got {value!r}",
+                    json_path=f"{path}.{element}",
+                )
+            if not 0 <= value <= 1:  # exact, even for ints too large for a float
+                raise DocumentError(
+                    f"membership {value!r} is outside [0, 1]",
+                    json_path=f"{path}.{element}",
+                )
+        rows.append([mapping[element] for element in universe.elements])
+    return FuzzySoftSet(universe, tuple(seen), rows)
+
 
 def _outcome(build, doc):
     """The set ``build`` gives, with its value bits, or its error's type,
@@ -362,6 +445,21 @@ _MALFORMED = [
     '{"universe": ["u1"], "parameters": {"a": [0.5]}}',
     '{"universe": ["u1"]}',
     '{"parameters": {"a": {"u1": 0.5}}}',
+    # faults across rows: the first in document order wins
+    '{"universe": ["u1"], "parameters": {"a": {"u1": 1.5}, "b**c": {"u1": 0.5}}}',
+    '{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 0.5, "u2": NaN}, '
+    '"b": {"u1": 1, "u2": "x"}}}',
+    '{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 0, "u2": 1}, '
+    '"b": {"u1": 0.5, "u2": -0.5}}}',
+    '{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 0.5, "u2": 2.0}, '
+    '"b": {"u1": 0.5}}}',
+    '{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 0.5, "u2": 0.25}, '
+    '"b": {"u1": 0.5, "u2": 2}}}',
+    # within a walked row, a range fault before a type fault; an int past float range
+    '{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 2, "u2": "x"}}}',
+    '{"universe": ["u1"], "parameters": {"a": {"u1": 1' + "0" * 400 + '}}}',
+    # the first of several extra elements in sorted order
+    '{"universe": ["u1"], "parameters": {"a": {"u1": 0.5, "zz": 0.1, "yy": 0.2}}}',
 ]
 
 
@@ -373,10 +471,11 @@ def test_one_pass_check_matches_the_loop_on_malformed_documents(text):
 def test_one_pass_check_builds_float_documents_and_defers_the_rest():
     valid = _decode('{"universe": ["u1", "u2"], "parameters": '
                     '{"b*a": {"u2": 0.5, "u1": -0.0}, "c": {"u1": 1.0, "u2": 0.0}}}')
-    assert _well_formed(valid) == _checked_document(valid, "document")
-    ints = _decode('{"universe": ["u1"], "parameters": {"a": {"u1": 1}}}')
-    assert _well_formed(ints) is None
-    assert document_to_fss(ints) == make_fuzzy_soft_set(["u1"], {"a": (1.0,)})
+    _assert_same_as_the_loop(valid)
+    ints = _decode('{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 1, "u2": 0}}}')
+    floats = _decode('{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 1.0, "u2": 0.0}}}')
+    _assert_same_as_the_loop(ints)
+    assert _outcome(document_to_fss, ints) == _outcome(document_to_fss, floats)
 
 
 _ODD_VALUES = (st.sampled_from([0, 1, True, False, 2, -1, 10**400, "0.5", None, [], {}])
