@@ -29,8 +29,17 @@ values live in [0, 1], where absolute error is the natural metric.
 Monotonicity and antitonicity are checked between adjacent grid points
 along each axis (which implies the quantified property on the whole
 grid), plus jointly on sampled pairs of pairs.  Associativity and
-exchange walk the full grid cube, so their cost grows with the cube of
-the grid resolution; the default 64 steps gives roughly 275k triples.
+exchange check the full grid cube, so their cost grows with the cube of
+the grid resolution; the default 64 steps gives roughly 275k triples,
+all counted in ``points``.  A compiled expression evaluates only half of
+the cube where the axiom mirrors onto itself.  Exchange is the same
+equation with x and y swapped.  Associativity is the same equation with
+x and z swapped when the expression is symmetric: it equals its x-y swap
+once the operands of every ``+``, ``*``, ``min`` and ``max`` are put in
+one order, and it has no ``pow``, the one operation whose value depends
+on the sign of a zero (``CompiledExpr.symmetric``).  The smallest
+violation or evaluation error then has x no larger than y (exchange) or
+z (associativity), and the other half is never evaluated.
 """
 
 from __future__ import annotations
@@ -68,10 +77,10 @@ CONTINUITY_JUMP_FACTOR = 10.0
 #: in a 2 MiB L2 cache.  A tile allocates no tile-sized array: when tile
 #: temporaries come from the heap, some heap layouts trim and regrow it
 #: every tile, which costs a fresh process about 8x the page faults.  The
-#: other candidates (godel-implication, every dual, any ``fn`` that is not
-#: a ``CompiledExpr``) allocate their own arrays, so they walk half-size
-#: tiles and drop each tile's arrays before the next; at grids 64 to 256
-#: that cut their page faults by up to 50x.
+#: other candidates (every dual, any ``fn`` that is not a ``CompiledExpr``)
+#: allocate their own arrays, so they walk half-size tiles and drop each
+#: tile's arrays before the next; at grids 64 to 256 that cut their page
+#: faults by up to 50x.
 CUBE_TILE_POINTS = 2**15
 
 
@@ -426,7 +435,10 @@ class _Axiom(Record):
     ``None`` the axiom walks the grid cube, its relation is "==", and its
     sides are ``sides(f, h, inner, x, y, z)``: got is a call of f and want
     a call of h (the candidate, each side with its own output), and
-    ``inner(i, j)`` is f at argument columns i and j."""
+    ``inner(i, j)`` is f at argument columns i and j.  ``mirror(fn)`` is
+    the axis (1 for y, 2 for z) whose exchange with x maps the cube
+    equation of the compiled expression ``fn`` onto itself, got and want
+    trading places, or None."""
 
     label: str
     description: str
@@ -434,6 +446,7 @@ class _Axiom(Record):
     grid: Callable | None
     draw: Callable | None
     sides: Callable
+    mirror: Callable | None = None
 
 
 def _pair_sides(f, x1, y1, x2, y2):
@@ -464,7 +477,8 @@ def _binary_axioms(unit: float, name: str) -> tuple[_Axiom, ...]:
                lambda F, g: (((g[:, None], g[None, :]), F, F.T),), _uniform(2),
                lambda f, x, y: (f(x, y), f(y, x))),
         _Axiom("iv", "associativity f(x, f(y, z)) = f(f(x, y), z)", "==", None, _uniform(3),
-               lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(inner(0, 1), z))),
+               lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(inner(0, 1), z)),
+               lambda fn: 2 if fn.symmetric else None),
         _Axiom("v", "monotonicity: f(x1, y1) <= f(x2, y2) whenever x1 <= x2 and y1 <= y2",
                "<=", lambda F, g: (_adjacent(F, g, 0), _adjacent(F, g, 1)),
                _pair_draw(True, True), _pair_sides),
@@ -485,7 +499,7 @@ _IMPLICATION_AXIOMS = (
     _Axiom("iv", "boundary h(0, y) = 1", "==", lambda F, g: (((0.0, g), F[0, :], 1.0),),
            lambda rng, m: (0.0, rng.random(m)), lambda f, x, y: (f(x, y), 1.0)),
     _Axiom("v", "exchange h(x, h(y, z)) = h(y, h(x, z))", "==", None, _uniform(3),
-           lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(y, inner(0, 2)))),
+           lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(y, inner(0, 2))), lambda fn: 1),
 )
 
 _ENDS = np.array([1.0, 0.0])
@@ -507,52 +521,69 @@ _NEGATION_AXIOMS = (
 def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
                tol: float) -> tuple[Witness | None, int]:
     """(witness, points) of an axiom over the grid cube, walked tile by tile
-    in C order, under the caller's ``np.errstate``.
+    in C order, under the caller's ``np.errstate``; points counts all n**3
+    triples, walked or not.
 
     The walk owns one workspace: flat buffers the size of the largest
-    tile, viewed per tile shape, for a tile's |got - want| and, for a
-    compiled expression (every builtin but godel-implication too), the
-    register files of its two sides (a first register each, the rest
-    shared), so a tile allocates no tile-sized array.  Any other candidate
-    (godel-implication, a dual, an ``fn`` that is not a ``CompiledExpr``)
-    is called as usual, on half-size tiles.  A tile passes when its
-    largest difference is at most ``tol`` and its smallest at least
-    ``-tol`` (NaN fails); only a failing tile builds its mask."""
+    tile, viewed per tile, for a tile's |got - want| and, for a compiled
+    expression (every builtin), the register files of its two sides (a
+    first register each, the rest shared), so a tile allocates no
+    tile-sized array.  Any other candidate (a dual, an ``fn`` that is not
+    a ``CompiledExpr``) is called as usual, on half-size tiles.  A tile
+    passes when its largest difference is at most ``tol`` and its
+    smallest at least ``-tol`` (NaN fails); only a failing tile builds
+    its mask.
+
+    A compiled expression walks half the cube where the axiom mirrors
+    onto itself (``_Axiom.mirror``).  Exchange does for every expression:
+    swapping x and y swaps its got and want.  Associativity does for a
+    ``symmetric`` expression: swapping x and z swaps its got and want up
+    to the sign of a zero, which only ``pow`` (excluded) turns into a
+    difference in magnitude.  A mirrored triple then has the same
+    |got - want|, is NaN when it is, and raises when it does, so the
+    smallest violating or raising triple has x no larger than its mirror
+    coordinate.  Each tile's mirror axis starts at the tile's first
+    x-plane, and a tile left empty is skipped: a violating or raising
+    triple cut away has its mirror in an earlier tile, so the first tile
+    that holds one keeps all of them, and the walk gives the witness and
+    raises at the first failing point, got before want, as the full walk
+    does."""
     n = len(g)
-    compiled = isinstance(getattr(candidate, "fn", None), CompiledExpr)
+    fn = getattr(candidate, "fn", None)
+    compiled = isinstance(fn, CompiledExpr)
+    mirror = axiom.mirror(fn) if compiled else None
     most = CUBE_TILE_POINTS if compiled else CUBE_TILE_POINTS // 2
     size = min(n ** 3, max(most, n))
-    buffers = [np.empty(size) for _ in range(candidate.fn.registers + 2 if compiled else 1)]
+    buffers = [np.empty(size) for _ in range(fn.registers + 2 if compiled else 1)]
     layouts = [np.expand_dims(F, k) for k in range(3)]
-    workspace = {}  # tile shape -> (diff, f, h)
 
-    def views(shape):
-        diff, *regs = (b[:math.prod(shape)].reshape(shape) for b in buffers)
-        if not regs:
-            return diff, partial(_call, candidate), partial(_call, candidate)
-        got, want, *scratch = regs
-        return (diff, partial(_call, candidate, regs=[got, *scratch]),
-                partial(_call, candidate, regs=[want, *scratch]))
-
-    witness, points = None, 0
+    witness = None
     for tile in _cube_tiles(n, most):
+        if mirror is not None:
+            start, stop, _ = tile[mirror].indices(n)
+            start = max(start, tile[0].start)
+            if start >= stop:
+                continue
+            tile = tile[:mirror] + (slice(start, stop),) + tile[mirror + 1:]
         cols = (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]])
-        shape = (cols[0].size, cols[1].size, n)
-        if shape not in workspace:
-            workspace[shape] = views(shape)
-        diff, f, h = workspace[shape]
+        shape = tuple(col.size for col in cols)
+        diff, *regs = (b[:math.prod(shape)].reshape(shape) for b in buffers)
+        if regs:
+            first, second, *scratch = regs
+            f, h = (partial(_call, candidate, regs=[r, *scratch]) for r in (first, second))
+        else:
+            f = h = partial(_call, candidate)
         got, want = axiom.sides(f, h, partial(_tile_inner, layouts, tile), *cols)
-        points += diff.size
         # C order over an increasing grid is lexicographic order: once a
         # tile has given the witness, no later tile holds a strictly
-        # smaller tuple, so later tiles are evaluated and counted only.
+        # smaller tuple, so later tiles are evaluated only.
         if witness is None:
             np.subtract(got, want, out=diff)
             if not (diff.max() <= tol and diff.min() >= -tol):
                 bad = ~(np.abs(diff, out=diff) <= tol)
                 witness = _smallest_violation(cols, got, want, bad, "==")[1]
         del got, want  # before the next tile's sides are allocated
-    return witness, points
+    return witness, n ** 3
 
 
 def _verify(axiom: _Axiom, candidate: Callable, F: np.ndarray | None, g: np.ndarray,

@@ -88,14 +88,13 @@ class ScalarConnective:
         return f"ScalarConnective({self.name!r}, arity={self.arity}, kind={self.kind!r})"
 
 
-def _godel_implication(x, y):
-    return np.where(x <= y, 1.0, y)
-
-
 #: name -> (arity, kind, body).  A body is the expression text of the
-#: docs/grammar.md definition, compiled per lookup, except for the Goedel
-#: implication, which needs a conditional that the language does not have.
-_BUILTINS: dict[str, tuple[int, str, str | Callable]] = {
+#: docs/grammar.md definition, compiled per lookup.  The Goedel
+#: implication's definition, 1 if x <= y else y, is a conditional that the
+#: language does not have; its text gives the same bits on [0, 1]:
+#: pow(0, t) is 1 at t = 0 and 0 for t > 0, and with gradual underflow
+#: x > y implies fl(x - y) > 0.
+_BUILTINS: dict[str, tuple[int, str, str]] = {
     "product": (2, KIND_TNORM, "x * y"),
     "minimum": (2, KIND_TNORM, "min(x, y)"),
     "lukasiewicz": (2, KIND_TNORM, "max(x + y - 1, 0)"),
@@ -104,7 +103,7 @@ _BUILTINS: dict[str, tuple[int, str, str | Callable]] = {
     "boundedsum": (2, KIND_TCONORM, "min(1, x + y)"),
     "standard-negation": (1, KIND_NEGATION, "1 - x"),
     "lukasiewicz-implication": (2, KIND_IMPLICATION, "min(1, 1 - x + y)"),
-    "godel-implication": (2, KIND_IMPLICATION, _godel_implication),
+    "godel-implication": (2, KIND_IMPLICATION, "max(pow(0, max(x - y, 0)), y)"),
     "kleene-dienes-implication": (2, KIND_IMPLICATION, "max(1 - x, y)"),
 }
 
@@ -144,8 +143,8 @@ def builtin(name: str) -> ScalarConnective:
             f"unknown builtin {name!r}; known names: {', '.join(builtin_names())}"
         )
     arity, kind, body = entry
-    fn = CompiledExpr(parse_scalar(body)) if isinstance(body, str) else body
-    return ScalarConnective(name=name, arity=arity, kind=kind, continuity=True, fn=fn)
+    return ScalarConnective(name=name, arity=arity, kind=kind, continuity=True,
+                            fn=CompiledExpr(parse_scalar(body)))
 
 
 def scalar_from_parsed(ast: ScalarExpr, arity: int = 2) -> ScalarConnective:

@@ -364,13 +364,24 @@ class CompiledExpr:
     a plain call; nothing else is allocated.  Both give the same bits.  A
     register call runs under the caller's ``np.errstate``; a plain call
     ignores floating-point errors.
+
+    ``symmetric``: the expression has no ``pow``, and it equals its x-y
+    swap once the two operands of every ``+``, ``*``, ``min`` and ``max``
+    are put in one order.  Then f(a, b) and f(b, a) differ at most in the
+    sign of a zero result, are NaN together and raise together: IEEE
+    ``+`` and ``*`` commute bit for bit, ``min`` and ``max`` up to the sign
+    of a zero (``np.minimum(0.0, -0.0)`` is -0.0, and with the operands
+    swapped 0.0), and no other operation but ``pow`` (``pow(-0.0, -1)``
+    is -inf) turns the sign of a zero into a difference in magnitude.
     """
 
-    __slots__ = ("_run", "registers")
+    __slots__ = ("_run", "registers", "symmetric")
 
     def __init__(self, node: ScalarExpr):
         self._run, top, _ = _compile(node, 0)
         self.registers = max(1, top + 1)
+        form = _commuted_form(node, False)
+        self.symmetric = form is not None and form == _commuted_form(node, True)
 
     def __call__(self, x, y=None, regs=None):
         if regs is not None:
@@ -430,6 +441,30 @@ def _compile(node: ScalarExpr, r: int):
             raise DivisionByZeroError("division by zero", span)
         return op(a, b) if regs is None else ufunc(a, b, out=regs[r])
     return _in_own_shape(run_binary, names, r), top, names
+
+
+_COMMUTATIVE = frozenset(("+", "*", "min", "max"))
+_SWAPPED = {"x": "y", "y": "x"}
+
+
+def _commuted_form(node: ScalarExpr, swap: bool):
+    """``node`` as nested tuples, ``x`` and ``y`` exchanged if ``swap``,
+    the two operands of each commutative operation in sorted order; None
+    if it calls ``pow``."""
+    if isinstance(node, Num):
+        return ("num", node.value)
+    if isinstance(node, Var):
+        return ("var", _SWAPPED[node.name] if swap else node.name)
+    if isinstance(node, Neg):
+        op, kids = "neg", (node.operand,)
+    elif isinstance(node, BinOp):
+        op, kids = node.op, (node.left, node.right)
+    else:
+        op, kids = node.func, node.args
+    forms = [_commuted_form(kid, swap) for kid in kids]
+    if op == "pow" or None in forms:
+        return None
+    return (op, *(sorted(forms) if op in _COMMUTATIVE else forms))
 
 
 def _in_own_shape(run, names, r: int):

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fuzzysoft import (
     lift_negation,
     scalar_from_expression,
 )
+from fuzzysoft import analysis
 from fuzzysoft.analysis import (
     CUBE_TILE_POINTS,
     MAX_ARRAY_VALUES,
@@ -39,12 +41,15 @@ from fuzzysoft.analysis import (
     _grid_matrix,
     _locate_failure,
     _smallest_violation,
+    _tile_inner,
     _verify,
     _violations,
     _walk_cube,
 )
 from fuzzysoft.connectives import builtin_names, resolve_connective
 from fuzzysoft.errors import DslError, EvalError, FuzzySoftError
+from fuzzysoft.expr import CompiledExpr, pretty_print
+from test_expr import COMMUTATIVE_OPS, asts, joined_with_its_swap
 
 FAST = CheckConfig(grid_steps=16, random_samples=200, seed=5)
 
@@ -646,6 +651,116 @@ def test_tiled_cube_raises_at_the_same_point_as_one_broadcast():
         check_tnorm_axioms(candidate, cfg)
     assert whole.value.point[0] == 0.5
     assert repr(tiled.value.point) == repr(whole.value.point)
+
+
+# --- the mirrored cube walk ------------------------------------------------------------
+
+def _full_walk_cube(axiom, candidate, F, g, tol):
+    """Reference: the cube walk with every tile whole, as it ran before a
+    mirrored axiom walked half the cube."""
+    n = len(g)
+    compiled = isinstance(getattr(candidate, "fn", None), CompiledExpr)
+    most = CUBE_TILE_POINTS if compiled else CUBE_TILE_POINTS // 2
+    size = min(n ** 3, max(most, n))
+    buffers = [np.empty(size) for _ in range(candidate.fn.registers + 2 if compiled else 1)]
+    layouts = [np.expand_dims(F, k) for k in range(3)]
+    workspace = {}  # tile shape -> (diff, f, h)
+
+    def views(shape):
+        diff, *regs = (b[:math.prod(shape)].reshape(shape) for b in buffers)
+        if not regs:
+            return diff, partial(_call, candidate), partial(_call, candidate)
+        got, want, *scratch = regs
+        return (diff, partial(_call, candidate, regs=[got, *scratch]),
+                partial(_call, candidate, regs=[want, *scratch]))
+
+    witness, points = None, 0
+    for tile in _cube_tiles(n, most):
+        cols = (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]])
+        shape = (cols[0].size, cols[1].size, n)
+        if shape not in workspace:
+            workspace[shape] = views(shape)
+        diff, f, h = workspace[shape]
+        got, want = axiom.sides(f, h, partial(_tile_inner, layouts, tile), *cols)
+        points += diff.size
+        if witness is None:
+            np.subtract(got, want, out=diff)
+            if not (diff.max() <= tol and diff.min() >= -tol):
+                bad = ~(np.abs(diff, out=diff) <= tol)
+                witness = _smallest_violation(cols, got, want, bad, "==")[1]
+        del got, want
+    return witness, points
+
+
+def _cube_outcome(kind, candidate, steps, walk=_walk_cube):
+    """The cube axiom's check (witness repr, points, passed), or the
+    error's type, message and point, with ``walk`` as the cube walk."""
+    axiom = next(axiom for axiom in _BINARY_AXIOMS[kind] if axiom.grid is None)
+    g = np.arange(steps + 1, dtype=float) / steps
+    F = _grid_matrix(candidate, g)
+    with mock.patch.object(analysis, "_walk_cube", walk):
+        try:
+            check = _verify(axiom, candidate, F, g, np.random.default_rng(0),
+                            CheckConfig(grid_steps=steps, random_samples=0))
+        except CandidateEvaluationError as err:
+            return type(err), str(err), repr(err.point)
+    return repr(check.witness), check.points, check.passed
+
+
+#: Symmetric, and raises only where f(x, f(y, z)) or f(f(x, y), z) sums to
+#: c: never on the grid matrix at 100 steps for these c.  At c = 1.0625
+#: the first raising triple, (0.11, 0.75, 0.98), lies in the cube's fourth
+#: tile (x-planes 9 to 11), whose z walks from plane 9 on, and raises in
+#: the second side only: the first side raises no earlier than x = 0.16.
+_RAISES_IN_THE_CUBE = "x*y + 0*(1/(x + y - {c}))"
+
+#: Symmetric, and associative below the threshold t.
+_LATE_SYMMETRIC = "min(x, y) + 0.001*(max(x - {t}, 0)*max(y - {t}, 0))"
+
+
+def test_a_mirrored_walk_raises_where_the_full_walk_does():
+    candidate = scalar_from_expression(_RAISES_IN_THE_CUBE.format(c=1.0625))
+    assert candidate.fn.symmetric
+    outcome = _cube_outcome("tnorm", candidate, 100)
+    assert outcome == _cube_outcome("tnorm", candidate, 100, _full_walk_cube)
+    assert outcome[0] is CandidateEvaluationError
+    assert outcome[2] == repr((0.11 * 0.75, 0.98))
+    assert _tile_of((0.11, 0.75), 100) == 3
+
+
+@pytest.mark.parametrize("text", [
+    "x*y", "min(x, y)", "max(x + y - 1, 0)", "x + y - x*y", "min(1, 1 - x + y)",
+    "max(pow(0, max(x - y, 0)), y)", "x*y*y", _LATE.format(t=0.7),
+    _LATE_SYMMETRIC.format(t=0.7), _LATE_SYMMETRIC.format(t=0.99),
+    *(_RAISES_IN_THE_CUBE.format(c=c) for c in (0.3125, 1.0625, 1.4375)),
+    # First violations with z < x, past the first tile: associativity at
+    # 181 steps (not symmetric) and exchange at both.
+    "min(x, y) + 0.001*max(x - 0.5, 0)",
+    "max(1 - x, y)*(1 - 0.01*max(x - 0.5, 0)*max(0.5 - y, 0))",
+])
+@pytest.mark.parametrize("kind", ["tnorm", "implication"])
+@pytest.mark.parametrize("steps", [100, 181])
+def test_a_mirrored_walk_matches_the_full_walk(text, kind, steps):
+    # Grid 100 walks blocks of x-planes; grid 181 walks blocks of y-rows.
+    _assert_the_walks_match(kind, text, steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["implication", "tconorm", "tnorm"]),
+       text=st.one_of(asts.map(pretty_print),
+                      st.builds(joined_with_its_swap, asts.map(pretty_print), COMMUTATIVE_OPS)),
+       steps=st.sampled_from([100, 181]))
+def test_a_mirrored_walk_matches_the_full_walk_on_random_expressions(kind, text, steps):
+    _assert_the_walks_match(kind, text, steps)
+
+
+def _assert_the_walks_match(kind, text, steps):
+    candidate = scalar_from_expression(text)
+    try:
+        outcome = _cube_outcome(kind, candidate, steps)
+    except CandidateEvaluationError:  # the grid matrix raises: no cube is walked
+        return
+    assert outcome == _cube_outcome(kind, candidate, steps, _full_walk_cube)
 
 
 # --- locating an evaluation error ------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 
 import numpy as np
@@ -320,6 +322,62 @@ def test_compiled_expression_gives_the_same_bits_with_registers(text, a, b, c, s
             continue
         assert written is regs[0]
         assert np.array_equal(_bits(written, shape), _bits(plain, shape))
+
+
+@pytest.mark.parametrize("text, symmetric", [
+    ("x * y", True),
+    ("min(x, y)", True),
+    ("max(x + y - 1, 0)", True),
+    ("x + y - x * y", True),
+    ("min(1, x + y)", True),
+    ("x * y / (x + y)", True),
+    ("x*y*y", False),
+    ("x - y", False),
+    ("x + (y + 1)", False),    # its swap y + (x + 1) rounds differently
+    ("pow(x * y, 2)", False),  # pow(-0.0, -1) is -inf: no pow is symmetric
+])
+def test_compiled_expression_knows_whether_it_is_symmetric(text, symmetric):
+    assert CompiledExpr(parse_scalar(text)).symmetric is symmetric
+
+
+def joined_with_its_swap(text: str, op: str) -> str:
+    """``text`` and its x-y swap as the operands of a commutative ``op``."""
+    swapped = re.sub(r"\b[xy]\b", lambda m: "y" if m.group() == "x" else "x", text)
+    return f"({text}) {op} ({swapped})" if op in "+*" else f"{op}({text}, {swapped})"
+
+
+COMMUTATIVE_OPS = st.sampled_from(["+", "*", "min", "max"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast=asts, op=COMMUTATIVE_OPS, mirrored=st.booleans())
+def test_a_symmetric_expression_swaps_its_arguments_up_to_the_sign_of_zero(ast, op, mirrored):
+    # An expression joined with its own swap by a commutative operation is
+    # symmetric, unless it has a pow.  On every pair of edge values a
+    # symmetric expression's swapped call gives the same magnitude, is NaN
+    # when it is, and raises when it does.
+    text = joined_with_its_swap(pretty_print(ast), op) if mirrored else pretty_print(ast)
+    compiled = CompiledExpr(parse_scalar(text))
+    if mirrored:
+        assert compiled.symmetric is ("pow" not in text)
+    if not compiled.symmetric:
+        return
+    for a, b in itertools.product(map(float, _EDGE_VALUES), repeat=2):
+        ok, value = _outcome(compiled, a, b)
+        ok_swapped, swapped_value = _outcome(compiled, b, a)
+        assert ok_swapped == ok, (a, b)
+        if ok:
+            assert abs(value) == abs(swapped_value) or math.isnan(value) and math.isnan(
+                swapped_value), (a, b, value, swapped_value)
+
+
+def test_pow_turns_the_sign_of_a_zero_into_a_difference_in_magnitude():
+    # min returns its second operand on a tie of zeros; pow(-0.0, -1) is -inf.
+    text = "max(pow(min(x, y), 0 - 1), 0)"
+    compiled = CompiledExpr(parse_scalar(text))
+    assert (compiled(0.0, -0.0), compiled(-0.0, 0.0)) == (0.0, math.inf)
+    assert not compiled.symmetric
+    assert CompiledExpr(parse_scalar(text.replace("pow", "max"))).symmetric
 
 
 def test_number_rendering_round_trips():
