@@ -19,7 +19,8 @@ points violate.
 
 Each axiom is one row of a table (label, description, relation, grid
 parts, seeded sample draw, and the two sides the relation compares);
-one function, ``_verify``, evaluates the rows of all four kinds.
+one function, ``_verify``, evaluates the rows of all four kinds.  Every
+report's ``to_dict()`` is JSON-ready: its fields, then its derived values.
 
 Sampling falsifies, it does not prove: a report in which every axiom
 passes means no counterexample was found at the examined points.
@@ -84,7 +85,24 @@ CONTINUITY_JUMP_FACTOR = 10.0
 CUBE_TILE_POINTS = 2**15
 
 
-class CheckConfig(Record):
+class _Report(Record):
+    """A record whose ``to_dict`` is JSON-ready: its fields in order, then
+    the properties named in ``_derived``, with each nested report as its
+    dict and each tuple as a list."""
+
+    _derived = ()
+
+    def to_dict(self) -> dict:
+        return {name: _plain(getattr(self, name)) for name in self._fields + self._derived}
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value.to_dict() if isinstance(value, _Report) else value
+
+
+class CheckConfig(_Report):
     """Shared configuration for every verification routine.
 
     No array it asks for may exceed ``MAX_ARRAY_VALUES``: the continuity
@@ -110,11 +128,8 @@ class CheckConfig(Record):
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
-
-class Witness(Record):
+class Witness(_Report):
     """A reproducible counterexample: re-evaluating the candidate at
     ``args`` violates the stated relation beyond the tolerance."""
 
@@ -123,16 +138,8 @@ class Witness(Record):
     want: float | None
     relation: str
 
-    def to_dict(self) -> dict:
-        return {
-            "args": list(self.args),
-            "got": self.got,
-            "want": self.want,
-            "relation": self.relation,
-        }
 
-
-class AxiomCheck(Record):
+class AxiomCheck(_Report):
     """Verdict for one axiom; ``param`` names the family label for
     per-parameter negation checks."""
 
@@ -143,24 +150,16 @@ class AxiomCheck(Record):
     points: int
     param: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "description": self.description,
-            "param": self.param,
-            "passed": self.passed,
-            "points": self.points,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-        }
 
-
-class AxiomReport(Record):
+class AxiomReport(_Report):
     """All axiom verdicts for one candidate under one configuration."""
 
     kind: str
     candidate: str
     config: CheckConfig
     checks: tuple[AxiomCheck, ...]
+
+    _derived = ("passed",)
 
     @property
     def passed(self) -> bool:
@@ -175,25 +174,13 @@ class AxiomReport(Record):
                 return entry
         raise KeyError(f"no check labelled {label!r} (param={param!r})")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "candidate": self.candidate,
-            "config": self.config.to_dict(),
-            "passed": self.passed,
-            "checks": [check.to_dict() for check in self.checks],
-        }
 
-
-class ZeroDivisor(Record):
+class ZeroDivisor(_Report):
     value: float
     witness: float
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "witness": self.witness}
 
-
-class ClassificationReport(Record):
+class ClassificationReport(_Report):
     """Grid scan for idempotent, nilpotent and zero-divisor elements."""
 
     candidate: str
@@ -202,6 +189,8 @@ class ClassificationReport(Record):
     idempotents: tuple[float, ...]
     nilpotents: tuple[float, ...]
     zero_divisors: tuple[ZeroDivisor, ...]
+
+    _derived = ("confirmed_nilpotent_zero_divisors",)
 
     @property
     def nonzero_nilpotents(self) -> tuple[float, ...]:
@@ -218,19 +207,8 @@ class ClassificationReport(Record):
         divisors = set(self.zero_divisor_values)
         return tuple(v for v in self.nonzero_nilpotents if v in divisors)
 
-    def to_dict(self) -> dict:
-        return {
-            "candidate": self.candidate,
-            "grid_steps": self.grid_steps,
-            "tolerance": self.tolerance,
-            "idempotents": list(self.idempotents),
-            "nilpotents": list(self.nilpotents),
-            "zero_divisors": [z.to_dict() for z in self.zero_divisors],
-            "confirmed_nilpotent_zero_divisors": list(self.confirmed_nilpotent_zero_divisors),
-        }
 
-
-class EquilibriumEntry(Record):
+class EquilibriumEntry(_Report):
     """Fixed-point verdict for one parameter label."""
 
     label: str
@@ -239,13 +217,12 @@ class EquilibriumEntry(Record):
     is_equilibrium: bool
     note: str | None = None
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
-
-class EquilibriumResult(Record):
+class EquilibriumResult(_Report):
     entries: tuple[EquilibriumEntry, ...]
     tolerance: float
+
+    _derived = ("count",)
 
     @property
     def equilibria(self) -> tuple[EquilibriumEntry, ...]:
@@ -261,15 +238,8 @@ class EquilibriumResult(Record):
                 return entry
         raise KeyError(f"no entry for label {label!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "count": self.count,
-            "entries": [e.to_dict() for e in self.entries],
-        }
 
-
-class ContinuityEstimate(Record):
+class ContinuityEstimate(_Report):
     """Heuristic continuity estimate from a fine-grid scan; never a proof."""
 
     candidate: str
@@ -279,9 +249,6 @@ class ContinuityEstimate(Record):
     at: tuple[float, float, float, float]
     threshold: float
     suspected_discontinuity: bool
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "at": list(self.at)}
 
 
 # ---------------------------------------------------------------------------

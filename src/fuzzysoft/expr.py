@@ -22,6 +22,7 @@ the last newline, for the end-of-input token too.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from contextlib import contextmanager
@@ -91,7 +92,7 @@ def tokenize(text: str) -> list[Token]:
     """Split source text into tokens, skipping whitespace and # comments.
 
     Raises ``ParseError`` with a span on the first illegal character,
-    malformed number, or unterminated string.
+    malformed or overflowing number, or unterminated string.
     """
     tokens: list[Token] = []
     line, line_start = 1, 0
@@ -105,6 +106,7 @@ def tokenize(text: str) -> list[Token]:
             continue
         lexeme = match.group()
         span = SourceSpan(start, end, line, start - line_start + 1)
+        value = None
         if kind == NUMBER:
             after = text[end:end + 1]
             if lexeme.endswith("."):
@@ -114,12 +116,15 @@ def tokenize(text: str) -> list[Token]:
                           else "exponent notation is not supported")
                 raise ParseError(f"malformed number {lexeme + after!r} ({reason})",
                                  SourceSpan(start, end + 1, line, span.column))
+            value = float(lexeme)
+            if not math.isfinite(value):
+                raise ParseError("number too large for a float", span)
         if kind == STRING and (len(lexeme) == 1 or not lexeme.endswith('"')):
             raise ParseError("unterminated string", span)
         if kind == "other" or (kind == IDENT and not (lexeme[0].isalpha() or lexeme[0] == "_")):
             raise ParseError(f"illegal character {lexeme[0]!r}",
                              SourceSpan(start, start + 1, line, span.column))
-        tokens.append(Token(kind, lexeme, span, float(lexeme) if kind == NUMBER else None))
+        tokens.append(Token(kind, lexeme, span, value))
     end = len(text)
     tokens.append(Token(EOF, "", SourceSpan(end, end, line, end - line_start + 1)))
     return tokens

@@ -100,11 +100,22 @@ class FuzzySet(Record):
         return self.memberships[index]
 
 
-def _is_number(value) -> bool:
+def _float_matrix(values) -> np.ndarray | None:
+    """``values`` as a 2-D float array, or None where numpy cannot make one
+    or where a value is text, which numpy would parse as a number."""
     try:
-        return np.asarray(value, dtype=float).ndim == 0
+        array = np.asarray(values)
+        kind = array.dtype.kind
+        if array.ndim != 2 or kind in "SU" or (
+                kind == "O" and any(isinstance(v, (str, bytes)) for v in array.flat)):
+            return None
+        return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
-        return False
+        return None
+
+
+def _is_number(value) -> bool:
+    return _float_matrix([[value]]) is not None
 
 
 class FuzzySoftSet(Record):
@@ -136,11 +147,8 @@ class FuzzySoftSet(Record):
                         f"tag {tag.text!r}: expected {len(self.universe)} membership values "
                         f"for universe {list(self.universe.elements)}, got {len(row)}"
                     )
-        try:
-            values = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            values = None
-        if values is None or values.ndim != 2:
+        values = _float_matrix(self.values)
+        if values is None:
             for tag, row in zip(tags, self.values):
                 for element, value in zip(self.universe.elements, row):
                     if not _is_number(value):

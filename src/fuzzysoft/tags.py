@@ -110,7 +110,13 @@ class TaggedMembership(Record):
     value: float
 
     def __post_init__(self):
-        value = float(self.value)
+        try:
+            value = float(self.value)
+        except (TypeError, ValueError, OverflowError):
+            value = None
+        if value is None or isinstance(self.value, (str, bytes)):
+            raise ValidationError(f"membership value {self.value!r} for tag "
+                                  f"{self.tag.text!r} is not a number")
         if not 0.0 <= value <= 1.0:
             raise ValidationError(
                 f"membership value {value!r} for tag {self.tag.text!r} is outside [0, 1]"

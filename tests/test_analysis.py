@@ -31,7 +31,12 @@ from fuzzysoft.analysis import (
     MAX_ARRAY_VALUES,
     AxiomCheck,
     AxiomReport,
+    ClassificationReport,
+    ContinuityEstimate,
+    EquilibriumEntry,
+    EquilibriumResult,
     Witness,
+    ZeroDivisor,
     _Axiom,
     _IMPLICATION_AXIOMS,
     _TCONORM_AXIOMS,
@@ -49,6 +54,7 @@ from fuzzysoft.analysis import (
 from fuzzysoft.connectives import builtin_names, resolve_connective
 from fuzzysoft.errors import DslError, EvalError, FuzzySoftError
 from fuzzysoft.expr import CompiledExpr, pretty_print
+from fuzzysoft.record import Record
 from test_expr import COMMUTATIVE_OPS, asts, joined_with_its_swap
 
 FAST = CheckConfig(grid_steps=16, random_samples=200, seed=5)
@@ -1074,3 +1080,106 @@ def test_grid_views_match_the_gathered_columns_when_the_candidate_raises(where, 
     with pytest.raises(CandidateEvaluationError) as err:
         _CHECKERS[kind](candidate, CheckConfig(grid_steps=40, random_samples=samples))
     assert where(*map(np.array, err.value.point))
+
+
+# --- report serialization ----------------------------------------------------
+# The hand-written ``to_dict`` of each report record, as it was before one
+# base class serialized them all: the reference for the shared ``to_dict``.
+
+def _reference_witness(w):
+    return {"args": list(w.args), "got": w.got, "want": w.want, "relation": w.relation}
+
+
+def _reference_check(c):
+    return {
+        "label": c.label,
+        "description": c.description,
+        "param": c.param,
+        "passed": c.passed,
+        "points": c.points,
+        "witness": None if c.witness is None else _reference_witness(c.witness),
+    }
+
+
+def _reference_report(r):
+    return {
+        "kind": r.kind,
+        "candidate": r.candidate,
+        "config": dict(vars(r.config)),
+        "passed": r.passed,
+        "checks": [_reference_check(check) for check in r.checks],
+    }
+
+
+def _reference_classification(r):
+    return {
+        "candidate": r.candidate,
+        "grid_steps": r.grid_steps,
+        "tolerance": r.tolerance,
+        "idempotents": list(r.idempotents),
+        "nilpotents": list(r.nilpotents),
+        "zero_divisors": [{"value": z.value, "witness": z.witness} for z in r.zero_divisors],
+        "confirmed_nilpotent_zero_divisors": list(r.confirmed_nilpotent_zero_divisors),
+    }
+
+
+def _reference_equilibria(r):
+    return {
+        "tolerance": r.tolerance,
+        "count": r.count,
+        "entries": [dict(vars(e)) for e in r.entries],
+    }
+
+
+_REFERENCE_TO_DICT = {
+    CheckConfig: lambda c: dict(vars(c)),
+    Witness: _reference_witness,
+    AxiomCheck: _reference_check,
+    AxiomReport: _reference_report,
+    ZeroDivisor: lambda z: {"value": z.value, "witness": z.witness},
+    ClassificationReport: _reference_classification,
+    EquilibriumEntry: lambda e: dict(vars(e)),
+    EquilibriumResult: _reference_equilibria,
+    ContinuityEstimate: lambda e: {**vars(e), "at": list(e.at)},
+}
+
+_REPORT_CASES = {
+    "tnorm-pass": lambda: check_tnorm_axioms(builtin("product"), FAST),
+    "tnorm-fail": lambda: check_tnorm_axioms(scalar_from_expression("x*y*y"), FAST),
+    "implication": lambda: check_implication_axioms(builtin("lukasiewicz-implication"), FAST),
+    # b fails involution, so its witnesses carry a param
+    "negation-family": lambda: check_negation_axioms(
+        {"a": builtin("standard-negation"), "b": scalar_from_expression("1 - x*x", arity=1)},
+        cfg=FAST),
+    "classification": lambda: classify_elements(builtin("lukasiewicz"), CheckConfig(grid_steps=10)),
+    # b never crosses n(x) = x, so its entry has no value
+    "equilibria": lambda: find_equilibria(
+        {"a": builtin("standard-negation"), "b": scalar_from_expression("0-1-x", arity=1)},
+        ["a", "b"]),
+    "continuity": lambda: continuity_probe(builtin("godel-implication"), CheckConfig(grid_steps=8)),
+}
+
+
+@pytest.mark.parametrize("case", _REPORT_CASES)
+def test_to_dict_matches_the_hand_written_reference(case):
+    report = _REPORT_CASES[case]()
+    reference = _REFERENCE_TO_DICT[type(report)](report)
+    assert report.to_dict() == reference
+    assert (json.dumps(report.to_dict(), sort_keys=True, indent=2)
+            == json.dumps(reference, sort_keys=True, indent=2))
+
+
+def _record_types(value) -> set:
+    if isinstance(value, tuple):
+        return set().union(*map(_record_types, value))
+    if isinstance(value, Record):
+        return {type(value)}.union(*map(_record_types, vars(value).values()))
+    return set()
+
+
+def test_reference_cases_reach_every_report_record():
+    reports = {case: run() for case, run in _REPORT_CASES.items()}
+    assert {check.param for check in reports["negation-family"].failures()} == {"b"}
+    assert reports["classification"].confirmed_nilpotent_zero_divisors
+    assert reports["equilibria"].entry("b").value is None
+    assert set().union(*map(_record_types, reports.values())) == set(_REFERENCE_TO_DICT)

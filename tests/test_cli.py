@@ -71,6 +71,26 @@ def test_non_finite_sugeno_parameter_exit_two(files, monkeypatch, capsys, argv):
     assert not (files[0] / "o.fss").exists()
 
 
+_HUGE = "1" + "0" * 320  # past the largest float
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--kind", "tnorm", "--expr", f"x*{_HUGE}"],
+    ["dual", "--expr", f"x+{_HUGE}"],
+    ["apply", "--op", "connective", "--conn", f"x*{_HUGE}", "a.fss", "b.fss", "-o", "o.fss"],
+    ["eval", "huge.fss", "--bind", "A=a.fss"],
+])
+def test_overflowing_number_literal_exit_two(files, monkeypatch, capsys, argv):
+    monkeypatch.chdir(files[0])
+    (files[0] / "huge.fss").write_text(f"print apply(fn(x, y) => x * {_HUGE}, A, A);\n")
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and line.endswith("number too large for a float")
+    assert not (files[0] / "o.fss").exists()
+
+
 def test_check_usage_error_exit_two():
     assert run_cli(["check", "--kind", "tnorm"]) == 2
     assert run_cli(["check", "--kind", "nonsense", "--expr", "x*y"]) == 2

@@ -1,3 +1,4 @@
+import ast
 import os
 import shlex
 import shutil
@@ -45,3 +46,17 @@ def test_readme_command_exits_zero(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = run_cli(shlex.split(line)[1:])
     assert code == 0, capsys.readouterr().err
+
+
+# pyproject.toml declares requires-python >= 3.10: the sources must parse there.
+SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_source_parses_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_the_syntax_guard_rejects_newer_syntax():
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

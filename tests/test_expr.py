@@ -86,6 +86,9 @@ def _lex(text):
                0, 4, 1, 1)),
     ("1e3", ("error", "malformed number '1e' (exponent notation is not supported)",
              0, 2, 1, 1)),
+    # 309 integer digits are past the largest float; the literal is its span.
+    pytest.param("x*1" + "0" * 320, ("error", "number too large for a float", 2, 323, 1, 3),
+                 id="overflowing-number"),
     ("fn=>x", [("ident", "fn", 0, 2, 1, 1), ("punct", "=>", 2, 4, 1, 3),
                ("ident", "x", 4, 5, 1, 5)]),
     ("S = T", [("ident", "S", 0, 1, 1, 1), ("punct", "=", 2, 3, 1, 3),

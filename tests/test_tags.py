@@ -65,6 +65,12 @@ def test_tagged_membership_validation():
         TaggedMembership(tag, float("nan"))
 
 
+@pytest.mark.parametrize("value", ["0.5", b"0.5", "x", None, 10**400, object()])
+def test_tagged_membership_refuses_a_value_that_is_not_a_number(value):
+    with pytest.raises(ValidationError, match=r"^membership value .* for tag 'a' is not a number$"):
+        TaggedMembership(ParamTag("a"), value)
+
+
 def test_ordering_only_within_a_tag():
     tag = ParamTag("a")
     assert TaggedMembership(tag, 0.2) <= TaggedMembership(tag, 0.5)
