@@ -54,7 +54,7 @@ from .errors import (
 )
 from .fileio import load_fss, save_fss
 from .script import eval_script, parse_script
-from .sets import apply_connective, intersect_fss, union_fss
+from .sets import SET_OPERATIONS, apply_connective
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     apply_cmd = sub.add_parser("apply", help="combine two fuzzy soft set files")
     apply_cmd.add_argument("--op", required=True,
-                           choices=("union", "intersect", "connective"),
+                           choices=(*SET_OPERATIONS, "connective"),
                            help="set operation; 'connective' applies --conn pointwise")
     apply_cmd.add_argument("--conn", metavar="NAME-or-EXPR",
                            help="binary connective for --op connective")
@@ -294,12 +294,8 @@ def _cmd_apply(args) -> int:
         raise ValueError(f"--conn only applies with --op connective, not --op {args.op}")
     left = load_fss(args.left)
     right = load_fss(args.right)
-    if args.op == "union":
-        result = union_fss(left, right)
-    elif args.op == "intersect":
-        result = intersect_fss(left, right)
-    else:
-        result = apply_connective(resolve_connective(args.conn, arity=2), left, right)
+    conn = args.conn if args.op == "connective" else SET_OPERATIONS[args.op]
+    result = apply_connective(resolve_connective(conn, arity=2), left, right)
     save_fss(result, args.output)
     print(f"wrote {args.output} ({len(result)} tags)")
     return EXIT_OK

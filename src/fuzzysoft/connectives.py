@@ -33,7 +33,6 @@ from .errors import (
 from .expr import (
     CompiledExpr,
     ScalarExpr,
-    find_variable,
     format_number,
     parse_scalar,
     pretty_print,
@@ -153,14 +152,11 @@ def scalar_from_parsed(ast: ScalarExpr, arity: int = 2) -> ScalarConnective:
     finitely many samples cannot prove continuity."""
     if arity not in (1, 2):
         raise ArityError(f"connective arity must be 1 or 2, got {arity}")
-    if arity == 1:
-        offending = find_variable(ast, "y")
-        if offending is not None:
-            raise ParseError("unary connective must not reference 'y'", offending.span)
-    return ScalarConnective(
-        name=pretty_print(ast), arity=arity, kind=KIND_UNCLASSIFIED, continuity=False,
-        fn=CompiledExpr(ast), expr=ast,
-    )
+    fn = CompiledExpr(ast)
+    if arity == 1 and "y" in fn.variables:
+        raise ParseError("unary connective must not reference 'y'", fn.variables["y"].span)
+    return ScalarConnective(name=pretty_print(ast), arity=arity, kind=KIND_UNCLASSIFIED,
+                            continuity=False, fn=fn, expr=ast)
 
 
 def scalar_from_expression(text: str, arity: int = 2) -> ScalarConnective:

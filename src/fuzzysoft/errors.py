@@ -17,7 +17,7 @@ class UniverseMismatchError(FuzzySoftError):
 
 class TagCollisionError(FuzzySoftError):
     """Two distinct parameter pairs produced the same canonical tag with
-    different membership values, so merging them would lose information."""
+    membership values more than ``CLAMP_TOLERANCE`` apart."""
 
 
 class ProductSizeError(FuzzySoftError):

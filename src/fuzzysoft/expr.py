@@ -323,22 +323,6 @@ def parse_scalar(text: str) -> ScalarExpr:
     return node
 
 
-def find_variable(node: ScalarExpr, name: str) -> Var | None:
-    """First (left-most) occurrence of a variable, for diagnostics."""
-    if isinstance(node, Var):
-        return node if node.name == name else None
-    if isinstance(node, Neg):
-        return find_variable(node.operand, name)
-    if isinstance(node, BinOp):
-        return find_variable(node.left, name) or find_variable(node.right, name)
-    if isinstance(node, Call):
-        for arg in node.args:
-            hit = find_variable(arg, name)
-            if hit is not None:
-                return hit
-    return None
-
-
 def eval_scalar(node: ScalarExpr, x, y=None):
     """Evaluate an expression at ``x`` (and ``y`` for binary use).
 
@@ -368,7 +352,8 @@ class CompiledExpr:
     unless that variable has the output's shape, allocates its value as in
     a plain call; nothing else is allocated.  Both give the same bits.  A
     register call runs under the caller's ``np.errstate``; a plain call
-    ignores floating-point errors.
+    ignores floating-point errors.  ``variables`` maps each variable the
+    expression reads to its left-most ``Var``.
 
     ``symmetric``: the expression has no ``pow``, and it equals its x-y
     swap once the two operands of every ``+``, ``*``, ``min`` and ``max``
@@ -380,10 +365,10 @@ class CompiledExpr:
     is -inf) turns the sign of a zero into a difference in magnitude.
     """
 
-    __slots__ = ("_run", "registers", "symmetric")
+    __slots__ = ("_run", "registers", "symmetric", "variables")
 
     def __init__(self, node: ScalarExpr):
-        self._run, top, _ = _compile(node, 0)
+        self._run, top, self.variables = _compile(node, 0)
         self.registers = max(1, top + 1)
         form = _commuted_form(node, False)
         self.symmetric = form is not None and form == _commuted_form(node, True)
@@ -404,10 +389,10 @@ class CompiledExpr:
 def _compile(node: ScalarExpr, r: int):
     """``(run, top, names)``: ``run(x, y, regs)`` evaluates ``node`` as
     register r, ``top`` is the highest register it writes, -1 for a leaf,
-    and ``names`` is the set of variables it reads."""
+    and ``names`` maps each variable it reads to its left-most ``Var``."""
     if isinstance(node, Num):
         value = node.value
-        return (lambda x, y, regs: value), -1, frozenset()
+        return (lambda x, y, regs: value), -1, {}
     if isinstance(node, Var):
         first, name, span = node.name == "x", node.name, node.span
 
@@ -416,7 +401,7 @@ def _compile(node: ScalarExpr, r: int):
             if bound is None:
                 raise UnboundVariableError(f"variable {name!r} is not bound", span)
             return bound
-        return run_var, -1, frozenset((name,))
+        return run_var, -1, {name: node}
     if isinstance(node, Neg):
         kids, op, ufunc = (node.operand,), operator.neg, np.negative
     elif isinstance(node, BinOp):
@@ -428,7 +413,7 @@ def _compile(node: ScalarExpr, r: int):
         raise TypeError(f"not a scalar expression node: {node!r}")
     compiled = [_compile(kid, r + i) for i, kid in enumerate(kids)]
     top = max(r, *(kid_top for _, kid_top, _ in compiled))
-    names = frozenset().union(*(kid_names for *_, kid_names in compiled))
+    names = {name: var for *_, kid_names in reversed(compiled) for name, var in kid_names.items()}
     if len(compiled) == 1:
         operand = compiled[0][0]
 
@@ -516,6 +501,8 @@ def format_number(value: float) -> str:
 
 def _fmt(node: ScalarExpr, parent_prec: int, is_right: bool) -> str:
     if isinstance(node, Num):
+        if not math.isfinite(node.value):
+            raise ParseError(f"number {node.value!r} is not finite", node.span)
         return format_number(node.value)
     if isinstance(node, Var):
         return node.name

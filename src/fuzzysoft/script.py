@@ -1,5 +1,7 @@
 """Set-level scripts: assignments, printing and saving of fuzzy soft sets
 composed with union, intersect, complement and connective application.
+``union`` and ``intersect`` parse as ``apply`` of the builtin that
+``sets.SET_OPERATIONS`` names for them.
 
 Statement forms (full EBNF in docs/grammar.md)::
 
@@ -50,14 +52,7 @@ from .expr import (
 )
 from .fileio import save_fss
 from .record import Record
-from .sets import (
-    FuzzySoftSet,
-    apply_connective,
-    complement_fss,
-    intersect_fss,
-    render_fss,
-    union_fss,
-)
+from .sets import SET_OPERATIONS, FuzzySoftSet, apply_connective, complement_fss, render_fss
 
 _KEYWORDS = frozenset(
     {"print", "save", "union", "intersect", "apply", "complement", "dual", "fn",
@@ -77,18 +72,6 @@ class ComplementOp(SyntaxNode):
     span: SourceSpan
 
 
-class UnionOp(SyntaxNode):
-    left: "SetExpr"
-    right: "SetExpr"
-    span: SourceSpan
-
-
-class IntersectOp(SyntaxNode):
-    left: "SetExpr"
-    right: "SetExpr"
-    span: SourceSpan
-
-
 class ApplyOp(SyntaxNode):
     connective: ScalarConnective
     left: "SetExpr"
@@ -96,7 +79,7 @@ class ApplyOp(SyntaxNode):
     span: SourceSpan
 
 
-SetExpr = Union[NameRef, ComplementOp, UnionOp, IntersectOp, ApplyOp]
+SetExpr = Union[NameRef, ComplementOp, ApplyOp]
 
 
 class Assign(SyntaxNode):
@@ -183,26 +166,19 @@ class _ScriptParser(_ScalarParser):
                 operand = self.parse_setexpr()
             end = self.expect_punct(")", "to close 'complement'")
             return ComplementOp(operand, tok.span.merge(end.span))
-        if tok.text in ("union", "intersect"):
+        if tok.text in ("apply", *SET_OPERATIONS):
             self.advance()
             self.expect_punct("(", f"after {tok.text!r}")
             with self.level(tok):
+                if tok.text == "apply":
+                    conn = self.parse_connective()
+                    self.expect_punct(",", "after the connective")
+                else:
+                    conn = resolve_builtin(SET_OPERATIONS[tok.text], 2)
                 left = self.parse_setexpr()
                 self.expect_punct(",", f"between the operands of {tok.text!r}")
                 right = self.parse_setexpr()
             end = self.expect_punct(")", f"to close {tok.text!r}")
-            cls = UnionOp if tok.text == "union" else IntersectOp
-            return cls(left, right, tok.span.merge(end.span))
-        if tok.text == "apply":
-            self.advance()
-            self.expect_punct("(", "after 'apply'")
-            with self.level(tok):
-                conn = self.parse_connective()
-                self.expect_punct(",", "after the connective")
-                left = self.parse_setexpr()
-                self.expect_punct(",", "between the operands of 'apply'")
-                right = self.parse_setexpr()
-            end = self.expect_punct(")", "to close 'apply'")
             return ApplyOp(conn, left, right, tok.span.merge(end.span))
         name_tok = self.advance()
         if name_tok.text in _KEYWORDS:
@@ -315,10 +291,6 @@ def eval_script(
             return value
         if isinstance(node, ComplementOp):
             return complement_fss(eval_set(node.operand))
-        if isinstance(node, UnionOp):
-            return union_fss(eval_set(node.left), eval_set(node.right))
-        if isinstance(node, IntersectOp):
-            return intersect_fss(eval_set(node.left), eval_set(node.right))
         if isinstance(node, ApplyOp):
             return apply_connective(node.connective, eval_set(node.left), eval_set(node.right))
         raise TypeError(f"not a set expression node: {node!r}")

@@ -6,12 +6,14 @@ parameter tag.  It is stored as one read-only (P, U) float64 matrix,
 ``fss[tag]``, ``fss.assignments`` and ``tau_family`` build ``FuzzySet``
 row views when read.  Binary operations between two fuzzy soft sets
 produce one row per pair of source tags, under the canonical product tag;
-when two source pairs collapse to the same canonical tag they must agree
-exactly, otherwise the collision is an error rather than a silent merge.
-``apply_connective`` writes every pair's row into one (P1 * P2, U) result
-matrix, keys the pairs by their sorted label tuples, and checks each
-repeated pair against the first pair with its key; the result's rows are
-gathered from that matrix in one step.
+when two source pairs collapse to the same canonical tag they are merged,
+keeping the first pair's row, if every element is within
+``CLAMP_TOLERANCE`` of it; a larger difference is an error.  Union and
+intersection are ``apply_connective`` of the builtins that
+``SET_OPERATIONS`` names.  ``apply_connective`` writes every pair's row into
+one (P1 * P2, U) result matrix, keys the pairs by their sorted label
+tuples, and checks each repeated pair against the first pair with its key;
+the result's rows are gathered from that matrix in one step.
 
 All types are immutable values; operations are pure functions.
 """
@@ -19,13 +21,14 @@ All types are immutable values; operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import eq, ne
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .connectives import (
+    CLAMP_TOLERANCE,
     LiftedConnective,
     ScalarConnective,
     builtin,
@@ -54,6 +57,9 @@ MAX_ARRAY_VALUES = 2**24
 #: that product peaked at 102 MiB RSS and ran 1.2 s.  From U = 64 up,
 #: ``MAX_ARRAY_VALUES`` is the tighter bound.
 MAX_PAIRS = 2**18
+
+#: Each set operation that is a lifted connective, and its binary builtin.
+SET_OPERATIONS = {"union": "maximum", "intersect": "minimum"}
 
 
 class Universe(Record):
@@ -102,12 +108,16 @@ class FuzzySet(Record):
 
 def _float_matrix(values) -> np.ndarray | None:
     """``values`` as a 2-D float array, or None where numpy cannot make one
-    or where a value is text, which numpy would parse as a number."""
+    or where a value is text or a boolean, which numpy would take as a
+    number.  Only an object array or a non-array is scanned value by value."""
     try:
         array = np.asarray(values)
         kind = array.dtype.kind
-        if array.ndim != 2 or kind in "SU" or (
-                kind == "O" and any(isinstance(v, (str, bytes)) for v in array.flat)):
+        if array.ndim != 2 or kind in "SUb" or (kind == "O" and any(
+                isinstance(v, (str, bytes)) for v in array.flat)):
+            return None
+        if (kind == "O" or not isinstance(values, np.ndarray)) and not {bool, np.bool_}.isdisjoint(
+                map(type, chain.from_iterable(values))):
             return None
         return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
@@ -251,14 +261,16 @@ def apply_connective(
     product tag, the vector ``scalar(m1(u), m2(u))`` per element.  The
     scalar is called once per row of ``f1``, against all rows of ``f2``,
     and its outputs are codomain-checked with near-boundary clamping and
-    written into one (P1 * P2, U) matrix, pair (i, j) in row i * P2 + j.  Two pairs collapsing to one
-    canonical tag must produce equal vectors, otherwise
-    ``TagCollisionError`` is raised: each pair is keyed by its sorted label
-    tuple, and a pair whose key was seen before is compared with the first
-    pair that had it.  The result's rows are gathered from the matrix, in
-    sorted key order, in one step.  More than ``MAX_PAIRS`` tag pairs
-    (P1 * P2) or ``MAX_ARRAY_VALUES`` values (P1 * P2 * U) raise
-    ``ProductSizeError`` before anything is allocated or evaluated.
+    written into one (P1 * P2, U) matrix, pair (i, j) in row i * P2 + j.
+    Two pairs collapsing to one canonical tag are merged into the first
+    pair's row when every element is within ``CLAMP_TOLERANCE`` (absolute)
+    of it, otherwise ``TagCollisionError`` is raised: each pair is keyed by
+    its sorted label tuple, and a pair whose key was seen before is
+    compared with the first pair that had it.  The result's rows are
+    gathered from the matrix, in sorted key order, in one step.  More than
+    ``MAX_PAIRS`` tag pairs (P1 * P2) or ``MAX_ARRAY_VALUES`` values
+    (P1 * P2 * U) raise ``ProductSizeError`` before anything is allocated
+    or evaluated.
 
     Faults are reported row of ``f1`` by row.  An error raised by the
     scalar anywhere in a row comes first.  Then the row's pairs are taken
@@ -313,7 +325,7 @@ def apply_connective(
             firsts = list(map(first.setdefault, row_keys, pairs))
             # Only a pair whose key has an earlier first pair is compared.
             for j in compress(range(checked), map(ne, firsts, pairs)):
-                if not np.array_equal(pair_values[firsts[j]], pair_values[pairs[j]]):
+                if np.abs(pair_values[firsts[j]] - pair_values[pairs[j]]).max() > CLAMP_TOLERANCE:
                     tag = RESERVED_SEPARATOR.join(row_keys[j])
                     raise TagCollisionError(
                         f"tag pairs ({tag_a.text}, {f2.tags[j].text}) collide on canonical "
@@ -329,12 +341,12 @@ def apply_connective(
 
 def union_fss(f1: FuzzySoftSet, f2: FuzzySoftSet) -> FuzzySoftSet:
     """Union: pointwise maximum under canonical product tags."""
-    return apply_connective(builtin("maximum"), f1, f2)
+    return apply_connective(builtin(SET_OPERATIONS["union"]), f1, f2)
 
 
 def intersect_fss(f1: FuzzySoftSet, f2: FuzzySoftSet) -> FuzzySoftSet:
     """Intersection: pointwise minimum under canonical product tags."""
-    return apply_connective(builtin("minimum"), f1, f2)
+    return apply_connective(builtin(SET_OPERATIONS["intersect"]), f1, f2)
 
 
 def render_fss(fss: FuzzySoftSet) -> str:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable
 
+import numpy as np
+
 from .errors import ValidationError
 from .record import Record
 
@@ -114,7 +116,7 @@ class TaggedMembership(Record):
             value = float(self.value)
         except (TypeError, ValueError, OverflowError):
             value = None
-        if value is None or isinstance(self.value, (str, bytes)):
+        if value is None or isinstance(self.value, (str, bytes, bool, np.bool_)):
             raise ValidationError(f"membership value {self.value!r} for tag "
                                   f"{self.tag.text!r} is not a number")
         if not 0.0 <= value <= 1.0:

@@ -15,6 +15,8 @@ from fuzzysoft import (builtin, dual_of, load_fss, make_fuzzy_soft_set, save_fss
 from fuzzysoft.cli import MAX_TABLE, build_parser, run_cli
 from fuzzysoft.fileio import MAX_DOCUMENT_BYTES
 
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -187,6 +189,30 @@ def test_apply_union(files, capsys):
     assert code == 0
     result = load_fss(out_path)
     assert result["a1*b1"].memberships == (0.5, 0.7)
+
+
+@pytest.mark.parametrize("operation, builtin_name", [("union", "maximum"),
+                                                     ("intersect", "minimum")])
+def test_apply_of_a_set_operation_writes_the_bytes_of_its_builtin(tmp_path, capsys, operation,
+                                                                  builtin_name):
+    outputs = []
+    for op in (["--op", operation], ["--op", "connective", "--conn", builtin_name]):
+        out_path = tmp_path / "out.fss"
+        assert run_cli(["apply", *op, str(DEMO_DATA / "quality.fss"),
+                        str(DEMO_DATA / "price.fss"), "-o", str(out_path)]) == 0
+        outputs.append((capsys.readouterr(), out_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_eval_of_a_lifted_product_of_three_sets_merges_rounding_collisions(tmp_path, capsys):
+    script = tmp_path / "cube.fss"
+    script.write_text("H = apply(product, S, apply(product, S, S)); print H;")
+    code = run_cli(["eval", str(script), "--bind", f"S={DEMO_DATA / 'quality.fss'}"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    tags = [line.partition(":")[0] for line in captured.out.splitlines()[1:]]
+    assert tags == ["modern*modern*modern", "modern*modern*spacious",
+                    "modern*spacious*spacious", "spacious*spacious*spacious"]
 
 
 def test_apply_universe_mismatch_exit_three(files, capsys):

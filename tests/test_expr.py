@@ -16,7 +16,8 @@ from fuzzysoft import (
     pretty_print,
     tokenize,
 )
-from fuzzysoft.expr import MAX_DEPTH, BinOp, Call, CompiledExpr, Neg, Num, Var
+from fuzzysoft.connectives import scalar_from_expression, scalar_from_parsed
+from fuzzysoft.expr import MAX_DEPTH, BinOp, Call, CompiledExpr, Neg, Num, SourceSpan, Var
 
 
 def test_token_count_matches_grammar():
@@ -391,6 +392,28 @@ def test_number_rendering_round_trips():
     assert parse_scalar(rendered) == tiny
     assert pretty_print(Num(1.0, None)) == "1"
     assert pretty_print(Num(0.5, None)) == "0.5"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_number_in_a_built_ast_is_a_parse_error_at_its_span(value):
+    span = SourceSpan(4, 7, 1, 5)
+    ast = BinOp("*", Var("x", SourceSpan(0, 1, 1, 1)), Num(value, span), SourceSpan(0, 7, 1, 1))
+    for render in (pretty_print, scalar_from_parsed):
+        with pytest.raises(ParseError, match=r"^1:5: number .* is not finite$") as err:
+            render(ast)
+        assert err.value.span == span
+
+
+def test_a_unary_connective_names_the_left_most_y():
+    with pytest.raises(ParseError) as err:
+        scalar_from_expression("x + y*y", arity=1)
+    assert (err.value.span.start, err.value.span.end, err.value.span.column) == (4, 5, 5)
+
+
+def test_a_compiled_expression_keeps_the_left_most_var_of_each_name():
+    compiled = CompiledExpr(parse_scalar("min(y, x) * y + x"))
+    assert {name: var.span.start for name, var in compiled.variables.items()} == {"x": 7, "y": 4}
+    assert CompiledExpr(parse_scalar("1 - 0.5")).variables == {}
 
 
 def test_span_integrity_on_errors():

@@ -16,8 +16,8 @@ from fuzzysoft.analysis import (AxiomCheck, AxiomReport, CheckConfig, Classifica
 from fuzzysoft.connectives import LIFT_TNORM, LiftedConnective, builtin
 from fuzzysoft.errors import ValidationError
 from fuzzysoft.expr import BinOp, Call, Neg, Num, SourceSpan, Token, Var
-from fuzzysoft.script import (ApplyOp, Assign, ComplementOp, IntersectOp, NameRef, Print, Save,
-                              Script, ScriptResult, UnionOp)
+from fuzzysoft.script import (ApplyOp, Assign, ComplementOp, NameRef, Print, Save, Script,
+                              ScriptResult)
 from fuzzysoft.sets import FuzzySet, FuzzySoftSet, Universe
 from fuzzysoft.tags import ParamTag, TaggedMembership
 
@@ -62,15 +62,12 @@ CASES = [
     (Call, dict(func="min", args=(Var("x", SPAN), Var("y", SPAN)), span=SPAN)),
     (NameRef, dict(name="S", span=SPAN)),
     (ComplementOp, dict(operand=S, span=SPAN)),
-    (UnionOp, dict(left=S, right=G, span=SPAN)),
-    (IntersectOp, dict(left=S, right=G, span=SPAN)),
     (ApplyOp, dict(connective=builtin("product"), left=S, right=G, span=SPAN)),
     (Assign, dict(name="H", expr=S, span=SPAN)),
     (Print, dict(expr=S, span=SPAN)),
     (Save, dict(expr=S, path="out.fss", span=SPAN)),
 ]
-AST_NODES = (Num, Var, Neg, BinOp, Call, NameRef, ComplementOp, UnionOp, IntersectOp, ApplyOp,
-             Assign, Print, Save)
+AST_NODES = (Num, Var, Neg, BinOp, Call, NameRef, ComplementOp, ApplyOp, Assign, Print, Save)
 IDS = [cls.__name__ for cls, _ in CASES]
 
 
@@ -132,11 +129,11 @@ def test_tokens_compare_their_span():
 
 
 @pytest.mark.parametrize("first, second", [
-    (UnionOp(S, G, SPAN), IntersectOp(S, G, SPAN)),
+    (Print(S, SPAN), Neg(S, SPAN)),
     (ComplementOp(S, SPAN), Print(S, SPAN)),
     (NameRef("x", SPAN), Var("x", SPAN)),
     (Neg(S, SPAN), ComplementOp(S, SPAN)),
-], ids=["union-intersect", "complement-print", "nameref-var", "neg-complement"])
+], ids=["print-neg", "complement-print", "nameref-var", "neg-complement"])
 def test_records_of_different_types_are_unequal(first, second):
     assert first != second and second != first
     assert not first == second

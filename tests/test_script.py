@@ -32,6 +32,15 @@ def test_parse_statement_shapes():
     assert isinstance(script.statements[1], Print)
 
 
+@pytest.mark.parametrize("operation, builtin_name", [("union", "maximum"),
+                                                     ("intersect", "minimum")])
+def test_a_set_operation_parses_as_apply_of_its_builtin(operation, builtin_name):
+    parsed = parse_script(f"H = {operation}(S, G);", externals=["S", "G"])
+    assert parsed == parse_script(f"H = apply({builtin_name}, S, G);", externals=["S", "G"])
+    with pytest.raises(ParseError, match=f"between the operands of '{operation}'"):
+        parse_script(f"H = {operation}(S G);", externals=["S", "G"])
+
+
 def test_parse_apply_with_dual():
     script = parse_script("H = apply(dual(product), S, G);", externals=["S", "G"])
     (stmt,) = script.statements

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,7 +66,8 @@ def test_tagged_membership_validation():
         TaggedMembership(tag, float("nan"))
 
 
-@pytest.mark.parametrize("value", ["0.5", b"0.5", "x", None, 10**400, object()])
+@pytest.mark.parametrize("value", ["0.5", b"0.5", "x", None, 10**400, object(),
+                                   True, False, np.True_, np.False_])
 def test_tagged_membership_refuses_a_value_that_is_not_a_number(value):
     with pytest.raises(ValidationError, match=r"^membership value .* for tag 'a' is not a number$"):
         TaggedMembership(ParamTag("a"), value)
