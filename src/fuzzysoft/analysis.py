@@ -77,11 +77,12 @@ CONTINUITY_JUMP_FACTOR = 10.0
 #: walk's workspace is 256 KiB, so a tile's registers and difference stay
 #: in a 2 MiB L2 cache.  A tile allocates no tile-sized array: when tile
 #: temporaries come from the heap, some heap layouts trim and regrow it
-#: every tile, which costs a fresh process about 8x the page faults.  The
-#: other candidates (every dual, any ``fn`` that is not a ``CompiledExpr``)
-#: allocate their own arrays, so they walk half-size tiles and drop each
-#: tile's arrays before the next; at grids 64 to 256 that cut their page
-#: faults by up to 50x.
+#: every tile, which costs a fresh process about 8x the page faults.  A
+#: candidate whose ``fn`` is not a ``CompiledExpr`` (a library caller's own
+#: function; every builtin, expression and dual is compiled) allocates its
+#: own arrays, so it walks half-size tiles and drops each tile's arrays
+#: before the next; at grids 64 to 256 that cut its page faults by up to
+#: 50x.
 CUBE_TILE_POINTS = 2**15
 
 
@@ -107,7 +108,8 @@ class CheckConfig(_Report):
 
     No array it asks for may exceed ``MAX_ARRAY_VALUES``: the continuity
     probe's (4n + 1)**2 grid matrix caps n at 1023, and the (samples, 4)
-    pair-of-pairs columns cap the samples at 2**22.
+    pair-of-pairs columns cap the samples at 2**22.  The tolerance is
+    finite and positive: an infinite one would pass every axiom.
     """
 
     grid_steps: int = 64
@@ -125,8 +127,8 @@ class CheckConfig(_Report):
             if size > MAX_ARRAY_VALUES:
                 raise ValueError(f"{name} = {getattr(self, name)} needs an array of {size} "
                                  f"values, more than MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 class Witness(_Report):
@@ -493,10 +495,11 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
 
     The walk owns one workspace: flat buffers the size of the largest
     tile, viewed per tile, for a tile's |got - want| and, for a compiled
-    expression (every builtin), the register files of its two sides (a
-    first register each, the rest shared), so a tile allocates no
-    tile-sized array.  Any other candidate (a dual, an ``fn`` that is not
-    a ``CompiledExpr``) is called as usual, on half-size tiles.  A tile
+    expression (every builtin, parsed expression and dual), the register
+    files of its two sides (a first register each, the rest shared), so a
+    tile allocates no tile-sized array.  Any other candidate (an ``fn``
+    that is not a ``CompiledExpr``) is called as usual, on half-size
+    tiles.  A tile
     passes when its largest difference is at most ``tol`` and its
     smallest at least ``-tol`` (NaN fails); only a failing tile builds
     its mask.

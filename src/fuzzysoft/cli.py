@@ -157,7 +157,8 @@ def _resolve_candidate(args, arity: int) -> ScalarConnective:
 
 
 def _split_family_items(entries: Sequence[str]) -> list[tuple[str, str]]:
-    """Split LABEL=EXPR items, honoring commas inside parentheses."""
+    """Split LABEL=EXPR items, honoring commas inside parentheses; a label
+    may be given once across all items."""
     items: list[tuple[str, str]] = []
     for entry in entries:
         depth = 0
@@ -179,9 +180,12 @@ def _split_family_items(entries: Sequence[str]) -> list[tuple[str, str]]:
             if not part:
                 continue
             label, sep, text = part.partition("=")
-            if not sep or not label.strip() or not text.strip():
+            label = label.strip()
+            if not sep or not label or not text.strip():
                 raise ValueError(f"bad --family item {part!r}, expected LABEL=EXPR")
-            items.append((label.strip(), text.strip()))
+            if any(label == seen for seen, _ in items):
+                raise ValueError(f"--family label {label!r} is given twice")
+            items.append((label, text.strip()))
     return items
 
 

@@ -31,11 +31,15 @@ from .errors import (
     UnknownBuiltinError,
 )
 from .expr import (
+    MAX_DEPTH,
+    BinOp,
     CompiledExpr,
+    Num,
     ScalarExpr,
     format_number,
     parse_scalar,
     pretty_print,
+    substitute,
 )
 from .record import Record
 from .tags import ParamTag, TaggedMembership, combine_tags
@@ -194,20 +198,42 @@ def resolve_connective(text: str, arity: int = 2) -> ScalarConnective:
         return scalar_from_expression(text, arity=arity)
 
 
+#: Tallest dual that ``dual_of`` compiles.  A dual is two levels taller
+#: than its connective, and a script nests fewer than ``MAX_DEPTH`` duals
+#: around a builtin at most 4 levels tall or an ``fn`` body that shares
+#: the nesting limit, so every script's dual is at most 2 * MAX_DEPTH + 2
+#: levels tall.  At this height, compiling a dual takes 605 frames on
+#: Python 3.11 and evaluating it 453, which leaves room below Python's
+#: default recursion limit of 1000 for the caller and for the closures
+#: that wrap anything taller: 400 nested ``dual_of`` calls evaluate.
+MAX_DUAL_HEIGHT = 3 * MAX_DEPTH
+
+
 def dual_of(scalar: ScalarConnective) -> ScalarConnective:
     """The order-dual of a binary scalar under the standard negation:
     ``g(x, y) = 1 - f(1 - x, 1 - y)``.
 
     Turns a t-norm into a t-conorm and back; any other kind becomes
-    unclassified.  Purely numeric wrapping -- no symbolic simplification.
+    unclassified.  No symbolic simplification: the dual of a compiled
+    expression (every builtin and parsed expression) is compiled from its
+    tree, each ``Var`` replaced by ``1 - Var`` at the variable's span and
+    the whole wrapped in ``1 - (...)`` at the root's span, so it gives the
+    bits and errors of the closure ``1.0 - f(1.0 - x, 1.0 - y)``.  That
+    closure is the dual of any other ``fn``, and of a dual taller than
+    ``MAX_DUAL_HEIGHT``.
     """
     require_arity(scalar, 2)
     kind = {KIND_TNORM: KIND_TCONORM, KIND_TCONORM: KIND_TNORM}.get(
         scalar.kind, KIND_UNCLASSIFIED
     )
-
-    def fn(x, y, inner=scalar.fn):
-        return 1.0 - inner(1.0 - x, 1.0 - y)
+    inner = scalar.fn
+    if isinstance(inner, CompiledExpr) and inner.height + 2 <= MAX_DUAL_HEIGHT:
+        span = inner.node.span
+        body = substitute(inner.node, lambda var: BinOp("-", Num(1.0, var.span), var, var.span))
+        fn = CompiledExpr(BinOp("-", Num(1.0, span), body, span))
+    else:
+        def fn(x, y):
+            return 1.0 - inner(1.0 - x, 1.0 - y)
 
     return ScalarConnective(
         name=f"dual({scalar.name})", arity=2, kind=kind,

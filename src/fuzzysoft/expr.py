@@ -352,8 +352,9 @@ class CompiledExpr:
     unless that variable has the output's shape, allocates its value as in
     a plain call; nothing else is allocated.  Both give the same bits.  A
     register call runs under the caller's ``np.errstate``; a plain call
-    ignores floating-point errors.  ``variables`` maps each variable the
-    expression reads to its left-most ``Var``.
+    ignores floating-point errors.  ``node`` is the expression compiled,
+    ``height`` its number of levels above the leaves, and ``variables``
+    maps each variable it reads to its left-most ``Var``.
 
     ``symmetric``: the expression has no ``pow``, and it equals its x-y
     swap once the two operands of every ``+``, ``*``, ``min`` and ``max``
@@ -365,10 +366,11 @@ class CompiledExpr:
     is -inf) turns the sign of a zero into a difference in magnitude.
     """
 
-    __slots__ = ("_run", "registers", "symmetric", "variables")
+    __slots__ = ("_run", "height", "node", "registers", "symmetric", "variables")
 
     def __init__(self, node: ScalarExpr):
-        self._run, top, self.variables = _compile(node, 0)
+        self.node = node
+        self._run, top, self.variables, self.height = _compile(node, 0)
         self.registers = max(1, top + 1)
         form = _commuted_form(node, False)
         self.symmetric = form is not None and form == _commuted_form(node, True)
@@ -387,12 +389,13 @@ class CompiledExpr:
 
 
 def _compile(node: ScalarExpr, r: int):
-    """``(run, top, names)``: ``run(x, y, regs)`` evaluates ``node`` as
-    register r, ``top`` is the highest register it writes, -1 for a leaf,
-    and ``names`` maps each variable it reads to its left-most ``Var``."""
+    """``(run, top, names, height)``: ``run(x, y, regs)`` evaluates
+    ``node`` as register r, ``top`` is the highest register it writes, -1
+    for a leaf, ``names`` maps each variable it reads to its left-most
+    ``Var``, and ``height`` counts its levels above the leaves."""
     if isinstance(node, Num):
         value = node.value
-        return (lambda x, y, regs: value), -1, {}
+        return (lambda x, y, regs: value), -1, {}, 0
     if isinstance(node, Var):
         first, name, span = node.name == "x", node.name, node.span
 
@@ -401,7 +404,7 @@ def _compile(node: ScalarExpr, r: int):
             if bound is None:
                 raise UnboundVariableError(f"variable {name!r} is not bound", span)
             return bound
-        return run_var, -1, {name: node}
+        return run_var, -1, {name: node}, 0
     if isinstance(node, Neg):
         kids, op, ufunc = (node.operand,), operator.neg, np.negative
     elif isinstance(node, BinOp):
@@ -412,15 +415,17 @@ def _compile(node: ScalarExpr, r: int):
     else:
         raise TypeError(f"not a scalar expression node: {node!r}")
     compiled = [_compile(kid, r + i) for i, kid in enumerate(kids)]
-    top = max(r, *(kid_top for _, kid_top, _ in compiled))
-    names = {name: var for *_, kid_names in reversed(compiled) for name, var in kid_names.items()}
+    top = max(r, *(kid_top for _, kid_top, _, _ in compiled))
+    names = {name: var for _, _, kid_names, _ in reversed(compiled)
+             for name, var in kid_names.items()}
+    height = 1 + max(kid_height for *_, kid_height in compiled)
     if len(compiled) == 1:
         operand = compiled[0][0]
 
         def run_unary(x, y, regs):
             a = operand(x, y, regs)
             return op(a) if regs is None else ufunc(a, out=regs[r])
-        return _in_own_shape(run_unary, names, r), top, names
+        return _in_own_shape(run_unary, names, r), top, names, height
     (left, *_), (right, *_) = compiled
     divides, span = op is operator.truediv, node.span
 
@@ -430,7 +435,22 @@ def _compile(node: ScalarExpr, r: int):
         if divides and not np.all(b):  # some divisor is 0 or -0
             raise DivisionByZeroError("division by zero", span)
         return op(a, b) if regs is None else ufunc(a, b, out=regs[r])
-    return _in_own_shape(run_binary, names, r), top, names
+    return _in_own_shape(run_binary, names, r), top, names, height
+
+
+def substitute(node: ScalarExpr, replace) -> ScalarExpr:
+    """``node`` with each ``Var`` v replaced by ``replace(v)``; every
+    other node keeps its span."""
+    if isinstance(node, Var):
+        return replace(node)
+    if isinstance(node, Num):
+        return node
+    if isinstance(node, Neg):
+        return Neg(substitute(node.operand, replace), node.span)
+    if isinstance(node, BinOp):
+        return BinOp(node.op, substitute(node.left, replace), substitute(node.right, replace),
+                     node.span)
+    return Call(node.func, tuple(substitute(arg, replace) for arg in node.args), node.span)
 
 
 _COMMUTATIVE = frozenset(("+", "*", "min", "max"))

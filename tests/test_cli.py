@@ -171,6 +171,15 @@ def test_equilibrium_family_with_parenthesized_commas(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("family", [["a=1-x,a=x"], ["a=1-x", "b=x*x,a=x"]])
+def test_equilibrium_rejects_a_family_label_given_twice(capsys, family):
+    argv = ["equilibrium", "--params", "a"]
+    for item in family:
+        argv += ["--family", item]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", "error: --family label 'a' is given twice\n")
+
+
 def test_equilibrium_resolves_candidates_like_check(capsys):
     # --expr is always an expression and --builtin always a builtin name.
     assert run_cli(["equilibrium", "--expr", "standard-negation", "--params", "a1"]) == 2
@@ -259,12 +268,15 @@ def test_dual_table(capsys):
     ("--expr", "pow(x, 2) * y"), ("--expr", "1"),
 ])
 def test_dual_table_matches_one_scalar_call_per_cell(capsys, flag, text):
+    # Each cell is the reference dual 1 - f(1 - x, 1 - y), evaluated apart
+    # from dual_of.
     scalar = builtin(text) if flag == "--builtin" else scalar_from_expression(text)
     dual = dual_of(scalar)
     grid = [k / 6 for k in range(7)]
     expected = [f"dual of {scalar.name}: {dual.name} (kind: {dual.kind})",
                 "        " + "".join(f"y={g:<8.4g}" for g in grid)]
-    expected += [f"x={gx:<6.4g}" + "".join(f"{float(dual(gx, gy)):<10.6g}" for gy in grid)
+    expected += [f"x={gx:<6.4g}" + "".join(f"{1.0 - scalar(1.0 - gx, 1.0 - gy):<10.6g}"
+                                           for gy in grid)
                  for gx in grid]
     assert run_cli(["dual", flag, text, "--table", "7"]) == 0
     assert capsys.readouterr().out.splitlines() == expected
@@ -320,6 +332,17 @@ def test_expression_at_the_depth_limit_is_checked(capsys):
 def test_bad_grid_config_is_usage_error(capsys):
     assert run_cli(["check", "--kind", "tnorm", "--expr", "x*y", "--grid", "1"]) == 2
     assert run_cli(["check", "--kind", "tnorm", "--expr", "x*y", "--tol", "0"]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--kind", "tnorm", "--expr", "x + y", "--grid", "8", "--samples", "10"],
+    ["classify", "--builtin", "product", "--grid", "8"],
+    ["equilibrium", "--builtin", "standard-negation", "--params", "a"],
+])
+def test_an_infinite_tolerance_is_a_usage_error(capsys, command):
+    # Every difference is within an infinite tolerance: x + y would pass.
+    assert run_cli(command + ["--tol", "inf"]) == 2
+    assert capsys.readouterr() == ("", "error: tolerance must be finite and > 0, got inf\n")
 
 
 def test_candidate_evaluation_error_exit_three(capsys):

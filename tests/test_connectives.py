@@ -1,4 +1,5 @@
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,10 @@ from fuzzysoft import (
     resolve_connective,
     scalar_from_expression,
 )
-from fuzzysoft.connectives import _BUILTINS, into_unit_interval, resolve_builtin
-from fuzzysoft.expr import format_number
+from fuzzysoft.analysis import CheckConfig, check_implication_axioms, check_tconorm_axioms
+from fuzzysoft.connectives import (_BUILTINS, MAX_DUAL_HEIGHT, ScalarConnective,
+                                   into_unit_interval, resolve_builtin)
+from fuzzysoft.expr import CompiledExpr, format_number
 
 units = st.floats(0, 1)
 
@@ -385,6 +388,82 @@ def test_dual_is_an_involution_pointwise(x, y):
 def test_dual_needs_binary():
     with pytest.raises(ArityError):
         dual_of(builtin("standard-negation"))
+
+
+# --- the compiled dual against the closure it replaces ------------------------------
+
+def _closure_dual(fn):
+    """The reference dual: ``fn`` wrapped in a numpy closure."""
+    return lambda x, y: 1.0 - fn(1.0 - x, 1.0 - y)
+
+
+#: Symmetric and asymmetric expressions, two with ``pow`` (one infinite at
+#: x = 0) and one raising on the grid.
+_DUAL_EXPRESSIONS = ["x*y", "min(x, y) - x*y/4", "pow(x, 2) * y", "pow(x, -1) * y",
+                     "x/(y - 0.5)", "-x + abs(y - x)"]
+_DUAL_CANDIDATES = [builtin(name) for name in ("product", "minimum", "lukasiewicz", "maximum",
+                                               "probsum", "boundedsum",
+                                               "lukasiewicz-implication", "godel-implication",
+                                               "kleene-dienes-implication")]
+_DUAL_CANDIDATES += [scalar_from_expression(text) for text in _DUAL_EXPRESSIONS]
+_SPECIAL = np.array([-0.0, 0.0, 5e-324, 1e-300, 0.25, 1 / 3, 0.5, 1 - 2**-53, 1.0])
+
+
+def _outcome(call, *args):
+    """The report (as JSON, where NaN equals NaN) or the bits that
+    ``call(*args)`` returns, or its error's type, message and span."""
+    try:
+        out = call(*args)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "span", None)
+    if hasattr(out, "to_dict"):
+        return json.dumps(out.to_dict(), sort_keys=True)
+    return np.asarray(out, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("scalar", _DUAL_CANDIDATES, ids=lambda scalar: scalar.name)
+def test_the_dual_of_a_compiled_connective_is_compiled(scalar):
+    dual = dual_of(scalar)
+    assert isinstance(dual.fn, CompiledExpr)
+    assert dual.fn.symmetric == scalar.fn.symmetric
+    assert dual.expr is None and dual.name == f"dual({scalar.name})"
+    assert dual.fn.variables == scalar.fn.variables
+
+
+@pytest.mark.parametrize("scalar", _DUAL_CANDIDATES, ids=lambda scalar: scalar.name)
+def test_the_compiled_dual_gives_the_bits_and_errors_of_the_closure(scalar):
+    g = np.concatenate([_SPECIAL, np.linspace(0, 1, 41)])
+    compiled, reference = dual_of(scalar).fn, _closure_dual(scalar.fn)
+    twice, reference_twice = dual_of(dual_of(scalar)).fn, _closure_dual(reference)
+    for x, y in [(g[:, None], g[None, :]), (g[None, :], g[:, None]), (0.3, -0.0),
+                 (-0.0, 0.5), (0.0, 1.0), (1, 0)]:
+        assert _outcome(compiled, x, y) == _outcome(reference, x, y)
+        assert _outcome(twice, x, y) == _outcome(reference_twice, x, y)
+    assert type(compiled(0.3, 0.6)) is type(reference(0.3, 0.6))
+
+
+@pytest.mark.parametrize("scalar", _DUAL_CANDIDATES, ids=lambda scalar: scalar.name)
+def test_the_compiled_dual_gives_the_check_reports_of_the_closure(scalar):
+    dual = dual_of(scalar)
+    reference = ScalarConnective(dual.name, 2, dual.kind, dual.continuity,
+                                 _closure_dual(scalar.fn))
+    for cfg in (CheckConfig(grid_steps=16, random_samples=200),
+                CheckConfig(grid_steps=41, random_samples=100, seed=5)):
+        for check in (check_tnorm_axioms, check_tconorm_axioms, check_implication_axioms):
+            assert _outcome(check, dual, cfg) == _outcome(check, reference, cfg)
+
+
+def test_nested_library_duals_compile_up_to_the_height_bound_and_still_evaluate():
+    g = np.concatenate([_SPECIAL, np.linspace(0, 1, 11)])[:, None]
+    dual = builtin("godel-implication")  # 4 levels tall
+    reference = dual.fn
+    heights = []
+    for _ in range(400):
+        dual, reference = dual_of(dual), _closure_dual(reference)
+        heights.append(getattr(dual.fn, "height", None))
+    compiled = list(range(6, MAX_DUAL_HEIGHT + 1, 2))
+    assert heights == compiled + [None] * (400 - len(compiled))
+    assert _outcome(dual, g, g.T) == _outcome(reference, g, g.T)
 
 
 def test_kind_metadata_does_not_affect_evaluation():

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from fuzzysoft import (
     ParseError,
     ScriptRuntimeError,
     UndefinedNameError,
+    apply_connective,
     eval_script,
     load_fss,
     make_fuzzy_soft_set,
@@ -13,7 +17,9 @@ from fuzzysoft import (
     render_fss,
     union_fss,
 )
+from fuzzysoft.analysis import CheckConfig, check_implication_axioms
 from fuzzysoft.connectives import ScalarConnective, builtin, dual_of
+from fuzzysoft.expr import CompiledExpr
 from fuzzysoft.script import Assign, Print
 
 
@@ -138,6 +144,27 @@ def test_script_nesting_depth_is_limited():
     with pytest.raises(ParseError):
         parse_script("H = apply(" + "dual(" * 250 + "product" + ")" * 250 + ", S, S);",
                      externals=["S"])
+
+
+def test_the_deepest_script_dual_is_compiled_and_gives_the_closures_results(env):
+    # The apply and its 99 duals are the 100 levels a script may nest, and
+    # godel-implication is the tallest builtin: 4 levels, 2 more per dual.
+    script = parse_script("print apply(" + "dual(" * 99 + "godel-implication" + ")" * 99
+                          + ", S, G);", externals=env)
+    conn = script.statements[0].expr.connective
+    assert isinstance(conn.fn, CompiledExpr) and conn.fn.height == 4 + 2 * 99
+    closure = builtin("godel-implication").fn
+    for _ in range(99):
+        closure = (lambda fn: lambda x, y: 1.0 - fn(1.0 - x, 1.0 - y))(closure)
+    reference = ScalarConnective(conn.name, 2, conn.kind, conn.continuity, closure)
+    g = np.linspace(0, 1, 21)
+    assert np.array_equal(conn(g[:, None], g).view(np.uint64),
+                          closure(g[:, None], g).view(np.uint64))
+    cfg = CheckConfig(grid_steps=8, random_samples=50)
+    assert (json.dumps(check_implication_axioms(conn, cfg).to_dict())
+            == json.dumps(check_implication_axioms(reference, cfg).to_dict()))
+    expected = apply_connective(reference, env["S"], env["G"])
+    assert eval_script(script, env).printed == (render_fss(expected),)
 
 
 def test_eval_union_print(env):

@@ -13,6 +13,7 @@ from fuzzysoft import (
     ParamTag,
     ProductSizeError,
     TagCollisionError,
+    TaggedMembership,
     Universe,
     UniverseMismatchError,
     ValidationError,
@@ -20,7 +21,9 @@ from fuzzysoft import (
     builtin,
     complement_fss,
     dual_of,
+    eval_lifted,
     intersect_fss,
+    lift_negation,
     load_fss,
     make_fuzzy_soft_set,
     render_fss,
@@ -294,7 +297,8 @@ def test_lifted_norm_laws_on_the_demo_data(name):
 
 
 @st.composite
-def _disjoint_operands(draw):
+def _disjoint_operands(draw, *alphabets):
+    """One drawn set per alphabet, each labelled from its own letters."""
     universe = [f"u{k}" for k in range(draw(st.integers(1, 4)))]
 
     def one_set(letters):
@@ -303,14 +307,73 @@ def _disjoint_operands(draw):
                                                    max_size=len(universe)))
                               for label in labels})
 
-    return one_set("abc"), one_set("pqr")
+    return tuple(map(one_set, alphabets))
 
 
 @settings(max_examples=50, deadline=None)
-@given(_disjoint_operands())
+@given(_disjoint_operands("abc", "pqr"))
 @pytest.mark.parametrize("name", _NORMS)
 def test_lifted_norm_laws_on_drawn_sets(name, operands):
     _assert_lifted_laws(name, *operands)
+
+
+# --- set-level laws of the lifted implications and negations --------------------
+
+_IMPLICATIONS = ["lukasiewicz-implication", "godel-implication", "kleene-dienes-implication"]
+
+
+def _assert_exchange(name, a, b, c):
+    """Exchange I(A, I(B, C)) = I(B, I(A, C)) for operands with disjoint
+    labels: equal tags, values within 1e-9."""
+    implication = builtin(name)
+    left = apply_connective(implication, a, apply_connective(implication, b, c))
+    right = apply_connective(implication, b, apply_connective(implication, a, c))
+    assert left.tags == right.tags
+    assert np.allclose(left.values, right.values, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", _IMPLICATIONS)
+def test_lifted_implication_exchange_on_the_demo_data(name):
+    third = fss(["h1", "h2", "h3"], {"quiet": (0.7, 0.0, 1.0), "sunny": (0.35, 0.5, 0.05)})
+    _assert_exchange(name, load_fss(DEMO_DATA / "quality.fss"),
+                     load_fss(DEMO_DATA / "price.fss"), third)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_disjoint_operands("abc", "pqr", "xyz"))
+@pytest.mark.parametrize("name", _IMPLICATIONS)
+def test_lifted_implication_exchange_on_drawn_sets(name, operands):
+    _assert_exchange(name, *operands)
+
+
+def _negate(negation, s):
+    """``s`` with ``eval_lifted`` applied to each membership; asserts that
+    every result keeps its input's tag."""
+    rows = []
+    for tag, row in zip(s.tags, s.values.tolist()):
+        results = [eval_lifted(negation, TaggedMembership(tag, value)) for value in row]
+        assert all(result.tag == tag for result in results)
+        rows.append([result.value for result in results])
+    return FuzzySoftSet(s.universe, s.tags, rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_disjoint_operands("abc", "pqr"))
+def test_a_lifted_negation_keeps_tags(operands):
+    a, b = operands
+    lifted = apply_connective(builtin("product"), a, b)
+    uniform = lift_negation(builtin("standard-negation"))
+    for s in (a, b, lifted):
+        assert _negate(uniform, s) == complement_fss(s)
+    per_label = {"a": builtin("sugeno(1)"), "p": builtin("sugeno(-0.5)"),
+                 "b*q": builtin("standard-negation")}
+    family = lift_negation(per_label, default=builtin("sugeno(3)"))
+    for s in (a, b, lifted):
+        negated = _negate(family, s)
+        assert negated.tags == s.tags
+        for tag, row, got in zip(s.tags, s.values, negated.values):
+            scalar = per_label.get(tag.text, family.default)
+            assert np.array_equal(got, np.clip(scalar(row), 0.0, 1.0))
 
 
 def test_a_lifted_product_is_associative_on_the_demo_data():
