@@ -40,7 +40,12 @@ once the operands of every ``+``, ``*``, ``min`` and ``max`` are put in
 one order, and it has no ``pow``, the one operation whose value depends
 on the sign of a zero (``CompiledExpr.symmetric``).  The smallest
 violation or evaluation error then has x no larger than y (exchange) or
-z (associativity), and the other half is never evaluated.
+z (associativity), and the other half is never evaluated.  Such a walk
+is tiled by that half: a tile's mirror axis starts at its first x-plane,
+and it holds as many of these clipped planes, or rows of one, as fit in
+2**15 points, so at 256 steps it takes 347 tiles where the full cube
+takes 771.  A mirrored walk that raises is walked again unmirrored, so
+the error names the point that the full walk names.
 """
 
 from __future__ import annotations
@@ -109,7 +114,9 @@ class CheckConfig(_Report):
     No array it asks for may exceed ``MAX_ARRAY_VALUES``: the continuity
     probe's (4n + 1)**2 grid matrix caps n at 1023, and the (samples, 4)
     pair-of-pairs columns cap the samples at 2**22.  The tolerance is
-    finite and positive: an infinite one would pass every axiom.
+    positive and below 1: memberships lie in [0, 1], so a tolerance of 1
+    or more admits any difference between two of them, and ``x + y``
+    would pass as a t-norm.
     """
 
     grid_steps: int = 64
@@ -129,6 +136,9 @@ class CheckConfig(_Report):
                                  f"values, more than MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if self.tolerance >= 1:
+            raise ValueError(f"tolerance must be < 1, got {self.tolerance}: "
+                             "memberships lie in [0, 1]")
 
 
 class Witness(_Report):
@@ -348,20 +358,29 @@ def _adjacent(F: np.ndarray, g: np.ndarray, axis: int) -> tuple:
     return (g[:, None], g[None, :-1], g[:, None], g[None, 1:]), F[:, :-1], F[:, 1:]
 
 
-def _cube_tiles(n: int, most: int = CUBE_TILE_POINTS):
+def _cube_tiles(n: int, most: int = CUBE_TILE_POINTS, mirror: int | None = None):
     """The grid cube of ``n`` points a side as index ranges (xs, ys, zs) in
-    C order, each tile at most ``most`` points: a block of x-planes, or,
-    when one plane is larger than that, a block of y-rows inside one
-    plane.  z always spans the grid."""
-    rows = max(1, most // n)
-    if rows >= n:
-        block = rows // n
-        for x in range(0, n, block):
-            yield slice(x, x + block), slice(None), slice(None)
-    else:
-        for x in range(n):
-            for y in range(0, n, rows):
-                yield slice(x, x + 1), slice(y, y + rows), slice(None)
+    C order, each tile at most ``max(most, n)`` points: a block of
+    x-planes, or, when one plane is larger than ``most``, a block of
+    y-rows inside one plane.  With ``mirror`` (1 for y, 2 for z) a tile's
+    mirror axis starts at its first x-plane a, which leaves n * (n - a)
+    points a plane, and tiles are sized by that clipped extent; the
+    tiles cover every triple whose mirror coordinate is at least its x.
+    Without, every axis not tiled spans the grid."""
+    x = 0
+    while x < n:
+        clip = 0 if mirror is None else x
+        yz = [slice(x if axis == mirror else None, None) for axis in (1, 2)]
+        plane = n * (n - clip)
+        if plane <= most:
+            block = most // plane
+            yield slice(x, x + block), *yz
+            x += block
+        else:
+            rows = max(1, most // (n - clip if mirror == 2 else n))
+            for y in range(clip if mirror == 1 else 0, n, rows):
+                yield slice(x, x + 1), slice(y, y + rows), yz[1]
+            x += 1
 
 
 def _tile_inner(layouts, tile: tuple[slice, ...], i: int, j: int) -> np.ndarray:
@@ -512,12 +531,15 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
     difference in magnitude.  A mirrored triple then has the same
     |got - want|, is NaN when it is, and raises when it does, so the
     smallest violating or raising triple has x no larger than its mirror
-    coordinate.  Each tile's mirror axis starts at the tile's first
-    x-plane, and a tile left empty is skipped: a violating or raising
-    triple cut away has its mirror in an earlier tile, so the first tile
-    that holds one keeps all of them, and the walk gives the witness and
-    raises at the first failing point, got before want, as the full walk
-    does."""
+    coordinate.  The walk takes the mirrored tiles of ``_cube_tiles``,
+    sized by their clipped extent: they come in C order and cover every
+    such triple, so the first tile that violates holds the smallest
+    violation, the full walk's witness.  Which side an error is reported
+    from depends on where tiles end, though: a mirrored tile can reach
+    past the unmirrored tile that raises first, and hold a got side that
+    raises beyond it.  So when a mirrored walk raises, the cube is walked
+    again unmirrored, which raises at the full walk's point, got before
+    want."""
     n = len(g)
     fn = getattr(candidate, "fn", None)
     compiled = isinstance(fn, CompiledExpr)
@@ -527,32 +549,35 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
     buffers = [np.empty(size) for _ in range(fn.registers + 2 if compiled else 1)]
     layouts = [np.expand_dims(F, k) for k in range(3)]
 
-    witness = None
-    for tile in _cube_tiles(n, most):
-        if mirror is not None:
-            start, stop, _ = tile[mirror].indices(n)
-            start = max(start, tile[0].start)
-            if start >= stop:
-                continue
-            tile = tile[:mirror] + (slice(start, stop),) + tile[mirror + 1:]
-        cols = (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]])
-        shape = tuple(col.size for col in cols)
-        diff, *regs = (b[:math.prod(shape)].reshape(shape) for b in buffers)
-        if regs:
-            first, second, *scratch = regs
-            f, h = (partial(_call, candidate, regs=[r, *scratch]) for r in (first, second))
-        else:
-            f = h = partial(_call, candidate)
-        got, want = axiom.sides(f, h, partial(_tile_inner, layouts, tile), *cols)
-        # C order over an increasing grid is lexicographic order: once a
-        # tile has given the witness, no later tile holds a strictly
-        # smaller tuple, so later tiles are evaluated only.
-        if witness is None:
-            np.subtract(got, want, out=diff)
-            if not (diff.max() <= tol and diff.min() >= -tol):
-                bad = ~(np.abs(diff, out=diff) <= tol)
-                witness = _smallest_violation(cols, got, want, bad, "==")[1]
-        del got, want  # before the next tile's sides are allocated
+    def walk(tiles) -> Witness | None:
+        witness = None
+        for tile in tiles:
+            cols = (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]])
+            shape = tuple(col.size for col in cols)
+            diff, *regs = (b[:math.prod(shape)].reshape(shape) for b in buffers)
+            if regs:
+                first, second, *scratch = regs
+                f, h = (partial(_call, candidate, regs=[r, *scratch]) for r in (first, second))
+            else:
+                f = h = partial(_call, candidate)
+            got, want = axiom.sides(f, h, partial(_tile_inner, layouts, tile), *cols)
+            # C order over an increasing grid is lexicographic order: once a
+            # tile has given the witness, no later tile holds a strictly
+            # smaller tuple, so later tiles are evaluated only.
+            if witness is None:
+                np.subtract(got, want, out=diff)
+                if not (diff.max() <= tol and diff.min() >= -tol):
+                    bad = ~(np.abs(diff, out=diff) <= tol)
+                    witness = _smallest_violation(cols, got, want, bad, "==")[1]
+            del got, want  # before the next tile's sides are allocated
+        return witness
+
+    try:
+        witness = walk(_cube_tiles(n, most, mirror))
+    except CandidateEvaluationError:
+        if mirror is None:
+            raise
+        witness = walk(_cube_tiles(n, most))
     return witness, n ** 3
 
 

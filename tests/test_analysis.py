@@ -217,6 +217,10 @@ def test_config_validation():
         CheckConfig(grid_steps=1)
     with pytest.raises(ValueError):
         CheckConfig(tolerance=0.0)
+    for tolerance in (1.0, 2.0):
+        with pytest.raises(ValueError, match="tolerance must be < 1"):
+            CheckConfig(tolerance=tolerance)
+    assert CheckConfig(tolerance=0.999).tolerance == 0.999
     with pytest.raises(ValueError):
         CheckConfig(random_samples=-1)
 
@@ -584,7 +588,7 @@ def _whole_cube_check(candidate, kind, steps, tol):
 
 
 def _tile_of(triple, steps):
-    """The number of the cube tile that holds a grid triple."""
+    """The number of the unmirrored cube tile that holds a grid triple."""
     i, j = (round(v * steps) for v in triple[:2])
     return next(number for number, (xs, ys, _) in enumerate(_cube_tiles(steps + 1))
                 if xs.start <= i < xs.stop and (ys.start or 0) <= j < (ys.stop or steps + 1))
@@ -661,6 +665,59 @@ def test_tiled_cube_raises_at_the_same_point_as_one_broadcast():
 
 # --- the mirrored cube walk ------------------------------------------------------------
 
+def _unmirrored_tiles(n, most):
+    """The tiling of the cube walk before mirrored tiles were sized by
+    their clipped extent."""
+    rows = max(1, most // n)
+    if rows >= n:
+        block = rows // n
+        for x in range(0, n, block):
+            yield slice(x, x + block), slice(None), slice(None)
+    else:
+        for x in range(n):
+            for y in range(0, n, rows):
+                yield slice(x, x + 1), slice(y, y + rows), slice(None)
+
+
+@pytest.mark.parametrize("most", [2**15, 2**14])
+def test_unmirrored_cube_tiles_are_unchanged(most):
+    # Where tiles split decides which side an evaluation error is named in.
+    for n in range(2, 301):
+        assert list(_cube_tiles(n, most)) == list(_unmirrored_tiles(n, most)), n
+
+
+def _ranges(tile, n):
+    return [range(*axis.indices(n)) for axis in tile]
+
+
+@pytest.mark.parametrize("mirror", [1, 2])
+@pytest.mark.parametrize("n, most", [(2, 2**15), (3, 4), (17, 2**15), (17, 40), (101, 2**15),
+                                     (182, 2**15), (257, 2**15), (257, 2**14), (300, 2**15)])
+def test_mirrored_cube_tiles_cover_the_half_cube_in_c_order(mirror, n, most):
+    tiles = [_ranges(tile, n) for tile in _cube_tiles(n, most, mirror)]
+    covered = np.zeros((n, n, n), dtype=bool)
+    last = (-1, -1, -1)
+    for xs, ys, zs in tiles:
+        assert 0 < len(xs) * len(ys) * len(zs) <= max(most, n)
+        # The mirror axis starts at the first x-plane, or, when it is the
+        # y-rows of one plane, where the plane's previous tile stopped.
+        start = (ys, zs)[mirror - 1].start
+        assert start == xs.start or (mirror, xs[0], start) == (1, last[0], last[1] + 1)
+        # Every triple of a tile comes after every triple of the tiles before.
+        assert (xs[0], ys[0], zs[0]) > last
+        last = (xs[-1], ys[-1], zs[-1])
+        covered[xs[0]:xs[-1] + 1, ys[0]:ys[-1] + 1, zs[0]:zs[-1] + 1] = True
+    x = np.arange(n)
+    half = (x[None, :, None] if mirror == 1 else x[None, None, :]) >= x[:, None, None]
+    assert covered[np.broadcast_to(half, covered.shape)].all()
+
+
+@pytest.mark.parametrize("mirror", [1, 2])
+def test_mirrored_cube_tiles_at_the_benchmark_grid_are_about_half(mirror):
+    assert len(list(_cube_tiles(257))) == 771
+    assert len(list(_cube_tiles(257, mirror=mirror))) <= 350
+
+
 def _full_walk_cube(axiom, candidate, F, g, tol):
     """Reference: the cube walk with every tile whole, as it ran before a
     mirrored axiom walked half the cube."""
@@ -715,9 +772,9 @@ def _cube_outcome(kind, candidate, steps, walk=_walk_cube):
 
 #: Symmetric, and raises only where f(x, f(y, z)) or f(f(x, y), z) sums to
 #: c: never on the grid matrix at 100 steps for these c.  At c = 1.0625
-#: the first raising triple, (0.11, 0.75, 0.98), lies in the cube's fourth
-#: tile (x-planes 9 to 11), whose z walks from plane 9 on, and raises in
-#: the second side only: the first side raises no earlier than x = 0.16.
+#: the first raising triple, (0.11, 0.75, 0.98), lies in the fourth tile of
+#: the unmirrored walk (x-planes 9 to 11), and raises in the second side
+#: only: the first side raises no earlier than x = 0.16.
 _RAISES_IN_THE_CUBE = "x*y + 0*(1/(x + y - {c}))"
 
 #: Symmetric, and associative below the threshold t.
@@ -758,6 +815,38 @@ def test_a_mirrored_walk_matches_the_full_walk(text, kind, steps):
        steps=st.sampled_from([100, 181]))
 def test_a_mirrored_walk_matches_the_full_walk_on_random_expressions(kind, text, steps):
     _assert_the_walks_match(kind, text, steps)
+
+
+@pytest.mark.parametrize("text", [
+    "max(x + y - 1, 0)", "min(1, 1 - x + y)", _LATE_SYMMETRIC.format(t=0.99),
+    # Raises first at (231, 241, 252) / 256, in the second side, inside the
+    # mirrored associativity tile of x-planes 228 to 231.
+    _RAISES_IN_THE_CUBE.format(c=1.8338470458984375),
+])
+@pytest.mark.parametrize("kind", ["tnorm", "implication"])
+def test_a_mirrored_walk_matches_the_full_walk_at_the_benchmark_grid(text, kind):
+    # Grid 256 is where mirrored tiles differ most from unmirrored ones:
+    # two or three y-row tiles a plane up to x-plane 129, then blocks of
+    # whole clipped planes, against three y-row tiles in every plane.
+    _assert_the_walks_match(kind, text, 256)
+
+
+def test_a_mirrored_walk_that_raises_reports_the_point_of_the_full_walk():
+    # The first raising triple, (0.9, 0.97, 0.99), raises in the second
+    # side only, and the unmirrored tile that holds it (x-planes 90 to 92)
+    # raises in no first side.  The mirrored tile that holds it spans
+    # x-planes 87 to 100, and its first side raises at (0.97, 0.94, 0.95):
+    # a walk of mirrored tiles alone would name that point.
+    candidate = scalar_from_expression(_RAISES_IN_THE_CUBE.format(c=1.863))
+    outcome = _cube_outcome("tnorm", candidate, 100)
+    assert outcome == _cube_outcome("tnorm", candidate, 100, _full_walk_cube)
+    assert outcome[2] == repr((0.9 * 0.97, 0.99))
+    assert [t[0] for t in _cube_tiles(101, mirror=2) if t[0].start <= 90 < t[0].stop] == [
+        slice(87, 110)]
+    mirrored_only = partial(_cube_tiles, mirror=2)
+    with mock.patch.object(analysis, "_cube_tiles", lambda n, most, mirror=None:
+                           mirrored_only(n, most)):
+        assert _cube_outcome("tnorm", candidate, 100)[2] == repr((0.97, 0.94 * 0.95))
 
 
 def _assert_the_walks_match(kind, text, steps):

@@ -345,6 +345,19 @@ def test_an_infinite_tolerance_is_a_usage_error(capsys, command):
     assert capsys.readouterr() == ("", "error: tolerance must be finite and > 0, got inf\n")
 
 
+@pytest.mark.parametrize("tol", ["1", "2"])
+@pytest.mark.parametrize("command", [
+    ["check", "--kind", "tnorm", "--expr", "x + y", "--grid", "8", "--samples", "10"],
+    ["classify", "--builtin", "product", "--grid", "8"],
+    ["equilibrium", "--builtin", "standard-negation", "--params", "a"],
+])
+def test_a_tolerance_of_one_or_more_is_a_usage_error(capsys, command, tol):
+    # Memberships lie in [0, 1]: within a tolerance of 1, x + y passed as a t-norm.
+    assert run_cli(command + ["--tol", tol]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: tolerance must be < 1, got {float(tol)}: memberships lie in [0, 1]\n")
+
+
 def test_candidate_evaluation_error_exit_three(capsys):
     # division by zero at a grid point is a data-level failure, not usage
     assert run_cli(["check", "--kind", "tnorm", "--expr", "x/y",
