@@ -2,7 +2,7 @@
 
 The package provides:
 
-- fuzzy soft sets over finite universes with complement, union,
+- fuzzy soft sets over finite universes with negation, complement, union,
   intersection and generic connective application (``fuzzysoft.sets``);
 - scalar t-norms, t-conorms, negations and implications, builtin or
   expression-defined, and their lifts to tagged memberships
@@ -88,6 +88,7 @@ from .sets import (
     complement_fss,
     intersect_fss,
     make_fuzzy_soft_set,
+    negate_fss,
     render_fss,
     tau_family,
     union_fss,

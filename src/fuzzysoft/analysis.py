@@ -56,14 +56,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .connectives import (
-    LIFT_NEGATION,
-    LiftedConnective,
-    ScalarConnective,
-    lift_negation,
-    require_arity,
-)
-from .errors import ArityError, CandidateEvaluationError, DslError, FuzzySoftError
+from .connectives import LiftedConnective, ScalarConnective, lift_negation, require_arity
+from .errors import CandidateEvaluationError, DslError, FuzzySoftError
 from .expr import CompiledExpr
 from .record import Record
 from .sets import MAX_ARRAY_VALUES
@@ -647,16 +641,6 @@ def check_implication_axioms(candidate: ScalarConnective, cfg: CheckConfig | Non
 # Negation checks
 
 
-def _as_negation_lift(
-    candidate: ScalarConnective | Mapping[str, ScalarConnective] | LiftedConnective,
-) -> LiftedConnective:
-    if isinstance(candidate, LiftedConnective):
-        if candidate.kind != LIFT_NEGATION:
-            raise ArityError(f"expected a negation lift, got kind {candidate.kind!r}")
-        return candidate
-    return lift_negation(candidate)
-
-
 def check_negation_axioms(
     candidate: ScalarConnective | Mapping[str, ScalarConnective] | LiftedConnective,
     labels: Sequence[str] | None = None,
@@ -671,21 +655,16 @@ def check_negation_axioms(
     uniform negation once.
     """
     cfg = cfg or CheckConfig()
-    lifted = _as_negation_lift(candidate)
+    lifted = lift_negation(candidate)
     if labels is None:
-        if lifted.family:
-            labels = tuple(label for label, _ in lifted.family)
-        else:
-            labels = (None,)
+        labels = tuple(label for label, _ in lifted.family or ()) or (None,)
 
     g = _grid(cfg)
     rng = np.random.default_rng(cfg.seed)
     checks: list[AxiomCheck] = []
     for label in labels:
-        if label is None:
-            scalar = lifted.scalar if lifted.scalar is not None else lifted.default
-        else:
-            scalar = lifted.scalar_for(ParamTag(label))
+        # No label: a uniform lift or a lone default, one scalar for all tags.
+        scalar = lifted.scalar_for(ParamTag("any" if label is None else label))
         checks += [_verify(axiom, scalar, None, g, rng, cfg, label) for axiom in _NEGATION_AXIOMS]
     return AxiomReport("negation", lifted.name, cfg, tuple(checks))
 
@@ -764,7 +743,7 @@ def find_equilibria(
     never exceeds the number of labels.
     """
     cfg = cfg or CheckConfig()
-    lifted = _as_negation_lift(negation)
+    lifted = lift_negation(negation)
     entries = []
     for label in dict.fromkeys(labels):
         scalar = lifted.scalar_for(ParamTag(label))

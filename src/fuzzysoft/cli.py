@@ -40,7 +40,6 @@ from .analysis import (
 from .connectives import (
     ScalarConnective,
     dual_of,
-    lift_negation,
     resolve_builtin,
     resolve_connective,
     scalar_from_expression,
@@ -279,13 +278,10 @@ def _cmd_equilibrium(args) -> int:
         raise ValueError("--params needs at least one label")
     cfg = CheckConfig(tolerance=args.tol)
     if args.family:
-        family = {
-            label: resolve_connective(text, arity=1)
-            for label, text in _split_family_items(args.family)
-        }
-        negation = lift_negation(family)
+        negation = {label: resolve_connective(text, arity=1)
+                    for label, text in _split_family_items(args.family)}
     else:
-        negation = lift_negation(_resolve_candidate(args, arity=1))
+        negation = _resolve_candidate(args, arity=1)
     result = find_equilibria(negation, labels, cfg=cfg)
     _print_equilibria(result)
     return EXIT_OK
@@ -334,10 +330,12 @@ def _cmd_dual(args) -> int:
 def _cmd_eval(args) -> int:
     binds = {}
     for item in args.bind:
-        name, sep, path = item.partition("=")
-        if not sep or not name.strip():
+        name, sep, path = (part.strip() for part in item.partition("="))
+        if not sep or not name:
             raise ValueError(f"bad --bind item {item!r}, expected NAME=FILE.fss")
-        binds[name.strip()] = path.strip()
+        if name in binds:
+            raise ValueError(f"--bind name {name!r} is given twice")
+        binds[name] = path
     try:
         with open(args.script, encoding="utf-8") as handle:
             source = handle.read()

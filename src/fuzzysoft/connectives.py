@@ -94,9 +94,10 @@ class ScalarConnective:
 #: name -> (arity, kind, body).  A body is the expression text of the
 #: docs/grammar.md definition, compiled per lookup.  The Goedel
 #: implication's definition, 1 if x <= y else y, is a conditional that the
-#: language does not have; its text gives the same bits on [0, 1]:
-#: pow(0, t) is 1 at t = 0 and 0 for t > 0, and with gradual underflow
-#: x > y implies fl(x - y) > 0.
+#: language does not have; its text gives the same bits on [0, 1] without
+#: pow, which costs tens of times as much per element: x > y implies
+#: fl(x - y) >= 5e-324, and that times (10**308)**3 overflows to inf.
+_E308 = "1" + "0" * 308
 _BUILTINS: dict[str, tuple[int, str, str]] = {
     "product": (2, KIND_TNORM, "x * y"),
     "minimum": (2, KIND_TNORM, "min(x, y)"),
@@ -106,7 +107,8 @@ _BUILTINS: dict[str, tuple[int, str, str]] = {
     "boundedsum": (2, KIND_TCONORM, "min(1, x + y)"),
     "standard-negation": (1, KIND_NEGATION, "1 - x"),
     "lukasiewicz-implication": (2, KIND_IMPLICATION, "min(1, 1 - x + y)"),
-    "godel-implication": (2, KIND_IMPLICATION, "max(pow(0, max(x - y, 0)), y)"),
+    "godel-implication": (2, KIND_IMPLICATION,
+                          f"max(1 - min(1, max(x - y, 0) * {_E308} * {_E308} * {_E308}), y)"),
     "kleene-dienes-implication": (2, KIND_IMPLICATION, "max(1 - x, y)"),
 }
 
@@ -200,8 +202,8 @@ def resolve_connective(text: str, arity: int = 2) -> ScalarConnective:
 
 #: Tallest dual that ``dual_of`` compiles.  A dual is two levels taller
 #: than its connective, and a script nests fewer than ``MAX_DEPTH`` duals
-#: around a builtin at most 4 levels tall or an ``fn`` body that shares
-#: the nesting limit, so every script's dual is at most 2 * MAX_DEPTH + 2
+#: around a builtin at most 8 levels tall or an ``fn`` body that shares
+#: the nesting limit, so every script's dual is at most 2 * MAX_DEPTH + 6
 #: levels tall.  At this height, compiling a dual takes 605 frames on
 #: Python 3.11 and evaluating it 453, which leaves room below Python's
 #: default recursion limit of 1000 for the caller and for the closures
@@ -304,11 +306,16 @@ def lift_implication(scalar: ScalarConnective) -> LiftedConnective:
 
 
 def lift_negation(
-    scalars: ScalarConnective | Mapping[str, ScalarConnective],
+    scalars: ScalarConnective | Mapping[str, ScalarConnective] | LiftedConnective,
     default: ScalarConnective | None = None,
 ) -> LiftedConnective:
     """Lift a negation: one unary scalar for every parameter, or a
-    label-to-scalar family with an optional default."""
+    label-to-scalar family with an optional default.  A negation lift is
+    returned as it is; any other lift raises ``ArityError``."""
+    if isinstance(scalars, LiftedConnective) and default is None:
+        if scalars.kind != LIFT_NEGATION:
+            raise ArityError(f"expected a negation lift, got kind {scalars.kind!r}")
+        return scalars
     if not isinstance(scalars, Mapping):
         if default is not None:
             raise ArityError("a uniform negation lift does not take a default")

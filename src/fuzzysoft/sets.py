@@ -13,7 +13,10 @@ intersection are ``apply_connective`` of the builtins that
 ``SET_OPERATIONS`` names.  ``apply_connective`` writes every pair's row into
 one (P1 * P2, U) result matrix, keys the pairs by their sorted label
 tuples, and checks each repeated pair against the first pair with its key;
-the result's rows are gathered from that matrix in one step.
+the result's rows are gathered from that matrix in one step.  The fuzzy
+soft negation, ``negate_fss``, maps each tag's row under that tag's unary
+scalar and keeps the tags; the complement is its ``standard-negation``
+case.
 
 All types are immutable values; operations are pure functions.
 """
@@ -21,8 +24,8 @@ All types are immutable values; operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress, count
-from operator import eq, ne
+from itertools import chain, compress, count, repeat
+from operator import eq, is_, ne
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,6 +36,7 @@ from .connectives import (
     ScalarConnective,
     builtin,
     into_unit_interval,
+    lift_negation,
     require_arity,
 )
 from .errors import (
@@ -43,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .record import Record
-from .tags import RESERVED_SEPARATOR, ParamTag, canonical_tags, combine_tags
+from .tags import NOT_NUMBERS, RESERVED_SEPARATOR, ParamTag, canonical_tags, combine_tags
 
 #: Largest float64 array (2**24 values, 128 MiB) one operation may create:
 #: a binary set operation's P1 * P2 * U result values, and the arrays of a
@@ -108,15 +112,15 @@ class FuzzySet(Record):
 
 def _float_matrix(values) -> np.ndarray | None:
     """``values`` as a 2-D float array, or None where numpy cannot make one
-    or where a value is text or a boolean, which numpy would take as a
-    number.  Only an object array or a non-array is scanned value by value."""
+    or where a value is one of the ``NOT_NUMBERS``, which numpy would take
+    as a number.  Only an object array or a non-array is scanned by value."""
     try:
         array = np.asarray(values)
         kind = array.dtype.kind
-        if array.ndim != 2 or kind in "SUb" or (kind == "O" and any(
-                isinstance(v, (str, bytes)) for v in array.flat)):
+        if array.ndim != 2 or kind in "SUbcmM" or (kind == "O" and any(
+                isinstance(v, NOT_NUMBERS) for v in array.flat)):
             return None
-        if (kind == "O" or not isinstance(values, np.ndarray)) and not {bool, np.bool_}.isdisjoint(
+        if not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(
                 map(type, chain.from_iterable(values))):
             return None
         return array.astype(float, copy=False)
@@ -240,14 +244,49 @@ def tau_family(fss: FuzzySoftSet, distinct: bool = False) -> tuple[FuzzySet, ...
     return tuple(dict.fromkeys(family)) if distinct else family
 
 
-def complement_fss(fss: FuzzySoftSet) -> FuzzySoftSet:
-    """Complement every approximation: each membership m becomes 1 - m.
+def negate_fss(
+    negation: ScalarConnective | Mapping[str, ScalarConnective] | LiftedConnective,
+    fss: FuzzySoftSet,
+) -> FuzzySoftSet:
+    """The fuzzy soft negation: each tag's row under that tag's negation.
 
-    Same universe, same tags.  Note that 1 - (1 - m) reproduces m exactly
-    only when 1 - m is itself representable (true for all multiples of
-    2**-53, e.g. anything drawn from a standard uniform generator).
+    ``negation`` is a unary scalar, a label-to-scalar mapping or a negation
+    lift, as ``lift_negation`` takes them.  Every tag's scalar is looked up
+    (``scalar_for``) before anything is evaluated, so a product tag with no
+    entry and no default raises ``MissingLabelError`` first.  Each distinct
+    scalar is then called once, on all of its rows together, in the order
+    of its first tag, and its outputs are codomain-checked with
+    near-boundary clamping, as in ``apply_connective``; a ``CodomainError``
+    names the tag and element, and its ``index`` is in that call's output.
+    The result has the universe and tags of ``fss``.
     """
-    return FuzzySoftSet(fss.universe, fss.tags, 1.0 - fss.values)
+    lifted = lift_negation(negation)
+    scalars = list(map(lifted.scalar_for, fss.tags))
+    values = np.empty_like(fss.values)
+    with np.errstate(all="ignore"):
+        for scalar in dict(zip(map(id, scalars), scalars)).values():
+            rows = list(compress(count(), map(is_, scalars, repeat(scalar))))
+            take = rows if len(rows) < len(scalars) else slice(None)
+            part = fss.values[take]
+            raw = np.broadcast_to(np.asarray(scalar(part), dtype=float), part.shape)
+
+            def where(at: tuple[int, ...]) -> str:
+                return (f"negation {scalar.name!r} under tag {fss.tags[rows[at[0]]].text!r} "
+                        f"at element {fss.universe.elements[at[1]]!r}")
+
+            values[take] = into_unit_interval(raw, where)
+    return FuzzySoftSet(fss.universe, fss.tags, values)
+
+
+def complement_fss(fss: FuzzySoftSet) -> FuzzySoftSet:
+    """Complement every approximation, each membership m becoming 1 - m:
+    ``negate_fss`` under ``standard-negation``, with the same tags.
+
+    1 - (1 - m) reproduces m exactly only when 1 - m is itself
+    representable (true for all multiples of 2**-53, e.g. anything drawn
+    from a standard uniform generator).
+    """
+    return negate_fss(builtin("standard-negation"), fss)
 
 
 def apply_connective(

@@ -20,6 +20,11 @@ from .record import Record
 #: Separator used in the textual form of a product tag; banned from labels.
 RESERVED_SEPARATOR = "*"
 
+#: Types that float() or numpy would take as a membership value, though
+#: they are not real numbers.
+NOT_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating,
+               np.datetime64, np.timedelta64)
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class ParamTag:
@@ -113,10 +118,10 @@ class TaggedMembership(Record):
 
     def __post_init__(self):
         try:
-            value = float(self.value)
+            value = None if isinstance(self.value, NOT_NUMBERS) else float(self.value)
         except (TypeError, ValueError, OverflowError):
             value = None
-        if value is None or isinstance(self.value, (str, bytes, bool, np.bool_)):
+        if value is None:
             raise ValidationError(f"membership value {self.value!r} for tag "
                                   f"{self.tag.text!r} is not a number")
         if not 0.0 <= value <= 1.0:

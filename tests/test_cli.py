@@ -469,6 +469,16 @@ def test_document_past_the_byte_cap_exit_three(tmp_path, capsys):
     assert not (tmp_path / "out.fss").exists()
 
 
+def test_eval_refuses_a_bind_name_given_twice(tmp_path, monkeypatch, capsys):
+    # combine.fss would save product.fss to the working directory.
+    monkeypatch.chdir(tmp_path)
+    argv = ["eval", str(DEMO_DATA / "combine.fss"), "--bind", f"S={DEMO_DATA / 'quality.fss'}",
+            "--bind", f"G={DEMO_DATA / 'price.fss'}", "--bind", f" S ={DEMO_DATA / 'price.fss'}"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", "error: --bind name 'S' is given twice\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_script_missing_bind_file_exit_three(tmp_path):
     script = tmp_path / "combine.fss"
     script.write_text("print S;")

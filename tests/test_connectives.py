@@ -72,6 +72,31 @@ def test_builtin_implication_values():
     assert float(kd(0.8, 0.3)) == pytest.approx(0.3)
 
 
+def _godel(x, y):
+    return np.where(x <= y, 1.0, y)
+
+
+def test_godel_implication_gives_the_bits_of_its_definition():
+    godel = builtin("godel-implication")
+    assert "pow" not in _BUILTINS["godel-implication"][2]  # np.power is slow per element
+    rng = np.random.default_rng(11)
+    x = rng.random(10**5)
+    special = np.array([-0.0, 0.0, 5e-324, 1e-323, 1e-310, 2.0**-1022, 0.5, 1 - 2**-53, 1.0])
+    g = np.arange(257) / 256
+    pairs = [(g[:, None], g), (x, rng.random(x.size)), (special[:, None], special)]
+    # Adjacent floats, both ways round: x - y is then the smallest it gets.
+    for near in (np.nextafter(x, 2.0), np.nextafter(x, -1.0)):
+        near = np.clip(near, 0.0, 1.0)
+        pairs += [(x, near), (near, x)]
+    for a, b in pairs:
+        want = np.broadcast_to(_godel(a, b), np.broadcast_shapes(a.shape, b.shape))
+        assert np.array_equal(godel(a, b).view(np.uint64), want.view(np.uint64))
+    closure = ScalarConnective(godel.name, 2, godel.kind, True, _godel)
+    cfg = CheckConfig(grid_steps=64, random_samples=2000)
+    assert (check_implication_axioms(godel, cfg).to_dict()
+            == check_implication_axioms(closure, cfg).to_dict())
+
+
 def test_builtin_negations():
     std = builtin("standard-negation")
     assert float(std(0.0)) == 1.0
@@ -455,13 +480,13 @@ def test_the_compiled_dual_gives_the_check_reports_of_the_closure(scalar):
 
 def test_nested_library_duals_compile_up_to_the_height_bound_and_still_evaluate():
     g = np.concatenate([_SPECIAL, np.linspace(0, 1, 11)])[:, None]
-    dual = builtin("godel-implication")  # 4 levels tall
+    dual = builtin("godel-implication")  # 8 levels tall
     reference = dual.fn
     heights = []
     for _ in range(400):
         dual, reference = dual_of(dual), _closure_dual(reference)
         heights.append(getattr(dual.fn, "height", None))
-    compiled = list(range(6, MAX_DUAL_HEIGHT + 1, 2))
+    compiled = list(range(10, MAX_DUAL_HEIGHT + 1, 2))
     assert heights == compiled + [None] * (400 - len(compiled))
     assert _outcome(dual, g, g.T) == _outcome(reference, g, g.T)
 

@@ -18,14 +18,26 @@ def test_all_five_demos_are_found():
     assert [demo.name[:2] for demo in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
-def test_demo_runs(demo, tmp_path):
+def _run_python(args, cwd):
+    """Run Python on ``args`` in ``cwd``, with the package's source on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
+def test_demo_runs(demo, tmp_path):
+    _run_python([str(demo)], tmp_path)
+
+
+def test_readme_library_quickstart_runs(tmp_path):
+    section = (ROOT / "README.md").read_text().split("\n## Library quickstart\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "a1*b1: 0.5 0.7" in _run_python(["-c", block], tmp_path)
 
 
 def _readme_commands() -> list[str]:

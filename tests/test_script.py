@@ -148,11 +148,11 @@ def test_script_nesting_depth_is_limited():
 
 def test_the_deepest_script_dual_is_compiled_and_gives_the_closures_results(env):
     # The apply and its 99 duals are the 100 levels a script may nest, and
-    # godel-implication is the tallest builtin: 4 levels, 2 more per dual.
+    # godel-implication is the tallest builtin: 8 levels, 2 more per dual.
     script = parse_script("print apply(" + "dual(" * 99 + "godel-implication" + ")" * 99
                           + ", S, G);", externals=env)
     conn = script.statements[0].expr.connective
-    assert isinstance(conn.fn, CompiledExpr) and conn.fn.height == 4 + 2 * 99
+    assert isinstance(conn.fn, CompiledExpr) and conn.fn.height == 8 + 2 * 99
     closure = builtin("godel-implication").fn
     for _ in range(99):
         closure = (lambda fn: lambda x, y: 1.0 - fn(1.0 - x, 1.0 - y))(closure)

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +7,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fuzzysoft import (
+    ArityError,
+    CheckConfig,
     CodomainError,
     DivisionByZeroError,
     FuzzySoftError,
     FuzzySoftSet,
+    MissingLabelError,
     ParamTag,
     ProductSizeError,
+    ScalarConnective,
     TagCollisionError,
     TaggedMembership,
     Universe,
@@ -19,13 +24,17 @@ from fuzzysoft import (
     ValidationError,
     apply_connective,
     builtin,
+    check_negation_axioms,
     complement_fss,
     dual_of,
     eval_lifted,
+    find_equilibria,
     intersect_fss,
     lift_negation,
+    lift_tnorm,
     load_fss,
     make_fuzzy_soft_set,
+    negate_fss,
     render_fss,
     save_fss,
     scalar_from_expression,
@@ -107,6 +116,17 @@ def test_complement_values():
     assert c["a1"].memberships == (1.0 - 0.3, 1.0 - 0.7)
     zeros = fss(["u1", "u2"], {"a1": (0.0, 0.0)})
     assert complement_fss(zeros)["a1"].memberships == (1.0, 1.0)
+
+
+def test_complement_is_one_minus_each_value_bit_for_bit():
+    rng = np.random.default_rng(7)
+    values = rng.random((40, 2000))
+    special = [-0.0, 0.0, 5e-324, 1e-310, 2.0**-1022, 1 - 2.0**-53, 1.0]
+    values[::3, ::11] = np.resize(special, values[::3, ::11].shape)
+    s = FuzzySoftSet(Universe(tuple(f"u{j}" for j in range(2000))),
+                     tuple(ParamTag(f"a{i}") for i in range(40)), values)
+    assert np.array_equal(complement_fss(s).values.view(np.uint64),
+                          (1.0 - s.values).view(np.uint64))
 
 
 def test_complement_involution_on_machine_uniform_values():
@@ -347,8 +367,8 @@ def test_lifted_implication_exchange_on_drawn_sets(name, operands):
 
 
 def _negate(negation, s):
-    """``s`` with ``eval_lifted`` applied to each membership; asserts that
-    every result keeps its input's tag."""
+    """The reference for ``negate_fss``: ``s`` with ``eval_lifted`` applied
+    to each membership; asserts that every result keeps its input's tag."""
     rows = []
     for tag, row in zip(s.tags, s.values.tolist()):
         results = [eval_lifted(negation, TaggedMembership(tag, value)) for value in row]
@@ -357,23 +377,147 @@ def _negate(negation, s):
     return FuzzySoftSet(s.universe, s.tags, rows)
 
 
+def _assert_same_bits(got, want):
+    assert got.universe == want.universe and got.tags == want.tags
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
 @settings(max_examples=50, deadline=None)
 @given(_disjoint_operands("abc", "pqr"))
-def test_a_lifted_negation_keeps_tags(operands):
+def test_negate_fss_matches_the_per_membership_reference(operands):
     a, b = operands
     lifted = apply_connective(builtin("product"), a, b)
-    uniform = lift_negation(builtin("standard-negation"))
-    for s in (a, b, lifted):
-        assert _negate(uniform, s) == complement_fss(s)
+    standard = builtin("standard-negation")
     per_label = {"a": builtin("sugeno(1)"), "p": builtin("sugeno(-0.5)"),
-                 "b*q": builtin("standard-negation")}
+                 "b*q": standard}
     family = lift_negation(per_label, default=builtin("sugeno(3)"))
     for s in (a, b, lifted):
-        negated = _negate(family, s)
-        assert negated.tags == s.tags
+        for negation in (standard, lift_negation(standard), builtin("sugeno(2)")):
+            _assert_same_bits(negate_fss(negation, s), _negate(lift_negation(negation), s))
+        _assert_same_bits(negate_fss(standard, s), complement_fss(s))
+        negated = negate_fss(family, s)
+        _assert_same_bits(negated, _negate(family, s))
+        # Each tag under its own scalar: its entry, else the default.
         for tag, row, got in zip(s.tags, s.values, negated.values):
             scalar = per_label.get(tag.text, family.default)
             assert np.array_equal(got, np.clip(scalar(row), 0.0, 1.0))
+
+
+_NEGATIONS = ["standard-negation", "sugeno(-0.9)", "sugeno(-0.5)", "sugeno(1)", "sugeno(3)",
+              "sugeno(50)"]
+_TOL = CheckConfig().tolerance
+
+
+def _assert_involution(name, s):
+    negation = builtin(name)
+    twice = negate_fss(negation, negate_fss(negation, s))
+    assert twice.tags == s.tags
+    assert np.allclose(twice.values, s.values, rtol=0, atol=_TOL)
+
+
+@pytest.mark.parametrize("name", _NEGATIONS)
+def test_negation_involution_on_the_demo_data(name):
+    for document in ("quality.fss", "price.fss"):
+        _assert_involution(name, load_fss(DEMO_DATA / document))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_disjoint_operands("abc", "pqr"))
+@pytest.mark.parametrize("name", _NEGATIONS)
+def test_negation_involution_on_drawn_sets(name, operands):
+    a, b = operands
+    for s in (a, apply_connective(builtin("product"), a, b)):
+        _assert_involution(name, s)
+
+
+def _assert_de_morgan(norm_name, negation_name, a, b):
+    """S(A, B) = N(T(N(A), N(B))) where S is the N-dual of T, and for T =
+    minimum, whose N-dual under any strong negation is the maximum, the
+    union."""
+    norm, negation = builtin(norm_name), builtin(negation_name)
+    dual = ScalarConnective(f"{negation_name}-dual({norm_name})", 2, "t-conorm", True,
+                            lambda x, y: negation(norm(negation(x), negation(y))))
+    want = negate_fss(negation, apply_connective(norm, negate_fss(negation, a),
+                                                 negate_fss(negation, b)))
+    results = [apply_connective(dual, a, b)]
+    if norm_name == "minimum":
+        results.append(union_fss(a, b))
+    for got in results:
+        assert got.tags == want.tags
+        assert np.allclose(got.values, want.values, rtol=0, atol=_TOL)
+
+
+_DE_MORGAN = [(norm, negation) for norm in ("product", "minimum", "lukasiewicz")
+              for negation in ("sugeno(-0.5)", "sugeno(1)", "sugeno(3)")]
+
+
+@pytest.mark.parametrize("norm, negation", _DE_MORGAN)
+def test_de_morgan_under_a_sugeno_negation_on_the_demo_data(norm, negation):
+    _assert_de_morgan(norm, negation, load_fss(DEMO_DATA / "quality.fss"),
+                      load_fss(DEMO_DATA / "price.fss"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_disjoint_operands("abc", "pqr"))
+@pytest.mark.parametrize("norm, negation", _DE_MORGAN)
+def test_de_morgan_under_a_sugeno_negation_on_drawn_sets(norm, negation, operands):
+    _assert_de_morgan(norm, negation, *operands)
+
+
+def test_a_product_tag_without_an_entry_or_default_is_refused_before_any_call():
+    s = load_fss(DEMO_DATA / "quality.fss")
+    product = apply_connective(builtin("product"), s, load_fss(DEMO_DATA / "price.fss"))
+    family = {"modern": builtin("sugeno(1)"), "spacious": builtin("standard-negation")}
+    with pytest.raises(MissingLabelError, match="no entry for label 'cheap\\*modern' and no"):
+        negate_fss(family, product)
+    assert negate_fss(lift_negation(family, default=builtin("sugeno(2)")),
+                      product).tags == product.tags
+    # a's scalar, called first, would raise; the lookup of a*b comes first.
+    mixed = fss(["u1", "u2"], {"a": (0.5, 0.5), "a*b": (0.25, 0.5)})
+    with pytest.raises(MissingLabelError, match="no entry for label 'a\\*b' and no default"):
+        negate_fss({"a": scalar_from_expression("2 - x", arity=1)}, mixed)
+
+
+def test_a_negation_out_of_range_names_its_tag_and_element():
+    s = fss(["u1", "u2"], {"a": (1.0, 1.0), "b": (0.5, 0.5), "c": (1.0, 0.75)})
+    family = lift_negation({"b": builtin("standard-negation")},
+                           default=scalar_from_expression("2 - x", arity=1))
+    with pytest.raises(CodomainError, match="^negation '2 - x' under tag 'c' at element 'u2' "
+                                            "produced 1.25, outside"):
+        negate_fss(family, s)
+
+
+def test_each_distinct_negation_is_called_once_on_all_of_its_rows():
+    calls = []
+
+    def counted(name, fn):
+        def call(x):
+            calls.append((name, np.shape(x)))
+            return fn(x)
+        return ScalarConnective(name, 1, "negation", True, call)
+
+    first, second = counted("n1", lambda x: 1.0 - x), counted("n2", lambda x: (1 - x) / (1 + x))
+    s = fss(["u1", "u2"], {"c": (0.5, 1.0), "b": (0.25, 0.0), "a*b": (1.0, 0.5),
+                           "a": (0.0, 0.75)})
+    assert negate_fss(first, s) == complement_fss(s)
+    assert calls == [("n1", (4, 2))]
+    calls.clear()
+    negated = negate_fss(lift_negation({"b": second}, default=first), s)
+    assert calls == [("n1", (3, 2)), ("n2", (1, 2))]  # in the order of each one's first tag
+    assert negated.values.tolist() == [[1.0, 0.25], [0.0, 0.5], [0.6, 1.0], [0.5, 0.0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda lift: negate_fss(lift, fss(["u"], {"a": (0.5,)})),
+    lambda lift: check_negation_axioms(lift),
+    lambda lift: find_equilibria(lift, ["a"]),
+], ids=["negate_fss", "check_negation_axioms", "find_equilibria"])
+def test_only_a_negation_lift_is_taken_as_a_negation(call):
+    with pytest.raises(ArityError, match="^expected a negation lift, got kind "
+                                         "'fuzzy-soft-t-norm'$"):
+        call(lift_tnorm(builtin("product")))
+    negation = lift_negation({"a": builtin("sugeno(1)")})
+    assert lift_negation(negation) is negation
 
 
 def test_a_lifted_product_is_associative_on_the_demo_data():
@@ -469,6 +613,13 @@ def test_constructor_rejects_a_row_count_that_differs_from_the_tags(rows, messag
     ({"a": np.array([True])}, r"tag 'a': membership np.True_ for element 'u' is not a number"),
     ({"a": [0.5], "b": [np.False_]}, "tag 'b': membership np.False_ for element 'u' is not"),
     ({"a": [0.5], "b": [[0.5, 0.5]]}, r"tag 'b': membership \[0.5, 0.5\] for element"),
+    # numpy would drop an imaginary part, or store a date or duration's count.
+    ({"a": [0.5 + 0.3j]}, r"tag 'a': membership \(0.5\+0.3j\) for element 'u' is not a number"),
+    ({"a": [0.5], "b": [np.complex128(0.5)]}, r"tag 'b': membership np.complex128\(0.5\+0j\)"),
+    ({"a": np.array([0.5 + 0j])}, r"tag 'a': membership np.complex128\(0.5\+0j\) for"),
+    ({"a": [np.timedelta64(1)]}, r"tag 'a': membership np.timedelta64\(1\) for element"),
+    ({"a": [np.datetime64(1, "s")]}, "tag 'a': membership np.datetime64.* is not a number"),
+    ({"a": [0.5], "b": [np.timedelta64(1)]}, r"tag 'b': membership np.timedelta64\(1\) for"),
     # Past the float range: numpy raises OverflowError converting these.
     pytest.param({"a": [10**400]},
                  "tag 'a': membership 1" + "0" * 400 + " for element 'u' is not a number",
@@ -481,6 +632,14 @@ def test_non_numeric_membership_names_its_tag(assignments, message):
         make_fuzzy_soft_set(["u"], assignments)
     with pytest.raises(ValidationError, match="tag 'b': membership <object"):
         make_fuzzy_soft_set(["u", "v"], {"a": [0.5, 1.0], "b": [0.5, object()]})
+
+
+@pytest.mark.parametrize("value", [np.complex128(0.5), np.timedelta64(1), np.datetime64(1, "s")])
+def test_a_value_that_is_not_a_real_number_is_refused_in_an_object_array(value):
+    # Beside a Fraction, numpy stores the value in an object array, whose
+    # conversion to float would take it too.
+    with pytest.raises(ValidationError, match="tag 'a': membership .* for element 'v' is not a"):
+        make_fuzzy_soft_set(["u", "v"], {"a": [Fraction(1, 2), value]})
 
 
 class _Unwalkable(np.ndarray):

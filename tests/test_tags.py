@@ -67,7 +67,11 @@ def test_tagged_membership_validation():
 
 
 @pytest.mark.parametrize("value", ["0.5", b"0.5", "x", None, 10**400, object(),
-                                   True, False, np.True_, np.False_])
+                                   True, False, np.True_, np.False_,
+                                   # float() would drop the imaginary part,
+                                   # or take a date or duration's count.
+                                   0.5j, np.complex128(0.5), np.complex64(1),
+                                   np.timedelta64(1), np.datetime64(1, "s")])
 def test_tagged_membership_refuses_a_value_that_is_not_a_number(value):
     with pytest.raises(ValidationError, match=r"^membership value .* for tag 'a' is not a number$"):
         TaggedMembership(ParamTag("a"), value)
