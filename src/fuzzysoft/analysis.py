@@ -51,6 +51,7 @@ the error names the point that the full walk names.
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -61,7 +62,7 @@ from .errors import CandidateEvaluationError, DslError, FuzzySoftError
 from .expr import CompiledExpr
 from .record import Record
 from .sets import MAX_ARRAY_VALUES
-from .tags import ParamTag
+from .tags import ParamTag, number_or_none
 
 #: Bisection stops once the bracket is narrower than this; three orders
 #: of magnitude finer than the default verdict tolerance.
@@ -107,10 +108,11 @@ class CheckConfig(_Report):
 
     No array it asks for may exceed ``MAX_ARRAY_VALUES``: the continuity
     probe's (4n + 1)**2 grid matrix caps n at 1023, and the (samples, 4)
-    pair-of-pairs columns cap the samples at 2**22.  The tolerance is
-    positive and below 1: memberships lie in [0, 1], so a tolerance of 1
-    or more admits any difference between two of them, and ``x + y``
-    would pass as a t-norm.
+    pair-of-pairs columns cap the samples at 2**22.  The counts and the
+    seed are stored as ``int`` (``operator.index``, no ``bool``) and the
+    tolerance as a ``float`` that is positive and below 1: memberships lie
+    in [0, 1], so a tolerance of 1 or more admits any difference between
+    two of them, and ``x + y`` would pass as a t-norm.
     """
 
     grid_steps: int = 64
@@ -119,10 +121,17 @@ class CheckConfig(_Report):
     seed: int = 0
 
     def __post_init__(self):
-        if self.grid_steps < 2:
-            raise ValueError(f"grid_steps must be >= 2, got {self.grid_steps}")
-        if self.random_samples < 0:
-            raise ValueError(f"random_samples must be >= 0, got {self.random_samples}")
+        for name, least in (("grid_steps", 2), ("random_samples", 0), ("seed", 0)):
+            value = number_or_none(getattr(self, name), operator.index)
+            if value is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
+        tolerance = number_or_none(self.tolerance)
+        if tolerance is None:
+            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", tolerance)
         for name, size in (("grid_steps", (4 * self.grid_steps + 1) ** 2),
                            ("random_samples", 4 * self.random_samples)):
             if size > MAX_ARRAY_VALUES:

@@ -160,20 +160,13 @@ def _split_family_items(entries: Sequence[str]) -> list[tuple[str, str]]:
     may be given once across all items."""
     items: list[tuple[str, str]] = []
     for entry in entries:
-        depth = 0
-        current = ""
-        parts = []
-        for ch in entry:
+        depth, start, parts = 0, 0, []
+        for i, ch in enumerate(entry):
+            depth += (ch == "(") - (ch == ")")
             if ch == "," and depth == 0:
-                parts.append(current)
-                current = ""
-                continue
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            current += ch
-        parts.append(current)
+                parts.append(entry[start:i])
+                start = i + 1
+        parts.append(entry[start:])
         for part in parts:
             part = part.strip()
             if not part:
@@ -263,13 +256,9 @@ def _cmd_classify(args) -> int:
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     else:
         _print_classification(report)
-    found_forbidden = False
-    for forbidden in args.expect_none:
-        if forbidden == "zero-divisors" and report.zero_divisors:
-            found_forbidden = True
-        if forbidden == "nonzero-nilpotents" and report.nonzero_nilpotents:
-            found_forbidden = True
-    return EXIT_VIOLATION if found_forbidden else EXIT_OK
+    found = {"zero-divisors": report.zero_divisors,
+             "nonzero-nilpotents": report.nonzero_nilpotents}
+    return EXIT_VIOLATION if any(found[name] for name in args.expect_none) else EXIT_OK
 
 
 def _cmd_equilibrium(args) -> int:

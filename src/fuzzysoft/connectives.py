@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
+from operator import itemgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -61,6 +64,9 @@ LIFT_IMPLICATION = "fuzzy-soft-implication"
 #: out is a codomain violation.
 CLAMP_TOLERANCE = 1e-12
 
+#: The label of a (label, scalar) entry of a negation family.
+_LABEL = itemgetter(0)
+
 
 @dataclass(frozen=True)
 class ScalarConnective:
@@ -92,7 +98,7 @@ class ScalarConnective:
 
 
 #: name -> (arity, kind, body).  A body is the expression text of the
-#: docs/grammar.md definition, compiled per lookup.  The Goedel
+#: docs/grammar.md definition, compiled at its first lookup.  The Goedel
 #: implication's definition, 1 if x <= y else y, is a conditional that the
 #: language does not have; its text gives the same bits on [0, 1] without
 #: pow, which costs tens of times as much per element: x > y implies
@@ -120,14 +126,20 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILTINS)) + ("sugeno(L)",)
 
 
-def builtin(name: str) -> ScalarConnective:
-    """Look up a builtin connective by its stable identifier.
+@cache
+def _compiled_builtin(name: str) -> CompiledExpr:
+    return CompiledExpr(parse_scalar(_BUILTINS[name][2]))
 
-    ``sugeno`` takes its parameter inline, e.g. ``sugeno(1)``.
-    """
+
+def builtin(name: str) -> ScalarConnective:
+    """A new connective for the builtin with this stable identifier;
+    ``sugeno`` takes its parameter inline, e.g. ``sugeno(1)``, and is
+    compiled per lookup, every other body once."""
     name = name.strip()
-    entry = _BUILTINS.get(name)
-    if entry is None and (match := _SUGENO_RE.match(name)):
+    if name in _BUILTINS:
+        arity, kind, _ = _BUILTINS[name]
+        fn = _compiled_builtin(name)
+    elif match := _SUGENO_RE.match(name):
         try:
             lam = float(match.group(1))
         except ValueError:
@@ -141,15 +153,13 @@ def builtin(name: str) -> ScalarConnective:
         # finite lam > -1, rounding is monotone, so
         # fl(1 + fl(lam * x)) >= fl(1 + lam) > 0.
         lam_text = format_number(lam)
-        name = f"sugeno({lam_text})"
-        entry = (1, KIND_NEGATION, f"(1 - x) / (1 + {lam_text} * x)")
-    if entry is None:
+        name, arity, kind = f"sugeno({lam_text})", 1, KIND_NEGATION
+        fn = CompiledExpr(parse_scalar(f"(1 - x) / (1 + {lam_text} * x)"))
+    else:
         raise UnknownBuiltinError(
             f"unknown builtin {name!r}; known names: {', '.join(builtin_names())}"
         )
-    arity, kind, body = entry
-    return ScalarConnective(name=name, arity=arity, kind=kind, continuity=True,
-                            fn=CompiledExpr(parse_scalar(body)))
+    return ScalarConnective(name=name, arity=arity, kind=kind, continuity=True, fn=fn)
 
 
 def scalar_from_parsed(ast: ScalarExpr, arity: int = 2) -> ScalarConnective:
@@ -271,11 +281,13 @@ class LiftedConnective(Record):
         """Resolve the unary scalar for a tag (negations only).
 
         Family lookup uses the tag's canonical text, so product tags need
-        an explicit entry or a default.
+        an explicit entry or a default; the family is sorted by label.
         """
         if self.scalar is not None:
             return self.scalar
-        scalar = dict(self.family or ()).get(tag.text, self.default)
+        family, label = self.family or (), tag.text
+        i = bisect_left(family, label, key=_LABEL)
+        scalar = family[i][1] if i < len(family) and family[i][0] == label else self.default
         if scalar is None:
             raise MissingLabelError(
                 f"negation family has no entry for label {tag.text!r} and no default"

@@ -23,7 +23,6 @@ the last newline, for the end-of-input token too.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from contextlib import contextmanager
 from typing import Union
@@ -170,7 +169,10 @@ class Call(SyntaxNode):
 
 ScalarExpr = Union[Num, Var, Neg, BinOp, Call]
 
-_CALL_ARITY = {"min": 2, "max": 2, "pow": 2, "abs": 1}
+#: Each binary operator and function to the ufunc that computes it; a
+#: function takes the ufunc's ``nin`` arguments.  ``Neg`` is ``np.negative``.
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "min": np.minimum, "max": np.maximum, "pow": np.power, "abs": np.absolute}
 _VARIABLES = ("x", "y")
 
 
@@ -276,7 +278,7 @@ class _ScalarParser:
             if tok.text in _VARIABLES:
                 self.advance()
                 return Var(tok.text, tok.span)
-            if tok.text in _CALL_ARITY:
+            if tok.text in _UFUNCS:
                 return self.parse_call()
             raise ParseError(
                 f"unknown identifier {tok.text!r} (variables are 'x' and 'y'; "
@@ -294,7 +296,7 @@ class _ScalarParser:
     def parse_call(self) -> ScalarExpr:
         name_tok = self.advance()
         func = name_tok.text
-        arity = _CALL_ARITY[func]
+        arity = _UFUNCS[func].nin
         self.expect_punct("(", f"after {func!r}")
         with self.level(name_tok):
             args = [self.parse_expr()]
@@ -332,29 +334,23 @@ def eval_scalar(node: ScalarExpr, x, y=None):
     return CompiledExpr(node)(x, y)
 
 
-#: Per operator: the operation on fresh values, and the ufunc that writes
-#: the same result into a register.
-_BINARY_OPS = {"+": (operator.add, np.add), "-": (operator.sub, np.subtract),
-               "*": (operator.mul, np.multiply), "/": (operator.truediv, np.divide)}
-_CALL_UFUNCS = {"min": np.minimum, "max": np.maximum, "pow": np.power, "abs": np.abs}
-
-
 class CompiledExpr:
     """An expression compiled once into a tree of closures.
 
-    ``evaluate(x, y=None, regs=None)``: with no register file every node
-    allocates its value, as numpy operators do.  ``regs`` is a sequence of
+    ``evaluate(x, y=None, regs=None)``: both calls run each node's ufunc
+    on the same operands, so they give the same bits.  With no register
+    file every node allocates its value.  ``regs`` is a sequence of
     at least ``registers`` writable float64 arrays of the output's shape,
     into which the inputs broadcast; then node k writes its value into
     register k (a node's first operand shares its register, the second
     takes the next one), and the result is ``regs[0]``.  Only a subtree
     that reads one variable or none, and so is smaller than the output
     unless that variable has the output's shape, allocates its value as in
-    a plain call; nothing else is allocated.  Both give the same bits.  A
-    register call runs under the caller's ``np.errstate``; a plain call
-    ignores floating-point errors.  ``node`` is the expression compiled,
-    ``height`` its number of levels above the leaves, and ``variables``
-    maps each variable it reads to its left-most ``Var``.
+    a plain call; nothing else is allocated.  A register call runs under
+    the caller's ``np.errstate``; a plain call ignores floating-point
+    errors.  ``node`` is the expression compiled, ``height`` its number of
+    levels above the leaves, and ``variables`` maps each variable it reads
+    to its left-most ``Var``.
 
     ``symmetric``: the expression has no ``pow``, and it equals its x-y
     swap once the two operands of every ``+``, ``*``, ``min`` and ``max``
@@ -406,12 +402,11 @@ def _compile(node: ScalarExpr, r: int):
             return bound
         return run_var, -1, {name: node}, 0
     if isinstance(node, Neg):
-        kids, op, ufunc = (node.operand,), operator.neg, np.negative
+        kids, ufunc = (node.operand,), np.negative
     elif isinstance(node, BinOp):
-        kids, (op, ufunc) = (node.left, node.right), _BINARY_OPS[node.op]
+        kids, ufunc = (node.left, node.right), _UFUNCS[node.op]
     elif isinstance(node, Call):
-        kids = node.args
-        op = ufunc = _CALL_UFUNCS[node.func]
+        kids, ufunc = node.args, _UFUNCS[node.func]
     else:
         raise TypeError(f"not a scalar expression node: {node!r}")
     compiled = [_compile(kid, r + i) for i, kid in enumerate(kids)]
@@ -423,18 +418,17 @@ def _compile(node: ScalarExpr, r: int):
         operand = compiled[0][0]
 
         def run_unary(x, y, regs):
-            a = operand(x, y, regs)
-            return op(a) if regs is None else ufunc(a, out=regs[r])
+            return ufunc(operand(x, y, regs), out=None if regs is None else regs[r])
         return _in_own_shape(run_unary, names, r), top, names, height
     (left, *_), (right, *_) = compiled
-    divides, span = op is operator.truediv, node.span
+    divides, span = ufunc is np.divide, node.span
 
     def run_binary(x, y, regs):
         a = left(x, y, regs)
         b = right(x, y, regs)
         if divides and not np.all(b):  # some divisor is 0 or -0
             raise DivisionByZeroError("division by zero", span)
-        return op(a, b) if regs is None else ufunc(a, b, out=regs[r])
+        return ufunc(a, b, out=None if regs is None else regs[r])
     return _in_own_shape(run_binary, names, r), top, names, height
 
 
@@ -501,7 +495,6 @@ def _in_own_shape(run, names, r: int):
 
 _BIN_PREC = {"+": 0, "-": 0, "*": 1, "/": 1}
 _UNARY_PREC = 2
-_ATOM_PREC = 3
 
 
 def pretty_print(node: ScalarExpr) -> str:

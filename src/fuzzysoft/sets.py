@@ -102,13 +102,6 @@ class FuzzySet(Record):
     universe: Universe
     memberships: tuple[float, ...]
 
-    def membership(self, element: str) -> float:
-        try:
-            index = self.universe.elements.index(element)
-        except ValueError:
-            raise ValidationError(f"element {element!r} is not in the universe") from None
-        return self.memberships[index]
-
 
 def _float_matrix(values) -> np.ndarray | None:
     """``values`` as a 2-D float array, or None where numpy cannot make one
@@ -126,10 +119,6 @@ def _float_matrix(values) -> np.ndarray | None:
         return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         return None
-
-
-def _is_number(value) -> bool:
-    return _float_matrix([[value]]) is not None
 
 
 class FuzzySoftSet(Record):
@@ -165,7 +154,7 @@ class FuzzySoftSet(Record):
         if values is None:
             for tag, row in zip(tags, self.values):
                 for element, value in zip(self.universe.elements, row):
-                    if not _is_number(value):
+                    if _float_matrix([[value]]) is None:
                         raise ValidationError(f"tag {tag.text!r}: membership {value!r} "
                                               f"for element {element!r} is not a number")
         outside = ~((values >= 0.0) & (values <= 1.0))
@@ -309,7 +298,10 @@ def apply_connective(
     gathered from the matrix, in sorted key order, in one step.  More than
     ``MAX_PAIRS`` tag pairs (P1 * P2) or ``MAX_ARRAY_VALUES`` values
     (P1 * P2 * U) raise ``ProductSizeError`` before anything is allocated
-    or evaluated.
+    or evaluated.  A scalar that passes ``check_tnorm_axioms`` at its
+    tolerance (1e-9 by default) can still collide here: the Hamacher
+    product with an epsilon in its divisor deviates from associativity by
+    up to 2.5e-11, so T(S, T(S, S)) raises ``TagCollisionError``.
 
     Faults are reported row of ``f1`` by row.  An error raised by the
     scalar anywhere in a row comes first.  Then the row's pairs are taken

@@ -23,7 +23,17 @@ RESERVED_SEPARATOR = "*"
 #: Types that float() or numpy would take as a membership value, though
 #: they are not real numbers.
 NOT_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating,
-               np.datetime64, np.timedelta64)
+               np.datetime64, np.timedelta64, type(None))
+
+
+def number_or_none(value, convert=float):
+    """``convert(value)``, or None for one of the ``NOT_NUMBERS`` or a refused value."""
+    if isinstance(value, NOT_NUMBERS):
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -63,10 +73,6 @@ class ParamTag:
     def text(self) -> str:
         """Canonical textual form: labels sorted, joined with ``*``."""
         return RESERVED_SEPARATOR.join(self.labels)
-
-    @property
-    def is_atomic(self) -> bool:
-        return len(self.labels) == 1
 
     def combine(self, other: "ParamTag") -> "ParamTag":
         # Both label tuples are valid already: sort them, skip __post_init__.
@@ -117,10 +123,7 @@ class TaggedMembership(Record):
     value: float
 
     def __post_init__(self):
-        try:
-            value = None if isinstance(self.value, NOT_NUMBERS) else float(self.value)
-        except (TypeError, ValueError, OverflowError):
-            value = None
+        value = number_or_none(self.value)
         if value is None:
             raise ValidationError(f"membership value {self.value!r} for tag "
                                   f"{self.tag.text!r} is not a number")

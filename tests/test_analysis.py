@@ -225,6 +225,35 @@ def test_config_validation():
         CheckConfig(random_samples=-1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # Grid points past 1 (2.5 steps put one at 1.2) would fail a t-norm there.
+    ("grid_steps", 2.5, "grid_steps must be an integer, got 2.5"),
+    ("random_samples", 2.5, "random_samples must be an integer, got 2.5"),
+    ("random_samples", True, "random_samples must be an integer, got True"),
+    ("grid_steps", np.True_, "grid_steps must be an integer, got np.True_"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", "0", "seed must be an integer, got '0'"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("tolerance", "1e-9", "tolerance must be a real number, got '1e-9'"),
+    ("tolerance", None, "tolerance must be a real number, got None"),
+    ("tolerance", False, "tolerance must be a real number, got False"),
+    ("tolerance", 1e-9j, r"tolerance must be a real number, got 1e-09j"),
+])
+def test_config_refuses_a_setting_it_cannot_honour(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CheckConfig(**{field: value})
+
+
+def test_config_stores_plain_numbers_that_reports_serialize():
+    cfg = CheckConfig(grid_steps=np.int64(8), random_samples=np.int32(10),
+                      tolerance=np.float32(0.5), seed=np.uint8(3))
+    assert [type(value) for value in vars(cfg).values()] == [int, int, float, int]
+    assert cfg == CheckConfig(grid_steps=8, random_samples=10, tolerance=0.5, seed=3)
+    report = check_tnorm_axioms(builtin("product"), cfg)
+    assert json.loads(json.dumps(report.to_dict()))["config"] == {
+        "grid_steps": 8, "random_samples": 10, "tolerance": 0.5, "seed": 3}
+
+
 def test_candidate_evaluation_error_carries_point():
     exploding = scalar_from_expression("x/y")
     with pytest.raises(CandidateEvaluationError) as err:

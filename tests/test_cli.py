@@ -93,6 +93,12 @@ def test_overflowing_number_literal_exit_two(files, monkeypatch, capsys, argv):
     assert not (files[0] / "o.fss").exists()
 
 
+def test_negative_seed_is_a_usage_error_that_names_it(capsys):
+    assert run_cli(["check", "--kind", "tnorm", "--builtin", "product", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: seed must be >= 0, got -1\n")
+
+
 def test_check_usage_error_exit_two():
     assert run_cli(["check", "--kind", "tnorm"]) == 2
     assert run_cli(["check", "--kind", "nonsense", "--expr", "x*y"]) == 2

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,27 @@ def test_negation_family_resolution():
         {"a1": builtin("sugeno(1)")}, default=builtin("standard-negation")
     )
     assert with_default(tm("zz", 0.25)).value == 0.75
+
+
+def test_negation_family_finds_each_label_among_its_neighbours():
+    # Labels that sort next to one another and to the product tags looked up.
+    labels = ["a", "a*b", "ab", "b", "b*b"]
+    scalars = {label: builtin(f"sugeno({i})") for i, label in enumerate(labels)}
+    N = lift_negation(scalars)
+    for label in labels:
+        assert N.scalar_for(ParamTag.parse(label)) is scalars[label]
+    fallback = lift_negation(scalars, default=builtin("standard-negation"))
+    for missing in ("a*a", "aa", "A", "c", "b*c"):
+        with pytest.raises(MissingLabelError, match=re.escape(f"no entry for label '{missing}'")):
+            N.scalar_for(ParamTag.parse(missing))
+        assert fallback.scalar_for(ParamTag.parse(missing)) is fallback.default
+
+
+def test_each_lookup_of_a_builtin_is_a_new_connective_around_one_compiled_body():
+    first, second = builtin("lukasiewicz"), builtin(" lukasiewicz ")
+    assert first == second and first is not second
+    assert first.fn is second.fn
+    assert builtin("sugeno(1)").fn is not builtin("sugeno(1)").fn
 
 
 def test_eval_lifted_commutes_for_product():

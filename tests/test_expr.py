@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from fuzzysoft import (
     tokenize,
 )
 from fuzzysoft.connectives import scalar_from_expression, scalar_from_parsed
+from fuzzysoft import expr
 from fuzzysoft.expr import MAX_DEPTH, BinOp, Call, CompiledExpr, Neg, Num, SourceSpan, Var
 
 
@@ -326,6 +328,48 @@ def test_compiled_expression_gives_the_same_bits_with_registers(text, a, b, c, s
             continue
         assert written is regs[0]
         assert np.array_equal(_bits(written, shape), _bits(plain, shape))
+
+
+#: Each operation of the compiler, as an expression, and the Python float
+#: arithmetic it must match on Python floats.  ``min`` and ``max`` have no
+#: float operator; theirs is the ufunc on one-element float64 arrays, whose
+#: sign of a zero result Python's min and max do not follow.
+_SCALAR_REFERENCES = {
+    "+": ("x + y", operator.add),
+    "-": ("x - y", operator.sub),
+    "*": ("x * y", operator.mul),
+    "/": ("x / y", operator.truediv),
+    "neg": ("-x", operator.neg),
+    "abs": ("abs(x)", operator.abs),
+    "pow": ("pow(x, y)", np.power),
+    "min": ("min(x, y)", lambda a, b: np.minimum([a], [b])[0]),
+    "max": ("max(x, y)", lambda a, b: np.maximum([a], [b])[0]),
+}
+
+
+def test_every_operation_has_a_scalar_reference():
+    assert set(expr._UFUNCS) | {"neg"} == set(_SCALAR_REFERENCES)
+
+
+@pytest.mark.parametrize("op", sorted(_SCALAR_REFERENCES))
+def test_a_plain_call_on_python_floats_gives_the_bits_of_python_arithmetic(op):
+    text, reference = _SCALAR_REFERENCES[op]
+    compiled = CompiledExpr(parse_scalar(text))
+    values = (0.0, -0.0, 5e-324, 0.25, 1.0, 3.0, -2.0, 1e300)
+    operands = ([(a,) for a in values] if "y" not in compiled.variables
+                else list(itertools.product(values, repeat=2)))
+    for args in operands:
+        if op == "/" and args[1] == 0:
+            with pytest.raises(DivisionByZeroError) as err:
+                compiled(*args)
+            assert (err.value.message, err.value.span) == ("division by zero",
+                                                            SourceSpan(0, 5, 1, 1))
+            continue
+        got = compiled(*args)
+        with np.errstate(all="ignore"):
+            want = float(reference(*args))
+        assert type(got) is float
+        assert _bits(got, ()) == _bits(want, ()), (text, args, got, want)
 
 
 @pytest.mark.parametrize("text, symmetric", [

@@ -25,6 +25,7 @@ from fuzzysoft import (
     apply_connective,
     builtin,
     check_negation_axioms,
+    check_tnorm_axioms,
     complement_fss,
     dual_of,
     eval_lifted,
@@ -253,6 +254,18 @@ def test_noncommutative_scalar_collision_is_an_error():
     with pytest.raises(TagCollisionError) as err:
         apply_connective(residuum, s, s)
     assert "p*q" in str(err.value)
+
+
+def test_a_pass_at_the_check_tolerance_does_not_make_the_lift_lawful():
+    # A Hamacher product with an epsilon in its divisor passes the t-norm
+    # check at tol = 1e-9, but its associativity deviates by up to 2.5e-11,
+    # past the 1e-12 within which two colliding pairs merge.
+    hamacher = scalar_from_expression("x*y/(x + y - x*y + 0.0000000001)")
+    assert check_tnorm_axioms(hamacher, CheckConfig()).passed
+    s = fss(["u1", "u2", "u3"], {"a": (0.3, 0.6, 0.9), "b": (0.5, 0.25, 0.75)})
+    with pytest.raises(TagCollisionError, match=r"^tag pairs \(b, a\*a\) collide on canonical tag "
+                                                r"'a\*a\*b' with different membership vectors$"):
+        apply_connective(hamacher, s, apply_connective(hamacher, s, s))
 
 
 # --- randomized algebra laws -------------------------------------------------------
@@ -605,7 +618,9 @@ def test_constructor_rejects_a_row_count_that_differs_from_the_tags(rows, messag
     # numpy would parse text as a number; a membership is never text.
     ({"a": ["0.5"]}, "tag 'a': membership '0.5' for element 'u' is not a number"),
     ({"a": [b"0.5"]}, "tag 'a': membership b'0.5' for element 'u' is not a number"),
-    ({"a": [None]}, "tag 'a': membership nan for element 'u' is outside"),
+    # numpy would take None as NaN.
+    ({"a": [None]}, "tag 'a': membership None for element 'u' is not a number"),
+    ({"a": [0.5], "b": [None]}, "tag 'b': membership None for element 'u' is not a number"),
     ({"a": [[1.0]]}, r"tag 'a': membership \[1.0\] for element 'u' is not a number"),
     # numpy would take a boolean as 0 or 1, also among floats in one list.
     ({"a": [True]}, "tag 'a': membership True for element 'u' is not a number"),
