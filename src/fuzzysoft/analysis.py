@@ -108,11 +108,13 @@ class CheckConfig(_Report):
 
     No array it asks for may exceed ``MAX_ARRAY_VALUES``: the continuity
     probe's (4n + 1)**2 grid matrix caps n at 1023, and the (samples, 4)
-    pair-of-pairs columns cap the samples at 2**22.  The counts and the
-    seed are stored as ``int`` (``operator.index``, no ``bool``) and the
-    tolerance as a ``float`` that is positive and below 1: memberships lie
-    in [0, 1], so a tolerance of 1 or more admits any difference between
-    two of them, and ``x + y`` would pass as a t-norm.
+    pair-of-pairs columns cap the samples at 2**22.  The probe holds that
+    matrix and one matrix of its jumps along an axis at once, about
+    256 MiB at n = 1023.  The counts and the seed are stored as ``int``
+    (``operator.index``, no ``bool``) and the tolerance as a ``float``
+    that is positive and below 1: memberships lie in [0, 1], so a
+    tolerance of 1 or more admits any difference between two of them, and
+    ``x + y`` would pass as a t-norm.
     """
 
     grid_steps: int = 64
@@ -270,8 +272,9 @@ class ContinuityEstimate(_Report):
 # Evaluation helpers
 
 
-def _grid(cfg: CheckConfig) -> np.ndarray:
-    return np.arange(cfg.grid_steps + 1, dtype=float) / cfg.grid_steps
+def grid_points(steps: int) -> np.ndarray:
+    """The ``steps + 1`` points ``k / steps`` of [0, 1], each correctly rounded."""
+    return np.arange(steps + 1, dtype=float) / steps
 
 
 def _locate_failure(candidate: ScalarConnective, args, shape) -> tuple[float, ...]:
@@ -317,6 +320,13 @@ def _grid_matrix(candidate: ScalarConnective, g: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         out = _call(candidate, g[:, None], g[None, :])
     return np.broadcast_to(np.asarray(out, dtype=float), (len(g), len(g)))
+
+
+def _binary_grid(candidate: ScalarConnective, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid points of ``steps`` and a binary candidate's grid matrix on them."""
+    require_arity(candidate, 2)
+    g = grid_points(steps)
+    return g, _grid_matrix(candidate, g)
 
 
 def _violations(got: np.ndarray, want, relation: str, tol: float) -> np.ndarray:
@@ -621,9 +631,7 @@ def _check_binary(
     kind: str, axioms: tuple[_Axiom, ...], candidate: ScalarConnective, cfg: CheckConfig | None
 ) -> AxiomReport:
     cfg = cfg or CheckConfig()
-    require_arity(candidate, 2)
-    g = _grid(cfg)
-    F = _grid_matrix(candidate, g)
+    g, F = _binary_grid(candidate, cfg.grid_steps)
     rng = np.random.default_rng(cfg.seed)
     checks = tuple(_verify(axiom, candidate, F, g, rng, cfg) for axiom in axioms)
     return AxiomReport(kind, candidate.name, cfg, checks)
@@ -668,7 +676,7 @@ def check_negation_axioms(
     if labels is None:
         labels = tuple(label for label, _ in lifted.family or ()) or (None,)
 
-    g = _grid(cfg)
+    g = grid_points(cfg.grid_steps)
     rng = np.random.default_rng(cfg.seed)
     checks: list[AxiomCheck] = []
     for label in labels:
@@ -691,10 +699,8 @@ def classify_elements(candidate: ScalarConnective, cfg: CheckConfig | None = Non
     order and keeps the first hit, so witnesses are deterministic.
     """
     cfg = cfg or CheckConfig()
-    require_arity(candidate, 2)
-    g = _grid(cfg)
+    g, F = _binary_grid(candidate, cfg.grid_steps)
     tol = cfg.tolerance
-    F = _grid_matrix(candidate, g)
     diag = np.diagonal(F)
 
     idempotents = tuple(float(v) for v in g[np.abs(diag - g) <= tol])
@@ -779,21 +785,22 @@ def continuity_probe(candidate: ScalarConnective, cfg: CheckConfig | None = None
     the absence of one proves nothing.
     """
     cfg = cfg or CheckConfig()
-    require_arity(candidate, 2)
     fine_steps = 4 * cfg.grid_steps
-    g = np.arange(fine_steps + 1, dtype=float) / fine_steps
+    g, F = _binary_grid(candidate, fine_steps)
     spacing = 1.0 / fine_steps
-    F = _grid_matrix(candidate, g)
 
-    found = []  # (largest jump, its two points) along x, then along y
-    for axis in (0, 1):
+    def largest_jump(axis: int) -> tuple[float, tuple[float, ...]]:
+        """The largest jump along ``axis`` and its two points; the jumps are
+        one matrix, made in place and dropped on return."""
         with np.errstate(invalid="ignore"):
-            jumps = np.abs(np.diff(F, axis=axis))
+            jumps = np.diff(F, axis=axis)
+        np.abs(jumps, out=jumps)
         jumps[np.isnan(jumps)] = np.inf
         i, j = np.unravel_index(np.argmax(jumps), jumps.shape)
-        at = (g[i], g[j], g[i + 1 - axis], g[j + axis])
-        found.append((float(jumps[i, j]), tuple(map(float, at))))
-    max_jump, at = found[0] if found[0][0] >= found[1][0] else found[1]
+        return float(jumps[i, j]), tuple(map(float, (g[i], g[j], g[i + 1 - axis], g[j + axis])))
+
+    # Along x, then along y; on a tie, x's.
+    max_jump, at = max(map(largest_jump, (0, 1)), key=operator.itemgetter(0))
     threshold = CONTINUITY_JUMP_FACTOR * spacing
     return ContinuityEstimate(
         candidate=candidate.name,

@@ -36,6 +36,7 @@ from .analysis import (
     check_tnorm_axioms,
     classify_elements,
     find_equilibria,
+    grid_points,
 )
 from .connectives import (
     ScalarConnective,
@@ -92,25 +93,26 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--expr", help="candidate as an expression in x and y")
         group.add_argument("--builtin", help="candidate as a builtin name")
 
+    def add_option(p: argparse.ArgumentParser, flag: str, field: str, metavar: str,
+                   text: str | None = None) -> None:
+        default = getattr(CheckConfig, field)  # each default is CheckConfig's own
+        p.add_argument(flag, type=type(default), default=default, metavar=metavar,
+                       help=text and f"{text} (default {default})")
+
     check = sub.add_parser("check", help="verify connective axioms")
-    check.add_argument("--kind", required=True,
-                       choices=("tnorm", "tconorm", "negation", "implication"))
+    check.add_argument("--kind", required=True, choices=tuple(_CHECKERS))
     add_candidate(check)
-    check.add_argument("--grid", type=int, default=64, metavar="N",
-                       help="grid steps (default 64)")
-    check.add_argument("--samples", type=int, default=10000, metavar="N",
-                       help="random samples per axiom (default 10000)")
-    check.add_argument("--tol", type=float, default=1e-9, metavar="T",
-                       help="absolute tolerance (default 1e-9)")
-    check.add_argument("--seed", type=int, default=0, metavar="S",
-                       help="sampler seed (default 0)")
+    add_option(check, "--grid", "grid_steps", "N", "grid steps")
+    add_option(check, "--samples", "random_samples", "N", "random samples per axiom")
+    add_option(check, "--tol", "tolerance", "T", "absolute tolerance")
+    add_option(check, "--seed", "seed", "S", "sampler seed")
     check.add_argument("--format", choices=("text", "json"), default="text")
 
     classify = sub.add_parser("classify",
                               help="scan for idempotents, nilpotents, zero divisors")
     add_candidate(classify)
-    classify.add_argument("--grid", type=int, default=64, metavar="N")
-    classify.add_argument("--tol", type=float, default=1e-9, metavar="T")
+    add_option(classify, "--grid", "grid_steps", "N")
+    add_option(classify, "--tol", "tolerance", "T")
     classify.add_argument("--expect-none", action="append", default=[],
                           choices=("zero-divisors", "nonzero-nilpotents"),
                           help="exit 1 if the named class is non-empty (repeatable)")
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-label negations LABEL=EXPR[,LABEL=EXPR...] (repeatable)")
     equilibrium.add_argument("--params", required=True,
                              help="comma-separated parameter labels")
-    equilibrium.add_argument("--tol", type=float, default=1e-9, metavar="T")
+    add_option(equilibrium, "--tol", "tolerance", "T")
 
     apply_cmd = sub.add_parser("apply", help="combine two fuzzy soft set files")
     apply_cmd.add_argument("--op", required=True,
@@ -301,7 +303,7 @@ def _cmd_dual(args) -> int:
                          f"MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
     if n > MAX_TABLE:
         raise ValueError(f"--table {n} is larger than MAX_TABLE = {MAX_TABLE}")
-    g = np.arange(n) / (n - 1)
+    g = grid_points(n - 1)
     # Blocks of rows keep each expression temporary to one cube tile, and
     # assignment broadcasts a constant body.  All run before any print.
     table = np.empty((n, n))

@@ -8,7 +8,12 @@ class FuzzySoftError(Exception):
 
 
 class ValidationError(FuzzySoftError):
-    """A domain object was constructed from invalid data."""
+    """A domain object was constructed from invalid data; ``index`` is the
+    position of the offending item, when there is one."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class UniverseMismatchError(FuzzySoftError):

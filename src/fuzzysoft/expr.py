@@ -174,6 +174,8 @@ ScalarExpr = Union[Num, Var, Neg, BinOp, Call]
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
            "min": np.minimum, "max": np.maximum, "pow": np.power, "abs": np.absolute}
 _VARIABLES = ("x", "y")
+#: The functions: the names of ``_UFUNCS`` that are identifiers.
+_FUNCTIONS = tuple(filter(str.isidentifier, _UFUNCS))
 
 
 #: Deepest nesting the parsers accept.  Each parenthesised group, call,
@@ -281,8 +283,8 @@ class _ScalarParser:
             if tok.text in _UFUNCS:
                 return self.parse_call()
             raise ParseError(
-                f"unknown identifier {tok.text!r} (variables are 'x' and 'y'; "
-                f"functions are min, max, pow, abs)",
+                f"unknown identifier {tok.text!r} (variables are "
+                f"{' and '.join(map(repr, _VARIABLES))}; functions are {', '.join(_FUNCTIONS)})",
                 tok.span,
             )
         if tok.kind == PUNCT and tok.text == "(":

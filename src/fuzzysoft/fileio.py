@@ -103,19 +103,12 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
     if not isinstance(raw_universe, list) or not raw_universe:
         raise DocumentError("'universe' must be a non-empty array of strings",
                             json_path="universe")
-    elements_seen: set[str] = set()
-    for index, element in enumerate(raw_universe):
-        if not isinstance(element, str) or not element:
-            raise DocumentError(
-                f"universe element must be a non-empty string, got {element!r}",
-                json_path=f"universe[{index}]",
-            )
-        if element in elements_seen:
-            raise DocumentError(f"duplicate universe element {element!r}",
-                                json_path=f"universe[{index}]")
-        elements_seen.add(element)
-    universe = Universe(tuple(raw_universe))
+    try:
+        universe = Universe(tuple(raw_universe))
+    except ValidationError as err:
+        raise DocumentError(str(err), json_path=f"universe[{err.index}]") from None
     elements = universe.elements
+    element_set = set(elements)
 
     raw_parameters = doc["parameters"]
     if not isinstance(raw_parameters, dict) or not raw_parameters:
@@ -145,14 +138,14 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
             if not isinstance(mapping, dict):
                 raise DocumentError("parameter value must be an object of memberships",
                                     json_path=f"parameters.{key}")
-            if mapping.keys() != elements_seen:
+            if mapping.keys() != element_set:
                 missing = [e for e in elements if e not in mapping]
                 if missing:
                     raise DocumentError(
                         f"missing membership for element(s) {missing} (no implicit zeros)",
                         json_path=f"parameters.{key}",
                     )
-                extra = min(mapping.keys() - elements_seen)
+                extra = min(mapping.keys() - element_set)
                 raise DocumentError(f"element {extra!r} is not in the universe",
                                     json_path=f"parameters.{key}.{extra}")
             row = list(map(mapping.__getitem__, elements))

@@ -44,6 +44,8 @@ from .expr import (
     NUMBER,
     PUNCT,
     STRING,
+    _FUNCTIONS,
+    _VARIABLES,
     SourceSpan,
     SyntaxNode,
     Token,
@@ -54,10 +56,12 @@ from .fileio import save_fss
 from .record import Record
 from .sets import SET_OPERATIONS, FuzzySoftSet, apply_connective, complement_fss, render_fss
 
-_KEYWORDS = frozenset(
-    {"print", "save", "union", "intersect", "apply", "complement", "dual", "fn",
-     "min", "max", "pow", "abs", "x", "y"}
-)
+#: The script's words, the set operations, the functions and the variables.
+_KEYWORDS = frozenset({"print", "save", "apply", "complement", "dual", "fn",
+                       *SET_OPERATIONS, *_FUNCTIONS, *_VARIABLES})
+
+#: Names no assignment may take: the keywords and the builtin names.
+_UNASSIGNABLE = _KEYWORDS | {name.partition("(")[0] for name in builtin_names()}
 
 
 # --- AST ------------------------------------------------------------------
@@ -147,7 +151,7 @@ class _ScriptParser(_ScalarParser):
             expr = self.parse_setexpr()
             end = self.expect_punct(";", "to end the assignment")
             name = name_tok.text
-            if name in _KEYWORDS or name in builtin_names():
+            if name in _UNASSIGNABLE:
                 raise ParseError(
                     f"cannot shadow the builtin name {name!r}", name_tok.span
                 )

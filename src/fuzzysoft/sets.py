@@ -67,7 +67,8 @@ SET_OPERATIONS = {"union": "maximum", "intersect": "minimum"}
 
 
 class Universe(Record):
-    """An ordered, non-empty sequence of distinct element identifiers."""
+    """An ordered, non-empty sequence of distinct element identifiers; a
+    faulty element's ``ValidationError`` carries its ``index``."""
 
     elements: tuple[str, ...]
 
@@ -76,11 +77,12 @@ class Universe(Record):
         if not elements:
             raise ValidationError("a universe needs at least one element")
         seen = set()
-        for element in elements:
+        for index, element in enumerate(elements):
             if not isinstance(element, str) or not element:
-                raise ValidationError(f"universe element must be a non-empty string, got {element!r}")
+                raise ValidationError(
+                    f"universe element must be a non-empty string, got {element!r}", index)
             if element in seen:
-                raise ValidationError(f"duplicate universe element {element!r}")
+                raise ValidationError(f"duplicate universe element {element!r}", index)
             seen.add(element)
         object.__setattr__(self, "elements", elements)
 

@@ -50,6 +50,7 @@ from fuzzysoft.analysis import (
     _verify,
     _violations,
     _walk_cube,
+    grid_points,
 )
 from fuzzysoft.connectives import builtin_names, resolve_connective
 from fuzzysoft.errors import DslError, EvalError, FuzzySoftError
@@ -438,6 +439,28 @@ def test_probe_of_an_infinite_grid_matrix_warns_nothing():
         "candidate": "pow(x, -1)", "fine_steps": 16, "spacing": 0.0625,
         "max_jump": math.inf, "at": [0.0, 0.0, 0.0625, 0.0], "threshold": 0.625,
         "suspected_discontinuity": True}
+
+
+def test_grid_points_are_correctly_rounded_quotients():
+    # Checks, the probe and ``dual --table`` all take their points here.
+    for steps in range(1, 1024):
+        assert grid_points(steps).tolist() == [k / steps for k in range(steps + 1)]
+        assert np.array_equal(grid_points(steps), np.arange(steps + 1) / steps)
+
+
+@pytest.mark.parametrize("name", ["godel-implication", "lukasiewicz"])
+def test_probe_memory_is_the_grid_matrix_and_one_jump_matrix(name):
+    # Grid 300: a 1201 x 1201 matrix of 11 MiB.  The probe holds it, one
+    # axis's jumps (absolute values taken in place) and their NaN mask;
+    # a copy for the absolute values and the other axis's jumps made 4.
+    matrix_bytes = (4 * 300 + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        continuity_probe(builtin(name), CheckConfig(grid_steps=300))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * matrix_bytes, f"peak {peak / matrix_bytes:.2f} matrices"
 
 
 @pytest.mark.parametrize("text", ["pow(x, -1)", "pow(x, -1)*0 + x*y", "pow(x - 2, 0.5)"])

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fuzzysoft import (builtin, dual_of, load_fss, make_fuzzy_soft_set, save_fss,
                        scalar_from_expression)
+from fuzzysoft.analysis import CheckConfig
 from fuzzysoft.cli import MAX_TABLE, build_parser, run_cli
 from fuzzysoft.fileio import MAX_DOCUMENT_BYTES
 
@@ -605,6 +606,21 @@ def test_cube_walk_page_faults_do_not_depend_on_the_heap_layout():
         assert code == 0, proc.stderr
         faults.append(minflt)
     assert max(faults) < 2 * min(faults), faults
+
+
+@pytest.mark.parametrize("argv", [["check", "--kind", "tnorm", "--builtin", "product"],
+                                  ["classify", "--builtin", "product"],
+                                  ["equilibrium", "--builtin", "standard-negation",
+                                   "--params", "a"]])
+def test_parsed_defaults_are_the_check_config_defaults(argv):
+    args = vars(build_parser().parse_args(argv))
+    flags = {"grid": "grid_steps", "samples": "random_samples", "tol": "tolerance",
+             "seed": "seed"}
+    parsed = {field: args[flag] for flag, field in flags.items() if flag in args}
+    assert parsed == {field: getattr(CheckConfig(), field) for field in parsed}
+    assert list(parsed) == {"check": ["grid_steps", "random_samples", "tolerance", "seed"],
+                            "classify": ["grid_steps", "tolerance"],
+                            "equilibrium": ["tolerance"]}[argv[0]]
 
 
 def test_dual_table_is_capped_at_max_table(capsys):

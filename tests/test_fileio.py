@@ -88,6 +88,23 @@ def test_duplicate_universe_element_rejected_at_first_repeat():
     assert "duplicate universe element 'u1'" in str(err.value)
 
 
+@pytest.mark.parametrize("universe, index, message", [
+    (["u1", 7], 1, "universe element must be a non-empty string, got 7"),
+    (["u1", "u2", ""], 2, "universe element must be a non-empty string, got ''"),
+    (["u1", None, "u1"], 1, "universe element must be a non-empty string, got None"),
+    (["u1", "u2", "u2", 3], 2, "duplicate universe element 'u2'"),
+])
+def test_each_universe_fault_is_the_universes_own_at_its_index(universe, index, message):
+    with pytest.raises(ValidationError) as err:
+        Universe(tuple(universe))
+    assert (str(err.value), err.value.index) == (message, index)
+    doc = {"universe": universe, "parameters": {"a1": {"u1": 0.5}}}
+    with pytest.raises(DocumentError) as err:
+        document_to_fss(doc)
+    assert str(err.value) == f"{message} (at universe[{index}])"
+    assert err.value.json_path == f"universe[{index}]"
+
+
 def test_non_numeric_membership_rejected():
     doc = {"universe": ["u1"], "parameters": {"a1": {"u1": "high"}}}
     with pytest.raises(DocumentError):

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from fuzzysoft import (
     union_fss,
 )
 from fuzzysoft.analysis import CheckConfig, check_implication_axioms
-from fuzzysoft.connectives import ScalarConnective, builtin, dual_of
-from fuzzysoft.expr import CompiledExpr
-from fuzzysoft.script import Assign, Print
+from fuzzysoft.connectives import ScalarConnective, builtin, builtin_names, dual_of
+from fuzzysoft.expr import _UFUNCS, _VARIABLES, CompiledExpr
+from fuzzysoft.script import _KEYWORDS, Assign, Print
+from fuzzysoft.sets import SET_OPERATIONS
 
 
 @pytest.fixture
@@ -121,6 +124,21 @@ def test_shadowing_builtins_rejected():
         parse_script("product = union(S, G);", externals=["S", "G"])
     with pytest.raises(ParseError):
         parse_script("union = union(S, G);", externals=["S", "G"])
+
+
+@pytest.mark.parametrize("name", sorted({*filter(str.isidentifier, _UFUNCS), *_VARIABLES,
+                                          *SET_OPERATIONS, "sugeno"}))
+def test_no_keyword_or_builtin_identifier_can_be_assigned(name):
+    with pytest.raises(ParseError) as err:
+        parse_script(f"{name} = S;", externals=["S"])
+    assert str(err.value) == f"1:1: cannot shadow the builtin name {name!r}"
+
+
+def test_grammar_md_lists_the_names_a_script_may_not_assign():
+    grammar = (Path(__file__).parents[1] / "docs" / "grammar.md").read_text(encoding="utf-8")
+    rule = grammar.split("- assignment may not shadow")[1].split("\n- ")[0]
+    builtins = {name.partition("(")[0] for name in builtin_names()}
+    assert set(re.findall(r"`([^`]+)`", rule)) == _KEYWORDS | builtins
 
 
 def test_unknown_builtin_in_connective_position():
