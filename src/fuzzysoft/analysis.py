@@ -660,29 +660,25 @@ def check_implication_axioms(candidate: ScalarConnective, cfg: CheckConfig | Non
 
 def check_negation_axioms(
     candidate: ScalarConnective | Mapping[str, ScalarConnective] | LiftedConnective,
-    labels: Sequence[str] | None = None,
     cfg: CheckConfig | None = None,
 ) -> AxiomReport:
-    """Verify the negation axioms per parameter label: boundary swaps of
-    0 and 1, antitonicity, and involution.
+    """Verify the negation axioms: boundary swaps of 0 and 1,
+    antitonicity, and involution, for every scalar the negation can call.
 
     ``candidate`` may be one unary scalar (applied uniformly), a
-    label-to-scalar mapping, or an already-lifted negation.  With no
-    explicit ``labels``, a family is checked on its own labels and a
-    uniform negation once.
+    tag-to-scalar mapping, or an already-lifted negation, as
+    ``lift_negation`` takes them.  Each family entry is checked under its
+    canonical tag text as ``param``; then the scalar that every other tag
+    gets, the uniform scalar or the family's default, with ``param`` None.
     """
     cfg = cfg or CheckConfig()
     lifted = lift_negation(candidate)
-    if labels is None:
-        labels = tuple(label for label, _ in lifted.family or ()) or (None,)
-
+    rest = lifted.scalar or lifted.default
+    scalars = (lifted.family or ()) + (((None, rest),) if rest else ())
     g = grid_points(cfg.grid_steps)
     rng = np.random.default_rng(cfg.seed)
-    checks: list[AxiomCheck] = []
-    for label in labels:
-        # No label: a uniform lift or a lone default, one scalar for all tags.
-        scalar = lifted.scalar_for(ParamTag("any" if label is None else label))
-        checks += [_verify(axiom, scalar, None, g, rng, cfg, label) for axiom in _NEGATION_AXIOMS]
+    checks = [_verify(axiom, scalar, None, g, rng, cfg, param)
+              for param, scalar in scalars for axiom in _NEGATION_AXIOMS]
     return AxiomReport("negation", lifted.name, cfg, tuple(checks))
 
 
@@ -755,13 +751,15 @@ def find_equilibria(
     An entry is an equilibrium iff its residual |n(x*) - x*| is within
     the configured tolerance; non-existence is a verdict, not an error.
     At most one equilibrium is reported per label, so the total count
-    never exceeds the number of labels.
+    never exceeds the number of labels.  Each label is read as a tag with
+    ``ParamTag.parse``, so ``"b*a"`` finds the entry of tag ``a*b``; its
+    entry keeps the label as given.
     """
     cfg = cfg or CheckConfig()
     lifted = lift_negation(negation)
     entries = []
     for label in dict.fromkeys(labels):
-        scalar = lifted.scalar_for(ParamTag(label))
+        scalar = lifted.scalar_for(ParamTag.parse(label))
         x_star = _bisect_fixed_point(scalar)
         if x_star is None:
             entries.append(

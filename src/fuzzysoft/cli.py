@@ -236,6 +236,14 @@ def _print_equilibria(result: EquilibriumResult) -> None:
     print(f"equilibria found: {result.count} of {len(result.entries)} labels")
 
 
+def _print_report(report: AxiomReport | ClassificationReport, fmt: str, print_text) -> None:
+    """The report as sorted, indented JSON for ``--format json``, else as text."""
+    if fmt == "json":
+        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    else:
+        print_text(report)
+
+
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_check(args) -> int:
@@ -243,10 +251,7 @@ def _cmd_check(args) -> int:
                       tolerance=args.tol, seed=args.seed)
     candidate = _resolve_candidate(args, arity=1 if args.kind == "negation" else 2)
     report = _CHECKERS[args.kind](candidate, cfg=cfg)
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-    else:
-        _print_axiom_report(report)
+    _print_report(report, args.format, _print_axiom_report)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
@@ -254,10 +259,7 @@ def _cmd_classify(args) -> int:
     cfg = CheckConfig(grid_steps=args.grid, tolerance=args.tol)
     candidate = _resolve_candidate(args, arity=2)
     report = classify_elements(candidate, cfg=cfg)
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-    else:
-        _print_classification(report)
+    _print_report(report, args.format, _print_classification)
     found = {"zero-divisors": report.zero_divisors,
              "nonzero-nilpotents": report.nonzero_nilpotents}
     return EXIT_VIOLATION if any(found[name] for name in args.expect_none) else EXIT_OK

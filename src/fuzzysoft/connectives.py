@@ -32,6 +32,7 @@ from .errors import (
     MissingLabelError,
     ParseError,
     UnknownBuiltinError,
+    ValidationError,
 )
 from .expr import (
     MAX_DEPTH,
@@ -189,12 +190,16 @@ def require_arity(scalar, arity: int) -> ScalarConnective:
     otherwise raise ``ArityError``."""
     if not isinstance(scalar, ScalarConnective):
         raise ArityError(f"not a scalar connective: {scalar!r}")
-    if scalar.arity != arity:
-        raise ArityError(
-            f"connective {scalar.name!r} has arity {scalar.arity}, "
-            f"but this use needs arity {arity}"
-        )
-    return scalar
+    return check_arity(scalar, arity)
+
+
+def check_arity(conn, arity: int):
+    """Return ``conn``, a scalar connective or a lift, if it has the given
+    arity; otherwise raise ``ArityError``."""
+    if conn.arity != arity:
+        raise ArityError(f"connective {conn.name!r} has arity {conn.arity}, "
+                         f"but this use needs arity {arity}")
+    return conn
 
 
 def resolve_builtin(name: str, arity: int) -> ScalarConnective:
@@ -258,7 +263,8 @@ class LiftedConnective(Record):
 
     Binary kinds map ``((a, x), (b, y))`` to ``(combine(a, b), f(x, y))``.
     The negation kind preserves the tag: ``(a, x) -> (a, n_a(x))``, where
-    ``n_a`` may come from a per-label family with an optional default.
+    ``n_a`` may come from a per-tag family with an optional default.  A
+    family is keyed by canonical tag text and sorted by it.
     """
 
     kind: str
@@ -274,8 +280,9 @@ class LiftedConnective(Record):
     def name(self) -> str:
         if self.scalar is not None:
             return self.scalar.name
-        entries = ", ".join(f"{label}: {s.name}" for label, s in self.family or ())
-        return f"family({entries})"
+        # The default is named under "*", which is never a label.
+        named = (self.family or ()) + ((("*", self.default),) if self.default else ())
+        return f"family({', '.join(f'{label}: {s.name}' for label, s in named)})"
 
     def scalar_for(self, tag: ParamTag) -> ScalarConnective:
         """Resolve the unary scalar for a tag (negations only).
@@ -322,8 +329,14 @@ def lift_negation(
     default: ScalarConnective | None = None,
 ) -> LiftedConnective:
     """Lift a negation: one unary scalar for every parameter, or a
-    label-to-scalar family with an optional default.  A negation lift is
-    returned as it is; any other lift raises ``ArityError``."""
+    tag-to-scalar family with an optional default.  A negation lift is
+    returned as it is; any other lift raises ``ArityError``.
+
+    Each family key is read as a tag with ``ParamTag.parse`` and kept as
+    its canonical text, so ``"b*a"`` is the entry of tag ``a*b``.  A
+    malformed key (``""``, ``"a**b"``) raises ``ParamTag``'s
+    ``ValidationError``, as do two keys that name one tag.
+    """
     if isinstance(scalars, LiftedConnective) and default is None:
         if scalars.kind != LIFT_NEGATION:
             raise ArityError(f"expected a negation lift, got kind {scalars.kind!r}")
@@ -332,7 +345,13 @@ def lift_negation(
         if default is not None:
             raise ArityError("a uniform negation lift does not take a default")
         return LiftedConnective(kind=LIFT_NEGATION, scalar=require_arity(scalars, 1))
-    family = [(str(label), require_arity(scalar, 1)) for label, scalar in scalars.items()]
+    family, keys = [], {}
+    for key, scalar in scalars.items():
+        tag = ParamTag.parse(key)
+        if (first := keys.setdefault(tag, key)) != key:
+            raise ValidationError(f"negation family keys {first!r} and {key!r} are the "
+                                  f"same canonical tag {tag.text!r}")
+        family.append((tag.text, require_arity(scalar, 1)))
     if default is not None:
         require_arity(default, 1)
     if not family and default is None:

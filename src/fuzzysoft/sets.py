@@ -35,6 +35,7 @@ from .connectives import (
     LiftedConnective,
     ScalarConnective,
     builtin,
+    check_arity,
     into_unit_interval,
     lift_negation,
     require_arity,
@@ -47,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .record import Record
-from .tags import NOT_NUMBERS, RESERVED_SEPARATOR, ParamTag, canonical_tags, combine_tags
+from .tags import NOT_NUMBERS, ParamTag, canonical_tags, combine_tags
 
 #: Largest float64 array (2**24 values, 128 MiB) one operation may create:
 #: a binary set operation's P1 * P2 * U result values, and the arrays of a
@@ -241,7 +242,7 @@ def negate_fss(
 ) -> FuzzySoftSet:
     """The fuzzy soft negation: each tag's row under that tag's negation.
 
-    ``negation`` is a unary scalar, a label-to-scalar mapping or a negation
+    ``negation`` is a unary scalar, a tag-to-scalar mapping or a negation
     lift, as ``lift_negation`` takes them.  Every tag's scalar is looked up
     (``scalar_for``) before anything is evaluated, so a product tag with no
     entry and no default raises ``MissingLabelError`` first.  Each distinct
@@ -312,7 +313,7 @@ def apply_connective(
     collision with an earlier pair.
     """
     if isinstance(conn, LiftedConnective):
-        conn = conn.scalar  # None for a negation family, which the gate rejects
+        conn = check_arity(conn, 2).scalar
     scalar = require_arity(conn, 2)
     if f1.universe != f2.universe:
         raise UniverseMismatchError(
@@ -359,10 +360,10 @@ def apply_connective(
             # Only a pair whose key has an earlier first pair is compared.
             for j in compress(range(checked), map(ne, firsts, pairs)):
                 if np.abs(pair_values[firsts[j]] - pair_values[pairs[j]]).max() > CLAMP_TOLERANCE:
-                    tag = RESERVED_SEPARATOR.join(row_keys[j])
+                    tag = combine_tags(tag_a, f2.tags[j])
                     raise TagCollisionError(
                         f"tag pairs ({tag_a.text}, {f2.tags[j].text}) collide on canonical "
-                        f"tag {tag!r} with different membership vectors"
+                        f"tag {tag.text!r} with different membership vectors"
                     )
             if fault is not None:
                 raise fault

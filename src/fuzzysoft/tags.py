@@ -66,19 +66,15 @@ class ParamTag:
 
     @classmethod
     def parse(cls, text: str) -> "ParamTag":
-        """Parse the textual form, e.g. ``"b1*a1"`` -> tag ``a1*b1``."""
-        return cls(tuple(text.split(RESERVED_SEPARATOR)))
+        """Parse the textual form, e.g. ``"b1*a1"`` -> tag ``a1*b1``; text
+        that is not a valid tag, or a value that is not text, raises
+        ``ValidationError``."""
+        return cls(tuple(text.split(RESERVED_SEPARATOR)) if isinstance(text, str) else (text,))
 
     @property
     def text(self) -> str:
         """Canonical textual form: labels sorted, joined with ``*``."""
         return RESERVED_SEPARATOR.join(self.labels)
-
-    def combine(self, other: "ParamTag") -> "ParamTag":
-        # Both label tuples are valid already: sort them, skip __post_init__.
-        tag = object.__new__(ParamTag)
-        object.__setattr__(tag, "labels", tuple(sorted(self.labels + other.labels)))
-        return tag
 
     def __str__(self) -> str:
         return self.text
@@ -90,8 +86,10 @@ class ParamTag:
 def canonical_tags(label_tuples: Iterable[tuple[str, ...]]) -> tuple[ParamTag, ...]:
     """One tag per label tuple, each already valid and sorted, unchecked.
 
-    Like ``ParamTag.combine`` this skips ``__post_init__``: the sorted
-    labels of two valid tags make a valid tag.
+    This is the one builder that skips ``__post_init__``, for labels taken
+    from valid tags: the sorted labels of valid tags make a valid tag.
+    ``combine_tags`` builds through it; text from outside, such as a
+    document key or a negation family key, is read with ``ParamTag.parse``.
     """
     new, set_labels = object.__new__, ParamTag.labels.__set__
     tags = []
@@ -108,7 +106,7 @@ def combine_tags(t1: ParamTag, t2: ParamTag) -> ParamTag:
     Commutative and associative as literal equality, so iterated products
     of parameter sets are indistinguishable regardless of order/grouping.
     """
-    return t1.combine(t2)
+    return canonical_tags((tuple(sorted(t1.labels + t2.labels)),))[0]
 
 
 @total_ordering

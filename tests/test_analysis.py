@@ -284,6 +284,23 @@ def test_family_negation_failure_names_label():
     assert not report.check("iii", param="bad").passed
 
 
+def test_a_negation_check_covers_each_entry_then_the_default():
+    # x is not a negation: negate_fss maps every tag but a through it.
+    family = lift_negation({"a": builtin("standard-negation")},
+                           default=scalar_from_expression("x", arity=1))
+    report = check_negation_axioms(family, cfg=FAST)
+    assert report.candidate == "family(a: standard-negation, *: x)"
+    assert [check.param for check in report.checks] == ["a"] * 4 + [None] * 4
+    assert all(check.passed for check in report.checks if check.param == "a")
+    assert not report.passed
+    assert {check.label for check in report.failures()} == {"i", "ii"}
+    assert {check.param for check in report.failures()} == {None}
+    # A lone default or a uniform negation is one scalar, checked once under None.
+    for candidate in (lift_negation({}, default=builtin("sugeno(1)")), builtin("sugeno(1)")):
+        report = check_negation_axioms(candidate, cfg=FAST)
+        assert report.passed and [check.param for check in report.checks] == [None] * 4
+
+
 # --- duality theorem ------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["product", "minimum", "lukasiewicz"])

@@ -187,6 +187,20 @@ def test_equilibrium_rejects_a_family_label_given_twice(capsys, family):
     assert capsys.readouterr() == ("", "error: --family label 'a' is given twice\n")
 
 
+@pytest.mark.parametrize("key", ["a*b", "b*a"])
+@pytest.mark.parametrize("label", ["a*b", "b*a"])
+def test_equilibrium_reads_family_keys_and_params_as_tags(capsys, key, label):
+    assert run_cli(["equilibrium", "--family", f"{key}=sugeno(1)", "--params", label]) == 0
+    out = capsys.readouterr().out
+    assert f"  {label}: 0.414213562" in out and "equilibria found: 1 of 1 labels" in out
+
+
+def test_equilibrium_refuses_two_family_keys_that_name_one_tag(capsys):
+    assert run_cli(["equilibrium", "--family", "a*b=1-x,b*a=sugeno(1)", "--params", "a*b"]) == 3
+    assert capsys.readouterr() == ("", "error: negation family keys 'a*b' and 'b*a' are the "
+                                       "same canonical tag 'a*b'\n")
+
+
 def test_equilibrium_resolves_candidates_like_check(capsys):
     # --expr is always an expression and --builtin always a builtin name.
     assert run_cli(["equilibrium", "--expr", "standard-negation", "--params", "a1"]) == 2

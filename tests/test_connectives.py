@@ -562,6 +562,31 @@ def test_every_binary_use_rejects_a_unary_connective_in_one_wording():
         check_tnorm_axioms(lift_tnorm(builtin("product")))
 
 
+def test_apply_refuses_a_negation_family_by_its_arity_under_its_name():
+    s = make_fuzzy_soft_set(["u"], {"a": (0.5,)})
+    n = builtin("standard-negation")
+    families = {"family(a: standard-negation)": lift_negation({"a": n}),
+                "family(a: sugeno(1), *: standard-negation)": lift_negation(
+                    {"a": builtin("sugeno(1)")}, default=n)}
+    for name, family in families.items():
+        with pytest.raises(ArityError) as err:
+            apply_connective(family, s, s)
+        assert str(err.value) == f"connective {name!r} has arity 1, but this use needs arity 2"
+    # A lift passed where a scalar is needed keeps its message, whatever its arity.
+    for lift in (lift_negation(n), families["family(a: standard-negation)"]):
+        with pytest.raises(ArityError, match="^not a scalar connective: LiftedConnective"):
+            check_tnorm_axioms(lift)
+
+
+def test_a_family_name_shows_its_default_under_a_star():
+    n, sugeno = builtin("standard-negation"), builtin("sugeno(2)")
+    assert lift_negation({"b": n, "a": sugeno}).name == "family(a: sugeno(2), b: standard-negation)"
+    assert (lift_negation({"a": n}, default=sugeno).name
+            == "family(a: standard-negation, *: sugeno(2))")
+    assert lift_negation({}, default=sugeno).name == "family(*: sugeno(2))"
+    assert lift_negation(n).name == "standard-negation"
+
+
 def test_into_unit_interval_clamps_arrays_and_names_the_first_fault_lazily():
     calls = []
 

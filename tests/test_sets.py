@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -531,6 +532,37 @@ def test_only_a_negation_lift_is_taken_as_a_negation(call):
         call(lift_tnorm(builtin("product")))
     negation = lift_negation({"a": builtin("sugeno(1)")})
     assert lift_negation(negation) is negation
+
+
+@pytest.mark.parametrize("key", ["a*b", "b*a"])
+@pytest.mark.parametrize("label", ["a*b", "b*a"])
+def test_a_product_tag_key_serves_its_tag_in_every_negation_consumer(key, label):
+    sugeno = builtin("sugeno(1)")
+    family = lift_negation({key: sugeno})
+    assert family.family == (("a*b", sugeno),) and family.name == "family(a*b: sugeno(1))"
+    s = fss(["u1", "u2"], {label: (0.0, 0.5)})
+    assert negate_fss({key: sugeno}, s).values.tolist() == [[1.0, 0.5 / 1.5]]
+    report = check_negation_axioms({key: sugeno})
+    assert report.passed and {check.param for check in report.checks} == {"a*b"}
+    (entry,) = find_equilibria({key: sugeno}, [label]).entries
+    assert entry.label == label and entry.is_equilibrium  # the label as given
+
+
+@pytest.mark.parametrize("call", [
+    lift_negation,
+    lambda family: negate_fss(family, fss(["u"], {"a": (0.5,)})),
+    check_negation_axioms,
+    lambda family: find_equilibria(family, ["a"]),
+], ids=["lift_negation", "negate_fss", "check_negation_axioms", "find_equilibria"])
+@pytest.mark.parametrize("keys, message", [
+    (["a", ""], "parameter label must be a non-empty string, got ''"),
+    (["a", "a**b"], "parameter label must be a non-empty string, got ''"),
+    (["a", "a*b", "b*a"], "negation family keys 'a*b' and 'b*a' are the same canonical tag 'a*b'"),
+    (["a", 1], "parameter label must be a non-empty string, got 1"),
+])
+def test_a_negation_family_refuses_a_key_that_is_not_one_tag(call, keys, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call({key: builtin("standard-negation") for key in keys})
 
 
 def test_a_lifted_product_is_associative_on_the_demo_data():

@@ -94,8 +94,14 @@ def test_same_tag_ordering_mirrors_values(x, y):
 @given(label_lists, label_lists)
 def test_combine_equals_a_validated_tag(l1, l2):
     a, b = ParamTag(tuple(l1)), ParamTag(tuple(l2))
-    combined, validated = a.combine(b), ParamTag(a.labels + b.labels)
+    combined, validated = combine_tags(a, b), ParamTag(a.labels + b.labels)
     assert combined == validated
     assert hash(combined) == hash(validated)
     assert combined.text == validated.text
     assert combined.labels == tuple(sorted(l1 + l2))
+
+
+@pytest.mark.parametrize("value", [None, 1, ("a", "b"), ParamTag("a")])
+def test_parse_refuses_a_value_that_is_not_text(value):
+    with pytest.raises(ValidationError, match="^parameter label must be a non-empty string, got "):
+        ParamTag.parse(value)
