@@ -409,8 +409,10 @@ def _uniform(count: int):
 
 
 def _sorted_pair(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    draw = np.sort(rng.random((count, 2)), axis=1)
-    return draw[:, 0], draw[:, 1]
+    """A (count, 2) draw sorted along its rows, as its two columns: the
+    bits of ``np.sort(draw, axis=1)``, since a draw holds no NaN or -0.0."""
+    a, b = rng.random((count, 2)).T
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _pair_draw(sort_x: bool, sort_y: bool):
@@ -751,15 +753,19 @@ def find_equilibria(
     An entry is an equilibrium iff its residual |n(x*) - x*| is within
     the configured tolerance; non-existence is a verdict, not an error.
     At most one equilibrium is reported per label, so the total count
-    never exceeds the number of labels.  Each label is read as a tag with
-    ``ParamTag.parse``, so ``"b*a"`` finds the entry of tag ``a*b``; its
-    entry keeps the label as given.
+    never exceeds the number of distinct tags.  Each label is read as a
+    tag with ``ParamTag.parse``, so ``"b*a"`` finds the entry of tag
+    ``a*b``; a label naming a tag given before is dropped, and an entry
+    keeps the first label of its tag as given.
     """
     cfg = cfg or CheckConfig()
     lifted = lift_negation(negation)
+    tags: dict[ParamTag, str] = {}
+    for label in labels:
+        tags.setdefault(ParamTag.parse(label), label)
     entries = []
-    for label in dict.fromkeys(labels):
-        scalar = lifted.scalar_for(ParamTag.parse(label))
+    for tag, label in tags.items():
+        scalar = lifted.scalar_for(tag)
         x_star = _bisect_fixed_point(scalar)
         if x_star is None:
             entries.append(

@@ -51,10 +51,12 @@ from .errors import (
     FuzzySoftError,
     ParseError,
     UnknownBuiltinError,
+    ValidationError,
 )
 from .fileio import load_fss, save_fss
 from .script import eval_script, parse_script
 from .sets import SET_OPERATIONS, apply_connective
+from .tags import ParamTag
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -158,9 +160,9 @@ def _resolve_candidate(args, arity: int) -> ScalarConnective:
 
 
 def _split_family_items(entries: Sequence[str]) -> list[tuple[str, str]]:
-    """Split LABEL=EXPR items, honoring commas inside parentheses; a label
-    may be given once across all items."""
-    items: list[tuple[str, str]] = []
+    """Split LABEL=EXPR items, honoring commas inside parentheses; a tag
+    may be named once across all items, as ``a*b`` or as ``b*a``."""
+    items: dict[ParamTag | str, tuple[str, str]] = {}  # by tag, or by text if no tag
     for entry in entries:
         depth, start, parts = 0, 0, []
         for i, ch in enumerate(entry):
@@ -177,10 +179,18 @@ def _split_family_items(entries: Sequence[str]) -> list[tuple[str, str]]:
             label = label.strip()
             if not sep or not label or not text.strip():
                 raise ValueError(f"bad --family item {part!r}, expected LABEL=EXPR")
-            if any(label == seen for seen, _ in items):
-                raise ValueError(f"--family label {label!r} is given twice")
-            items.append((label, text.strip()))
-    return items
+            try:
+                key = ParamTag.parse(label)
+            except ValidationError:
+                key = label  # lift_negation reports it
+            if key in items:
+                first = items[key][0]
+                if first == label:
+                    raise ValueError(f"--family label {label!r} is given twice")
+                raise ValueError(f"--family labels {first!r} and {label!r} are the same "
+                                 f"canonical tag {key.text!r}")
+            items[key] = (label, text.strip())
+    return list(items.values())
 
 
 # --- report rendering -------------------------------------------------------
@@ -286,7 +296,7 @@ def _cmd_apply(args) -> int:
     if args.op != "connective" and args.conn:
         raise ValueError(f"--conn only applies with --op connective, not --op {args.op}")
     left = load_fss(args.left)
-    right = load_fss(args.right)
+    right = left if args.right == args.left else load_fss(args.right)
     conn = args.conn if args.op == "connective" else SET_OPERATIONS[args.op]
     result = apply_connective(resolve_connective(conn, arity=2), left, right)
     save_fss(result, args.output)

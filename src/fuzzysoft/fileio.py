@@ -23,10 +23,12 @@ membership per line, strings with ASCII ``\\uXXXX`` escapes (as
 order, rows in sorted tag order, and a trailing newline.
 
 The writer works in blocks of about ``SAVE_BLOCK_VALUES`` values: it
-repr-s each distinct value of a block once (the rows of a union or an
-intersection repeat a few input values) and writes the block's text in
+repr-s each distinct value of a block once, reusing the text the
+previous block made for the same value (the rows of a union or an
+intersection repeat a few input values), and writes the block's text in
 one join.  Blocks, not the whole matrix, keep a save's extra memory to
-one block's strings and indices.  A document is validated once, one
+one block's strings and indices: the previous block's texts go before a
+block makes its own.  A document is validated once, one
 parameter row at a time, and the first fault is reported with its JSON
 path.
 """
@@ -170,6 +172,7 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
                             json_path=f"parameters.{list(seen.values())[i]}.{elements[j]}")
     if fault is not None:
         raise fault
+    matrix.flags.writeable = False
     return FuzzySoftSet(universe, tuple(seen), matrix)
 
 
@@ -199,12 +202,28 @@ def load_fss(path: str | Path) -> FuzzySoftSet:
     return document_to_fss(doc, source=str(path))
 
 
-def _reprs(block: np.ndarray) -> np.ndarray:
+def _reprs(block: np.ndarray, table: list) -> np.ndarray:
     """``float.__repr__`` of every value of ``block``, as an object array of
-    its shape, calling it once per distinct bit pattern."""
+    its shape, made once per distinct bit pattern.
+
+    ``table`` holds at most one entry, the previous block's (sorted bits,
+    texts): a pattern found there reuses its string, and only the others
+    are repr-ed.  The entry is taken out and dropped before those are made,
+    and this block's goes in its place, so the strings of one block at a
+    time are alive.
+    """
     distinct, inverse = np.unique(block.reshape(-1).view(np.uint64), return_inverse=True)
-    text = np.fromiter(map(float.__repr__, distinct.view(np.float64).tolist()),
-                       dtype=object, count=len(distinct))
+    bits, texts = table.pop() if table else (distinct[:0], np.empty(0, dtype=object))
+    at = np.searchsorted(bits, distinct)
+    found = at < len(bits)
+    found[found] = bits[at[found]] == distinct[found]
+    text = np.empty(len(distinct), dtype=object)
+    text[found] = texts[at[found]]
+    del bits, texts
+    missing = np.flatnonzero(~found)
+    text[missing] = np.fromiter(map(float.__repr__, distinct[missing].view(np.float64).tolist()),
+                                dtype=object, count=len(missing))
+    table.append((distinct, text))
     return text[inverse.reshape(block.shape)]
 
 
@@ -218,8 +237,11 @@ def save_fss(fss: FuzzySoftSet, path: str | Path) -> None:
 
     A block is ``max(1, SAVE_BLOCK_VALUES // U)`` rows.  Its values are
     deduplicated by bit pattern (so ``-0.0`` and ``0.0`` stay apart) and
-    each distinct one is repr-ed once: a union or intersection only picks
-    input values, so most of its result repeats.  The block's strings,
+    each distinct one is repr-ed once, unless the previous block had it:
+    then its text is reused.  A union or intersection only picks input
+    values, so most of its result repeats, within and across blocks.  The
+    previous block's texts are dropped before new ones are made, so a save
+    still holds at most one block's strings.  The block's strings,
     the element prefixes and the tag heads are laid out in one object
     array and joined into one write.  Working in blocks keeps the extra
     memory to one block's strings and indices whatever the set's size; a
@@ -232,6 +254,7 @@ def save_fss(fss: FuzzySoftSet, path: str | Path) -> None:
     prefixes = [",\n      " + encode_basestring_ascii(element) + ": " for element in elements]
     prefixes[0] = prefixes[0][1:]
     rows = max(1, SAVE_BLOCK_VALUES // len(elements))
+    table: list = []  # the previous block's value texts, for _reprs
     with path.open("w", encoding="utf-8") as handle:
         handle.write('{\n  "universe": [\n    '
                      + ",\n    ".join(map(encode_basestring_ascii, elements))
@@ -245,7 +268,7 @@ def save_fss(fss: FuzzySoftSet, path: str | Path) -> None:
             layout[:, 0] = [",\n    " + encode_basestring_ascii(tag.text) + ": {"
                             for tag in fss.tags[start:start + rows]]
             layout[:, 1:-1:2] = prefixes
-            layout[:, 2:-1:2] = _reprs(block)
+            layout[:, 2:-1:2] = _reprs(block, table)
             layout[:, -1] = "\n    }"
             if start == 0:
                 layout[0, 0] = layout[0, 0][1:]

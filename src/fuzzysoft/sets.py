@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, compress, count, repeat
-from operator import eq, is_, ne
+from operator import eq, is_, lt, ne
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -130,8 +130,13 @@ class FuzzySoftSet(Record):
     ``values`` is a read-only float64 matrix, one row per tag in the order
     of the sorted ``tags`` and one column per universe element.  The
     constructor sorts the given tags and rows together and is the one place
-    the set invariants are checked.  Equality is exact; the hash covers the
-    universe and the tags.
+    the set invariants are checked.  Rows that arrive in strictly
+    increasing tag order, as they do for every set the package builds, are
+    kept as they are.  Their matrix is copied unless it owns its data and
+    is already read-only, as the matrices the package has just built are
+    (``apply_connective``'s gathered rows, a negation's, a loaded
+    document's): a caller's writable array, or a view, is always copied.
+    Equality is exact; the hash covers the universe and the tags.
     """
 
     universe: Universe
@@ -168,13 +173,18 @@ class FuzzySoftSet(Record):
                 f"for element {self.universe.elements[j]!r} is outside [0, 1]"
             )
         labels = [tag.labels for tag in tags]
-        order = sorted(range(len(tags)), key=labels.__getitem__)
-        tags = tuple(map(tags.__getitem__, order))
-        labels = list(map(labels.__getitem__, order))
-        duplicate = next(compress(count(), map(eq, labels, labels[1:])), None)
-        if duplicate is not None:
-            raise ValidationError(f"duplicate parameter tag {tags[duplicate].text!r}")
-        values = values[order]
+        if all(map(lt, labels, labels[1:])):
+            # Freezing a matrix it owns hands it over; anything else is copied.
+            if values.flags.writeable or not values.flags.owndata:
+                values = values.copy()
+        else:
+            order = sorted(range(len(tags)), key=labels.__getitem__)
+            tags = tuple(map(tags.__getitem__, order))
+            labels = list(map(labels.__getitem__, order))
+            duplicate = next(compress(count(), map(eq, labels, labels[1:])), None)
+            if duplicate is not None:
+                raise ValidationError(f"duplicate parameter tag {tags[duplicate].text!r}")
+            values = values[order]
         values.flags.writeable = False
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "values", values)
@@ -267,6 +277,7 @@ def negate_fss(
                         f"at element {fss.universe.elements[at[1]]!r}")
 
             values[take] = into_unit_interval(raw, where)
+    values.flags.writeable = False
     return FuzzySoftSet(fss.universe, fss.tags, values)
 
 
@@ -370,6 +381,7 @@ def apply_connective(
     keys = sorted(first)
     values = pair_values[[first[key] for key in keys]]
     del pair_values
+    values.flags.writeable = False
     return FuzzySoftSet(f1.universe, canonical_tags(keys), values)
 
 

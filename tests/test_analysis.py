@@ -46,6 +46,7 @@ from fuzzysoft.analysis import (
     _grid_matrix,
     _locate_failure,
     _smallest_violation,
+    _sorted_pair,
     _tile_inner,
     _verify,
     _violations,
@@ -204,6 +205,33 @@ def test_grid_completeness_point_counts():
     assert report.check("iii").points == n * n + m
     assert report.check("iv").points == n**3 + m
     assert report.check("v").points == 2 * n * (n - 1) + m
+
+
+class _FixedDraw:
+    """A generator stand-in whose ``random`` returns the given draw."""
+
+    def __init__(self, draw):
+        self.draw = np.asarray(draw, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.draw.shape
+        return self.draw.copy()
+
+
+@pytest.mark.parametrize("rng", [
+    _FixedDraw([[0.5, 0.5], [0.75, 0.25], [0.25, 0.75], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                [5e-324, 5e-324], [5e-324, 0.0]]),
+    *(np.random.default_rng(seed) for seed in range(5)),
+])
+def test_sorted_pair_has_the_bits_of_a_row_sort(rng):
+    count = len(rng.draw) if isinstance(rng, _FixedDraw) else 1000
+    state = None if isinstance(rng, _FixedDraw) else rng.bit_generator.state
+    low, high = _sorted_pair(rng, count)
+    if state is not None:
+        rng.bit_generator.state = state
+    want = np.sort(rng.random((count, 2)), axis=1)
+    assert low.tobytes() == np.ascontiguousarray(want[:, 0]).tobytes()
+    assert high.tobytes() == np.ascontiguousarray(want[:, 1]).tobytes()
 
 
 def test_zero_samples_is_grid_only():
@@ -410,6 +438,13 @@ def test_family_has_one_equilibrium_per_label():
     # never more equilibria than labels, even with repeats in the request
     repeated = find_equilibria(family, ["a1", "a1", "a2"])
     assert repeated.count == 2
+
+
+@pytest.mark.parametrize("labels", [["a*b", "b*a"], ["b*a", "a*b", "b*a"]])
+def test_equilibria_count_each_tag_once_under_its_first_label(labels):
+    result = find_equilibria({"a*b": builtin("sugeno(1)")}, labels)
+    assert [entry.label for entry in result.entries] == labels[:1]
+    assert result.count == 1
 
 
 def test_no_sign_change_is_a_verdict_not_an_error():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fuzzysoft import (builtin, dual_of, load_fss, make_fuzzy_soft_set, save_fss,
-                       scalar_from_expression)
+                       scalar_from_expression, union_fss)
+from fuzzysoft import cli
 from fuzzysoft.analysis import CheckConfig
 from fuzzysoft.cli import MAX_TABLE, build_parser, run_cli
 from fuzzysoft.fileio import MAX_DOCUMENT_BYTES
@@ -195,9 +197,26 @@ def test_equilibrium_reads_family_keys_and_params_as_tags(capsys, key, label):
     assert f"  {label}: 0.414213562" in out and "equilibria found: 1 of 1 labels" in out
 
 
+def test_equilibrium_counts_params_that_name_one_tag_once(capsys):
+    assert run_cli(["equilibrium", "--family", "a*b=sugeno(1)", "--params", "b*a,a*b"]) == 0
+    out = capsys.readouterr().out
+    assert "  b*a: 0.414213562" in out and "  a*b:" not in out
+    assert "equilibria found: 1 of 1 labels" in out
+
+
+@pytest.mark.parametrize("family", [["a**b=1-x,a**b=x"], ["a*b=1-x", "a*b=x"]])
+def test_equilibrium_rejects_a_literal_family_label_repeat_as_before(capsys, family):
+    argv = ["equilibrium", "--params", "a"]
+    for item in family:
+        argv += ["--family", item]
+    assert run_cli(argv) == 2
+    label = family[-1].rpartition(",")[2].partition("=")[0]
+    assert capsys.readouterr() == ("", f"error: --family label {label!r} is given twice\n")
+
+
 def test_equilibrium_refuses_two_family_keys_that_name_one_tag(capsys):
-    assert run_cli(["equilibrium", "--family", "a*b=1-x,b*a=sugeno(1)", "--params", "a*b"]) == 3
-    assert capsys.readouterr() == ("", "error: negation family keys 'a*b' and 'b*a' are the "
+    assert run_cli(["equilibrium", "--family", "a*b=1-x,b*a=sugeno(1)", "--params", "a*b"]) == 2
+    assert capsys.readouterr() == ("", "error: --family labels 'a*b' and 'b*a' are the "
                                        "same canonical tag 'a*b'\n")
 
 
@@ -243,6 +262,54 @@ def test_eval_of_a_lifted_product_of_three_sets_merges_rounding_collisions(tmp_p
     tags = [line.partition(":")[0] for line in captured.out.splitlines()[1:]]
     assert tags == ["modern*modern*modern", "modern*modern*spacious",
                     "modern*spacious*spacious", "spacious*spacious*spacious"]
+
+
+def test_apply_of_one_file_named_twice_reads_it_once(tmp_path, monkeypatch, capsys):
+    source = DEMO_DATA / "quality.fss"
+    copy = tmp_path / "copy.fss"
+    copy.write_bytes(source.read_bytes())
+    assert run_cli(["apply", "--op", "connective", "--conn", "product", str(source), str(copy),
+                    "-o", str(tmp_path / "two.fss")]) == 0
+    reads = []
+    monkeypatch.setattr(cli, "load_fss", lambda path: reads.append(path) or load_fss(path))
+    assert run_cli(["apply", "--op", "connective", "--conn", "product", str(source), str(source),
+                    "-o", str(tmp_path / "one.fss")]) == 0
+    assert reads == [str(source)]
+    assert (tmp_path / "one.fss").read_bytes() == (tmp_path / "two.fss").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_apply_of_a_named_pipe_given_twice_reads_it_once(tmp_path):
+    fifo = tmp_path / "pipe.fss"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as handle:
+            handle.write((DEMO_DATA / "quality.fss").read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from fuzzysoft.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))",
+         "apply", "--op", "union", str(fifo), str(fifo), "-o", str(tmp_path / "out.fss")],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (proc.returncode, proc.stderr) == (0, "")
+    quality = load_fss(DEMO_DATA / "quality.fss")
+    assert load_fss(tmp_path / "out.fss") == union_fss(quality, quality)
+
+
+def test_apply_leaves_numpy_random_unimported(tmp_path):
+    probe = ("import sys; from fuzzysoft.cli import run_cli; "
+             "code = run_cli(sys.argv[1:]); print(code, 'numpy.random' in sys.modules)")
+    quality = str(DEMO_DATA / "quality.fss")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "apply", "--op", "union", quality, quality,
+         "-o", str(tmp_path / "out.fss")],
+        env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_apply_universe_mismatch_exit_three(files, capsys):

@@ -21,6 +21,7 @@ from fuzzysoft import (
     save_fss,
     union_fss,
 )
+from fuzzysoft import fileio
 from fuzzysoft.fileio import MAX_DOCUMENT_BYTES, SAVE_BLOCK_VALUES, _RepeatedKey, _decode_object
 
 
@@ -272,6 +273,33 @@ def test_save_writes_the_bytes_of_json_dump(tmp_path_factory, fss):
     save_fss(fss, path)
     assert path.read_bytes() == _reference_bytes(fss)
     assert load_fss(path) == fss
+
+
+@pytest.mark.parametrize("block_values", [1, 2, 3, 4, 5, 7])
+def test_save_reuses_texts_across_blocks_byte_for_byte(tmp_path, monkeypatch, block_values):
+    # 0.25 skips the middle rows and comes back; -0.0 and 0.0 trade places
+    # across every block boundary.
+    rows = [(0.25, -0.0), (0.0, 0.5), (-0.0, 0.0), (0.5, -0.0), (0.0, 0.25), (-0.0, 0.25),
+            (0.25, 0.0)]
+    fss = make_fuzzy_soft_set(["u1", "u2"], {f"t{i}": row for i, row in enumerate(rows)})
+    monkeypatch.setattr(fileio, "SAVE_BLOCK_VALUES", block_values)
+    save_fss(fss, tmp_path / "s.fss")
+    assert (tmp_path / "s.fss").read_bytes() == _reference_bytes(fss)
+    assert np.array_equal(np.signbit(load_fss(tmp_path / "s.fss").values), np.signbit(fss.values))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1 / 3, 1.0, 5e-324, 1 - 2**-53]),
+                min_size=1, max_size=4, unique_by=lambda v: np.float64(v).view(np.uint64)))
+def test_save_with_small_blocks_writes_the_bytes_of_json_dump(tmp_path_factory, block_values,
+                                                              tags, width, seed, pool):
+    fss = _pooled_set(tags, width, pool, seed)
+    path = tmp_path_factory.getbasetemp() / "small-blocks.fss"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "SAVE_BLOCK_VALUES", block_values)
+        save_fss(fss, path)
+    assert path.read_bytes() == _reference_bytes(fss)
 
 
 def test_save_writes_the_bytes_of_json_dump_for_a_wide_union(tmp_path):

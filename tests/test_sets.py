@@ -636,6 +636,45 @@ def test_constructor_sorts_tags_with_their_rows():
     assert s.assignments[1][1].memberships == (0.2,)
 
 
+@pytest.mark.parametrize("texts", [["a", "a*b", "b"], ["b", "a", "a*b"], ["a*b", "b", "a"]])
+def test_constructor_keeps_rows_in_tag_order_and_sorts_the_others(texts):
+    rows = np.array([[ord(text[-1]) / 128, len(text) / 8] for text in texts])
+    s = FuzzySoftSet(Universe.of("u1", "u2"), tuple(map(ParamTag.parse, texts)), rows)
+    assert [tag.text for tag in s.tags] == ["a", "a*b", "b"]
+    assert s.values.tolist() == [rows[texts.index(t)].tolist() for t in ["a", "a*b", "b"]]
+    rows[:] = 0.5  # the caller's array, in order or not, was copied
+    assert 0.5 not in s.values
+    assert not s.values.flags.writeable
+
+
+@pytest.mark.parametrize("texts", [["a", "a"], ["a", "b", "b"], ["b", "a", "b"], ["a*b", "b*a"]])
+def test_constructor_names_a_duplicate_tag_whatever_the_order(texts):
+    duplicate = ParamTag.parse(texts[-1]).text
+    with pytest.raises(ValidationError, match=rf"^duplicate parameter tag '{re.escape(duplicate)}'$"):
+        FuzzySoftSet(Universe.of("u"), tuple(map(ParamTag.parse, texts)),
+                     np.zeros((len(texts), 1)))
+
+
+def test_constructor_copies_a_read_only_view_of_a_writable_array():
+    rows = np.array([[0.1], [0.2]])
+    view = rows.view()
+    view.flags.writeable = False
+    s = FuzzySoftSet(Universe.of("u"), (ParamTag.parse("a"), ParamTag.parse("b")), view)
+    rows[0, 0] = 0.9
+    assert s.values.tolist() == [[0.1], [0.2]]
+
+
+def test_sets_the_package_builds_hold_read_only_values(tmp_path):
+    a = fss(["u1", "u2"], {"b": (0.2, 0.6), "a": (0.1, 0.9)})
+    save_fss(a, tmp_path / "a.fss")
+    for result in (apply_connective(builtin("product"), a, a), union_fss(a, a),
+                   negate_fss(builtin("standard-negation"), a), load_fss(tmp_path / "a.fss")):
+        assert not result.values.flags.writeable
+        with pytest.raises(ValueError):
+            result.values[0, 0] = 0.5
+    assert load_fss(tmp_path / "a.fss") == a
+
+
 @pytest.mark.parametrize("rows, message", [
     ([(0.2,)], r"1 membership rows for the 2 tags \['b', 'a'\]"),
     ([(0.2,), (0.1,), (0.0,)], r"3 membership rows for the 2 tags \['b', 'a'\]"),
