@@ -345,7 +345,9 @@ def _cmd_eval(args) -> int:
     except (OSError, UnicodeDecodeError) as err:
         raise DocumentError(f"cannot read script {args.script}: {err}") from None
     script = parse_script(source, externals=binds.keys())
-    env = {name: load_fss(path) for name, path in binds.items()}
+    # A path named by more than one name is read once, as in ``apply``.
+    loaded = {path: load_fss(path) for path in dict.fromkeys(binds.values())}
+    env = {name: loaded[path] for name, path in binds.items()}
     result = eval_script(script, env)
     for text in result.printed:
         print(text)

@@ -10,13 +10,15 @@ when two source pairs collapse to the same canonical tag they are merged,
 keeping the first pair's row, if every element is within
 ``CLAMP_TOLERANCE`` of it; a larger difference is an error.  Union and
 intersection are ``apply_connective`` of the builtins that
-``SET_OPERATIONS`` names.  ``apply_connective`` writes every pair's row into
-one (P1 * P2, U) result matrix, keys the pairs by their sorted label
-tuples, and checks each repeated pair against the first pair with its key;
-the result's rows are gathered from that matrix in one step.  The fuzzy
-soft negation, ``negate_fss``, maps each tag's row under that tag's unary
-scalar and keeps the tags; the complement is its ``standard-negation``
-case.
+``SET_OPERATIONS`` names.  ``apply_connective`` runs the scalar on blocks of
+rows of the left operand and writes every pair's row into one (P1 * P2, U)
+matrix.  Each pair's product tag is a row of integer label ranks, and one
+stable sort of those rows gives the result's tag order, the pair kept for
+each tag and the repeated pairs to check against it; faults are reported
+in pair order.  The result's rows are gathered from the matrix in one
+step.  The fuzzy soft negation, ``negate_fss``, maps each tag's row under
+that tag's unary scalar and keeps the tags; the complement is its
+``standard-negation`` case.
 
 All types are immutable values; operations are pure functions.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, compress, count, repeat
-from operator import eq, is_, lt, ne
+from operator import eq, is_, lt
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,11 +59,18 @@ MAX_ARRAY_VALUES = 2**24
 
 #: Largest number of tag pairs (P1 * P2) one binary set operation may form
 #: (2**18, so 512 by 512 tags).  Measured at U = 1 with 262,144 distinct
-#: result tags: a tracemalloc peak of 266 B and 112 B kept per result tag
-#: (its tag, label tuple and value), 70 MiB in all; the CLI ``apply`` of
-#: that product peaked at 102 MiB RSS and ran 1.2 s.  From U = 64 up,
-#: ``MAX_ARRAY_VALUES`` is the tighter bound.
+#: result tags: a tracemalloc peak of 138 B and 112 B kept per result tag
+#: (its tag, label tuple and value), 34.5 MiB in all; the CLI ``apply`` of
+#: that product peaked at 77 MiB RSS and ran 0.8-0.9 s (2-core Xeon VM,
+#: CPython 3.11).  From U = 64 up, ``MAX_ARRAY_VALUES`` is the tighter bound.
 MAX_PAIRS = 2**18
+
+#: Values per kernel block of ``apply_connective``: the binary scalar runs
+#: on ``max(1, APPLY_BLOCK_VALUES // (P2 * U))`` rows of the left operand at
+#: a time, so a block's arrays hold 128 KiB unless one row of pairs needs
+#: more.  Blocks of 2**16 values raised the CLI's peak RSS on 10 by 10 tags
+#: over U = 2000 by 0.4 MiB and were no faster on 80 by 80 tags over U = 8.
+APPLY_BLOCK_VALUES = 2**14
 
 #: Each set operation that is a lifted connective, and its binary builtin.
 SET_OPERATIONS = {"union": "maximum", "intersect": "minimum"}
@@ -292,6 +301,55 @@ def complement_fss(fss: FuzzySoftSet) -> FuzzySoftSet:
     return negate_fss(builtin("standard-negation"), fss)
 
 
+def _run_kernel(scalar: ScalarConnective, f1: FuzzySoftSet, f2: FuzzySoftSet,
+                out: np.ndarray, rows: range) -> tuple[int, Exception] | None:
+    """Write the checked values of ``rows`` of ``f1`` against all of ``f2``
+    into their pairs' rows of ``out``; return the first fault as (pair
+    index, error), with the pairs before it written, or None.  A block of
+    more than one row that raises is run again one row at a time, so an
+    error is the one its row raises alone."""
+    p2, elements = len(f2.tags), f1.universe.elements
+    start = rows.start * p2
+
+    def where(index: tuple[int, ...]) -> str:
+        i, j = divmod(start + index[0], p2)
+        tag = combine_tags(f1.tags[i], f2.tags[j])
+        return (f"connective {scalar.name!r} under tag {tag.text!r} "
+                f"at element {elements[index[1]]!r}")
+
+    try:
+        raw = np.asarray(scalar(f1.values[rows.start:rows.stop, None], f2.values), dtype=float)
+        raw = np.broadcast_to(raw, (len(rows), p2, len(elements))).reshape(-1, len(elements))
+    except Exception as err:
+        if len(rows) == 1:
+            return start, err
+    else:
+        try:
+            out[start:rows.stop * p2] = into_unit_interval(raw, where)
+            return None
+        except CodomainError as err:
+            if len(rows) == 1:
+                checked = err.index[0]
+                out[start:start + checked] = into_unit_interval(raw[:checked], where)
+                return start + checked, err
+    faults = (_run_kernel(scalar, f1, f2, out, range(i, i + 1)) for i in rows)
+    return next(filter(None, faults), None)
+
+
+def _label_tuples(keys: np.ndarray, labels: Sequence[str]) -> list[tuple[str, ...]]:
+    """The label tuple of each row of ranks ``keys`` (padded with -1), built
+    a column at a time: one ``zip`` for each number of labels."""
+    names, lengths = np.array(labels, dtype=object), np.count_nonzero(keys >= 0, axis=1)
+    tuples = np.empty(len(keys), dtype=object)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        rows = np.flatnonzero(lengths == length)
+        group = zip(*names[keys[rows, :length]].T.tolist())
+        if len(rows) == len(keys):
+            return list(group)
+        tuples[rows] = np.fromiter(group, dtype=object, count=len(rows))
+    return tuples.tolist()
+
+
 def apply_connective(
     conn: LiftedConnective | ScalarConnective,
     f1: FuzzySoftSet,
@@ -301,27 +359,31 @@ def apply_connective(
 
     For every tag pair (a, b) the result assigns, under the canonical
     product tag, the vector ``scalar(m1(u), m2(u))`` per element.  The
-    scalar is called once per row of ``f1``, against all rows of ``f2``,
-    and its outputs are codomain-checked with near-boundary clamping and
+    scalar is called on blocks of rows of ``f1``, as an (R, 1, U) array of
+    about ``APPLY_BLOCK_VALUES`` // (P2 * U) rows, against the (P2, U)
+    matrix of ``f2``, so it must broadcast elementwise; its outputs are
+    codomain-checked with near-boundary clamping, a block at a time, and
     written into one (P1 * P2, U) matrix, pair (i, j) in row i * P2 + j.
-    Two pairs collapsing to one canonical tag are merged into the first
-    pair's row when every element is within ``CLAMP_TOLERANCE`` (absolute)
-    of it, otherwise ``TagCollisionError`` is raised: each pair is keyed by
-    its sorted label tuple, and a pair whose key was seen before is
-    compared with the first pair that had it.  The result's rows are
-    gathered from the matrix, in sorted key order, in one step.  More than
-    ``MAX_PAIRS`` tag pairs (P1 * P2) or ``MAX_ARRAY_VALUES`` values
+    Each pair's product tag is a row of label ranks (labels ranked in
+    ``str`` order, sorted, padded with -1), so rows compare as label
+    tuples do, and one stable sort of the rows gives the result's tag
+    order; the first pair of each run of equal rows is the one kept.
+    Two pairs collapsing to one canonical tag are merged into the kept
+    pair's row when every element is within ``CLAMP_TOLERANCE``
+    (absolute) of it, otherwise ``TagCollisionError`` is raised.  More
+    than ``MAX_PAIRS`` tag pairs (P1 * P2) or ``MAX_ARRAY_VALUES`` values
     (P1 * P2 * U) raise ``ProductSizeError`` before anything is allocated
     or evaluated.  A scalar that passes ``check_tnorm_axioms`` at its
     tolerance (1e-9 by default) can still collide here: the Hamacher
     product with an epsilon in its divisor deviates from associativity by
     up to 2.5e-11, so T(S, T(S, S)) raises ``TagCollisionError``.
 
-    Faults are reported row of ``f1`` by row.  An error raised by the
-    scalar anywhere in a row comes first.  Then the row's pairs are taken
-    in order; for each, an out-of-range output (``CodomainError``, whose
-    ``index`` is (pair in the row, element)) is reported before a
-    collision with an earlier pair.
+    Faults are reported in pair order.  A block that raises is run again
+    one row at a time, and an error the scalar raises on row i is a fault
+    at pair (i, 0); an out-of-range output (``CodomainError``, whose
+    ``index`` is (pair in the row, element)) is a fault at its pair.  The
+    first fault is raised only if no earlier pair collides; otherwise the
+    earliest colliding pair's ``TagCollisionError`` is.
     """
     if isinstance(conn, LiftedConnective):
         conn = check_arity(conn, 2).scalar
@@ -331,58 +393,64 @@ def apply_connective(
             "operands are defined over different universes "
             f"({list(f1.universe.elements)} vs {list(f2.universe.elements)})"
         )
-    elements = f1.universe.elements
+    width = len(f1.universe)
     p1, p2 = len(f1.tags), len(f2.tags)
     if p1 * p2 > MAX_PAIRS:
         raise ProductSizeError(
             f"the product of {p1} by {p2} tags makes {p1 * p2} tag pairs, "
             f"more than MAX_PAIRS = {MAX_PAIRS}"
         )
-    size = p1 * p2 * len(elements)
+    size = p1 * p2 * width
     if size > MAX_ARRAY_VALUES:
         raise ProductSizeError(
-            f"the product of {p1} by {p2} tags over {len(elements)} "
+            f"the product of {p1} by {p2} tags over {width} "
             f"elements needs {size} values, more than MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}"
         )
-    labels_b = [tag.labels for tag in f2.tags]
-    pair_values = np.empty((p1 * p2, len(elements)))  # pair (i, j) in row i * p2 + j
-    first: dict[tuple[str, ...], int] = {}
+    pair_values = np.empty((p1 * p2, width))  # pair (i, j) in row i * p2 + j
+    step, fault = max(1, APPLY_BLOCK_VALUES // (p2 * width)), None
     with np.errstate(all="ignore"):
-        for i, (tag_a, row) in enumerate(zip(f1.tags, f1.values)):
-            raw = np.broadcast_to(np.asarray(scalar(row, f2.values), dtype=float),
-                                  f2.values.shape)
-
-            def where(index: tuple[int, ...]) -> str:
-                tag = combine_tags(tag_a, f2.tags[index[0]])
-                return (f"connective {scalar.name!r} under tag {tag.text!r} "
-                        f"at element {elements[index[1]]!r}")
-
-            start = i * p2
-            try:
-                pair_values[start:start + p2] = into_unit_interval(raw, where)
-                checked, fault = p2, None
-            except CodomainError as err:
-                # The pairs before the out-of-range one are still checked first.
-                checked, fault = err.index[0], err
-                pair_values[start:start + checked] = into_unit_interval(raw[:checked], where)
-            pairs, labels_a = range(start, start + checked), tag_a.labels
-            row_keys = [tuple(sorted(labels_a + labels)) for labels in labels_b[:checked]]
-            firsts = list(map(first.setdefault, row_keys, pairs))
-            # Only a pair whose key has an earlier first pair is compared.
-            for j in compress(range(checked), map(ne, firsts, pairs)):
-                if np.abs(pair_values[firsts[j]] - pair_values[pairs[j]]).max() > CLAMP_TOLERANCE:
-                    tag = combine_tags(tag_a, f2.tags[j])
-                    raise TagCollisionError(
-                        f"tag pairs ({tag_a.text}, {f2.tags[j].text}) collide on canonical "
-                        f"tag {tag.text!r} with different membership vectors"
-                    )
+        for i in range(0, p1, step):
+            fault = _run_kernel(scalar, f1, f2, pair_values, range(i, min(i + step, p1)))
             if fault is not None:
-                raise fault
-    keys = sorted(first)
-    values = pair_values[[first[key] for key in keys]]
-    del pair_values
+                break
+    tags = (*f1.tags, *f2.tags)
+    labels = sorted({label for tag in tags for label in tag.labels})
+    rank, pad, most = dict(zip(labels, count())), len(labels), max(len(tag.labels) for tag in tags)
+    ranks = np.array([[*map(rank.__getitem__, tag.labels), *repeat(pad, most - len(tag.labels))]
+                      for tag in tags], dtype=np.int32)
+    # Row i * p2 + j: pair (i, j)'s label ranks, sorted, the padding last and then -1.
+    keys = np.sort(np.concatenate(np.broadcast_arrays(ranks[:p1, None], ranks[None, p1:]), axis=2)
+                   .reshape(p1 * p2, -1), axis=1)
+    keys[keys == pad] = -1
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    kept = np.ones(len(order), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=kept[1:])
+    # The kept pair of each pair's key, and the other pairs before the fault, in order.
+    first_of = np.empty_like(order)
+    first_of[order] = order[kept][np.cumsum(kept) - 1]
+    limit = p1 * p2 if fault is None else fault[0]
+    repeats = np.flatnonzero(first_of[:limit] != np.arange(limit))
+    chunk = max(1, APPLY_BLOCK_VALUES // width)
+    for k in range(0, len(repeats), chunk):
+        pairs = repeats[k:k + chunk]
+        apart = pair_values[pairs]
+        apart -= pair_values[first_of[pairs]]
+        apart = np.abs(apart, out=apart).max(axis=1) > CLAMP_TOLERANCE
+        if apart.any():
+            i, j = divmod(int(pairs[apart.argmax()]), p2)
+            tag_a, tag_b = f1.tags[i], f2.tags[j]
+            raise TagCollisionError(
+                f"tag pairs ({tag_a.text}, {tag_b.text}) collide on canonical tag "
+                f"{combine_tags(tag_a, tag_b).text!r} with different membership vectors"
+            )
+    if fault is not None:
+        raise fault[1]
+    values = pair_values[order[kept]]
+    keys = keys[kept]
+    del pair_values, order, kept, first_of, repeats
     values.flags.writeable = False
-    return FuzzySoftSet(f1.universe, canonical_tags(keys), values)
+    return FuzzySoftSet(f1.universe, canonical_tags(_label_tuples(keys, labels)), values)
 
 
 def union_fss(f1: FuzzySoftSet, f2: FuzzySoftSet) -> FuzzySoftSet:

@@ -8,9 +8,11 @@ equal: combining ``{a}`` with ``{b}`` gives the same tag as combining
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -83,7 +85,7 @@ class ParamTag:
         return f"ParamTag({self.text!r})"
 
 
-def canonical_tags(label_tuples: Iterable[tuple[str, ...]]) -> tuple[ParamTag, ...]:
+def canonical_tags(label_tuples: Sequence[tuple[str, ...]]) -> tuple[ParamTag, ...]:
     """One tag per label tuple, each already valid and sorted, unchecked.
 
     This is the one builder that skips ``__post_init__``, for labels taken
@@ -91,13 +93,9 @@ def canonical_tags(label_tuples: Iterable[tuple[str, ...]]) -> tuple[ParamTag, .
     ``combine_tags`` builds through it; text from outside, such as a
     document key or a negation family key, is read with ``ParamTag.parse``.
     """
-    new, set_labels = object.__new__, ParamTag.labels.__set__
-    tags = []
-    for labels in label_tuples:
-        tag = new(ParamTag)
-        set_labels(tag, labels)
-        tags.append(tag)
-    return tuple(tags)
+    tags = tuple(map(object.__new__, repeat(ParamTag, len(label_tuples))))
+    deque(map(ParamTag.labels.__set__, tags, label_tuples), maxlen=0)  # runs the map, keeps nothing
+    return tags
 
 
 def combine_tags(t1: ParamTag, t2: ParamTag) -> ParamTag:

@@ -567,6 +567,46 @@ def test_eval_refuses_a_bind_name_given_twice(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_eval_of_one_file_bound_twice_reads_it_once(tmp_path, monkeypatch, capsys):
+    script = tmp_path / "both.fss"
+    script.write_text("print union(S, G);")
+    source = DEMO_DATA / "quality.fss"
+    copy = tmp_path / "copy.fss"
+    copy.write_bytes(source.read_bytes())
+    assert run_cli(["eval", str(script), "--bind", f"S={source}", "--bind", f"G={copy}"]) == 0
+    two = capsys.readouterr()
+    reads = []
+    monkeypatch.setattr(cli, "load_fss", lambda path: reads.append(path) or load_fss(path))
+    assert run_cli(["eval", str(script), "--bind", f"S={source}", "--bind", f"G= {source}"]) == 0
+    assert reads == [str(source)]
+    assert capsys.readouterr() == two
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_eval_of_a_named_pipe_bound_twice_reads_it_once(tmp_path):
+    fifo = tmp_path / "pipe.fss"
+    os.mkfifo(fifo)
+    script = tmp_path / "both.fss"
+    script.write_text('save(union(S, G), "out.fss");')
+
+    def feed():
+        with open(fifo, "wb") as handle:
+            handle.write((DEMO_DATA / "quality.fss").read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from fuzzysoft.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))",
+         "eval", str(script), "--bind", f"S={fifo}", "--bind", f"G={fifo}"],
+        cwd=tmp_path, env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (proc.returncode, proc.stderr) == (0, "")
+    quality = load_fss(DEMO_DATA / "quality.fss")
+    assert load_fss(tmp_path / "out.fss") == union_fss(quality, quality)
+
+
 def test_eval_script_missing_bind_file_exit_three(tmp_path):
     script = tmp_path / "combine.fss"
     script.write_text("print S;")

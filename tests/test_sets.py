@@ -43,10 +43,11 @@ from fuzzysoft import (
     tau_family,
     union_fss,
 )
+from fuzzysoft import sets
 from fuzzysoft.analysis import MAX_ARRAY_VALUES as CHECK_MAX_ARRAY_VALUES
 from fuzzysoft.connectives import (CLAMP_TOLERANCE, LiftedConnective, into_unit_interval,
                                    require_arity)
-from fuzzysoft.sets import MAX_ARRAY_VALUES, MAX_PAIRS
+from fuzzysoft.sets import APPLY_BLOCK_VALUES, MAX_ARRAY_VALUES, MAX_PAIRS
 from fuzzysoft.tags import combine_tags
 
 
@@ -826,6 +827,8 @@ def _reference_apply(conn, f1, f2):
     return FuzzySoftSet(f1.universe, tuple(rows), list(rows.values()))
 
 
+# _SKEW, but dividing by zero on a row of x that holds 0.
+_SKEW_THEN_DIVIDE = "x*x + y/2 + 0/x"
 # Commutative and not, clamped just below 0 and just above 1, out of range,
 # dividing by a row that holds 0, and producing -0.0.
 _DIFFERENTIAL_EXPRESSIONS = [
@@ -833,8 +836,11 @@ _DIFFERENTIAL_EXPRESSIONS = [
     "x*y - 0.0000000000005", "min(1, x + y) + 0.0000000000005", "x/y", "-x*y",
     # Colliding pairs 1e-13 * |x - y| apart, which merge, and 1e-11 * |x - y|.
     "x*y + (x - y) / 10000000000000", "x*y + (x - y) / 100000000000",
+    _SKEW_THEN_DIVIDE,
 ]
-_tag_texts = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map("*".join)
+# " " and "!" sort before "*": the tag a! is after a*b, though its text is before.
+_tag_texts = st.lists(st.sampled_from(["a", "b", "c", "a!", " ", "a b"]),
+                      min_size=1, max_size=3).map("*".join)
 _memberships = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25, 1e-13, 1 - 1e-13]),
                          st.floats(0, 1))
 
@@ -855,26 +861,59 @@ def _operands(draw):
 
 
 _PQ = fss(["u"], {"p": (0.2,), "q": (0.8,)})
+_PQZ = fss(["u", "v"], {"p": (0.2, 0.2), "q": (0.8, 0.8), "z": (0.0, 0.5)})
+# Prefix tags, a repeated label, and labels below "*", whose text order is
+# not their tag order (" " < "!" < "*" < "a").
+_PREFIXES = fss(["u", "v"], {"a": (0.5, 0.0), "a*b": (0.25, 1.0), "a*a": (1.0, 0.5),
+                             "a!": (0.75, 0.25), " ": (0.1, -0.0)})
+# Under max, (a*b, a) and (a*a, b) merge on a*a*b.
+_SPACES = fss(["u", "v"], {"b": (0.5, 1.0), "a b": (0.3, 1.0), "!": (0.2, 0.0), "a": (1.0, 0.1)})
 
 
 # A row whose collision comes before its out-of-range pair, one whose
-# out-of-range pair comes first, and a collision 1.2e-13 apart, which merges.
-@example(_SKEW, (_PQ, fss(["u"], {"p": (0.2,), "q": (0.8,), "z": (0.9,)})))
-@example(_SKEW, (_PQ, fss(["u"], {"a": (0.9,), "p": (0.2,), "q": (0.8,)})))
-@example("x*y + (x - y) / 10000000000000", (_PQ, _PQ))
+# out-of-range pair comes first, and a collision 1.2e-13 apart, which merges;
+# then text order against tag order, a product of one row per kernel block
+# whose merges cross blocks, and a collision in row q's block before a
+# division by zero in row z's (with one block: before q's out-of-range pair).
+@example(_SKEW, (_PQ, fss(["u"], {"p": (0.2,), "q": (0.8,), "z": (0.9,)})), APPLY_BLOCK_VALUES)
+@example(_SKEW, (_PQ, fss(["u"], {"a": (0.9,), "p": (0.2,), "q": (0.8,)})), APPLY_BLOCK_VALUES)
+@example("x*y + (x - y) / 10000000000000", (_PQ, _PQ), APPLY_BLOCK_VALUES)
+@example("max(x, y)", (_PREFIXES, _SPACES), APPLY_BLOCK_VALUES)
+@example("x*y", (_PREFIXES, _PREFIXES), 1)
+@example(_SKEW_THEN_DIVIDE, (_PQZ, _PQZ), 1)
+@example(_SKEW_THEN_DIVIDE, (_PQZ, _PQZ), APPLY_BLOCK_VALUES)
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_DIFFERENTIAL_EXPRESSIONS), _operands())
-def test_apply_matches_the_per_row_reference(expression, operands):
+@given(st.sampled_from(_DIFFERENTIAL_EXPRESSIONS), _operands(),
+       st.sampled_from([APPLY_BLOCK_VALUES, 1, 7]))
+def test_apply_matches_the_per_row_reference(expression, operands, block_values):
     conn = scalar_from_expression(expression, arity=2)
     outcomes = []
-    for apply in (apply_connective, _reference_apply):
-        try:
-            out = apply(conn, *operands)
-        except FuzzySoftError as err:
-            outcomes.append((type(err), str(err), getattr(err, "index", None)))
-        else:
-            outcomes.append((out.tags, out.values.view(np.uint64).tolist()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sets, "APPLY_BLOCK_VALUES", block_values)
+        for apply in (apply_connective, _reference_apply):
+            try:
+                out = apply(conn, *operands)
+            except FuzzySoftError as err:
+                outcomes.append((type(err), str(err), getattr(err, "index", None)))
+            else:
+                outcomes.append((out.tags, out.values.view(np.uint64).tolist()))
     assert outcomes[0] == outcomes[1]
+
+
+def test_the_widened_reference_examples_reach_their_paths():
+    # The examples above are only worth having if they take the paths
+    # named: a collision ahead of a later block's division by zero, and
+    # results whose order differs from the order of the tag texts.
+    conn = scalar_from_expression(_SKEW_THEN_DIVIDE, arity=2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sets, "APPLY_BLOCK_VALUES", 1)
+        with pytest.raises(TagCollisionError, match=r"\(q, p\)"):
+            apply_connective(conn, _PQZ, _PQZ)
+        with pytest.raises(DivisionByZeroError):
+            apply_connective(conn, _PQZ, fss(["u", "v"], {"p": (0.2, 0.2)}))
+    texts = [tag.text for tag in apply_connective(builtin("maximum"), _PREFIXES, _SPACES).tags]
+    assert texts != sorted(texts)
+    assert "a*a" in texts and "a*a*b" in texts
 
 
 # --- the size bound on a product ----------------------------------------------------
@@ -934,3 +973,27 @@ def test_apply_holds_one_result_matrix():
         tracemalloc.stop()
     assert len(out) == 55
     assert peak <= 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_apply_at_max_pairs_peaks_near_its_result():
+    # The most pairs the pair bound admits, 512 x 512 tags at U = 1: 262,144
+    # result tags kept at 112 B each (tag, label tuple, value), 28 MiB, and
+    # a peak of 34.5 MiB on CPython 3.11.  The bound leaves room for other
+    # object sizes and still fails a dict entry and a label tuple per pair,
+    # which peak at 52.4 MiB.
+    one = Universe.of("u")
+    rng = np.random.default_rng(512)
+    left = FuzzySoftSet(one, tuple(ParamTag.parse(f"a{i}") for i in range(512)),
+                        rng.random((512, 1)))
+    right = FuzzySoftSet(one, tuple(ParamTag.parse(f"b{i}") for i in range(512)),
+                         rng.random((512, 1)))
+    tracemalloc.start()
+    try:
+        out = union_fss(left, right)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == MAX_PAIRS
+    assert out.tags[1].text == "a0*b1" and out.values[1, 0] == max(left.values[0, 0],
+                                                                    right.values[1, 0])
+    assert peak <= 44 * 2**20, f"peak {peak / 2**20:.1f} MiB"
