@@ -26,7 +26,7 @@ All types are immutable values; operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import eq, is_, lt
 from typing import Iterable, Mapping, Sequence
 
@@ -50,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .record import Record
-from .tags import NOT_NUMBERS, ParamTag, canonical_tags, combine_tags
+from .tags import ParamTag, canonical_tags, combine_tags, number_or_none
 
 #: Largest float64 array (2**24 values, 128 MiB) one operation may create:
 #: a binary set operation's P1 * P2 * U result values, and the arrays of a
@@ -83,6 +83,8 @@ class Universe(Record):
     elements: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.elements, str):
+            raise ValidationError(f"universe elements must be a sequence, not {self.elements!r}")
         elements = tuple(self.elements)
         if not elements:
             raise ValidationError("a universe needs at least one element")
@@ -115,34 +117,29 @@ class FuzzySet(Record):
     memberships: tuple[float, ...]
 
 
-def _float_matrix(values) -> np.ndarray | None:
-    """``values`` as a 2-D float array, or None where numpy cannot make one
-    or where a value is one of the ``NOT_NUMBERS``, which numpy would take
-    as a number.  Only an object array or a non-array is scanned by value."""
-    try:
-        array = np.asarray(values)
-        kind = array.dtype.kind
-        if array.ndim != 2 or kind in "SUbcmM" or (kind == "O" and any(
-                isinstance(v, NOT_NUMBERS) for v in array.flat)):
-            return None
-        if not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(
-                map(type, chain.from_iterable(values))):
-            return None
-        return array.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError):
-        return None
+def _is_sequence(value) -> bool:
+    """A sequence, not text or bytes, or an array of one or more dimensions."""
+    if isinstance(value, np.ndarray):
+        return value.ndim > 0
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
 class FuzzySoftSet(Record):
     """A universe plus one membership row per canonical parameter tag.
 
     ``values`` is a read-only float64 matrix, one row per tag in the order
-    of the sorted ``tags`` and one column per universe element.  The
-    constructor sorts the given tags and rows together and is the one place
-    the set invariants are checked.  Rows that arrive in strictly
-    increasing tag order, as they do for every set the package builds, are
-    kept as they are.  Their matrix is copied unless it owns its data and
-    is already read-only, as the matrices the package has just built are
+    of the sorted ``tags`` and one column per universe element.  An int or
+    float ndarray of shape (P, U) is read whole, anything else row by row,
+    a row being any sequence but a mapping, text or bytes, and value by
+    value with ``number_or_none``: a membership is any real number (int,
+    float, numpy real scalar, ``Fraction``, ``Decimal``), and ``bool``,
+    text, bytes, complex, dates, ``None`` and arrays with dimensions are
+    refused.  The constructor sorts the given tags and rows together and is
+    the one place the set invariants are checked; every fault is a
+    ``ValidationError``.  Rows that arrive in strictly increasing tag order,
+    as they do for every set the package builds, are kept as they are.
+    Their matrix is copied unless it owns its data and is already
+    read-only, as the matrices the package has just built are
     (``apply_connective``'s gathered rows, a negation's, a loaded
     document's): a caller's writable array, or a view, is always copied.
     Equality is exact; the hash covers the universe and the tags.
@@ -156,32 +153,43 @@ class FuzzySoftSet(Record):
         tags = tuple(self.tags)
         if not tags:
             raise ValidationError("a fuzzy soft set needs at least one parameter tag")
-        if not (isinstance(self.values, np.ndarray)
-                and self.values.shape == (len(tags), len(self.universe))):
-            if len(self.values) != len(tags):
-                raise ValidationError(f"{len(self.values)} membership rows for the "
+        if not isinstance(self.universe, Universe):
+            raise ValidationError(f"universe must be a Universe, got {self.universe!r}")
+        try:
+            labels = [tag.labels for tag in tags]
+        except AttributeError:
+            tag = next(tag for tag in tags if not isinstance(tag, ParamTag))
+            raise ValidationError(f"parameter tag must be a ParamTag, got {tag!r}") from None
+        values, elements = self.values, self.universe.elements
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+                and values.shape == (len(tags), len(elements))):
+            if not _is_sequence(values):
+                raise ValidationError(f"membership rows {values!r} are not a sequence")
+            if len(values) != len(tags):
+                raise ValidationError(f"{len(values)} membership rows for the "
                                       f"{len(tags)} tags {[tag.text for tag in tags]}")
-            for tag, row in zip(tags, self.values):
-                if len(row) != len(self.universe):
+            for tag, row in zip(tags, values):
+                if not _is_sequence(row):
                     raise ValidationError(
-                        f"tag {tag.text!r}: expected {len(self.universe)} membership values "
-                        f"for universe {list(self.universe.elements)}, got {len(row)}"
-                    )
-        values = _float_matrix(self.values)
-        if values is None:
-            for tag, row in zip(tags, self.values):
-                for element, value in zip(self.universe.elements, row):
-                    if _float_matrix([[value]]) is None:
-                        raise ValidationError(f"tag {tag.text!r}: membership {value!r} "
-                                              f"for element {element!r} is not a number")
+                        f"tag {tag.text!r}: membership row {row!r} is not a sequence")
+                if len(row) != len(elements):
+                    raise ValidationError(f"tag {tag.text!r}: expected {len(elements)} membership "
+                                          f"values for universe {list(elements)}, got {len(row)}")
+            rows = [list(map(number_or_none, row)) for row in values]
+            for tag, row, numbers in zip(tags, values, rows):
+                if None in numbers:
+                    j = numbers.index(None)
+                    raise ValidationError(f"tag {tag.text!r}: membership {row[j]!r} "
+                                          f"for element {elements[j]!r} is not a number")
+            values = rows
+        values = np.asarray(values, dtype=float)
         outside = ~((values >= 0.0) & (values <= 1.0))
         if outside.any():
             i, j = np.argwhere(outside)[0]
             raise ValidationError(
                 f"tag {tags[i].text!r}: membership {float(values[i, j])!r} "
-                f"for element {self.universe.elements[j]!r} is outside [0, 1]"
+                f"for element {elements[j]!r} is outside [0, 1]"
             )
-        labels = [tag.labels for tag in tags]
         if all(map(lt, labels, labels[1:])):
             # Freezing a matrix it owns hands it over; anything else is copied.
             if values.flags.writeable or not values.flags.owndata:
@@ -213,7 +221,7 @@ class FuzzySoftSet(Record):
         return tuple(zip(self.tags, tau_family(self)))
 
     def approximation(self, tag: ParamTag | str) -> FuzzySet:
-        if isinstance(tag, str):
+        if not isinstance(tag, ParamTag):
             tag = ParamTag.parse(tag)
         i = bisect_left(self.tags, tag)
         if i == len(self.tags) or self.tags[i] != tag:
@@ -233,16 +241,17 @@ def make_fuzzy_soft_set(
 ) -> FuzzySoftSet:
     """Validated construction from tag -> membership-sequence pairs.
 
-    Tags may be given as ``ParamTag`` or as text (``"a1"`` or ``"a1*b1"``).
-    Every membership sequence must match the universe length with values
-    in [0, 1]; errors name the offending tag and element.
+    Tags may be given as ``ParamTag`` or as text (``"a1"`` or ``"a1*b1"``)
+    that ``ParamTag.parse`` reads.  Every membership sequence is read as a
+    ``FuzzySoftSet`` row: any sequence but a mapping, text or bytes, of
+    real numbers (not ``bool``, text, bytes, complex, dates, ``None`` or
+    arrays with dimensions) in [0, 1], one per universe element; errors
+    are ``ValidationError``s that name the offending tag and element.
     """
-    if not isinstance(universe, Universe):
-        universe = Universe(tuple(universe))
+    universe = Universe(universe)
     items = list(assignments.items() if isinstance(assignments, Mapping) else assignments)
-    tags = tuple(tag if isinstance(tag, ParamTag) else ParamTag.parse(str(tag))
-                 for tag, _ in items)
-    return FuzzySoftSet(universe, tags, [tuple(values) for _, values in items])
+    tags = tuple(tag if isinstance(tag, ParamTag) else ParamTag.parse(tag) for tag, _ in items)
+    return FuzzySoftSet(universe, tags, [values for _, values in items])
 
 
 def tau_family(fss: FuzzySoftSet, distinct: bool = False) -> tuple[FuzzySet, ...]:

@@ -23,15 +23,20 @@ from .record import Record
 RESERVED_SEPARATOR = "*"
 
 #: Types that float() or numpy would take as a membership value, though
-#: they are not real numbers.
+#: they are not real numbers (numpy before 2.4 takes a one-element array).
 NOT_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating,
-               np.datetime64, np.timedelta64, type(None))
+               np.datetime64, np.timedelta64, type(None), np.ndarray)
 
 
 def number_or_none(value, convert=float):
-    """``convert(value)``, or None for one of the ``NOT_NUMBERS`` or a refused value."""
-    if isinstance(value, NOT_NUMBERS):
-        return None
+    """``convert(value)``, or None for one of the ``NOT_NUMBERS`` or a
+    refused value: the one rule for a membership, a tolerance or a count.
+    A 0-d array is read as its element."""
+    if type(value) is not float:  # plain floats skip the type checks, ~5x float()'s cost
+        if isinstance(value, np.ndarray) and not value.ndim:
+            value = value[()]
+        if isinstance(value, NOT_NUMBERS):
+            return None
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
@@ -119,6 +124,8 @@ class TaggedMembership(Record):
     value: float
 
     def __post_init__(self):
+        if not isinstance(self.tag, ParamTag):
+            raise ValidationError(f"a membership's tag must be a ParamTag, got {self.tag!r}")
         value = number_or_none(self.value)
         if value is None:
             raise ValidationError(f"membership value {self.value!r} for tag "

@@ -734,15 +734,108 @@ class _Unwalkable(np.ndarray):
         raise AssertionError("a float matrix was walked value by value")
 
 
-def test_only_an_object_array_is_walked_value_by_value():
+def test_only_a_real_matrix_of_the_set_shape_is_read_whole():
     values = np.array([[0.25, 1.0], [0.5, 0.0]]).view(_Unwalkable)
     s = FuzzySoftSet(Universe.of("u1", "u2"), (ParamTag.parse("b"), ParamTag.parse("a")), values)
     assert s.values.tolist() == [[0.5, 0.0], [0.25, 1.0]]
+    ints = FuzzySoftSet(Universe.of("u1", "u2"), (ParamTag.parse("a"),),
+                        np.array([[0, 1]], dtype=np.uint8).view(_Unwalkable))
+    assert ints.values.dtype == np.float64 and ints.values.tolist() == [[0.0, 1.0]]
     with pytest.raises(ValidationError, match="membership np.True_ for element 'u1'"):
         FuzzySoftSet(Universe.of("u1", "u2"), (ParamTag.parse("a"),), np.ones((1, 2), bool))
     with pytest.raises(ValidationError, match="membership True for element 'u1'"):
         FuzzySoftSet(Universe.of("u1", "u2"), (ParamTag.parse("a"),),
                      np.array([[True, 0.5]], dtype=object))
+    # Lists and tuples are read value by value by the same rule.
+    with pytest.raises(ValidationError, match="membership True for element 'u1'"):
+        FuzzySoftSet(Universe.of("u1", "u2"), (ParamTag.parse("a"),), [(True, 0.5)])
+    with pytest.raises(ValidationError, match="membership np.False_ for element 'u2'"):
+        FuzzySoftSet(Universe.of("u1", "u2"), (ParamTag.parse("a"),), [[0.5, np.False_]])
+
+
+@pytest.mark.parametrize("rows, message", [
+    # A mapping's keys, or a byte string's bytes, were once read as the row.
+    ([{0: 0.3, 1: 0.7}], r"^tag 'a': membership row \{0: 0.3, 1: 0.7\} is not a sequence$"),
+    ([b"ab"], r"^tag 'a': membership row b'ab' is not a sequence$"),
+    (["ab"], r"^tag 'a': membership row 'ab' is not a sequence$"),
+    ([5], r"^tag 'a': membership row 5 is not a sequence$"),
+    ([np.array(0.5)], r"^tag 'a': membership row array\(0.5\) is not a sequence$"),
+    (None, r"^membership rows None are not a sequence$"),
+    (np.array(0.5), r"^membership rows array\(0.5\) are not a sequence$"),
+    # The row count comes before the rows, and each row's kind before any value.
+    ([{0: 0.3, 1: 0.7}, [0.5, 0.5]], r"^2 membership rows for the 1 tags \['a'\]$"),
+])
+def test_constructor_refuses_rows_that_are_not_sequences(rows, message):
+    with pytest.raises(ValidationError, match=message):
+        FuzzySoftSet(Universe.of("u1", "u2"), (ParamTag.parse("a"),), rows)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Universe("ab"), r"^universe elements must be a sequence, not 'ab'$"),
+    (lambda: make_fuzzy_soft_set("ab", {"a": [0.5, 0.5]}),
+     r"^universe elements must be a sequence, not 'ab'$"),
+    (lambda: FuzzySoftSet(("u",), (ParamTag("a"),), [[0.5]]),
+     r"^universe must be a Universe, got \('u',\)$"),
+    (lambda: FuzzySoftSet(Universe.of("u"), (ParamTag("a"), "b"), [[0.5], [0.5]]),
+     r"^parameter tag must be a ParamTag, got 'b'$"),
+    (lambda: FuzzySoftSet(Universe.of("u"), "a", [[0.5]]),
+     r"^parameter tag must be a ParamTag, got 'a'$"),
+    (lambda: make_fuzzy_soft_set(["u"], {5: [0.5]}),
+     r"^parameter label must be a non-empty string, got 5$"),
+    (lambda: make_fuzzy_soft_set(["u"], [(("a",), [0.5])]),
+     r"^parameter label must be a non-empty string, got \('a',\)$"),
+])
+def test_a_set_refuses_a_universe_or_tag_of_the_wrong_kind(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def _read(build):
+    """The float64 bits of the membership ``build`` reads, or "refused"
+    where it raises ``ValidationError``; any other error fails the test."""
+    try:
+        return np.float64(build()).tobytes()
+    except ValidationError:
+        return "refused"
+
+
+_SCALARS = st.one_of(st.floats(0, 1), st.floats(), st.integers(-2, 2),
+                     st.sampled_from([10**400, -10**400, 2**63, 2**64]), st.booleans(),
+                     st.none(), st.text(max_size=3), st.binary(max_size=3),
+                     st.fractions(), st.decimals())
+_NUMPY_SCALARS = st.one_of(
+    st.integers(-128, 127).map(np.int8), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8), st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats(width=16).map(np.float16), st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64), st.floats().map(np.longdouble), st.booleans().map(np.bool_),
+    st.complex_numbers(max_magnitude=2).map(np.complex128),
+    st.integers(-5, 5).map(np.timedelta64), st.integers(0, 5).map(lambda n: np.datetime64(n, "s")),
+    st.text(max_size=3).map(np.str_), st.binary(max_size=3).map(np.bytes_))
+_VALUES = st.one_of(
+    _SCALARS, _NUMPY_SCALARS,
+    st.one_of(_SCALARS, _NUMPY_SCALARS).map(np.array),  # 0-d arrays
+    st.one_of(st.floats(0, 1), st.booleans()).map(lambda v: np.array([v])),
+    st.lists(st.floats(0, 1), max_size=2), st.floats(0, 1).map(lambda v: [[v]]))
+
+
+@example(key="a", row={0: 0.3})  # a mapping's keys were read as the row
+@example(key="a", row=b"\x00")  # and a byte string's bytes
+@example(key=5, row=[0.5])  # a key that is not text was made text
+@settings(max_examples=500)
+@given(key=st.just("a"), row=_VALUES.map(lambda value: [value]))
+def test_one_rule_reads_a_membership_everywhere(key, row):
+    got = _read(lambda: make_fuzzy_soft_set(["u"], {key: row}).values[0, 0])
+    if key != "a" or not isinstance(row, list):
+        assert got == "refused"
+        return
+    assert got == _read(lambda: TaggedMembership(ParamTag("a"), row[0]).value)
+    try:
+        matrix = np.array([row])
+    except (TypeError, ValueError, OverflowError):
+        return
+    if matrix.dtype.kind in "iuf":
+        whole = _read(lambda: FuzzySoftSet(Universe.of("u"), (ParamTag("a"),), matrix).values[0, 0])
+        assert whole == got
 
 
 def test_lookup_canonicalizes_the_tag_text():
@@ -751,6 +844,13 @@ def test_lookup_canonicalizes_the_tag_text():
     assert s[ParamTag(("b2",))].memberships == (0.5,)
     with pytest.raises(ValidationError, match="no assignment for tag 'a3'"):
         s["a3"]
+
+
+@pytest.mark.parametrize("key", [5, None, ("a",), 0.5])
+def test_lookup_reads_every_key_as_a_tag(key):
+    s = fss(["u"], {"a": (0.3,)})
+    with pytest.raises(ValidationError, match=r"^parameter label must be a non-empty string, got "):
+        s[key]
 
 
 # x*x + y/2 is not commutative; at p = 0.2, q = 0.8, z = 0.9 its values are

@@ -77,6 +77,28 @@ def test_tagged_membership_refuses_a_value_that_is_not_a_number(value):
         TaggedMembership(ParamTag("a"), value)
 
 
+@pytest.mark.parametrize("tag", ["a", None, ("a",)])
+def test_tagged_membership_refuses_a_tag_that_is_not_a_param_tag(tag):
+    with pytest.raises(ValidationError, match=r"^a membership's tag must be a ParamTag, got "):
+        TaggedMembership(tag, 0.5)
+
+
+class _FloatOfOneElement(np.ndarray):
+    """An array whose float() is its one element, as before numpy 2.4."""
+
+    def __float__(self):
+        return float(self.reshape(-1)[0])
+
+
+@pytest.mark.parametrize("value", [np.array([0.5]), np.array([[0.5]]), np.array(True),
+                                   np.array("0.5"), np.array(None),
+                                   np.array([0.5]).view(_FloatOfOneElement)])
+def test_tagged_membership_refuses_an_array_unless_it_holds_one_real_number(value):
+    with pytest.raises(ValidationError, match=r"^membership value .* for tag 'a' is not a number$"):
+        TaggedMembership(ParamTag("a"), value)
+    assert TaggedMembership(ParamTag("a"), np.array(0.5)).value == 0.5
+
+
 def test_ordering_only_within_a_tag():
     tag = ParamTag("a")
     assert TaggedMembership(tag, 0.2) <= TaggedMembership(tag, 0.5)
