@@ -61,6 +61,7 @@ from .errors import (
     ArityError,
     CandidateEvaluationError,
     CodomainError,
+    ConfigError,
     DivisionByZeroError,
     DocumentError,
     DslError,
@@ -77,7 +78,7 @@ from .errors import (
     UnknownBuiltinError,
     ValidationError,
 )
-from .expr import SourceSpan, eval_scalar, parse_scalar, pretty_print, tokenize
+from .expr import SourceSpan, parse_scalar, pretty_print, tokenize
 from .fileio import document_to_fss, fss_to_document, load_fss, save_fss
 from .script import ScriptResult, eval_script, parse_script
 from .sets import (

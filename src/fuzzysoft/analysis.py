@@ -58,7 +58,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .connectives import LiftedConnective, ScalarConnective, lift_negation, require_arity
-from .errors import CandidateEvaluationError, DslError, FuzzySoftError
+from .errors import CandidateEvaluationError, ConfigError, DslError, FuzzySoftError
 from .expr import CompiledExpr
 from .record import Record
 from .sets import MAX_ARRAY_VALUES
@@ -114,7 +114,7 @@ class CheckConfig(_Report):
     (``operator.index``, no ``bool``) and the tolerance as a ``float``
     that is positive and below 1: memberships lie in [0, 1], so a
     tolerance of 1 or more admits any difference between two of them, and
-    ``x + y`` would pass as a t-norm.
+    ``x + y`` would pass as a t-norm.  A refusal is a ``ConfigError``.
     """
 
     grid_steps: int = 64
@@ -126,24 +126,24 @@ class CheckConfig(_Report):
         for name, least in (("grid_steps", 2), ("random_samples", 0), ("seed", 0)):
             value = number_or_none(getattr(self, name), operator.index)
             if value is None:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
             if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
             object.__setattr__(self, name, value)
         tolerance = number_or_none(self.tolerance)
         if tolerance is None:
-            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
+            raise ConfigError(f"tolerance must be a real number, got {self.tolerance!r}")
         object.__setattr__(self, "tolerance", tolerance)
         for name, size in (("grid_steps", (4 * self.grid_steps + 1) ** 2),
                            ("random_samples", 4 * self.random_samples)):
             if size > MAX_ARRAY_VALUES:
-                raise ValueError(f"{name} = {getattr(self, name)} needs an array of {size} "
-                                 f"values, more than MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
+                raise ConfigError(f"{name} = {getattr(self, name)} needs an array of {size} "
+                                  f"values, more than MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
         if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+            raise ConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.tolerance >= 1:
-            raise ValueError(f"tolerance must be < 1, got {self.tolerance}: "
-                             "memberships lie in [0, 1]")
+            raise ConfigError(f"tolerance must be < 1, got {self.tolerance}: "
+                              "memberships lie in [0, 1]")
 
 
 class Witness(_Report):
@@ -337,9 +337,7 @@ def _violations(got: np.ndarray, want, relation: str, tol: float) -> np.ndarray:
         return ~(got <= want + tol)
     if relation == ">=":
         return ~(got >= want - tol)
-    if relation == "in [0, 1]":
-        return ~((got >= -tol) & (got <= 1.0 + tol))
-    raise ValueError(f"unknown relation {relation!r}")
+    return ~((got >= -tol) & (got <= 1.0 + tol))  # "in [0, 1]"
 
 
 def _smallest_violation(cols, got, want, bad: np.ndarray, relation: str) -> tuple[int, Witness]:

@@ -75,10 +75,8 @@ _CHECKERS = {
 }
 
 
-def _sig(value: float | None) -> str:
+def _sig(value: float) -> str:
     """17 significant digits: witness values re-evaluate exactly."""
-    if value is None:
-        return "-"
     return f"{value:.17g}"
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cache
 from operator import itemgetter
 from typing import Callable, Mapping
@@ -69,21 +68,23 @@ CLAMP_TOLERANCE = 1e-12
 _LABEL = itemgetter(0)
 
 
-@dataclass(frozen=True)
-class ScalarConnective:
+class ScalarConnective(Record):
     """A unary or binary function on [0, 1].
 
     ``kind`` and ``continuity`` are declared metadata: evaluation depends
     only on the arity and the body.  Calling the connective accepts floats
-    or numpy arrays and returns the raw, unclamped result.
+    or numpy arrays and returns the raw, unclamped result.  ``fn``, the
+    body, may be any elementwise callable; ``==`` ignores it and ``expr``.
     """
+
+    _uncompared = ("fn", "expr")
 
     name: str
     arity: int
     kind: str
     continuity: bool
-    fn: Callable = field(compare=False, repr=False)
-    expr: ScalarExpr | None = field(default=None, compare=False, repr=False)
+    fn: Callable
+    expr: ScalarExpr | None = None
 
     def __call__(self, x, y=None):
         if self.arity == 1:

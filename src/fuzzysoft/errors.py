@@ -16,6 +16,11 @@ class ValidationError(FuzzySoftError):
         self.index = index
 
 
+class ConfigError(ValidationError, ValueError):
+    """A ``CheckConfig`` field cannot be honoured.  It is a ``ValueError``
+    too, so ``run_cli`` reports it as a usage error (exit 2)."""
+
+
 class UniverseMismatchError(FuzzySoftError):
     """A binary set operation was applied to sets over different universes."""
 

@@ -327,15 +327,6 @@ def parse_scalar(text: str) -> ScalarExpr:
     return node
 
 
-def eval_scalar(node: ScalarExpr, x, y=None):
-    """Evaluate an expression at ``x`` (and ``y`` for binary use).
-
-    Accepts floats or numpy arrays; arrays broadcast through every node.
-    The result is returned unclamped -- codomain policy belongs to callers.
-    """
-    return CompiledExpr(node)(x, y)
-
-
 class CompiledExpr:
     """An expression compiled once into a tree of closures.
 

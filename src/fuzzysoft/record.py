@@ -1,10 +1,12 @@
 """Immutable value records built from one shared set of methods.
 
-``@dataclass(frozen=True)`` writes the source of six methods for each
-class and compiles each with its own ``exec`` when the class is created,
-about 1 ms per class on Python 3.11: for the package's few dozen value
-types, most of the time it took to import ``fuzzysoft.cli``.  ``Record``
-gives the same value semantics through methods compiled once, here.
+A frozen dataclass writes the source of six methods for each class and
+compiles each with its own ``exec`` when the class is created, about 1 ms
+per class on Python 3.11: for the package's few dozen value types, most
+of the time it took to import ``fuzzysoft.cli``.  ``Record`` gives the
+same value semantics through methods compiled once, here.  The one
+generated dataclass left is ``tags.ParamTag``, for its slots and its
+ordering, both on the apply path.
 
 A subclass declares its fields as its own annotations, in order; a class
 attribute of the same name is that field's default.  ``_uncompared``

@@ -113,9 +113,23 @@ class Script(Record):
 # --- Parser ----------------------------------------------------------------
 
 class _ScriptParser(_ScalarParser):
-    def __init__(self, tokens: list[Token], externals: frozenset[str]):
+    def __init__(self, tokens: list[Token], externals: Iterable[str]):
         super().__init__(tokens)
-        self.defined: set[str] = set(externals)
+        self.defined: set[str] = set()
+        for name in externals:
+            try:
+                read = [(token.kind, token.text) for token in tokenize(name)]
+            except (ParseError, TypeError):
+                read = None
+            if read != [(IDENT, name), (EOF, "")]:
+                raise ParseError(f"external name {name!r} is not an identifier")
+            self.define(name)
+
+    def define(self, name: str, span: SourceSpan | None = None) -> None:
+        """Define ``name``, which no keyword or builtin name may be."""
+        if name in _UNASSIGNABLE:
+            raise ParseError(f"cannot shadow the builtin name {name!r}", span)
+        self.defined.add(name)
 
     def parse_script(self) -> Script:
         statements = []
@@ -150,13 +164,8 @@ class _ScriptParser(_ScalarParser):
             self.expect_punct("=", f"after identifier {name_tok.text!r}")
             expr = self.parse_setexpr()
             end = self.expect_punct(";", "to end the assignment")
-            name = name_tok.text
-            if name in _UNASSIGNABLE:
-                raise ParseError(
-                    f"cannot shadow the builtin name {name!r}", name_tok.span
-                )
-            self.defined.add(name)
-            return Assign(name, expr, name_tok.span.merge(end.span))
+            self.define(name_tok.text, name_tok.span)
+            return Assign(name_tok.text, expr, name_tok.span.merge(end.span))
         raise ParseError(f"expected a statement, found {tok.describe()}", tok.span)
 
     def parse_setexpr(self) -> SetExpr:
@@ -251,9 +260,11 @@ class _ScriptParser(_ScalarParser):
 
 def parse_script(text: str, externals: Iterable[str] = ()) -> Script:
     """Parse a script; identifiers must be assigned before use or listed
-    in ``externals`` (names the caller promises to bind at evaluation)."""
+    in ``externals`` (names the caller promises to bind at evaluation).
+    An external name is held to the assignment rule: one identifier token,
+    not a keyword or builtin name; any other is a ``ParseError``."""
     tokens = tokenize(text)
-    parser = _ScriptParser(tokens, frozenset(externals))
+    parser = _ScriptParser(tokens, externals)
     return parser.parse_script()
 
 

@@ -83,7 +83,7 @@ class Universe(Record):
     elements: tuple[str, ...]
 
     def __post_init__(self):
-        if isinstance(self.elements, str):
+        if isinstance(self.elements, str) or not isinstance(self.elements, Iterable):
             raise ValidationError(f"universe elements must be a sequence, not {self.elements!r}")
         elements = tuple(self.elements)
         if not elements:
@@ -150,9 +150,10 @@ class FuzzySoftSet(Record):
     values: np.ndarray
 
     def __post_init__(self):
-        tags = tuple(self.tags)
+        tags = tuple(self.tags) if isinstance(self.tags, Iterable) else ()
         if not tags:
-            raise ValidationError("a fuzzy soft set needs at least one parameter tag")
+            raise ValidationError(
+                f"a fuzzy soft set needs at least one parameter tag, got {self.tags!r}")
         if not isinstance(self.universe, Universe):
             raise ValidationError(f"universe must be a Universe, got {self.universe!r}")
         try:
@@ -249,8 +250,11 @@ def make_fuzzy_soft_set(
     are ``ValidationError``s that name the offending tag and element.
     """
     universe = Universe(universe)
-    items = list(assignments.items() if isinstance(assignments, Mapping) else assignments)
-    tags = tuple(tag if isinstance(tag, ParamTag) else ParamTag.parse(tag) for tag, _ in items)
+    try:
+        items = list(assignments.items() if isinstance(assignments, Mapping) else assignments)
+        tags = tuple(tag if isinstance(tag, ParamTag) else ParamTag.parse(tag) for tag, _ in items)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"assignments must be (tag, memberships) pairs: {err}") from None
     return FuzzySoftSet(universe, tags, [values for _, values in items])
 
 

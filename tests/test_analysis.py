@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -53,13 +52,18 @@ from fuzzysoft.analysis import (
     _walk_cube,
     grid_points,
 )
-from fuzzysoft.connectives import builtin_names, resolve_connective
-from fuzzysoft.errors import DslError, EvalError, FuzzySoftError
+from fuzzysoft.connectives import ScalarConnective, builtin_names, resolve_connective
+from fuzzysoft.errors import ConfigError, DslError, EvalError, FuzzySoftError, ValidationError
 from fuzzysoft.expr import CompiledExpr, pretty_print
 from fuzzysoft.record import Record
 from test_expr import COMMUTATIVE_OPS, asts, joined_with_its_swap
 
 FAST = CheckConfig(grid_steps=16, random_samples=200, seed=5)
+
+
+def _with_fn(scalar, fn):
+    """``scalar`` with its body replaced by the callable ``fn``."""
+    return ScalarConnective(**{**vars(scalar), "fn": fn})
 
 
 # --- axiom suites --------------------------------------------------------------
@@ -273,6 +277,13 @@ def test_config_refuses_a_setting_it_cannot_honour(field, value, message):
         CheckConfig(**{field: value})
 
 
+def test_a_config_refusal_is_a_package_error_and_a_value_error():
+    with pytest.raises(FuzzySoftError, match="^grid_steps must be an integer, got 'a'$") as err:
+        CheckConfig(grid_steps="a")
+    assert type(err.value) is ConfigError
+    assert isinstance(err.value, ValidationError) and isinstance(err.value, ValueError)
+
+
 def test_config_stores_plain_numbers_that_reports_serialize():
     cfg = CheckConfig(grid_steps=np.int64(8), random_samples=np.int32(10),
                       tolerance=np.float32(0.5), seed=np.uint8(3))
@@ -445,6 +456,19 @@ def test_equilibria_count_each_tag_once_under_its_first_label(labels):
     result = find_equilibria({"a*b": builtin("sugeno(1)")}, labels)
     assert [entry.label for entry in result.entries] == labels[:1]
     assert result.count == 1
+
+
+@pytest.mark.parametrize("text, fixed_point", [("x*x", 0.0), ("0.5 + x/2", 1.0)])
+def test_a_fixed_point_at_an_end_of_the_interval_is_returned_exactly(text, fixed_point):
+    entry = find_equilibria(scalar_from_expression(text, arity=1), ["a"]).entry("a")
+    assert (entry.value, entry.residual, entry.is_equilibrium) == (fixed_point, 0.0, True)
+
+
+def test_reports_refuse_a_label_they_do_not_hold():
+    with pytest.raises(KeyError, match="no check labelled 'vi' \\(param=None\\)"):
+        check_tnorm_axioms(builtin("product"), FAST).check("vi")
+    with pytest.raises(KeyError, match="no entry for label 'b'"):
+        find_equilibria(builtin("standard-negation"), ["a"]).entry("b")
 
 
 def test_no_sign_change_is_a_verdict_not_an_error():
@@ -736,7 +760,7 @@ def test_array_path_cube_matches_one_broadcast(kind, text, steps):
     # A candidate that is not a compiled expression walks half-size tiles
     # and returns fresh arrays.
     inner = scalar_from_expression(text)
-    candidate = dataclasses.replace(inner, fn=lambda x, y: inner.fn(x, y))
+    candidate = _with_fn(inner, lambda x, y: inner.fn(x, y))
     check_fn, label = _CUBE_CHECKS[kind]
     check = check_fn(candidate, CheckConfig(grid_steps=steps, random_samples=0)).check(label)
     witness, points = _whole_cube_check(candidate, kind, steps, CheckConfig().tolerance)
@@ -758,7 +782,7 @@ def test_tiled_cube_raises_at_the_same_point_as_one_broadcast():
 
     cfg = CheckConfig(grid_steps=steps, random_samples=0)
     assert _tile_of(check_tnorm_axioms(inner, cfg).check("iv").witness.args, steps) == 0
-    candidate = dataclasses.replace(inner, fn=raising)
+    candidate = _with_fn(inner, raising)
     with pytest.raises(CandidateEvaluationError) as whole:
         _whole_cube_check(candidate, "tnorm", steps, cfg.tolerance)
     with pytest.raises(CandidateEvaluationError) as tiled:
@@ -1017,7 +1041,7 @@ def test_locating_a_failure_takes_logarithmically_many_calls():
         return inner(x, y)
 
     with pytest.raises(CandidateEvaluationError) as err:
-        check_tnorm_axioms(dataclasses.replace(inner, fn=counted),
+        check_tnorm_axioms(_with_fn(inner, counted),
                            CheckConfig(grid_steps=600, random_samples=0))
     # The first failing point opens the last row: a walk makes 360,601 calls.
     assert err.value.point == (1.0, 0.0)
@@ -1208,7 +1232,7 @@ def _outcome(run):
 def _array_path_check(kind, candidate, cfg):
     """Reference: the module's own check, with the candidate's body wrapped
     so that the cube walk takes the array path, not the register path."""
-    forced = dataclasses.replace(candidate, fn=lambda x, y: candidate.fn(x, y))
+    forced = _with_fn(candidate, lambda x, y: candidate.fn(x, y))
     return _CHECKERS[kind](forced, cfg)
 
 
@@ -1258,7 +1282,7 @@ def _raising_on(inner, where):
         if np.any(where(np.asarray(x, dtype=float), np.asarray(y, dtype=float))):
             raise EvalError("raised")
         return inner(x, y)
-    return dataclasses.replace(inner, fn=raising)
+    return _with_fn(inner, raising)
 
 
 @pytest.mark.parametrize("where, samples", [

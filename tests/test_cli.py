@@ -220,6 +220,36 @@ def test_equilibrium_refuses_two_family_keys_that_name_one_tag(capsys):
                                        "same canonical tag 'a*b'\n")
 
 
+def test_equilibrium_skips_empty_family_parts(capsys):
+    assert run_cli(["equilibrium", "--family", "a=1-x,,b=sugeno(1),", "--params", "a,b"]) == 0
+    assert "equilibria found: 2 of 2 labels" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "a"], "bad --family item 'a', expected LABEL=EXPR"),
+    (["--builtin", "standard-negation", "--params", ","], "--params needs at least one label"),
+])
+def test_equilibrium_refuses_a_family_item_or_params_without_a_label(capsys, argv, message):
+    assert run_cli(["equilibrium", "--params", "a", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+#: A step negation, 1 up to 0.5 and 0 past it, as the Goedel builtin writes
+#: its step: fl(x - 0.5) > 0 times (10**308)**3 overflows to inf.
+_STEP = "1 - min(1, max(x - 0.5, 0) * {e} * {e} * {e})".format(e="1" + "0" * 308)
+
+
+@pytest.mark.parametrize("expr, line", [
+    ("x - 1", "  a: none (no sign change of n(x) - x on [0, 1])"),
+    (_STEP, "  a: no equilibrium; best candidate 0.50000000000045475 "
+            "(residual 0.50000000000045475)"),
+], ids=["no-sign-change", "step"])
+def test_equilibrium_reports_a_label_without_a_fixed_point(capsys, expr, line):
+    assert run_cli(["equilibrium", "--expr", expr, "--params", "a"]) == 0
+    assert capsys.readouterr() == (f"equilibrium search (tolerance 1e-09)\n{line}\n"
+                                   "equilibria found: 0 of 1 labels\n", "")
+
+
 def test_equilibrium_resolves_candidates_like_check(capsys):
     # --expr is always an expression and --builtin always a builtin name.
     assert run_cli(["equilibrium", "--expr", "standard-negation", "--params", "a1"]) == 2
@@ -565,6 +595,20 @@ def test_eval_refuses_a_bind_name_given_twice(tmp_path, monkeypatch, capsys):
     assert run_cli(argv) == 2
     assert capsys.readouterr() == ("", "error: --bind name 'S' is given twice\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, message", [
+    ("product", "cannot shadow the builtin name 'product'"),
+    ("print", "cannot shadow the builtin name 'print'"),
+    ("a b", "external name 'a b' is not an identifier"),
+])
+def test_eval_refuses_a_bind_name_no_statement_could_use(tmp_path, name, message, capsys):
+    script = tmp_path / "show.fss"
+    script.write_text("print product;" if name == "product" else "print S;")
+    argv = ["eval", str(script), "--bind", f"S={DEMO_DATA / 'quality.fss'}",
+            "--bind", f"{name}={DEMO_DATA / 'price.fss'}"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_eval_of_one_file_bound_twice_reads_it_once(tmp_path, monkeypatch, capsys):

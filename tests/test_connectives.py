@@ -260,6 +260,11 @@ def test_expression_connectives():
         scalar_from_expression("1-y", arity=1)
 
 
+def test_an_expression_connective_is_unary_or_binary():
+    with pytest.raises(ArityError, match="^connective arity must be 1 or 2, got 3$"):
+        scalar_from_expression("x", arity=3)
+
+
 def test_arity_enforced_on_call():
     with pytest.raises(ArityError):
         builtin("product")(0.5)
@@ -311,6 +316,15 @@ def test_lift_rejects_wrong_arity():
         lift_negation(builtin("product"))
     with pytest.raises(ArityError):
         lift_implication(builtin("sugeno(1)"))
+
+
+def test_a_negation_lift_refuses_a_default_it_cannot_use():
+    negation = builtin("standard-negation")
+    with pytest.raises(ArityError, match="^a uniform negation lift does not take a default$"):
+        lift_negation(negation, default=negation)
+    with pytest.raises(MissingLabelError, match="^negation family is empty and has no default$"):
+        lift_negation({})
+    assert lift_negation({}, default=negation).default is negation
 
 
 def test_negation_lift_preserves_tag():

@@ -12,7 +12,6 @@ from fuzzysoft import (
     FuzzySoftError,
     ParseError,
     UnboundVariableError,
-    eval_scalar,
     parse_scalar,
     pretty_print,
     tokenize,
@@ -110,12 +109,12 @@ def test_lexer_edge_cases(text, expected):
 
 def test_bounded_difference_parses_and_evaluates():
     ast = parse_scalar("max(x+y-1,0)")
-    assert eval_scalar(ast, 0.8, 0.1) == 0.0
+    assert CompiledExpr(ast)(0.8, 0.1) == 0.0
 
 
 def test_residuum_boundary():
     ast = parse_scalar("min(1,1-x+y)")
-    assert eval_scalar(ast, 1.0, 0.4) == 0.4
+    assert CompiledExpr(ast)(1.0, 0.4) == 0.4
 
 
 def test_precedence():
@@ -182,52 +181,58 @@ def test_expressions_at_the_depth_limit_parse_evaluate_and_print():
                  "abs(" * (MAX_DEPTH - 1) + "x*y" + ")" * (MAX_DEPTH - 1),
                  "+".join(["x"] * (MAX_DEPTH + 1))):
         node = parse_scalar(text)
-        assert parse_scalar(pretty_print(node)) == node
-        assert eval_scalar(node, 0.5, 0.5) == eval_scalar(parse_scalar(pretty_print(node)), 0.5, 0.5)
+        reparsed = parse_scalar(pretty_print(node))
+        assert reparsed == node
+        assert CompiledExpr(node)(0.5, 0.5) == CompiledExpr(reparsed)(0.5, 0.5)
 
 
 # --- evaluation ------------------------------------------------------------
 
 def test_eval_product():
-    assert eval_scalar(parse_scalar("x*y"), 0.5, 0.4) == 0.2
+    assert CompiledExpr(parse_scalar("x*y"))(0.5, 0.4) == 0.2
 
 
 def test_eval_negation_boundary():
-    assert eval_scalar(parse_scalar("1-x"), 0.0) == 1.0
+    assert CompiledExpr(parse_scalar("1-x"))(0.0) == 1.0
 
 
 def test_eval_division_by_zero():
     ast = parse_scalar("x/(y-y)")
     with pytest.raises(DivisionByZeroError) as err:
-        eval_scalar(ast, 0.3, 0.9)
+        CompiledExpr(ast)(0.3, 0.9)
     assert err.value.span is not None
 
 
 def test_eval_unbound_variable():
     with pytest.raises(UnboundVariableError):
-        eval_scalar(parse_scalar("x+y"), 0.3)
+        CompiledExpr(parse_scalar("x+y"))(0.3)
 
 
 def test_eval_result_unclamped():
-    assert eval_scalar(parse_scalar("x*y*2"), 0.9, 0.9) == pytest.approx(1.62)
+    assert CompiledExpr(parse_scalar("x*y*2"))(0.9, 0.9) == pytest.approx(1.62)
 
 
 def test_eval_on_arrays_broadcasts():
     ast = parse_scalar("max(x+y-1,0)")
     xs = np.array([0.0, 0.8, 1.0])[:, None]
     ys = np.array([0.1, 0.9])[None, :]
-    out = eval_scalar(ast, xs, ys)
+    out = CompiledExpr(ast)(xs, ys)
     assert out.shape == (3, 2)
     assert out[1, 0] == 0.0
     # scalar evaluation agrees with the array path bit for bit
-    assert out[2, 1] == eval_scalar(ast, 1.0, 0.9)
+    assert out[2, 1] == CompiledExpr(ast)(1.0, 0.9)
+
+
+def test_only_an_expression_node_compiles():
+    with pytest.raises(TypeError, match="^not a scalar expression node: 'x'$"):
+        CompiledExpr("x")
 
 
 def test_eval_purity_same_bits():
     ast = parse_scalar("x+y-x*y")
-    first = eval_scalar(ast, 0.123456, 0.654321)
+    first = CompiledExpr(ast)(0.123456, 0.654321)
     for _ in range(5):
-        assert eval_scalar(ast, 0.123456, 0.654321) == first
+        assert CompiledExpr(ast)(0.123456, 0.654321) == first
 
 
 # --- pretty printing ---------------------------------------------------------

@@ -13,9 +13,10 @@ import pytest
 from fuzzysoft.analysis import (AxiomCheck, AxiomReport, CheckConfig, ClassificationReport,
                                 ContinuityEstimate, EquilibriumEntry, EquilibriumResult,
                                 Witness, ZeroDivisor)
-from fuzzysoft.connectives import LIFT_TNORM, LiftedConnective, builtin
+from fuzzysoft.connectives import (KIND_TNORM, LIFT_TNORM, LiftedConnective, ScalarConnective,
+                                   builtin)
 from fuzzysoft.errors import ValidationError
-from fuzzysoft.expr import BinOp, Call, Neg, Num, SourceSpan, Token, Var
+from fuzzysoft.expr import BinOp, Call, Neg, Num, SourceSpan, Token, Var, parse_scalar
 from fuzzysoft.script import (ApplyOp, Assign, ComplementOp, NameRef, Print, Save, Script,
                               ScriptResult)
 from fuzzysoft.sets import FuzzySet, FuzzySoftSet, Universe
@@ -47,6 +48,8 @@ CASES = [
                               suspected_discontinuity=False)),
     (LiftedConnective, dict(kind=LIFT_TNORM, scalar=builtin("product"), family=None,
                             default=None)),
+    (ScalarConnective, dict(name="product", arity=2, kind=KIND_TNORM, continuity=True,
+                            fn=builtin("product").fn, expr=None)),
     (SourceSpan, dict(start=0, end=3, line=1, column=1)),
     (Token, dict(kind="number", text="1", span=SPAN, value=1.0)),
     (Universe, dict(elements=("u1", "u2"))),
@@ -95,7 +98,7 @@ def test_equal_fields_give_equal_records_and_hashes(cls, kwargs):
 
 @pytest.mark.parametrize("cls, kwargs", CASES, ids=IDS)
 def test_repr_names_every_field(cls, kwargs):
-    if cls is TaggedMembership:  # prints itself as a (tag, value) pair
+    if cls in (TaggedMembership, ScalarConnective):  # each prints itself in its own form
         return
     record = cls(**kwargs)
     fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in kwargs)
@@ -150,6 +153,16 @@ def test_defaults_and_keyword_construction():
     assert LiftedConnective(LIFT_TNORM).scalar is None
 
 
+def test_scalar_connectives_compare_their_metadata_not_their_body():
+    product = builtin("product")
+    assert repr(product) == "ScalarConnective('product', arity=2, kind='t-norm')"
+    assert product.expr is None
+    other_body = ScalarConnective("product", 2, KIND_TNORM, True, lambda x, y: x * y,
+                                  parse_scalar("x * y"))
+    assert product == other_body and hash(product) == hash(other_body)
+    assert product != ScalarConnective("product", 2, KIND_TNORM, False, product.fn)
+
+
 def test_post_init_validation_still_runs():
     with pytest.raises(ValueError, match="grid_steps must be >= 2"):
         CheckConfig(grid_steps=1)
@@ -164,10 +177,10 @@ def test_post_init_normalises_fields():
     assert TaggedMembership(ParamTag.parse("a"), 1).value == 1.0
 
 
-def test_importing_the_cli_builds_only_the_two_kept_dataclasses():
+def test_importing_the_cli_builds_only_the_kept_dataclass():
     # Each dataclass compiles its methods with exec when its module is
-    # imported; only ScalarConnective (dataclasses.replace) and ParamTag
-    # (generated ordering on the apply path) are worth that cost.
+    # imported; only ParamTag (slots, and generated ordering on the apply
+    # path) is worth that cost.
     probe = """
 import dataclasses, sys
 import fuzzysoft.cli
@@ -184,4 +197,4 @@ print(" ".join(found))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout.split()
-    assert out == ["fuzzysoft.connectives.ScalarConnective", "fuzzysoft.tags.ParamTag"]
+    assert out == ["fuzzysoft.tags.ParamTag"]

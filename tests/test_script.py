@@ -21,9 +21,11 @@ from fuzzysoft import (
 )
 from fuzzysoft.analysis import CheckConfig, check_implication_axioms
 from fuzzysoft.connectives import ScalarConnective, builtin, builtin_names, dual_of
-from fuzzysoft.expr import _UFUNCS, _VARIABLES, CompiledExpr
-from fuzzysoft.script import _KEYWORDS, Assign, Print
+from fuzzysoft.expr import _UFUNCS, _VARIABLES, CompiledExpr, SourceSpan
+from fuzzysoft.script import _KEYWORDS, Assign, Print, Script
 from fuzzysoft.sets import SET_OPERATIONS
+
+SPAN = SourceSpan(0, 1, 1, 1)
 
 
 @pytest.fixture
@@ -95,6 +97,27 @@ def test_inline_fn_parameter_errors(body, message, column):
     assert (err.value.message, err.value.span.column) == (message, column)
 
 
+@pytest.mark.parametrize("text, message, column", [
+    ("save(S, out);", 'expected a quoted path like "out.fss", found \'out\'', 9),
+    ("print print;", "'print' cannot be used as a set name here", 7),
+    ("print apply(1, S, S);", "expected a connective, found '1'", 13),
+    ("print apply(sugeno(x), S, S);", "expected a numeric parameter for 'sugeno', found 'x'", 20),
+])
+def test_misplaced_tokens_are_spanned_parse_errors(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_script(text, externals=["S"])
+    assert (err.value.message, err.value.span.column) == (message, column)
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("H", "not a statement node: 'H'"),
+    (Print("S", SPAN), "not a set expression node: 'S'"),
+], ids=["statement", "set-expression"])
+def test_a_foreign_node_in_a_hand_built_script_is_a_type_error(statement, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        eval_script(Script((statement,)), {})
+
+
 def test_apply_holds_the_resolved_connective():
     script = parse_script(
         "H = apply(product, S, G); K = apply(dual(lukasiewicz), S, G);"
@@ -132,6 +155,20 @@ def test_no_keyword_or_builtin_identifier_can_be_assigned(name):
     with pytest.raises(ParseError) as err:
         parse_script(f"{name} = S;", externals=["S"])
     assert str(err.value) == f"1:1: cannot shadow the builtin name {name!r}"
+
+
+@pytest.mark.parametrize("name, message", [
+    ("product", "cannot shadow the builtin name 'product'"),
+    ("print", "cannot shadow the builtin name 'print'"),
+    ("a b", "external name 'a b' is not an identifier"),
+    ("", "external name '' is not an identifier"),
+    ("godel-implication", "external name 'godel-implication' is not an identifier"),
+    (5, "external name 5 is not an identifier"),
+])
+def test_an_external_name_is_held_to_the_assignment_rule(name, message):
+    with pytest.raises(ParseError) as err:
+        parse_script("print S;", externals=["S", name])
+    assert str(err.value) == message
 
 
 def test_grammar_md_lists_the_names_a_script_may_not_assign():

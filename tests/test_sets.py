@@ -784,6 +784,15 @@ def test_constructor_refuses_rows_that_are_not_sequences(rows, message):
      r"^parameter label must be a non-empty string, got 5$"),
     (lambda: make_fuzzy_soft_set(["u"], [(("a",), [0.5])]),
      r"^parameter label must be a non-empty string, got \('a',\)$"),
+    (lambda: Universe(5), r"^universe elements must be a sequence, not 5$"),
+    (lambda: FuzzySoftSet(Universe.of("u"), None, [[0.5]]),
+     r"^a fuzzy soft set needs at least one parameter tag, got None$"),
+    (lambda: FuzzySoftSet(Universe.of("u"), (), []),
+     r"^a fuzzy soft set needs at least one parameter tag, got \(\)$"),
+    (lambda: make_fuzzy_soft_set(["u"], ["a"]),
+     r"^assignments must be \(tag, memberships\) pairs: not enough values to unpack"),
+    (lambda: make_fuzzy_soft_set(["u"], None),
+     r"^assignments must be \(tag, memberships\) pairs: 'NoneType' object is not iterable$"),
 ])
 def test_a_set_refuses_a_universe_or_tag_of_the_wrong_kind(build, message):
     with pytest.raises(ValidationError, match=message):

@@ -105,6 +105,14 @@ def test_ordering_only_within_a_tag():
     assert TaggedMembership(tag, 0.5) >= TaggedMembership(tag, 0.2)
     with pytest.raises(ValidationError):
         _ = TaggedMembership(ParamTag("a"), 0.2) <= TaggedMembership(ParamTag("b"), 0.5)
+    with pytest.raises(TypeError, match="^cannot compare TaggedMembership with float$"):
+        _ = TaggedMembership(tag, 0.2) < 0.5
+
+
+def test_tags_and_memberships_print_their_canonical_text():
+    tag = ParamTag.parse("b*a")
+    assert (str(tag), repr(tag)) == ("a*b", "ParamTag('a*b')")
+    assert repr(TaggedMembership(tag, 0.25)) == "(a*b, 0.25)"
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
