@@ -27,10 +27,23 @@ DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 # Fault inputs next to the demo files: a universe the demos do not use, and
 # an all-zero approximation (a zero divisor under x/y, -0.0 under -x*y).
+# Two label sets over that universe: labels a document key must escape
+# (a quote, a backslash, control, non-ASCII and astral characters), labels
+# below "*" that sort by label tuple, not by text ("a" before "a b" and
+# "a!"), and a tag with a repeated label.
 EXTRA_INPUTS = {
     "other.fss": {"universe": ["h1", "h2"], "parameters": {"old": {"h1": 0.5, "h2": 0.5}}},
     "zero.fss": {"universe": ["h1", "h2", "h3"],
                  "parameters": {"none": {"h1": 0.0, "h2": 0.0, "h3": 0.0}}},
+    "marks.fss": {"universe": ["h1", "h2"], "parameters": {
+        "a": {"h1": 0.25, "h2": 0.5}, "a b": {"h1": 0.75, "h2": 0.125},
+        "a!": {"h1": 1, "h2": 0.3}, "b*a": {"h1": 0.6, "h2": 0.0},
+        'q"t': {"h1": 0.1, "h2": 0.9}, "back\\slash": {"h1": 0.2, "h2": 0.7},
+        "tab\tline\n": {"h1": 0.4, "h2": 0.45}, "\u00e9t\u00e9": {"h1": 0.55, "h2": 0.35},
+        "\U0001f600": {"h1": 0.8, "h2": 0.05}, "b*a*a": {"h1": 0.15, "h2": 0.65}}},
+    "more.fss": {"universe": ["h1", "h2"], "parameters": {
+        "a": {"h1": 0.5, "h2": 0.5}, "z*a b": {"h1": 0.9, "h2": 0.2},
+        "~": {"h1": 0.3, "h2": 1}, "Z": {"h1": 0.0, "h2": 0.85}}},
 }
 OUTPUTS = ("out.fss", "product.fss")
 
@@ -56,6 +69,13 @@ CASES = [
     _apply("--op", "union", right="other.fss"),
     _apply("--op", "connective", "--conn", "x/y", right="zero.fss"),
     ["eval", "combine.fss", "--bind", "S=quality.fss", "--bind", "G=price.fss"],
+    # escaped labels, labels below "*", repeated labels and mixed label counts
+    _apply("--op", "union", left="marks.fss", right="marks.fss"),
+    _apply("--op", "connective", "--conn", "x*y", left="marks.fss", right="more.fss"),
+    _apply("--op", "connective", "--conn", "lukasiewicz-implication",
+           left="marks.fss", right="marks.fss"),
+    _apply("--op", "connective", "--conn", "x*y+1", left="more.fss", right="marks.fss"),
+    ["eval", "combine.fss", "--bind", "S=marks.fss", "--bind", "G=more.fss"],
 ]
 
 
