@@ -241,9 +241,11 @@ def save_fss(fss: FuzzySoftSet, path: str | Path) -> None:
     then its text is reused.  A union or intersection only picks input
     values, so most of its result repeats, within and across blocks.  The
     previous block's texts are dropped before new ones are made, so a save
-    still holds at most one block's strings.  The block's strings,
-    the element prefixes and the tag heads are laid out in one object
-    array and joined into one write.  Working in blocks keeps the extra
+    still holds at most one block's strings.  The block's strings, the
+    element prefixes and the tag heads are laid out in one object array
+    and joined into one write.  A head is built from the set's label table
+    and rank matrix, each label quoted once per save, so a save builds no
+    ``ParamTag`` and joins no tag text.  Working in blocks keeps the extra
     memory to one block's strings and indices whatever the set's size; a
     whole-matrix dedupe held them all at once and raised the peak RSS of
     a save by several MiB.
@@ -253,6 +255,14 @@ def save_fss(fss: FuzzySoftSet, path: str | Path) -> None:
     elements = fss.universe.elements
     prefixes = [",\n      " + encode_basestring_ascii(element) + ": " for element in elements]
     prefixes[0] = prefixes[0][1:]
+    # A tag's head is its labels, quoted and unquoted again, with "*"
+    # between them: escaping works per character and never escapes "*",
+    # so these are the bytes of quoting the tag's text.  Rank -1 (padding)
+    # reads the last entry, "", and its separator is "" too.
+    names = np.array([*(encode_basestring_ascii(label)[1:-1] for label in fss._labels), ""],
+                     dtype=object)
+    separators = np.array(["", "*"], dtype=object)
+    head = 2 * fss._ranks.shape[1] + 1  # the opening, the labels and separators, the colon
     rows = max(1, SAVE_BLOCK_VALUES // len(elements))
     table: list = []  # the previous block's value texts, for _reprs
     with path.open("w", encoding="utf-8") as handle:
@@ -264,11 +274,14 @@ def save_fss(fss: FuzzySoftSet, path: str | Path) -> None:
             # A block as text: each row's tag head, then the prefix and
             # value of each element, then the closing brace.  A fresh
             # layout lets the last block's strings go before new ones come.
-            layout = np.empty((len(block), 2 * len(elements) + 2), dtype=object)
-            layout[:, 0] = [",\n    " + encode_basestring_ascii(tag.text) + ": {"
-                            for tag in fss.tags[start:start + rows]]
-            layout[:, 1:-1:2] = prefixes
-            layout[:, 2:-1:2] = _reprs(block, table)
+            ranks = fss._ranks[start:start + rows]
+            layout = np.empty((len(block), head + 2 * len(elements) + 1), dtype=object)
+            layout[:, 0] = ',\n    "'
+            layout[:, 1:head - 1:2] = names[ranks]
+            layout[:, 2:head - 1:2] = separators[(ranks[:, 1:] >= 0).view(np.int8)]
+            layout[:, head - 1] = '": {'
+            layout[:, head:-1:2] = prefixes
+            layout[:, head + 1:-1:2] = _reprs(block, table)
             layout[:, -1] = "\n    }"
             if start == 0:
                 layout[0, 0] = layout[0, 0][1:]

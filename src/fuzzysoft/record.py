@@ -14,7 +14,9 @@ names the fields left out of ``==`` and ``hash``, and records of
 different classes never compare equal.  Assignment and deletion raise
 ``dataclasses.FrozenInstanceError``; a ``__post_init__`` that normalises
 a field sets it with ``object.__setattr__``.  ``vars()`` of a record
-holds exactly its fields, in order.
+holds exactly its fields, in order, except that ``sets.FuzzySoftSet``
+also keeps its label table and rank matrix there, and its ``tags`` only
+once they are built.
 """
 
 from dataclasses import FrozenInstanceError

@@ -2,21 +2,26 @@
 
 A fuzzy soft set assigns a fuzzy set over a fixed finite universe to each
 parameter tag.  It is stored as one read-only (P, U) float64 matrix,
-``fss.values``, whose rows follow the sorted canonical tags ``fss.tags``;
-``fss[tag]``, ``fss.assignments`` and ``tau_family`` build ``FuzzySet``
-row views when read.  Binary operations between two fuzzy soft sets
-produce one row per pair of source tags, under the canonical product tag;
-when two source pairs collapse to the same canonical tag they are merged,
-keeping the first pair's row, if every element is within
-``CLAMP_TOLERANCE`` of it; a larger difference is an error.  Union and
-intersection are ``apply_connective`` of the builtins that
-``SET_OPERATIONS`` names.  ``apply_connective`` runs the scalar on blocks of
-rows of the left operand and writes every pair's row into one (P1 * P2, U)
-matrix.  Each pair's product tag is a row of integer label ranks, and one
-stable sort of those rows gives the result's tag order, the pair kept for
-each tag and the repeated pairs to check against it; faults are reported
-in pair order.  The result's rows are gathered from the matrix in one
-step.  The fuzzy soft negation, ``negate_fss``, maps each tag's row under
+``fss.values``, whose rows follow the sorted canonical tags, and the tags
+themselves as a label table (the sorted distinct labels) and a read-only
+(P, K) int32 rank matrix, one row of ascending label ranks per tag padded
+with -1; ``fss.tags``, the tuple of ``ParamTag``, is built from them on
+first read when the set was not built from tags.  ``fss[tag]``,
+``fss.assignments`` and ``tau_family`` build ``FuzzySet`` row views when
+read.  Binary operations between two fuzzy soft sets produce one row per
+pair of source tags, under the canonical product tag; when two source
+pairs collapse to the same canonical tag they are merged, keeping the
+first pair's row, if every element is within ``CLAMP_TOLERANCE`` of it; a
+larger difference is an error.  Union and intersection are
+``apply_connective`` of the builtins that ``SET_OPERATIONS`` names.
+``apply_connective`` runs the scalar on blocks of rows of the left operand
+and writes every pair's row into one (P1 * P2, U) matrix.  Each pair's
+product tag is a row of label ranks in the operands' merged table, and
+one stable sort of those rows gives the result's tag order, the pair kept
+for each tag and the repeated pairs to check against it; faults are
+reported in pair order.  The result's rows are gathered from the matrix
+in one step, and its kept rank rows are its tags: no ``ParamTag`` is
+built.  The fuzzy soft negation, ``negate_fss``, maps each tag's row under
 that tag's unary scalar and keeps the tags; the complement is its
 ``standard-negation`` case.
 
@@ -26,8 +31,8 @@ All types are immutable values; operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, count, repeat
-from operator import eq, is_, lt
+from itertools import chain, compress, count, repeat
+from operator import is_
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,10 +64,11 @@ MAX_ARRAY_VALUES = 2**24
 
 #: Largest number of tag pairs (P1 * P2) one binary set operation may form
 #: (2**18, so 512 by 512 tags).  Measured at U = 1 with 262,144 distinct
-#: result tags: a tracemalloc peak of 138 B and 112 B kept per result tag
-#: (its tag, label tuple and value), 34.5 MiB in all; the CLI ``apply`` of
-#: that product peaked at 77 MiB RSS and ran 0.8-0.9 s (2-core Xeon VM,
-#: CPython 3.11).  From U = 64 up, ``MAX_ARRAY_VALUES`` is the tighter bound.
+#: result tags: a tracemalloc peak of 57 B and 16 B kept per result tag
+#: (its value and its ranks), 14.3 MiB in all, and 120 B kept per tag
+#: once its ``tags`` are read; the CLI ``apply`` of that product peaked at
+#: 46 MiB RSS and ran 0.23-0.32 s (2-core Xeon VM, CPython 3.11).  From
+#: U = 64 up, ``MAX_ARRAY_VALUES`` is the tighter bound.
 MAX_PAIRS = 2**18
 
 #: Values per kernel block of ``apply_connective``: the binary scalar runs
@@ -143,6 +149,17 @@ class FuzzySoftSet(Record):
     (``apply_connective``'s gathered rows, a negation's, a loaded
     document's): a caller's writable array, or a view, is always copied.
     Equality is exact; the hash covers the universe and the tags.
+
+    The tags are stored as a label table, the sorted tuple of the distinct
+    labels they use, and a rank matrix, a read-only (P, K) int32 array
+    with one row per tag: its labels' ranks in the table, ascending, then
+    -1 up to the longest tag's K labels.  Rows compare as label tuples do
+    (a prefix of a tag sorts first), so the order check and the sort are
+    numpy passes.  The constructor converts the given tags to ranks and
+    keeps them; ``apply_connective`` and ``negate_fss`` hand over ranks
+    through ``_ranked``, and such a set builds ``tags`` on its first read
+    and keeps them.  ``len``, ``==``, ``hash`` and ``save_fss`` read the
+    ranks, never the tags.
     """
 
     universe: Universe
@@ -183,38 +200,72 @@ class FuzzySoftSet(Record):
                     raise ValidationError(f"tag {tag.text!r}: membership {row[j]!r} "
                                           f"for element {elements[j]!r} is not a number")
             values = rows
-        values = np.asarray(values, dtype=float)
+        self._settle(*_rank_matrix(labels), np.asarray(values, dtype=float), tags)
+
+    @classmethod
+    def _ranked(cls, universe: Universe, labels: tuple[str, ...], ranks: np.ndarray,
+                values: np.ndarray, tags: tuple[ParamTag, ...] | None = None) -> "FuzzySoftSet":
+        """A set the package builds from a label table, a rank matrix laid
+        out as the class docstring says, and a float matrix over
+        ``universe``, with its ``tags`` if they are already built; its rows
+        are checked and ordered as the constructor's are."""
+        fss = object.__new__(cls)
+        fss.__dict__["universe"] = universe
+        fss._settle(labels, ranks, values, tags)
+        return fss
+
+    def _settle(self, labels, ranks, values, tags) -> None:
+        """Check the memberships' range and the rows' order, sort rows that
+        are out of order, and store the set's fields."""
         outside = ~((values >= 0.0) & (values <= 1.0))
         if outside.any():
             i, j = np.argwhere(outside)[0]
+            tag = tags[i] if tags is not None else _tag_of(labels, ranks[i])
             raise ValidationError(
-                f"tag {tags[i].text!r}: membership {float(values[i, j])!r} "
-                f"for element {elements[j]!r} is outside [0, 1]"
+                f"tag {tag.text!r}: membership {float(values[i, j])!r} "
+                f"for element {self.universe.elements[j]!r} is outside [0, 1]"
             )
-        if all(map(lt, labels, labels[1:])):
+        earlier, later = ranks[:-1], ranks[1:]
+        at = np.arange(len(earlier)), (earlier != later).argmax(axis=1)
+        if (later[at] > earlier[at]).all():
             # Freezing a matrix it owns hands it over; anything else is copied.
             if values.flags.writeable or not values.flags.owndata:
                 values = values.copy()
         else:
-            order = sorted(range(len(tags)), key=labels.__getitem__)
-            tags = tuple(map(tags.__getitem__, order))
-            labels = list(map(labels.__getitem__, order))
-            duplicate = next(compress(count(), map(eq, labels, labels[1:])), None)
-            if duplicate is not None:
-                raise ValidationError(f"duplicate parameter tag {tags[duplicate].text!r}")
+            order = np.lexsort(ranks.T[::-1])
+            ranks = ranks[order]
+            duplicate = np.flatnonzero((ranks[1:] == ranks[:-1]).all(axis=1))
+            if len(duplicate):
+                raise ValidationError(
+                    f"duplicate parameter tag {_tag_of(labels, ranks[duplicate[0]]).text!r}")
             values = values[order]
-        values.flags.writeable = False
-        object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "values", values)
+            if tags is not None:
+                tags = tuple(np.fromiter(tags, dtype=object, count=len(tags))[order])
+        values.flags.writeable = ranks.flags.writeable = False
+        if tags is not None:
+            self.__dict__["tags"] = tags
+        self.__dict__.update(values=values, _labels=labels, _ranks=ranks)
+
+    def __getattr__(self, name):
+        # Only a set built by ``_ranked`` lacks an attribute, its tags, until they are read.
+        if name != "tags" or "_ranks" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tags = self.__dict__["tags"] = canonical_tags(_label_tuples(self._ranks, self._labels))
+        return tags
+
+    def _tag(self, i: int) -> ParamTag:
+        """The tag of row ``i``, built alone (for a message)."""
+        return _tag_of(self._labels, self._ranks[i])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuzzySoftSet):
             return NotImplemented
-        return (self.universe == other.universe and self.tags == other.tags
+        return (self.universe == other.universe and self._labels == other._labels
+                and np.array_equal(self._ranks, other._ranks)
                 and np.array_equal(self.values, other.values))
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.tags))
+        return hash((self.universe, self._labels, self._ranks.shape, self._ranks.tobytes()))
 
     @property
     def assignments(self) -> tuple[tuple[ParamTag, FuzzySet], ...]:
@@ -232,7 +283,47 @@ class FuzzySoftSet(Record):
     __getitem__ = approximation
 
     def __len__(self) -> int:
-        return len(self.tags)
+        return len(self._ranks)
+
+
+def _rank_matrix(labels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The label table and the rank matrix of tags with these label tuples.
+
+    All labels are sorted once, stably (a document's keys often arrive in
+    runs that are in order already), and a label's rank is the number of
+    distinct labels before it in that order."""
+    flat = np.fromiter(chain.from_iterable(labels), dtype=object)
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    new = np.ones(len(flat), dtype=bool)  # each label that differs from the one before
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    flat_ranks = np.empty(len(flat), dtype=np.int32)
+    flat_ranks[order] = np.cumsum(new) - 1
+    if len(flat) == len(labels):  # one label a tag
+        return tuple(flat[new].tolist()), flat_ranks[:, None]
+    lengths = np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
+    ranks = np.full((len(labels), lengths.max()), -1, dtype=np.int32)
+    ranks[np.arange(ranks.shape[1]) < lengths[:, None]] = flat_ranks
+    return tuple(flat[new].tolist()), ranks
+
+
+def _tag_of(labels: Sequence[str], ranks: np.ndarray) -> ParamTag:
+    """The tag of one row of ranks into the label table ``labels``."""
+    return canonical_tags((tuple(labels[rank] for rank in ranks.tolist() if rank >= 0),))[0]
+
+
+def _label_tuples(keys: np.ndarray, labels: Sequence[str]) -> list[tuple[str, ...]]:
+    """The label tuple of each row of ranks ``keys`` (padded with -1), built
+    a column at a time: one ``zip`` for each number of labels."""
+    names, lengths = np.array(labels, dtype=object), np.count_nonzero(keys >= 0, axis=1)
+    tuples = np.empty(len(keys), dtype=object)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        rows = np.flatnonzero(lengths == length)
+        group = zip(*names[keys[rows, :length]].T.tolist())
+        if len(rows) == len(keys):
+            return list(group)
+        tuples[rows] = np.fromiter(group, dtype=object, count=len(rows))
+    return tuples.tolist()
 
 
 def make_fuzzy_soft_set(
@@ -300,7 +391,7 @@ def negate_fss(
 
             values[take] = into_unit_interval(raw, where)
     values.flags.writeable = False
-    return FuzzySoftSet(fss.universe, fss.tags, values)
+    return FuzzySoftSet._ranked(fss.universe, fss._labels, fss._ranks, values, fss.tags)
 
 
 def complement_fss(fss: FuzzySoftSet) -> FuzzySoftSet:
@@ -321,12 +412,12 @@ def _run_kernel(scalar: ScalarConnective, f1: FuzzySoftSet, f2: FuzzySoftSet,
     index, error), with the pairs before it written, or None.  A block of
     more than one row that raises is run again one row at a time, so an
     error is the one its row raises alone."""
-    p2, elements = len(f2.tags), f1.universe.elements
+    p2, elements = len(f2), f1.universe.elements
     start = rows.start * p2
 
     def where(index: tuple[int, ...]) -> str:
         i, j = divmod(start + index[0], p2)
-        tag = combine_tags(f1.tags[i], f2.tags[j])
+        tag = combine_tags(f1._tag(i), f2._tag(j))
         return (f"connective {scalar.name!r} under tag {tag.text!r} "
                 f"at element {elements[index[1]]!r}")
 
@@ -347,20 +438,6 @@ def _run_kernel(scalar: ScalarConnective, f1: FuzzySoftSet, f2: FuzzySoftSet,
                 return start + checked, err
     faults = (_run_kernel(scalar, f1, f2, out, range(i, i + 1)) for i in rows)
     return next(filter(None, faults), None)
-
-
-def _label_tuples(keys: np.ndarray, labels: Sequence[str]) -> list[tuple[str, ...]]:
-    """The label tuple of each row of ranks ``keys`` (padded with -1), built
-    a column at a time: one ``zip`` for each number of labels."""
-    names, lengths = np.array(labels, dtype=object), np.count_nonzero(keys >= 0, axis=1)
-    tuples = np.empty(len(keys), dtype=object)
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        rows = np.flatnonzero(lengths == length)
-        group = zip(*names[keys[rows, :length]].T.tolist())
-        if len(rows) == len(keys):
-            return list(group)
-        tuples[rows] = np.fromiter(group, dtype=object, count=len(rows))
-    return tuples.tolist()
 
 
 def apply_connective(
@@ -407,7 +484,7 @@ def apply_connective(
             f"({list(f1.universe.elements)} vs {list(f2.universe.elements)})"
         )
     width = len(f1.universe)
-    p1, p2 = len(f1.tags), len(f2.tags)
+    p1, p2 = len(f1), len(f2)
     if p1 * p2 > MAX_PAIRS:
         raise ProductSizeError(
             f"the product of {p1} by {p2} tags makes {p1 * p2} tag pairs, "
@@ -426,14 +503,17 @@ def apply_connective(
             fault = _run_kernel(scalar, f1, f2, pair_values, range(i, min(i + step, p1)))
             if fault is not None:
                 break
-    tags = (*f1.tags, *f2.tags)
-    labels = sorted({label for tag in tags for label in tag.labels})
-    rank, pad, most = dict(zip(labels, count())), len(labels), max(len(tag.labels) for tag in tags)
-    ranks = np.array([[*map(rank.__getitem__, tag.labels), *repeat(pad, most - len(tag.labels))]
-                      for tag in tags], dtype=np.int32)
+    labels = tuple(sorted({*f1._labels, *f2._labels}))
+    rank, pad = dict(zip(labels, count())), len(labels)
+    # Each operand's ranks in the merged table; its padding -1 takes the
+    # remap's last entry, pad, so that it sorts last.
+    first, second = (np.array([*map(rank.__getitem__, f._labels), pad], dtype=np.int32)[f._ranks]
+                     for f in (f1, f2))
     # Row i * p2 + j: pair (i, j)'s label ranks, sorted, the padding last and then -1.
-    keys = np.sort(np.concatenate(np.broadcast_arrays(ranks[:p1, None], ranks[None, p1:]), axis=2)
-                   .reshape(p1 * p2, -1), axis=1)
+    keys = np.empty((p1, p2, first.shape[1] + second.shape[1]), dtype=np.int32)
+    keys[:, :, :first.shape[1]] = first[:, None]
+    keys[:, :, first.shape[1]:] = second
+    keys = np.sort(keys.reshape(p1 * p2, -1), axis=1)
     keys[keys == pad] = -1
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
@@ -452,7 +532,7 @@ def apply_connective(
         apart = np.abs(apart, out=apart).max(axis=1) > CLAMP_TOLERANCE
         if apart.any():
             i, j = divmod(int(pairs[apart.argmax()]), p2)
-            tag_a, tag_b = f1.tags[i], f2.tags[j]
+            tag_a, tag_b = f1._tag(i), f2._tag(j)
             raise TagCollisionError(
                 f"tag pairs ({tag_a.text}, {tag_b.text}) collide on canonical tag "
                 f"{combine_tags(tag_a, tag_b).text!r} with different membership vectors"
@@ -463,7 +543,7 @@ def apply_connective(
     keys = keys[kept]
     del pair_values, order, kept, first_of, repeats
     values.flags.writeable = False
-    return FuzzySoftSet(f1.universe, canonical_tags(_label_tuples(keys, labels)), values)
+    return FuzzySoftSet._ranked(f1.universe, labels, keys, values)
 
 
 def union_fss(f1: FuzzySoftSet, f2: FuzzySoftSet) -> FuzzySoftSet:

@@ -58,7 +58,10 @@ class ParamTag:
         labels = self.labels
         if isinstance(labels, str):
             labels = (labels,)
-        labels = tuple(labels)
+        try:
+            labels = tuple(labels)
+        except TypeError:  # one label that is not text, refused below as parse refuses it
+            labels = (labels,)
         if not labels:
             raise ValidationError("a parameter tag needs at least one label")
         for label in labels:
@@ -69,7 +72,7 @@ class ParamTag:
                     f"parameter label {label!r} contains the reserved separator "
                     f"{RESERVED_SEPARATOR!r}"
                 )
-        object.__setattr__(self, "labels", tuple(sorted(labels)))
+        object.__setattr__(self, "labels", tuple(sorted(labels)) if len(labels) > 1 else labels)
 
     @classmethod
     def parse(cls, text: str) -> "ParamTag":

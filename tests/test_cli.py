@@ -13,10 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fuzzysoft import (builtin, dual_of, load_fss, make_fuzzy_soft_set, save_fss,
                        scalar_from_expression, union_fss)
-from fuzzysoft import cli
+from fuzzysoft import ParamTag, apply_connective, cli, sets
+from fuzzysoft import tags as tag_module
 from fuzzysoft.analysis import CheckConfig
 from fuzzysoft.cli import MAX_TABLE, build_parser, run_cli
 from fuzzysoft.fileio import MAX_DOCUMENT_BYTES
+from fuzzysoft.tags import combine_tags
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -340,6 +342,42 @@ def test_apply_leaves_numpy_random_unimported(tmp_path):
          "-o", str(tmp_path / "out.fss")],
         env=_env_with_src(), capture_output=True, text=True, timeout=120)
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_apply_builds_no_tag_for_its_result(tmp_path, monkeypatch, capsys):
+    # An 80 x 80 product goes from apply_connective to the saved file as
+    # label ranks: the only tags built are the operands' 160 keys.
+    universe = ["u1", "u2"]
+    for name in "ab":
+        parameters = {f"{name}{i:02d}": {"u1": i / 80, "u2": 1 - i / 80} for i in range(80)}
+        (tmp_path / f"{name}.fss").write_text(
+            json.dumps({"universe": universe, "parameters": parameters}), encoding="utf-8")
+    built = {"post_init": 0, "canonical_tags": 0}
+    post_init, canonical_tags = ParamTag.__post_init__, tag_module.canonical_tags
+
+    def counted_post_init(tag):
+        built["post_init"] += 1
+        post_init(tag)
+
+    def counted_canonical_tags(label_tuples):
+        built["canonical_tags"] += 1
+        return canonical_tags(label_tuples)
+
+    results = []
+    monkeypatch.setattr(ParamTag, "__post_init__", counted_post_init)
+    for module in (tag_module, sets):
+        monkeypatch.setattr(module, "canonical_tags", counted_canonical_tags)
+    monkeypatch.setattr(cli, "apply_connective",
+                        lambda *args: results.append(apply_connective(*args)) or results[-1])
+    assert run_cli(["apply", "--op", "union", str(tmp_path / "a.fss"), str(tmp_path / "b.fss"),
+                    "-o", str(tmp_path / "out.fss")]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'out.fss'} (6400 tags)\n"
+    assert built == {"post_init": 160, "canonical_tags": 0}
+    monkeypatch.undo()
+    left, right = load_fss(tmp_path / "a.fss"), load_fss(tmp_path / "b.fss")
+    assert results[0].tags == tuple(sorted(combine_tags(a, b) for a in left.tags
+                                           for b in right.tags))
+    assert load_fss(tmp_path / "out.fss") == results[0]
 
 
 def test_apply_universe_mismatch_exit_three(files, capsys):

@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from fuzzysoft import (
     DocumentError,
     FuzzySoftError,
     FuzzySoftSet,
     ParamTag,
+    TagCollisionError,
     Universe,
     ValidationError,
     document_to_fss,
@@ -19,6 +20,7 @@ from fuzzysoft import (
     load_fss,
     make_fuzzy_soft_set,
     save_fss,
+    intersect_fss,
     union_fss,
 )
 from fuzzysoft import fileio
@@ -311,6 +313,52 @@ def test_save_writes_the_bytes_of_json_dump_for_a_wide_union(tmp_path):
     assert len(union.tags) == 80 * 80
     save_fss(union, tmp_path / "union.fss")
     assert (tmp_path / "union.fss").read_bytes() == _reference_bytes(union)
+
+
+# A quote, a backslash, control, non-ASCII and astral characters, labels
+# below "*" ("a" is a prefix of "a b"; "a!" sorts after "a*x" by label
+# tuple and before it by text) and drawn labels.
+product_labels = st.sampled_from(["a", "a b", "a!", "x", '"', "\\", "\x00", "\x1f\n",
+                                  "\xe9", "\u2028", "\U0001d11e"]) | labels
+
+
+@st.composite
+def product_operands(draw):
+    """A union or an intersection and operands A and B whose A ∘ (A ∘ B)
+    has tags of mixed label counts with repeated labels."""
+    universe = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+
+    def operand():
+        tags = draw(st.lists(st.lists(product_labels, min_size=1, max_size=2), min_size=1,
+                             max_size=4, unique_by=lambda tag: tuple(sorted(tag))))
+        rows = draw(st.lists(st.lists(edge_values | memberships, min_size=len(universe),
+                                      max_size=len(universe)),
+                             min_size=len(tags), max_size=len(tags)))
+        return make_fuzzy_soft_set(universe, zip(map(ParamTag, tags), rows))
+
+    return draw(st.sampled_from([union_fss, intersect_fss])), operand(), operand()
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+@example((union_fss, make_fuzzy_soft_set(["u"], {"a": (0.5,), "a b": (0.25,), "a!": (1.0,)}),
+          make_fuzzy_soft_set(["u"], {"a": (0.0,), "x": (0.75,), 'q"\\': (-0.0,)})))
+def test_save_of_a_ranked_result_writes_the_bytes_of_its_document(tmp_path_factory, operands):
+    combine, a, b = operands
+    try:
+        s = combine(a, combine(a, b))
+    except TagCollisionError:  # two tags of A hold the labels of two others
+        reject()
+    path = tmp_path_factory.getbasetemp() / "ranked.fss"
+    save_fss(s, path)
+    assert "tags" not in vars(s)  # the heads came from the label table and the ranks
+    written = path.read_bytes()
+    assert written == _reference_bytes(s)
+    rebuilt = FuzzySoftSet(s.universe, tuple(s.tags), s.values)
+    assert rebuilt == s and hash(rebuilt) == hash(s)
+    save_fss(rebuilt, path)
+    assert path.read_bytes() == written
+    assert load_fss(path) == s
 
 
 def test_save_holds_one_block_of_strings_at_a_time(tmp_path):

@@ -656,6 +656,58 @@ def test_constructor_names_a_duplicate_tag_whatever_the_order(texts):
                      np.zeros((len(texts), 1)))
 
 
+def _ranks_of(s):
+    """A set's label table and rank matrix, as ``FuzzySoftSet._ranked`` takes them."""
+    return s._labels, s._ranks
+
+
+@pytest.mark.parametrize("texts", [["a", "a*b", "b"], ["a b", "a", "a!", "a*a", "a*b"],
+                                   ["a!", "a b*a", "b*a"]])
+def test_ranks_are_label_tuples_in_label_order(texts):
+    s = fss(["u"], {text: (0.5,) for text in texts})
+    labels, ranks = _ranks_of(s)
+    assert labels == tuple(sorted({label for tag in s.tags for label in tag.labels}))
+    assert ranks.dtype == np.int32 and not ranks.flags.writeable
+    assert ranks.shape == (len(texts), max(len(tag.labels) for tag in s.tags))
+    assert [tuple(labels[r] for r in row if r >= 0) for row in ranks.tolist()] == [
+        tag.labels for tag in s.tags]
+    assert all(-1 not in row[:len(tag.labels)] and set(row[len(tag.labels):]) <= {-1}
+               for tag, row in zip(s.tags, ranks.tolist()))
+
+
+def test_ranked_rows_are_checked_and_sorted_like_given_tags():
+    # The package's own entry point: rows out of order are sorted with
+    # their values, a repeated row and a value out of range are refused
+    # with the constructor's messages, and the tags are built when read.
+    want = fss(["u"], {"a": (0.1,), "a*b": (0.2,), "b": (0.3,)})
+    labels = ("a", "b")
+    ranks = np.array([[1, -1], [0, -1], [0, 1]], dtype=np.int32)
+    values = np.array([[0.3], [0.1], [0.2]])
+    got = FuzzySoftSet._ranked(want.universe, labels, ranks, values)
+    assert "tags" not in vars(got)
+    assert got == want and hash(got) == hash(want) and len(got) == 3
+    assert got.tags == want.tags and vars(got)["tags"] is got.tags
+    with pytest.raises(ValidationError, match=r"^duplicate parameter tag 'a\*b'$"):
+        FuzzySoftSet._ranked(want.universe, labels, ranks[[2, 1, 2]], values)
+    with pytest.raises(ValidationError, match=r"^tag 'a\*b': membership 1.5 for element 'u' "
+                                              r"is outside \[0, 1\]$"):
+        FuzzySoftSet._ranked(want.universe, labels, ranks, np.array([[0.3], [0.1], [1.5]]))
+    with pytest.raises(AttributeError, match="'FuzzySoftSet' object has no attribute 'other'"):
+        got.other
+
+
+def test_results_keep_their_ranks_until_their_tags_are_read():
+    a = fss(["u1", "u2"], {"b": (0.2, 0.6), "a": (0.1, 0.9), "a*c": (0.5, 0.5)})
+    union, product = union_fss(a, a), apply_connective(builtin("product"), a, a)
+    for result in (union, product):
+        assert len(result) == 6 and "tags" not in vars(result)
+        assert [tag.text for tag in result.tags] == ["a*a", "a*a*c", "a*a*c*c", "a*b",
+                                                     "a*b*c", "b*b"]
+        assert result == fss(["u1", "u2"], zip(result.tags, result.values))
+    # A negation reads its operand's tags and hands them on.
+    assert vars(negate_fss(builtin("standard-negation"), union))["tags"] is union.tags
+
+
 def test_constructor_copies_a_read_only_view_of_a_writable_array():
     rows = np.array([[0.1], [0.2]])
     view = rows.view()
@@ -1086,10 +1138,10 @@ def test_apply_holds_one_result_matrix():
 
 def test_apply_at_max_pairs_peaks_near_its_result():
     # The most pairs the pair bound admits, 512 x 512 tags at U = 1: 262,144
-    # result tags kept at 112 B each (tag, label tuple, value), 28 MiB, and
-    # a peak of 34.5 MiB on CPython 3.11.  The bound leaves room for other
-    # object sizes and still fails a dict entry and a label tuple per pair,
-    # which peak at 52.4 MiB.
+    # result tags kept at 16 B each (value and ranks) and a peak of 14.3 MiB
+    # on CPython 3.11; building their ParamTags as well peaked at 34.5 MiB.
+    # The bound leaves room for other object sizes and still fails a dict
+    # entry and a label tuple per pair, which peak at 52.4 MiB.
     one = Universe.of("u")
     rng = np.random.default_rng(512)
     left = FuzzySoftSet(one, tuple(ParamTag.parse(f"a{i}") for i in range(512)),

@@ -135,3 +135,12 @@ def test_combine_equals_a_validated_tag(l1, l2):
 def test_parse_refuses_a_value_that_is_not_text(value):
     with pytest.raises(ValidationError, match="^parameter label must be a non-empty string, got "):
         ParamTag.parse(value)
+
+
+@pytest.mark.parametrize("value", [5, None])
+def test_a_label_container_that_is_not_iterable_is_one_bad_label(value):
+    message = rf"^parameter label must be a non-empty string, got {value!r}$"
+    with pytest.raises(ValidationError, match=message):
+        ParamTag(value)
+    with pytest.raises(ValidationError, match=message):
+        ParamTag.parse(value)
