@@ -17,10 +17,10 @@ from fuzzysoft import (
     ValidationError,
     document_to_fss,
     fss_to_document,
+    intersect_fss,
     load_fss,
     make_fuzzy_soft_set,
     save_fss,
-    intersect_fss,
     union_fss,
 )
 from fuzzysoft import fileio
