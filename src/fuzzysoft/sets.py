@@ -299,12 +299,13 @@ def _rank_matrix(labels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], np.nda
     np.not_equal(flat[1:], flat[:-1], out=new[1:])
     flat_ranks = np.empty(len(flat), dtype=np.int32)
     flat_ranks[order] = np.cumsum(new) - 1
-    if len(flat) == len(labels):  # one label a tag
-        return tuple(flat[new].tolist()), flat_ranks[:, None]
+    table = tuple(flat[new].tolist())
+    if len(flat) == len(labels):  # every tag has one label
+        return table, flat_ranks[:, None]
     lengths = np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
     ranks = np.full((len(labels), lengths.max()), -1, dtype=np.int32)
     ranks[np.arange(ranks.shape[1]) < lengths[:, None]] = flat_ranks
-    return tuple(flat[new].tolist()), ranks
+    return table, ranks
 
 
 def _tag_of(labels: Sequence[str], ranks: np.ndarray) -> ParamTag:
