@@ -45,6 +45,17 @@ EXTRA_INPUTS = {
         "a": {"h1": 0.5, "h2": 0.5}, "z*a b": {"h1": 0.9, "h2": 0.2},
         "~": {"h1": 0.3, "h2": 1}, "Z": {"h1": 0.0, "h2": 0.85}}},
 }
+# A script over a loaded set whose keys arrive out of canonical order
+# ("b*a", "b*a*a"): the set itself, its complement, and the complement of
+# an apply result, each printed and the two complements saved.
+EXTRA_SCRIPTS = {
+    "negate.fss": ("print S;\n"
+                   "print complement(S);\n"
+                   "H = union(S, G);\n"
+                   "print complement(H);\n"
+                   'save(complement(S), "out.fss");\n'
+                   'save(complement(H), "product.fss");\n'),
+}
 OUTPUTS = ("out.fss", "product.fss")
 
 
@@ -76,6 +87,7 @@ CASES = [
            left="marks.fss", right="marks.fss"),
     _apply("--op", "connective", "--conn", "x*y+1", left="more.fss", right="marks.fss"),
     ["eval", "combine.fss", "--bind", "S=marks.fss", "--bind", "G=more.fss"],
+    ["eval", "negate.fss", "--bind", "S=marks.fss", "--bind", "G=more.fss"],
 ]
 
 
@@ -102,6 +114,8 @@ def _inputs_dir():
             shutil.copy(DATA / name, Path(scratch) / name)
         for name, doc in EXTRA_INPUTS.items():
             (Path(scratch) / name).write_text(json.dumps(doc), encoding="utf-8")
+        for name, text in EXTRA_SCRIPTS.items():
+            (Path(scratch) / name).write_text(text, encoding="utf-8")
         os.chdir(scratch)
         try:
             yield
