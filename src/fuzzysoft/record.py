@@ -5,8 +5,9 @@ compiles each with its own ``exec`` when the class is created, about 1 ms
 per class on Python 3.11: for the package's few dozen value types, most
 of the time it took to import ``fuzzysoft.cli``.  ``Record`` gives the
 same value semantics through methods compiled once, here.  The one
-generated dataclass left is ``tags.ParamTag``, for its slots and its
-ordering, both on the apply path.
+generated dataclass left is ``tags.ParamTag``: its slots keep the memory
+of a set's tags low once they are read, and its ordering is what
+``FuzzySoftSet.approximation`` bisects the tags by.
 
 A subclass declares its fields as its own annotations, in order; a class
 attribute of the same name is that field's default.  ``_uncompared``
@@ -15,8 +16,8 @@ different classes never compare equal.  Assignment and deletion raise
 ``dataclasses.FrozenInstanceError``; a ``__post_init__`` that normalises
 a field sets it with ``object.__setattr__``.  ``vars()`` of a record
 holds exactly its fields, in order, except that ``sets.FuzzySoftSet``
-also keeps its label table and rank matrix there, and its ``tags`` only
-once they are built.
+keeps its label table and rank matrix there in place of its ``tags``,
+which join them only once they are read.
 """
 
 from dataclasses import FrozenInstanceError

@@ -5,14 +5,14 @@ parameter tag.  It is stored as one read-only (P, U) float64 matrix,
 ``fss.values``, whose rows follow the sorted canonical tags, and the tags
 themselves as a label table (the sorted distinct labels) and a read-only
 (P, K) int32 rank matrix, one row of ascending label ranks per tag padded
-with -1; ``fss.tags``, the tuple of ``ParamTag``, is built from them on
-first read when the set was not built from tags.  ``fss[tag]``,
-``fss.assignments`` and ``tau_family`` build ``FuzzySet`` row views when
-read.  Binary operations between two fuzzy soft sets produce one row per
-pair of source tags, under the canonical product tag; when two source
-pairs collapse to the same canonical tag they are merged, keeping the
-first pair's row, if every element is within ``CLAMP_TOLERANCE`` of it; a
-larger difference is an error.  Union and intersection are
+with -1.  That is the one layout of every set, however it was built;
+``fss.tags``, the tuple of ``ParamTag``, is built from it on first read.
+``fss[tag]``, ``fss.assignments`` and ``tau_family`` build ``FuzzySet``
+row views when read.  Binary operations between two fuzzy soft sets
+produce one row per pair of source tags, under the canonical product tag;
+when two source pairs collapse to the same canonical tag they are merged,
+keeping the first pair's row, if every element is within
+``CLAMP_TOLERANCE`` of it; a larger difference is an error.  Union and intersection are
 ``apply_connective`` of the builtins that ``SET_OPERATIONS`` names.
 ``apply_connective`` runs the scalar on blocks of rows of the left operand
 and writes every pair's row into one (P1 * P2, U) matrix.  Each pair's
@@ -22,8 +22,8 @@ for each tag and the repeated pairs to check against it; faults are
 reported in pair order.  The result's rows are gathered from the matrix
 in one step, and its kept rank rows are its tags: no ``ParamTag`` is
 built.  The fuzzy soft negation, ``negate_fss``, maps each tag's row under
-that tag's unary scalar and keeps the tags; the complement is its
-``standard-negation`` case.
+that tag's unary scalar and keeps the ranks; the complement is its
+``standard-negation`` case, and reads no tag.
 
 All types are immutable values; operations are pure functions.
 """
@@ -55,7 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .record import Record
-from .tags import ParamTag, canonical_tags, combine_tags, number_or_none
+from .tags import ParamTag, canonical_tags, combine_tags, is_text, number_or_none
 
 #: Largest float64 array (2**24 values, 128 MiB) one operation may create:
 #: a binary set operation's P1 * P2 * U result values, and the arrays of a
@@ -99,6 +99,9 @@ class Universe(Record):
             if not isinstance(element, str) or not element:
                 raise ValidationError(
                     f"universe element must be a non-empty string, got {element!r}", index)
+            if not is_text(element):
+                raise ValidationError(f"universe element {element!r} is not valid Unicode text "
+                                      "(it holds a lone surrogate)", index)
             if element in seen:
                 raise ValidationError(f"duplicate universe element {element!r}", index)
             seen.add(element)
@@ -156,10 +159,10 @@ class FuzzySoftSet(Record):
     -1 up to the longest tag's K labels.  Rows compare as label tuples do
     (a prefix of a tag sorts first), so the order check and the sort are
     numpy passes.  The constructor converts the given tags to ranks and
-    keeps them; ``apply_connective`` and ``negate_fss`` hand over ranks
-    through ``_ranked``, and such a set builds ``tags`` on its first read
-    and keeps them.  ``len``, ``==``, ``hash`` and ``save_fss`` read the
-    ranks, never the tags.
+    keeps none of them; ``document_to_fss``, ``apply_connective`` and
+    ``negate_fss`` hand over ranks through ``_ranked``.  Every set builds
+    ``tags`` on its first read and keeps them.  ``len``, ``==``, ``hash``
+    and ``save_fss`` read the ranks, never the tags.
     """
 
     universe: Universe
@@ -200,29 +203,29 @@ class FuzzySoftSet(Record):
                     raise ValidationError(f"tag {tag.text!r}: membership {row[j]!r} "
                                           f"for element {elements[j]!r} is not a number")
             values = rows
-        self._settle(*_rank_matrix(labels), np.asarray(values, dtype=float), tags)
+        del self.__dict__["tags"]  # kept as ranks only, and built again when read
+        self._settle(*_rank_matrix(labels), np.asarray(values, dtype=float))
 
     @classmethod
     def _ranked(cls, universe: Universe, labels: tuple[str, ...], ranks: np.ndarray,
-                values: np.ndarray, tags: tuple[ParamTag, ...] | None = None) -> "FuzzySoftSet":
+                values: np.ndarray) -> "FuzzySoftSet":
         """A set the package builds from a label table, a rank matrix laid
         out as the class docstring says, and a float matrix over
-        ``universe``, with its ``tags`` if they are already built; its rows
-        are checked and ordered as the constructor's are."""
+        ``universe``; its rows are checked and ordered as the
+        constructor's are."""
         fss = object.__new__(cls)
         fss.__dict__["universe"] = universe
-        fss._settle(labels, ranks, values, tags)
+        fss._settle(labels, ranks, values)
         return fss
 
-    def _settle(self, labels, ranks, values, tags) -> None:
+    def _settle(self, labels, ranks, values) -> None:
         """Check the memberships' range and the rows' order, sort rows that
         are out of order, and store the set's fields."""
         outside = ~((values >= 0.0) & (values <= 1.0))
         if outside.any():
             i, j = np.argwhere(outside)[0]
-            tag = tags[i] if tags is not None else _tag_of(labels, ranks[i])
             raise ValidationError(
-                f"tag {tag.text!r}: membership {float(values[i, j])!r} "
+                f"tag {_tag_of(labels, ranks[i]).text!r}: membership {float(values[i, j])!r} "
                 f"for element {self.universe.elements[j]!r} is outside [0, 1]"
             )
         earlier, later = ranks[:-1], ranks[1:]
@@ -239,15 +242,11 @@ class FuzzySoftSet(Record):
                 raise ValidationError(
                     f"duplicate parameter tag {_tag_of(labels, ranks[duplicate[0]]).text!r}")
             values = values[order]
-            if tags is not None:
-                tags = tuple(np.fromiter(tags, dtype=object, count=len(tags))[order])
         values.flags.writeable = ranks.flags.writeable = False
-        if tags is not None:
-            self.__dict__["tags"] = tags
         self.__dict__.update(values=values, _labels=labels, _ranks=ranks)
 
     def __getattr__(self, name):
-        # Only a set built by ``_ranked`` lacks an attribute, its tags, until they are read.
+        # A set lacks one attribute, its tags, until they are read.
         if name != "tags" or "_ranks" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         tags = self.__dict__["tags"] = canonical_tags(_label_tuples(self._ranks, self._labels))
@@ -367,17 +366,21 @@ def negate_fss(
     """The fuzzy soft negation: each tag's row under that tag's negation.
 
     ``negation`` is a unary scalar, a tag-to-scalar mapping or a negation
-    lift, as ``lift_negation`` takes them.  Every tag's scalar is looked up
-    (``scalar_for``) before anything is evaluated, so a product tag with no
-    entry and no default raises ``MissingLabelError`` first.  Each distinct
+    lift, as ``lift_negation`` takes them.  A uniform negation reads no
+    tag.  A family looks up every tag's scalar (``scalar_for``) before
+    anything is evaluated, so a product tag with no entry and no default
+    raises ``MissingLabelError`` first.  Each distinct
     scalar is then called once, on all of its rows together, in the order
     of its first tag, and its outputs are codomain-checked with
     near-boundary clamping, as in ``apply_connective``; a ``CodomainError``
     names the tag and element, and its ``index`` is in that call's output.
-    The result has the universe and tags of ``fss``.
+    The result has the universe and the label ranks of ``fss``.
     """
     lifted = lift_negation(negation)
-    scalars = list(map(lifted.scalar_for, fss.tags))
+    if lifted.scalar is not None:
+        scalars = [lifted.scalar] * len(fss)
+    else:
+        scalars = list(map(lifted.scalar_for, fss.tags))
     values = np.empty_like(fss.values)
     with np.errstate(all="ignore"):
         for scalar in dict(zip(map(id, scalars), scalars)).values():
@@ -387,12 +390,12 @@ def negate_fss(
             raw = np.broadcast_to(np.asarray(scalar(part), dtype=float), part.shape)
 
             def where(at: tuple[int, ...]) -> str:
-                return (f"negation {scalar.name!r} under tag {fss.tags[rows[at[0]]].text!r} "
+                return (f"negation {scalar.name!r} under tag {fss._tag(rows[at[0]]).text!r} "
                         f"at element {fss.universe.elements[at[1]]!r}")
 
             values[take] = into_unit_interval(raw, where)
     values.flags.writeable = False
-    return FuzzySoftSet._ranked(fss.universe, fss._labels, fss._ranks, values, fss.tags)
+    return FuzzySoftSet._ranked(fss.universe, fss._labels, fss._ranks, values)
 
 
 def complement_fss(fss: FuzzySoftSet) -> FuzzySoftSet:

@@ -8,6 +8,7 @@ equal: combining ``{a}`` with ``{b}`` gives the same tag as combining
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import total_ordering
@@ -27,6 +28,9 @@ RESERVED_SEPARATOR = "*"
 NOT_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating,
                np.datetime64, np.timedelta64, type(None), np.ndarray)
 
+#: A code point that only a pair of UTF-16 units may hold, alone in a str.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 def number_or_none(value, convert=float):
     """``convert(value)``, or None for one of the ``NOT_NUMBERS`` or a
@@ -43,6 +47,42 @@ def number_or_none(value, convert=float):
         return None
 
 
+def is_text(value: str) -> bool:
+    """Whether a string holds no lone surrogate, so that it can be encoded
+    and printed; JSON's ``"\\ud800"`` decodes to one."""
+    return value.isascii() or not _LONE_SURROGATE.search(value)
+
+
+def read_labels(labels) -> tuple[str, ...]:
+    """The sorted labels of a tag: the one label rule, which ``ParamTag``
+    applies and ``fileio`` applies to the labels of a document key.
+
+    Text is one label, and so is a value that is not iterable; a tag needs
+    at least one label, and each must be a non-empty string that holds
+    neither the reserved separator nor a lone surrogate.  A fault raises
+    ``ValidationError``."""
+    if isinstance(labels, str):
+        labels = (labels,)
+    try:
+        labels = tuple(labels)
+    except TypeError:  # one label that is not text, refused below as parse refuses it
+        labels = (labels,)
+    if not labels:
+        raise ValidationError("a parameter tag needs at least one label")
+    for label in labels:
+        if not isinstance(label, str) or not label:
+            raise ValidationError(f"parameter label must be a non-empty string, got {label!r}")
+        if RESERVED_SEPARATOR in label:
+            raise ValidationError(
+                f"parameter label {label!r} contains the reserved separator "
+                f"{RESERVED_SEPARATOR!r}"
+            )
+        if not is_text(label):
+            raise ValidationError(
+                f"parameter label {label!r} is not valid Unicode text (it holds a lone surrogate)")
+    return tuple(sorted(labels)) if len(labels) > 1 else labels
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class ParamTag:
     """A canonical multiset of atomic parameter labels.
@@ -55,24 +95,7 @@ class ParamTag:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        labels = self.labels
-        if isinstance(labels, str):
-            labels = (labels,)
-        try:
-            labels = tuple(labels)
-        except TypeError:  # one label that is not text, refused below as parse refuses it
-            labels = (labels,)
-        if not labels:
-            raise ValidationError("a parameter tag needs at least one label")
-        for label in labels:
-            if not isinstance(label, str) or not label:
-                raise ValidationError(f"parameter label must be a non-empty string, got {label!r}")
-            if RESERVED_SEPARATOR in label:
-                raise ValidationError(
-                    f"parameter label {label!r} contains the reserved separator "
-                    f"{RESERVED_SEPARATOR!r}"
-                )
-        object.__setattr__(self, "labels", tuple(sorted(labels)) if len(labels) > 1 else labels)
+        object.__setattr__(self, "labels", read_labels(self.labels))
 
     @classmethod
     def parse(cls, text: str) -> "ParamTag":

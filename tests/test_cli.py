@@ -345,11 +345,14 @@ def test_apply_leaves_numpy_random_unimported(tmp_path):
 
 
 def test_apply_builds_no_tag_for_its_result(tmp_path, monkeypatch, capsys):
-    # An 80 x 80 product goes from apply_connective to the saved file as
-    # label ranks: the only tags built are the operands' 160 keys.
-    universe = ["u1", "u2"]
+    # The operands load as label ranks, and an 80 x 80 product goes from
+    # apply_connective to the saved file as label ranks: no tag is built.
+    universe, keys = ["u1", "u2"], {}
     for name in "ab":
-        parameters = {f"{name}{i:02d}": {"u1": i / 80, "u2": 1 - i / 80} for i in range(80)}
+        # Keys out of order, of one and of two labels.
+        keys[name] = [f"{name}{i:02d}" if i % 2 else f"{name}{i:02d}*{name}"
+                      for i in range(79, -1, -1)]
+        parameters = {key: {"u1": i / 80, "u2": 1 - i / 80} for i, key in enumerate(keys[name])}
         (tmp_path / f"{name}.fss").write_text(
             json.dumps({"universe": universe, "parameters": parameters}), encoding="utf-8")
     built = {"post_init": 0, "canonical_tags": 0}
@@ -372,9 +375,12 @@ def test_apply_builds_no_tag_for_its_result(tmp_path, monkeypatch, capsys):
     assert run_cli(["apply", "--op", "union", str(tmp_path / "a.fss"), str(tmp_path / "b.fss"),
                     "-o", str(tmp_path / "out.fss")]) == 0
     assert capsys.readouterr().out == f"wrote {tmp_path / 'out.fss'} (6400 tags)\n"
-    assert built == {"post_init": 160, "canonical_tags": 0}
+    assert built == {"post_init": 0, "canonical_tags": 0}
     monkeypatch.undo()
     left, right = load_fss(tmp_path / "a.fss"), load_fss(tmp_path / "b.fss")
+    for name, loaded in (("a", left), ("b", right)):
+        assert "tags" not in vars(loaded)
+        assert loaded.tags == tuple(sorted(map(ParamTag.parse, keys[name])))
     assert results[0].tags == tuple(sorted(combine_tags(a, b) for a in left.tags
                                            for b in right.tags))
     assert load_fss(tmp_path / "out.fss") == results[0]
@@ -687,6 +693,28 @@ def test_eval_of_a_named_pipe_bound_twice_reads_it_once(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     quality = load_fss(DEMO_DATA / "quality.fss")
     assert load_fss(tmp_path / "out.fss") == union_fss(quality, quality)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"universe": ["u"], "parameters": {"a*\\ud800": {"u": 0.5}}}',
+     "bad parameter tag 'a*\\ud800': parameter label '\\ud800' is not valid Unicode text "
+     "(it holds a lone surrogate) (at parameters.a*\\ud800)"),
+    ('{"universe": ["u", "\\udc00"], "parameters": {"a": {"u": 0.5, "\\udc00": 0.1}}}',
+     "universe element '\\udc00' is not valid Unicode text (it holds a lone surrogate) "
+     "(at universe[1])"),
+], ids=["label", "element"])
+def test_a_lone_surrogate_in_a_document_is_a_data_error(tmp_path, doc, message):
+    # Valid JSON, but no UTF-8 stdout can print the string it decodes to:
+    # the load refuses it, where printing the set used to fail (exit 2).
+    (tmp_path / "bad.fss").write_text(doc, encoding="ascii")
+    (tmp_path / "show.fss").write_text("print S;")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from fuzzysoft.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))",
+         "eval", "show.fss", "--bind", "S=bad.fss"],
+        cwd=tmp_path, env={**_env_with_src(), "PYTHONIOENCODING": "utf-8"},
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
 
 
 def test_eval_script_missing_bind_file_exit_three(tmp_path):

@@ -96,6 +96,8 @@ def test_duplicate_universe_element_rejected_at_first_repeat():
     (["u1", "u2", ""], 2, "universe element must be a non-empty string, got ''"),
     (["u1", None, "u1"], 1, "universe element must be a non-empty string, got None"),
     (["u1", "u2", "u2", 3], 2, "duplicate universe element 'u2'"),
+    (["u1", "\udc80"], 1,
+     "universe element '\\udc80' is not valid Unicode text (it holds a lone surrogate)"),
 ])
 def test_each_universe_fault_is_the_universes_own_at_its_index(universe, index, message):
     with pytest.raises(ValidationError) as err:
@@ -106,6 +108,19 @@ def test_each_universe_fault_is_the_universes_own_at_its_index(universe, index, 
         document_to_fss(doc)
     assert str(err.value) == f"{message} (at universe[{index}])"
     assert err.value.json_path == f"universe[{index}]"
+
+
+def test_a_key_holding_a_lone_surrogate_is_a_bad_tag_at_its_path(tmp_path):
+    # Valid JSON whose key decodes to a string no UTF-8 text can hold.
+    path = tmp_path / "bad.fss"
+    path.write_text('{"universe": ["u"], "parameters": {"a": {"u": 0.5}, '
+                    '"b*\\ud800": {"u": 0.25}}}', encoding="ascii")
+    with pytest.raises(DocumentError) as err:
+        load_fss(path)
+    assert err.value.json_path == "parameters.b*\ud800"
+    assert str(err.value) == ("bad parameter tag 'b*\\ud800': parameter label '\\ud800' is not "
+                              "valid Unicode text (it holds a lone surrogate) "
+                              "(at parameters.b*\ud800)")
 
 
 def test_non_numeric_membership_rejected():

@@ -704,8 +704,35 @@ def test_results_keep_their_ranks_until_their_tags_are_read():
         assert [tag.text for tag in result.tags] == ["a*a", "a*a*c", "a*a*c*c", "a*b",
                                                      "a*b*c", "b*b"]
         assert result == fss(["u1", "u2"], zip(result.tags, result.values))
-    # A negation reads its operand's tags and hands them on.
-    assert vars(negate_fss(builtin("standard-negation"), union))["tags"] is union.tags
+    # A negation keeps its operand's ranks and builds its tags on read, equal to the operand's.
+    negation = negate_fss(builtin("standard-negation"), union)
+    assert "tags" not in vars(negation)
+    assert negation.tags == union.tags and vars(negation)["tags"] is negation.tags
+
+
+def test_no_set_holds_its_tags_until_they_are_read(tmp_path):
+    # Constructed, loaded, applied and negated sets keep label ranks only;
+    # complementing a set whose tags are unread builds none on either set.
+    built = fss(["u1", "u2"], {"b": (0.2, 0.6), "b*a": (0.1, 0.9), "a": (0.5, 0.5)})
+    save_fss(built, tmp_path / "s.fss")
+    loaded = load_fss(tmp_path / "s.fss")
+    union = union_fss(built, loaded)
+    operands = [built, loaded, union, union]
+    results = [*map(complement_fss, operands[:3]), negate_fss(builtin("sugeno(1)"), union)]
+    for s in operands + results:
+        assert list(vars(s)) == ["universe", "values", "_labels", "_ranks"]
+    assert loaded == built and loaded.tags == built.tags
+    assert [result.tags for result in results] == [operand.tags for operand in operands]
+
+
+def test_a_uniform_negation_out_of_range_names_its_tag_without_reading_the_tags():
+    s = apply_connective(builtin("product"),
+                         fss(["u1", "u2"], {"b": (1.0, 0.5), "a": (1.0, 1.0)}),
+                         fss(["u1", "u2"], {"c": (1.0, 1.0)}))
+    with pytest.raises(CodomainError, match=r"^negation '2 - x' under tag 'b\*c' at element 'u2' "
+                                            r"produced 1.5, outside"):
+        negate_fss(scalar_from_expression("2 - x", arity=1), s)
+    assert "tags" not in vars(s)
 
 
 def test_constructor_copies_a_read_only_view_of_a_writable_array():
@@ -1139,9 +1166,9 @@ def test_apply_holds_one_result_matrix():
 def test_apply_at_max_pairs_peaks_near_its_result():
     # The most pairs the pair bound admits, 512 x 512 tags at U = 1: 262,144
     # result tags kept at 16 B each (value and ranks) and a peak of 14.3 MiB
-    # on CPython 3.11; building their ParamTags as well peaked at 34.5 MiB.
-    # The bound leaves room for other object sizes and still fails a dict
-    # entry and a label tuple per pair, which peak at 52.4 MiB.
+    # on CPython 3.11.  The bound leaves room for other object sizes and
+    # still fails building the result's ParamTags as well (32.4 MiB), or a
+    # dict entry and a label tuple per pair (52.4 MiB).
     one = Universe.of("u")
     rng = np.random.default_rng(512)
     left = FuzzySoftSet(one, tuple(ParamTag.parse(f"a{i}") for i in range(512)),
@@ -1157,4 +1184,4 @@ def test_apply_at_max_pairs_peaks_near_its_result():
     assert len(out) == MAX_PAIRS
     assert out.tags[1].text == "a0*b1" and out.values[1, 0] == max(left.values[0, 0],
                                                                     right.values[1, 0])
-    assert peak <= 44 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -137,6 +137,18 @@ def test_parse_refuses_a_value_that_is_not_text(value):
         ParamTag.parse(value)
 
 
+@pytest.mark.parametrize("text, label", [("\ud800", "\ud800"), ("a*b\udfffc", "b\udfffc"),
+                                         ("\ud83d\ude00", "\ud83d\ude00")])
+def test_a_label_holding_a_lone_surrogate_is_refused(text, label):
+    # JSON's "\ud800" decodes to such a string, which UTF-8 cannot encode.
+    message = f"parameter label {label!r} is not valid Unicode text (it holds a lone surrogate)"
+    for build in (ParamTag.parse, lambda text: ParamTag(text.split("*"))):
+        with pytest.raises(ValidationError) as err:
+            build(text)
+        assert str(err.value) == message
+    assert ParamTag.parse("\U0001f600*\u00e9").labels == ("\u00e9", "\U0001f600")
+
+
 @pytest.mark.parametrize("value", [5, None])
 def test_a_label_container_that_is_not_iterable_is_one_bad_label(value):
     message = rf"^parameter label must be a non-empty string, got {value!r}$"
