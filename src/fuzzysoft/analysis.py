@@ -9,11 +9,7 @@ tolerance: the lexicographically smallest violating argument tuple over
 the grid points (or grid cube) and the samples, equal tuples going to the
 first found, grid before samples.  Each part is reduced to its smallest
 violation as it is evaluated.  Grid parts of binary axioms are views of
-the grid matrix F.  The grid cube is walked in C order in tiles of at
-most 2**15 points whose inner values are views of F too, and which pass
-on their largest and smallest difference.  The walk writes each tile's
-sides (those of a compiled expression) and their difference into one
-workspace, so a tile allocates no tile-sized array in steady state, and
+the grid matrix F.  The grid cube is walked in tiles (``_walk_cube``), so
 a check holds one cache-sized tile of the cube in memory, however many
 points violate.
 
@@ -32,20 +28,9 @@ along each axis (which implies the quantified property on the whole
 grid), plus jointly on sampled pairs of pairs.  Associativity and
 exchange check the full grid cube, so their cost grows with the cube of
 the grid resolution; the default 64 steps gives roughly 275k triples,
-all counted in ``points``.  A compiled expression evaluates only half of
-the cube where the axiom mirrors onto itself.  Exchange is the same
-equation with x and y swapped.  Associativity is the same equation with
-x and z swapped when the expression is symmetric: it equals its x-y swap
-once the operands of every ``+``, ``*``, ``min`` and ``max`` are put in
-one order, and it has no ``pow``, the one operation whose value depends
-on the sign of a zero (``CompiledExpr.symmetric``).  The smallest
-violation or evaluation error then has x no larger than y (exchange) or
-z (associativity), and the other half is never evaluated.  Such a walk
-is tiled by that half: a tile's mirror axis starts at its first x-plane,
-and it holds as many of these clipped planes, or rows of one, as fit in
-2**15 points, so at 256 steps it takes 347 tiles where the full cube
-takes 771.  A mirrored walk that raises is walked again unmirrored, so
-the error names the point that the full walk names.
+all counted in ``points``.  A compiled expression evaluates only the
+half of the cube where the axiom mirrors onto itself: for exchange, and
+for associativity when the expression is ``symmetric`` (``_walk_cube``).
 """
 
 from __future__ import annotations
@@ -78,11 +63,9 @@ CONTINUITY_JUMP_FACTOR = 10.0
 #: in a 2 MiB L2 cache.  A tile allocates no tile-sized array: when tile
 #: temporaries come from the heap, some heap layouts trim and regrow it
 #: every tile, which costs a fresh process about 8x the page faults.  A
-#: candidate whose ``fn`` is not a ``CompiledExpr`` (a library caller's own
-#: function; every builtin, expression and dual is compiled) allocates its
-#: own arrays, so it walks half-size tiles and drops each tile's arrays
-#: before the next; at grids 64 to 256 that cut its page faults by up to
-#: 50x.
+#: candidate whose ``fn`` is not a ``CompiledExpr`` allocates its own
+#: arrays, so it walks half-size tiles and drops each tile's arrays before
+#: the next; at grids 64 to 256 that cut its page faults by up to 50x.
 CUBE_TILE_POINTS = 2**15
 
 
@@ -376,8 +359,9 @@ def _cube_tiles(n: int, most: int = CUBE_TILE_POINTS, mirror: int | None = None)
     y-rows inside one plane.  With ``mirror`` (1 for y, 2 for z) a tile's
     mirror axis starts at its first x-plane a, which leaves n * (n - a)
     points a plane, and tiles are sized by that clipped extent; the
-    tiles cover every triple whose mirror coordinate is at least its x.
-    Without, every axis not tiled spans the grid."""
+    tiles cover every triple whose mirror coordinate is at least its x
+    (347 tiles at 256 steps, where the full cube takes 771).  Without,
+    every axis not tiled spans the grid."""
     x = 0
     while x < n:
         clip = 0 if mirror is None else x
@@ -437,9 +421,8 @@ class _Axiom(Record):
     sides are ``sides(f, h, inner, x, y, z)``: got is a call of f and want
     a call of h (the candidate, each side with its own output), and
     ``inner(i, j)`` is f at argument columns i and j.  ``mirror(fn)`` is
-    the axis (1 for y, 2 for z) whose exchange with x maps the cube
-    equation of the compiled expression ``fn`` onto itself, got and want
-    trading places, or None."""
+    the axis (1 for y, 2 for z) that ``_walk_cube`` may fold onto x for
+    the compiled expression ``fn``, or None."""
 
     label: str
     description: str
@@ -531,28 +514,26 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
     files of its two sides (a first register each, the rest shared), so a
     tile allocates no tile-sized array.  Any other candidate (an ``fn``
     that is not a ``CompiledExpr``) is called as usual, on half-size
-    tiles.  A tile
-    passes when its largest difference is at most ``tol`` and its
-    smallest at least ``-tol`` (NaN fails); only a failing tile builds
-    its mask.
+    tiles (``CUBE_TILE_POINTS`` gives the reasons).  A tile passes when
+    its largest difference is at most ``tol`` and its smallest at least
+    ``-tol`` (NaN fails); only a failing tile builds its mask.
 
     A compiled expression walks half the cube where the axiom mirrors
     onto itself (``_Axiom.mirror``).  Exchange does for every expression:
     swapping x and y swaps its got and want.  Associativity does for a
     ``symmetric`` expression: swapping x and z swaps its got and want up
-    to the sign of a zero, which only ``pow`` (excluded) turns into a
-    difference in magnitude.  A mirrored triple then has the same
-    |got - want|, is NaN when it is, and raises when it does, so the
-    smallest violating or raising triple has x no larger than its mirror
-    coordinate.  The walk takes the mirrored tiles of ``_cube_tiles``,
-    sized by their clipped extent: they come in C order and cover every
-    such triple, so the first tile that violates holds the smallest
-    violation, the full walk's witness.  Which side an error is reported
-    from depends on where tiles end, though: a mirrored tile can reach
-    past the unmirrored tile that raises first, and hold a got side that
-    raises beyond it.  So when a mirrored walk raises, the cube is walked
-    again unmirrored, which raises at the full walk's point, got before
-    want."""
+    to the sign of a zero (``CompiledExpr.symmetric``).  A mirrored triple
+    then has the same |got - want|, is NaN when it is, and raises when it
+    does, so the smallest violating or raising triple has x no larger than
+    its mirror coordinate.  The walk takes the mirrored tiles of
+    ``_cube_tiles``, sized by their clipped extent: they come in C order
+    and cover every such triple, so the first tile that violates holds
+    the smallest violation, the full walk's witness.  Which side an error
+    is reported from depends on where tiles end, though: a mirrored tile
+    can reach past the unmirrored tile that raises first, and hold a got
+    side that raises beyond it.  So when a mirrored walk raises, the cube
+    is walked again unmirrored, which raises at the full walk's point,
+    got before want."""
     n = len(g)
     fn = getattr(candidate, "fn", None)
     compiled = isinstance(fn, CompiledExpr)

@@ -376,11 +376,14 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except (ParseError, UnknownBuiltinError, ArityError, ValueError) as err:
         # ValueError: CheckConfig and table/flag validation.
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"error: {err}"
     except (FuzzySoftError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
+        code, message = EXIT_DATA, f"error: {err}"
+    # Escaped before it is written, as a process's own stderr escapes what
+    # it cannot encode (a lone surrogate in a key), so no stream refuses it.
+    encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
+    print(message.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
+    return code
 
 
 def main() -> None:

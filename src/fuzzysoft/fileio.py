@@ -14,23 +14,9 @@ A parameter key is the canonical text of its tag: atomic labels joined
 with ``*`` in sorted order (non-canonical key order is accepted on load
 and re-canonicalized).  Every universe element must appear under every
 parameter -- there are no implicit zero memberships, and no object may
-repeat a key.  Saving is deterministic, so load(save(s)) == s bit-exactly.
-``save_fss`` writes exactly the bytes of ``json.dump(doc, indent=2)``
-followed by a newline: two-space indent, one universe element or
-membership per line, strings with ASCII ``\\uXXXX`` escapes (as
-``ensure_ascii`` gives), values as the shortest decimal that round-trips
-(``float.__repr__``, so ``-0.0`` stays ``-0.0``), the universe in stored
-order, rows in sorted tag order, and a trailing newline.
-
-The writer works in blocks of about ``SAVE_BLOCK_VALUES`` values: it
-repr-s each distinct value of a block once, reusing the text the
-previous block made for the same value (the rows of a union or an
-intersection repeat a few input values), and writes the block's text in
-one join.  Blocks, not the whole matrix, keep a save's extra memory to
-one block's strings and indices: the previous block's texts go before a
-block makes its own.  A document is validated once, one
-parameter row at a time, and the first fault is reported with its JSON
-path.
+repeat a key.  ``document_to_fss`` reports a document's first fault with
+its JSON path.  ``save_fss`` writes one exact byte layout, which it
+states, so load(save(s)) == s bit-exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +30,7 @@ import numpy as np
 
 from .errors import DocumentError, ValidationError
 from .sets import FuzzySoftSet, Universe, _rank_matrix
-from .tags import RESERVED_SEPARATOR, read_labels
+from .tags import RESERVED_SEPARATOR, read_tag_text
 
 
 #: Values per block of ``save_fss``: one block's distinct strings, indices
@@ -52,9 +38,9 @@ from .tags import RESERVED_SEPARATOR, read_labels
 SAVE_BLOCK_VALUES = 4096
 
 #: Largest document file ``load_fss`` reads: a load raises the peak RSS by up
-#: to about 48 bytes a file byte (compact, one int membership a parameter,
-#: keys of one to four letters: 48.3 B on 4,194,287 bytes, 2-core Xeon VM,
-#: CPython 3.11), so about 192 MiB, less than an apply at
+#: to about 38 bytes a file byte (compact, one int membership a parameter,
+#: keys of one to four letters: 37.8 B on 4,194,287 bytes, 2-core Xeon VM,
+#: CPython 3.11), so about 152 MiB, less than an apply at
 #: ``MAX_ARRAY_VALUES`` values takes (about 270 MiB).
 MAX_DOCUMENT_BYTES = 2**22
 
@@ -118,9 +104,9 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
     if not isinstance(raw_parameters, dict) or not raw_parameters:
         raise DocumentError("'parameters' must be a non-empty object",
                             json_path="parameters")
-    objects = [("", doc), ("parameters.", raw_parameters)]
-    objects += [(f"parameters.{key}.", value) for key, value in raw_parameters.items()]
-    for path, obj in objects:
+    repeating = ((f"parameters.{key}.", value) for key, value in raw_parameters.items()
+                 if isinstance(value, _RepeatedKey))  # a path only for an object that repeats
+    for path, obj in [("", doc), ("parameters.", raw_parameters), *repeating]:
         if isinstance(obj, _RepeatedKey):
             raise DocumentError(f"duplicate key {obj.key!r}", json_path=path + obj.key)
     rows: list[list[float]] = []
@@ -129,8 +115,7 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
     try:
         for key, mapping in raw_parameters.items():
             try:
-                labels = read_labels(key.split(RESERVED_SEPARATOR)
-                                     if isinstance(key, str) else (key,))
+                labels = read_tag_text(key)
             except ValidationError as err:
                 raise DocumentError(f"bad parameter tag {key!r}: {err}",
                                     json_path=f"parameters.{key}") from None
@@ -234,9 +219,13 @@ def save_fss(fss: FuzzySoftSet, path: str | Path) -> None:
     """Write a fuzzy soft set document, one block of rows at a time.
 
     The bytes are those of ``json.dump(fss_to_document(fss), handle,
-    indent=2)`` plus a newline: strings go through the stdlib's own ASCII
-    quoter and values through ``float.__repr__``, as ``json`` does for
-    finite floats (the set invariant rules out NaN and infinities).
+    indent=2)`` plus a newline: a two-space indent, one universe element
+    or membership per line, strings through the stdlib's own ASCII quoter
+    (``\\uXXXX`` escapes, as ``ensure_ascii`` gives), values through
+    ``float.__repr__``, the shortest decimal that round-trips, as ``json``
+    writes finite floats (the set invariant rules out NaN and infinities;
+    ``-0.0`` stays ``-0.0``), the universe in stored order and rows in
+    sorted tag order.
 
     A block is ``max(1, SAVE_BLOCK_VALUES // U)`` rows.  Its values are
     deduplicated by bit pattern (so ``-0.0`` and ``0.0`` stay apart) and
@@ -264,7 +253,7 @@ def save_fss(fss: FuzzySoftSet, path: str | Path) -> None:
     # reads the last entry, "", and its separator is "" too.
     names = np.array([*(encode_basestring_ascii(label)[1:-1] for label in fss._labels), ""],
                      dtype=object)
-    separators = np.array(["", "*"], dtype=object)
+    separators = np.array(["", RESERVED_SEPARATOR], dtype=object)
     head = 2 * fss._ranks.shape[1] + 1  # the opening, the labels and separators, the colon
     rows = max(1, SAVE_BLOCK_VALUES // len(elements))
     table: list = []  # the previous block's value texts, for _reprs

@@ -15,9 +15,7 @@ names the fields left out of ``==`` and ``hash``, and records of
 different classes never compare equal.  Assignment and deletion raise
 ``dataclasses.FrozenInstanceError``; a ``__post_init__`` that normalises
 a field sets it with ``object.__setattr__``.  ``vars()`` of a record
-holds exactly its fields, in order, except that ``sets.FuzzySoftSet``
-keeps its label table and rank matrix there in place of its ``tags``,
-which join them only once they are read.
+holds exactly its fields, in order, except as ``sets.FuzzySoftSet`` says.
 """
 
 from dataclasses import FrozenInstanceError

@@ -3,27 +3,14 @@
 A fuzzy soft set assigns a fuzzy set over a fixed finite universe to each
 parameter tag.  It is stored as one read-only (P, U) float64 matrix,
 ``fss.values``, whose rows follow the sorted canonical tags, and the tags
-themselves as a label table (the sorted distinct labels) and a read-only
-(P, K) int32 rank matrix, one row of ascending label ranks per tag padded
-with -1.  That is the one layout of every set, however it was built;
-``fss.tags``, the tuple of ``ParamTag``, is built from it on first read.
+as label ranks, the one layout of every set (see ``FuzzySoftSet``).
 ``fss[tag]``, ``fss.assignments`` and ``tau_family`` build ``FuzzySet``
-row views when read.  Binary operations between two fuzzy soft sets
-produce one row per pair of source tags, under the canonical product tag;
-when two source pairs collapse to the same canonical tag they are merged,
-keeping the first pair's row, if every element is within
-``CLAMP_TOLERANCE`` of it; a larger difference is an error.  Union and intersection are
-``apply_connective`` of the builtins that ``SET_OPERATIONS`` names.
-``apply_connective`` runs the scalar on blocks of rows of the left operand
-and writes every pair's row into one (P1 * P2, U) matrix.  Each pair's
-product tag is a row of label ranks in the operands' merged table, and
-one stable sort of those rows gives the result's tag order, the pair kept
-for each tag and the repeated pairs to check against it; faults are
-reported in pair order.  The result's rows are gathered from the matrix
-in one step, and its kept rank rows are its tags: no ``ParamTag`` is
-built.  The fuzzy soft negation, ``negate_fss``, maps each tag's row under
-that tag's unary scalar and keeps the ranks; the complement is its
-``standard-negation`` case, and reads no tag.
+row views when read.  A binary operation, ``apply_connective``, gives one
+row per pair of source tags under their canonical product tag, and
+merges pairs that collapse to one tag; union and intersection are it
+under the builtins that ``SET_OPERATIONS`` names.  The fuzzy soft
+negation, ``negate_fss``, maps each tag's row under that tag's unary
+scalar; the complement is its ``standard-negation`` case.
 
 All types are immutable values; operations are pure functions.
 """
@@ -153,16 +140,18 @@ class FuzzySoftSet(Record):
     document's): a caller's writable array, or a view, is always copied.
     Equality is exact; the hash covers the universe and the tags.
 
-    The tags are stored as a label table, the sorted tuple of the distinct
-    labels they use, and a rank matrix, a read-only (P, K) int32 array
-    with one row per tag: its labels' ranks in the table, ascending, then
-    -1 up to the longest tag's K labels.  Rows compare as label tuples do
-    (a prefix of a tag sorts first), so the order check and the sort are
-    numpy passes.  The constructor converts the given tags to ranks and
-    keeps none of them; ``document_to_fss``, ``apply_connective`` and
-    ``negate_fss`` hand over ranks through ``_ranked``.  Every set builds
-    ``tags`` on its first read and keeps them.  ``len``, ``==``, ``hash``
-    and ``save_fss`` read the ranks, never the tags.
+    The tags are stored as a label table, ``_labels``, the sorted tuple of
+    the distinct labels they use, and a rank matrix, ``_ranks``, a
+    read-only (P, K) int32 array with one row per tag: its labels' ranks
+    in the table, ascending, then -1 up to the longest tag's K labels.
+    Rows compare as label tuples do (a prefix of a tag sorts first), so
+    the order check and the sort are numpy passes.  That is the one layout
+    of every set, however it was built.  The constructor converts the
+    given tags to ranks and keeps none of them; ``document_to_fss``,
+    ``apply_connective`` and ``negate_fss`` hand over ranks through
+    ``_ranked``.  ``vars()`` holds the two in place of ``tags``, which a
+    set builds on first read and keeps.  ``len``, ``==``, ``hash`` and
+    ``save_fss`` read the ranks, never the tags.
     """
 
     universe: Universe
@@ -458,10 +447,9 @@ def apply_connective(
     matrix of ``f2``, so it must broadcast elementwise; its outputs are
     codomain-checked with near-boundary clamping, a block at a time, and
     written into one (P1 * P2, U) matrix, pair (i, j) in row i * P2 + j.
-    Each pair's product tag is a row of label ranks (labels ranked in
-    ``str`` order, sorted, padded with -1), so rows compare as label
-    tuples do, and one stable sort of the rows gives the result's tag
-    order; the first pair of each run of equal rows is the one kept.
+    Each pair's product tag is a row of label ranks (see ``FuzzySoftSet``),
+    and one stable sort of the rows gives the result's tag order; the
+    first pair of each run of equal rows is the one kept.
     Two pairs collapsing to one canonical tag are merged into the kept
     pair's row when every element is within ``CLAMP_TOLERANCE``
     (absolute) of it, otherwise ``TagCollisionError`` is raised.  More

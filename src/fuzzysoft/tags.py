@@ -55,7 +55,7 @@ def is_text(value: str) -> bool:
 
 def read_labels(labels) -> tuple[str, ...]:
     """The sorted labels of a tag: the one label rule, which ``ParamTag``
-    applies and ``fileio`` applies to the labels of a document key.
+    applies and ``read_tag_text`` applies to the labels of a tag's text.
 
     Text is one label, and so is a value that is not iterable; a tag needs
     at least one label, and each must be a non-empty string that holds
@@ -83,6 +83,13 @@ def read_labels(labels) -> tuple[str, ...]:
     return tuple(sorted(labels)) if len(labels) > 1 else labels
 
 
+def read_tag_text(text) -> tuple[str, ...]:
+    """The sorted labels of a tag's textual form, e.g. ``"b1*a1"`` ->
+    ``("a1", "b1")``: the text split on the reserved separator, or a value
+    that is not text as one (bad) label, read by ``read_labels``."""
+    return read_labels(text.split(RESERVED_SEPARATOR) if isinstance(text, str) else (text,))
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class ParamTag:
     """A canonical multiset of atomic parameter labels.
@@ -102,7 +109,7 @@ class ParamTag:
         """Parse the textual form, e.g. ``"b1*a1"`` -> tag ``a1*b1``; text
         that is not a valid tag, or a value that is not text, raises
         ``ValidationError``."""
-        return cls(tuple(text.split(RESERVED_SEPARATOR)) if isinstance(text, str) else (text,))
+        return canonical_tags((read_tag_text(text),))[0]
 
     @property
     def text(self) -> str:
@@ -119,10 +126,10 @@ class ParamTag:
 def canonical_tags(label_tuples: Sequence[tuple[str, ...]]) -> tuple[ParamTag, ...]:
     """One tag per label tuple, each already valid and sorted, unchecked.
 
-    This is the one builder that skips ``__post_init__``, for labels taken
-    from valid tags: the sorted labels of valid tags make a valid tag.
-    ``combine_tags`` builds through it; text from outside, such as a
-    document key or a negation family key, is read with ``ParamTag.parse``.
+    This is the one builder that skips ``__post_init__``, for labels that
+    ``read_tag_text`` has checked (``ParamTag.parse``) or that come from
+    valid tags, whose sorted labels make a valid tag (``combine_tags``).
+    A document key is read with ``read_tag_text`` alone, into no tag.
     """
     tags = tuple(map(object.__new__, repeat(ParamTag, len(label_tuples))))
     deque(map(ParamTag.labels.__set__, tags, label_tuples), maxlen=0)  # runs the map, keeps nothing

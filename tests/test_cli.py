@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import os
 import subprocess
@@ -715,6 +716,22 @@ def test_a_lone_surrogate_in_a_document_is_a_data_error(tmp_path, doc, message):
         cwd=tmp_path, env={**_env_with_src(), "PYTHONIOENCODING": "utf-8"},
         capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+
+
+def test_an_error_naming_a_lone_surrogate_reaches_a_strict_stderr(tmp_path, monkeypatch):
+    # The key's JSON path holds the raw surrogate; it is written escaped,
+    # as a process's own stderr writes it, so a strict stream takes it.
+    (tmp_path / "bad.fss").write_text(
+        '{"universe": ["u"], "parameters": {"a*\\ud800": {"u": 0.5}}}', encoding="ascii")
+    (tmp_path / "show.fss").write_text("print S;")
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert run_cli(["eval", "show.fss", "--bind", "S=bad.fss"]) == 3
+    stderr.flush()
+    assert stderr.buffer.getvalue() == (
+        b"error: bad parameter tag 'a*\\ud800': parameter label '\\ud800' is not valid "
+        b"Unicode text (it holds a lone surrogate) (at parameters.a*\\ud800)\n")
 
 
 def test_eval_script_missing_bind_file_exit_three(tmp_path):

@@ -237,6 +237,23 @@ def test_repeated_key_is_rejected_with_its_json_path(tmp_path, text, path):
     assert f"duplicate key {path.rsplit('.', 1)[-1]!r}" in str(err.value)
 
 
+def test_finding_repeated_keys_builds_nothing_per_parameter():
+    # 50,000 one-int parameters: the load peaked at 384 B a parameter while
+    # it listed a (path, object) pair for every parameter to find the one
+    # that repeats a key, and at 255 B once only such an object gets a path.
+    n = 50_000
+    doc = _decode(json.dumps({"universe": ["u"],
+                              "parameters": {f"k{i}": {"u": 1} for i in range(n)}}))
+    tracemalloc.start()
+    try:
+        fss = document_to_fss(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fss) == n
+    assert peak < 320 * n, f"peak {peak / n:.0f} B a parameter"
+
+
 # --- the block writer against json.dump ------------------------------------------
 
 def _reference_bytes(fss) -> bytes:
@@ -575,6 +592,13 @@ _MALFORMED = [
     '{"universe": ["u1"], "parameters": {"a": {"u1": 1' + "0" * 400 + '}}}',
     # the first of several extra elements in sorted order
     '{"universe": ["u1"], "parameters": {"a": {"u1": 0.5, "zz": 0.1, "yy": 0.2}}}',
+    # repeated keys at two levels at once: the outer object's comes first
+    '{"universe": ["u1"], "parameters": {"a": {"u1": 0.5, "u1": 0.1}}, "universe": ["u1"]}',
+    '{"universe": ["u1"], "parameters": {"a": {"u1": 0.3}, "a": {"u1": 0.5, "u1": 0.1}}}',
+    # a repeated key comes before any tag fault, and the first repeating parameter's first
+    '{"universe": ["u1"], "parameters": {"a**b": {"u1": 0.5}, "c": {"u1": 0.1, "u1": 0.2}}}',
+    '{"universe": ["u1", "u2"], "parameters": {"a": {"u1": 0.5, "u2": 0.5}, '
+    '"b": {"u2": 0.1, "u1": 0.2, "u2": 0.3}, "c": {"u1": 0.1, "u1": 0.2, "u2": 0.0}}}',
 ]
 
 

@@ -179,8 +179,9 @@ def test_post_init_normalises_fields():
 
 def test_importing_the_cli_builds_only_the_kept_dataclass():
     # Each dataclass compiles its methods with exec when its module is
-    # imported; only ParamTag (slots, and generated ordering on the apply
-    # path) is worth that cost.
+    # imported; only ParamTag is worth that cost: its slots keep a set's
+    # tags small once they are read, and FuzzySoftSet.approximation bisects
+    # the tags by its ordering.
     probe = """
 import dataclasses, sys
 import fuzzysoft.cli
