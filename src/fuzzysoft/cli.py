@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import redirect_stdout
 from typing import Sequence
 
 import numpy as np
@@ -364,25 +365,39 @@ _HANDLERS = {
 }
 
 
+class _Escaping:
+    """Writes to ``stream`` what it takes as it is, and what it cannot encode
+    (a lone surrogate in a path, a label past an ASCII stream) escaped, as
+    a process's own stderr escapes it, so that no stream refuses a line."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except UnicodeEncodeError:
+            encoding = getattr(self.stream, "encoding", None) or "utf-8"
+            return self.stream.write(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Run one invocation; returns the exit code, never raises."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # A stream whose descriptor was closed at start-up is None; print is left to handle it.
     try:
-        return _HANDLERS[args.command](args)
+        with redirect_stdout(sys.stdout and _Escaping(sys.stdout)):
+            return _HANDLERS[args.command](args)
     except (ParseError, UnknownBuiltinError, ArityError, ValueError) as err:
         # ValueError: CheckConfig and table/flag validation.
         code, message = EXIT_USAGE, f"error: {err}"
     except (FuzzySoftError, OSError) as err:
         code, message = EXIT_DATA, f"error: {err}"
-    # Escaped before it is written, as a process's own stderr escapes what
-    # it cannot encode (a lone surrogate in a key), so no stream refuses it.
-    encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
-    print(message.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
+    print(message, file=sys.stderr and _Escaping(sys.stderr))
     return code
 
 

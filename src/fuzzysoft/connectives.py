@@ -45,7 +45,7 @@ from .expr import (
     substitute,
 )
 from .record import Record
-from .tags import ParamTag, TaggedMembership, combine_tags
+from .tags import RESERVED_SEPARATOR, ParamTag, TaggedMembership, combine_tags
 
 # Scalar connective kinds (metadata only; never affects evaluation).
 KIND_TNORM = "t-norm"
@@ -281,8 +281,8 @@ class LiftedConnective(Record):
     def name(self) -> str:
         if self.scalar is not None:
             return self.scalar.name
-        # The default is named under "*", which is never a label.
-        named = (self.family or ()) + ((("*", self.default),) if self.default else ())
+        # The default is named under the separator, which is never a label.
+        named = (self.family or ()) + ((RESERVED_SEPARATOR, self.default),) * bool(self.default)
         return f"family({', '.join(f'{label}: {s.name}' for label, s in named)})"
 
     def scalar_for(self, tag: ParamTag) -> ScalarConnective:

@@ -153,15 +153,14 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
     # Float rows were not range-checked one by one: any fault of theirs
     # comes before the fault of a later row.
     matrix = np.array(rows, dtype=float)
-    outside = ~((matrix >= 0.0) & (matrix <= 1.0))
-    if outside.any():
+    if (outside := ~((matrix >= 0.0) & (matrix <= 1.0))).any():
         i, j = np.argwhere(outside)[0]
         raise DocumentError(f"membership {rows[i][j]!r} is outside [0, 1]",
                             json_path=f"parameters.{list(seen.values())[i]}.{elements[j]}")
     if fault is not None:
         raise fault
-    matrix.flags.writeable = False
-    return FuzzySoftSet._ranked(universe, *_rank_matrix(list(seen)), matrix)
+    labels, ranks, order = _rank_matrix(list(seen))
+    return FuzzySoftSet._ranked(universe, labels, ranks, matrix[order])
 
 
 def load_fss(path: str | Path) -> FuzzySoftSet:

@@ -130,14 +130,9 @@ class FuzzySoftSet(Record):
     value with ``number_or_none``: a membership is any real number (int,
     float, numpy real scalar, ``Fraction``, ``Decimal``), and ``bool``,
     text, bytes, complex, dates, ``None`` and arrays with dimensions are
-    refused.  The constructor sorts the given tags and rows together and is
-    the one place the set invariants are checked; every fault is a
-    ``ValidationError``.  Rows that arrive in strictly increasing tag order,
-    as they do for every set the package builds, are kept as they are.
-    Their matrix is copied unless it owns its data and is already
-    read-only, as the matrices the package has just built are
-    (``apply_connective``'s gathered rows, a negation's, a loaded
-    document's): a caller's writable array, or a view, is always copied.
+    refused.  The constructor range-checks the rows in the given order,
+    naming the given tag of a faulty row, refuses a repeated tag and sorts
+    tags and rows together into a copy; every fault is a ``ValidationError``.
     Equality is exact; the hash covers the universe and the tags.
 
     The tags are stored as a label table, ``_labels``, the sorted tuple of
@@ -145,11 +140,12 @@ class FuzzySoftSet(Record):
     read-only (P, K) int32 array with one row per tag: its labels' ranks
     in the table, ascending, then -1 up to the longest tag's K labels.
     Rows compare as label tuples do (a prefix of a tag sorts first), so
-    the order check and the sort are numpy passes.  That is the one layout
-    of every set, however it was built.  The constructor converts the
-    given tags to ranks and keeps none of them; ``document_to_fss``,
-    ``apply_connective`` and ``negate_fss`` hand over ranks through
-    ``_ranked``.  ``vars()`` holds the two in place of ``tags``, which a
+    the sort and the duplicate check are numpy passes.  That is the one
+    layout of every set, however it was built.  The constructor converts
+    the given tags to ranks and keeps none of them; ``document_to_fss``,
+    ``apply_connective`` and ``negate_fss`` check and order their rows
+    where they make them and hand them over through ``_ranked``, which
+    checks nothing.  ``vars()`` holds the two in place of ``tags``, which a
     set builds on first read and keeps.  ``len``, ``==``, ``hash`` and
     ``save_fss`` read the ranks, never the tags.
     """
@@ -165,11 +161,10 @@ class FuzzySoftSet(Record):
                 f"a fuzzy soft set needs at least one parameter tag, got {self.tags!r}")
         if not isinstance(self.universe, Universe):
             raise ValidationError(f"universe must be a Universe, got {self.universe!r}")
-        try:
-            labels = [tag.labels for tag in tags]
-        except AttributeError:
+        if not all(isinstance(tag, ParamTag) for tag in tags):
             tag = next(tag for tag in tags if not isinstance(tag, ParamTag))
-            raise ValidationError(f"parameter tag must be a ParamTag, got {tag!r}") from None
+            raise ValidationError(f"parameter tag must be a ParamTag, got {tag!r}")
+        labels = [tag.labels for tag in tags]
         values, elements = self.values, self.universe.elements
         if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
                 and values.shape == (len(tags), len(elements))):
@@ -193,46 +188,28 @@ class FuzzySoftSet(Record):
                                           f"for element {elements[j]!r} is not a number")
             values = rows
         del self.__dict__["tags"]  # kept as ranks only, and built again when read
-        self._settle(*_rank_matrix(labels), np.asarray(values, dtype=float))
+        values = np.asarray(values, dtype=float)
+        if (outside := ~((values >= 0.0) & (values <= 1.0))).any():
+            i, j = np.argwhere(outside)[0]
+            raise ValidationError(f"tag {tags[i].text!r}: membership {float(values[i, j])!r} "
+                                  f"for element {elements[j]!r} is outside [0, 1]")
+        labels, ranks, order = _rank_matrix(labels)
+        if (same := (ranks[1:] == ranks[:-1]).all(axis=1)).any():
+            raise ValidationError(f"duplicate parameter tag {tags[order[same.argmax()]].text!r}")
+        values = values[order]
+        values.flags.writeable = ranks.flags.writeable = False
+        self.__dict__.update(values=values, _labels=labels, _ranks=ranks)
 
     @classmethod
     def _ranked(cls, universe: Universe, labels: tuple[str, ...], ranks: np.ndarray,
                 values: np.ndarray) -> "FuzzySoftSet":
-        """A set the package builds from a label table, a rank matrix laid
-        out as the class docstring says, and a float matrix over
-        ``universe``; its rows are checked and ordered as the
-        constructor's are."""
+        """Hand over a set the package builds: a label table, a rank matrix
+        whose rows strictly increase, and a float matrix over ``universe``,
+        both frozen and kept as they are; nothing is checked or copied."""
         fss = object.__new__(cls)
-        fss.__dict__["universe"] = universe
-        fss._settle(labels, ranks, values)
-        return fss
-
-    def _settle(self, labels, ranks, values) -> None:
-        """Check the memberships' range and the rows' order, sort rows that
-        are out of order, and store the set's fields."""
-        outside = ~((values >= 0.0) & (values <= 1.0))
-        if outside.any():
-            i, j = np.argwhere(outside)[0]
-            raise ValidationError(
-                f"tag {_tag_of(labels, ranks[i]).text!r}: membership {float(values[i, j])!r} "
-                f"for element {self.universe.elements[j]!r} is outside [0, 1]"
-            )
-        earlier, later = ranks[:-1], ranks[1:]
-        at = np.arange(len(earlier)), (earlier != later).argmax(axis=1)
-        if (later[at] > earlier[at]).all():
-            # Freezing a matrix it owns hands it over; anything else is copied.
-            if values.flags.writeable or not values.flags.owndata:
-                values = values.copy()
-        else:
-            order = np.lexsort(ranks.T[::-1])
-            ranks = ranks[order]
-            duplicate = np.flatnonzero((ranks[1:] == ranks[:-1]).all(axis=1))
-            if len(duplicate):
-                raise ValidationError(
-                    f"duplicate parameter tag {_tag_of(labels, ranks[duplicate[0]]).text!r}")
-            values = values[order]
         values.flags.writeable = ranks.flags.writeable = False
-        self.__dict__.update(values=values, _labels=labels, _ranks=ranks)
+        fss.__dict__.update(universe=universe, values=values, _labels=labels, _ranks=ranks)
+        return fss
 
     def __getattr__(self, name):
         # A set lacks one attribute, its tags, until they are read.
@@ -243,7 +220,7 @@ class FuzzySoftSet(Record):
 
     def _tag(self, i: int) -> ParamTag:
         """The tag of row ``i``, built alone (for a message)."""
-        return _tag_of(self._labels, self._ranks[i])
+        return canonical_tags(_label_tuples(self._ranks[i:i + 1], self._labels))[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuzzySoftSet):
@@ -274,8 +251,10 @@ class FuzzySoftSet(Record):
         return len(self._ranks)
 
 
-def _rank_matrix(labels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The label table and the rank matrix of tags with these label tuples.
+def _rank_matrix(labels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The label table of tags with these label tuples, their rank matrix
+    in sorted order, and the order that maps its rows back (row k is the
+    tag of ``labels[order[k]]``): the one place given tags are sorted.
 
     All labels are sorted once, stably (a document's keys often arrive in
     runs that are in order already), and a label's rank is the number of
@@ -285,20 +264,17 @@ def _rank_matrix(labels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], np.nda
     flat = flat[order]
     new = np.ones(len(flat), dtype=bool)  # each label that differs from the one before
     np.not_equal(flat[1:], flat[:-1], out=new[1:])
-    flat_ranks = np.empty(len(flat), dtype=np.int32)
-    flat_ranks[order] = np.cumsum(new) - 1
+    sorted_ranks = np.cumsum(new, dtype=np.int32) - 1
     table = tuple(flat[new].tolist())
-    if len(flat) == len(labels):  # every tag has one label
-        return table, flat_ranks[:, None]
+    if len(flat) == len(labels):  # every tag has one label, so tags sort as labels do
+        return table, sorted_ranks[:, None], order
+    flat_ranks = np.empty(len(flat), dtype=np.int32)
+    flat_ranks[order] = sorted_ranks
     lengths = np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
     ranks = np.full((len(labels), lengths.max()), -1, dtype=np.int32)
     ranks[np.arange(ranks.shape[1]) < lengths[:, None]] = flat_ranks
-    return table, ranks
-
-
-def _tag_of(labels: Sequence[str], ranks: np.ndarray) -> ParamTag:
-    """The tag of one row of ranks into the label table ``labels``."""
-    return canonical_tags((tuple(labels[rank] for rank in ranks.tolist() if rank >= 0),))[0]
+    order = np.lexsort(ranks.T[::-1])
+    return table, ranks[order], order
 
 
 def _label_tuples(keys: np.ndarray, labels: Sequence[str]) -> list[tuple[str, ...]]:
@@ -383,7 +359,6 @@ def negate_fss(
                         f"at element {fss.universe.elements[at[1]]!r}")
 
             values[take] = into_unit_interval(raw, where)
-    values.flags.writeable = False
     return FuzzySoftSet._ranked(fss.universe, fss._labels, fss._ranks, values)
 
 
@@ -427,7 +402,7 @@ def _run_kernel(scalar: ScalarConnective, f1: FuzzySoftSet, f2: FuzzySoftSet,
         except CodomainError as err:
             if len(rows) == 1:
                 checked = err.index[0]
-                out[start:start + checked] = into_unit_interval(raw[:checked], where)
+                np.clip(raw[:checked], 0.0, 1.0, out=out[start:start + checked])
                 return start + checked, err
     faults = (_run_kernel(scalar, f1, f2, out, range(i, i + 1)) for i in rows)
     return next(filter(None, faults), None)
@@ -531,11 +506,7 @@ def apply_connective(
             )
     if fault is not None:
         raise fault[1]
-    values = pair_values[order[kept]]
-    keys = keys[kept]
-    del pair_values, order, kept, first_of, repeats
-    values.flags.writeable = False
-    return FuzzySoftSet._ranked(f1.universe, labels, keys, values)
+    return FuzzySoftSet._ranked(f1.universe, labels, keys[kept], pair_values[order[kept]])
 
 
 def union_fss(f1: FuzzySoftSet, f2: FuzzySoftSet) -> FuzzySoftSet:

@@ -734,6 +734,55 @@ def test_an_error_naming_a_lone_surrogate_reaches_a_strict_stderr(tmp_path, monk
         b"Unicode text (it holds a lone surrogate) (at parameters.a*\\ud800)\n")
 
 
+def _run_module(argv, cwd, **env) -> subprocess.CompletedProcess:
+    """``python -m fuzzysoft.cli ARGV`` in ``cwd``, with its stdout as bytes
+    and ``env`` over the environment (``PYTHONIOENCODING`` unset)."""
+    base = {k: v for k, v in _env_with_src().items() if k != "PYTHONIOENCODING"}
+    return subprocess.run([sys.executable, "-m", "fuzzysoft.cli", *argv], cwd=cwd,
+                          env={**base, **env}, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("env, line", [
+    ({"PYTHONIOENCODING": "utf-8"}, b"wrote \\udcff.fss (3 tags)\n"),
+    ({"PYTHONUTF8": "1"}, b"wrote \xff.fss (3 tags)\n"),
+], ids=["strict", "utf8-mode"])
+def test_an_output_path_stdout_cannot_encode_is_written_escaped(tmp_path, env, line):
+    # The file is written, and its path is printed as the stream takes it:
+    # escaped on a strict stream, its raw byte in UTF-8 mode.
+    quality = str(DEMO_DATA / "quality.fss")
+    proc = _run_module(["apply", "--op", "union", quality, quality, "-o", "\udcff.fss"],
+                       tmp_path, **env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, line, b"")
+    written = load_fss(tmp_path / "\udcff.fss")
+    assert written == union_fss(*[load_fss(quality)] * 2)
+
+
+@pytest.mark.parametrize("env, label", [
+    ({"PYTHONIOENCODING": "ascii"}, b"\\xe9"), ({"PYTHONUTF8": "1"}, "\xe9".encode()),
+], ids=["ascii", "utf8-mode"])
+def test_a_label_stdout_cannot_encode_is_printed_escaped(tmp_path, env, label):
+    proc = _run_module(["equilibrium", "--builtin", "standard-negation", "--params", "\xe9"],
+                       tmp_path, **env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines() == [
+        b"equilibrium search (tolerance 1e-09)",
+        b"  " + label + b": 0.49999999999954525 (residual 9.0949470177292824e-13)",
+        b"equilibria found: 1 of 1 labels"]
+
+
+@pytest.mark.parametrize("argv, closed, code", [
+    (["equilibrium", "--builtin", "standard-negation", "--params", "a"], ">&-", 0),
+    (["apply", "--op", "union", "absent.fss", "absent.fss", "-o", "out.fss"], "2>&-", 3),
+], ids=["stdout", "stderr"])
+def test_a_stream_closed_at_start_up_fails_no_run(tmp_path, argv, closed, code):
+    # Python starts with sys.stdout or sys.stderr None when its descriptor is closed.
+    proc = subprocess.run(["sh", "-c", f'exec "$0" -m fuzzysoft.cli "$@" {closed}',
+                           sys.executable, *argv], cwd=tmp_path, env=_env_with_src(),
+                          capture_output=closed == ">&-", timeout=120)
+    assert proc.returncode == code
+    assert not proc.stderr
+
+
 def test_eval_script_missing_bind_file_exit_three(tmp_path):
     script = tmp_path / "combine.fss"
     script.write_text("print S;")

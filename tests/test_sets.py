@@ -2,6 +2,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -675,25 +676,30 @@ def test_ranks_are_label_tuples_in_label_order(texts):
                for tag, row in zip(s.tags, ranks.tolist()))
 
 
-def test_ranked_rows_are_checked_and_sorted_like_given_tags():
-    # The package's own entry point: rows out of order are sorted with
-    # their values, a repeated row and a value out of range are refused
-    # with the constructor's messages, and the tags are built when read.
+def test_ranked_hands_over_its_rows_as_given():
+    # The package's own entry point checks, sorts and copies nothing: it
+    # keeps and freezes the rows it is given, and builds the tags when read.
     want = fss(["u"], {"a": (0.1,), "a*b": (0.2,), "b": (0.3,)})
     labels = ("a", "b")
-    ranks = np.array([[1, -1], [0, -1], [0, 1]], dtype=np.int32)
-    values = np.array([[0.3], [0.1], [0.2]])
+    ranks = np.array([[0, -1], [0, 1], [1, -1]], dtype=np.int32)
+    values = np.array([[0.1], [0.2], [0.3]])
     got = FuzzySoftSet._ranked(want.universe, labels, ranks, values)
+    assert got.values is values and got._ranks is ranks
+    assert not values.flags.writeable and not ranks.flags.writeable
     assert "tags" not in vars(got)
     assert got == want and hash(got) == hash(want) and len(got) == 3
     assert got.tags == want.tags and vars(got)["tags"] is got.tags
-    with pytest.raises(ValidationError, match=r"^duplicate parameter tag 'a\*b'$"):
-        FuzzySoftSet._ranked(want.universe, labels, ranks[[2, 1, 2]], values)
-    with pytest.raises(ValidationError, match=r"^tag 'a\*b': membership 1.5 for element 'u' "
-                                              r"is outside \[0, 1\]$"):
-        FuzzySoftSet._ranked(want.universe, labels, ranks, np.array([[0.3], [0.1], [1.5]]))
     with pytest.raises(AttributeError, match="'FuzzySoftSet' object has no attribute 'other'"):
         got.other
+
+
+def test_constructor_names_the_given_tag_of_an_out_of_range_row():
+    # The range is checked in the caller's order, before the sort: a check
+    # that read the sorted rows would name 'b'.
+    tags = tuple(map(ParamTag.parse, ["b", "a", "b*a"]))
+    with pytest.raises(ValidationError, match=r"^tag 'a\*b': membership 1.5 for element 'u' "
+                                              r"is outside \[0, 1\]$"):
+        FuzzySoftSet(Universe.of("u"), tags, np.array([[0.3], [0.1], [1.5]]))
 
 
 def test_results_keep_their_ranks_until_their_tags_are_read():
@@ -859,6 +865,8 @@ def test_constructor_refuses_rows_that_are_not_sequences(rows, message):
      r"^parameter tag must be a ParamTag, got 'b'$"),
     (lambda: FuzzySoftSet(Universe.of("u"), "a", [[0.5]]),
      r"^parameter tag must be a ParamTag, got 'a'$"),
+    (lambda: FuzzySoftSet(Universe.of("u"), (SimpleNamespace(labels=("b", "a")),), [[0.5]]),
+     r"^parameter tag must be a ParamTag, got namespace\(labels=\('b', 'a'\)\)$"),
     (lambda: make_fuzzy_soft_set(["u"], {5: [0.5]}),
      r"^parameter label must be a non-empty string, got 5$"),
     (lambda: make_fuzzy_soft_set(["u"], [(("a",), [0.5])]),
