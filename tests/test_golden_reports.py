@@ -35,6 +35,15 @@ BINARY_EXPRS = ("x*y/2", "x*y*y", "(1-x)*(1-y)", "x*y*2", "min(x,y)", "x+y-x*y",
 UNARY_EXPRS = ("1-x*x", "1-x", "1/x", "0-1-x")
 SMALL = ("--grid", "16", "--samples", "200", "--seed", "5")
 
+# Symmetric expressions whose associativity cube is walked at the benchmark
+# grid: the builtin t-norms and t-conorms, and from tests/test_analysis.py
+# _LATE_SYMMETRIC (t = 0.99, fails late) and _RAISES_IN_THE_CUBE
+# (c = 1.8338470458984375, raises only in the cube).
+GRID_256_TNORMS = ("product", "minimum", "lukasiewicz")
+GRID_256_TCONORMS = ("maximum", "probsum", "boundedsum")
+GRID_256_EXPRS = ("min(x, y) + 0.001*(max(x - 0.99, 0)*max(y - 0.99, 0))",
+                  "x*y + 0*(1/(x + y - 1.8338470458984375))")
+
 
 def _cases() -> list[list[str]]:
     cases = []
@@ -61,6 +70,11 @@ def _cases() -> list[list[str]]:
         ["check", "--kind", "implication", "--expr", "x*y", "--grid", "33",
          "--samples", "500", "--seed", "7", "--tol", "0.000001"],
     ]
+    for kind, names in (("tnorm", GRID_256_TNORMS), ("tconorm", GRID_256_TCONORMS)):
+        for name in names:
+            cases.append(["check", "--kind", kind, "--builtin", name, "--grid", "256"])
+        for text in GRID_256_EXPRS:
+            cases.append(["check", "--kind", kind, "--expr", text, "--grid", "256"])
     return [case + ["--format", "json"] for case in cases]
 
 
