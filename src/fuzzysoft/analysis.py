@@ -30,7 +30,9 @@ exchange check the full grid cube, so their cost grows with the cube of
 the grid resolution; the default 64 steps gives roughly 275k triples,
 all counted in ``points``.  A compiled expression evaluates only the
 half of the cube where the axiom mirrors onto itself: for exchange, and
-for associativity when the expression is ``symmetric`` (``_walk_cube``).
+for associativity when the expression is ``symmetric``, which first
+screens the sorted triples, a sixth of the cube, and walks that half
+only when the screen fails (``_walk_cube``).
 """
 
 from __future__ import annotations
@@ -378,6 +380,22 @@ def _cube_tiles(n: int, most: int = CUBE_TILE_POINTS, mirror: int | None = None)
             x += 1
 
 
+def _screen_tiles(n: int, most: int = CUBE_TILE_POINTS):
+    """The sorted triples a <= b <= c of the grid cube of ``n`` points a
+    side, as index ranges (as, bs, cs) in order of their first a, each
+    tile at most ``max(most, n)`` points: a block of a from a0, up to 16
+    rows of b from b0 >= a0, and c from b0.  A block takes as many
+    a-planes as fit in its first, largest tile (207 tiles and 3.3M points
+    at 256 steps, for 2.8M sorted triples)."""
+    a = 0
+    while a < n:
+        rows = max(1, min(16, most // (n - a)))
+        block = max(1, most // (rows * (n - a)))
+        for b in range(a, n, rows):
+            yield slice(a, a + block), slice(b, b + rows), slice(b, None)
+        a += block
+
+
 def _tile_inner(layouts, tile: tuple[slice, ...], i: int, j: int) -> np.ndarray:
     """f at a tile's argument columns i < j, as a view of the grid matrix F
     laid out along the tile's axes (``layouts[k]`` is F with a unit axis k
@@ -422,7 +440,10 @@ class _Axiom(Record):
     a call of h (the candidate, each side with its own output), and
     ``inner(i, j)`` is f at argument columns i and j.  ``mirror(fn)`` is
     the axis (1 for y, 2 for z) that ``_walk_cube`` may fold onto x for
-    the compiled expression ``fn``, or None."""
+    the compiled expression ``fn``, or None.  ``screen(fn)`` is true when
+    the axiom holds on the cube for ``fn`` exactly when f(a, f(b, c)),
+    f(b, f(a, c)) and f(c, f(a, b)) agree at every sorted triple
+    a <= b <= c, which ``_walk_cube`` then checks first."""
 
     label: str
     description: str
@@ -431,6 +452,7 @@ class _Axiom(Record):
     draw: Callable | None
     sides: Callable
     mirror: Callable | None = None
+    screen: Callable | None = None
 
 
 def _pair_sides(f, x1, y1, x2, y2):
@@ -462,7 +484,7 @@ def _binary_axioms(unit: float, name: str) -> tuple[_Axiom, ...]:
                lambda f, x, y: (f(x, y), f(y, x))),
         _Axiom("iv", "associativity f(x, f(y, z)) = f(f(x, y), z)", "==", None, _uniform(3),
                lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(inner(0, 1), z)),
-               lambda fn: 2 if fn.symmetric else None),
+               lambda fn: 2 if fn.symmetric else None, lambda fn: fn.symmetric),
         _Axiom("v", "monotonicity: f(x1, y1) <= f(x2, y2) whenever x1 <= x2 and y1 <= y2",
                "<=", lambda F, g: (_adjacent(F, g, 0), _adjacent(F, g, 1)),
                _pair_draw(True, True), _pair_sides),
@@ -533,7 +555,30 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
     can reach past the unmirrored tile that raises first, and hold a got
     side that raises beyond it.  So when a mirrored walk raises, the cube
     is walked again unmirrored, which raises at the full walk's point,
-    got before want."""
+    got before want.
+
+    Associativity of a symmetric expression (``_Axiom.screen``) is first
+    screened on the sorted triples a <= b <= c alone (``_screen_tiles``),
+    a sixth of the cube, at three values each: f(a, F[b, c]),
+    f(b, F[a, c]) and f(c, F[a, b]).  The workspace's first two buffers
+    keep their running minimum and maximum, the third the value just
+    evaluated, and the rest are its scratch registers; a tile passes when
+    max - min is at most ``tol`` (NaN fails).  The screen is exact.  At
+    (x, y, z), got is f(x, F[y, z]) and want is f(F[x, y], z), which is
+    f(z, F[x, y]) but for the sign of a zero.  F[y, z] is F[z, y] but for
+    the sign of a zero, and f(x, +0) and f(x, -0) differ at most in the
+    sign of a zero; no such swap changes whether f raises
+    (``CompiledExpr.symmetric``).  So over the six orderings of a, b and
+    c, got and want run through every ordered pair of the three values,
+    and since rounding is monotone, the rounded max - min is their largest
+    rounded difference: the cube violates or raises exactly when some
+    sorted triple does.  When every screen tile passes, so does the cube.
+    Otherwise the mirrored walk runs (and on a raise the unmirrored one),
+    without the tiles whose x-planes all end before the failing screen
+    tile's first a: screen tiles come in order of their first a and cover
+    every sorted triple, so every triple with a smaller least coordinate
+    passed.  The walks keep their tile boundaries, on which the reported
+    error depends."""
     n = len(g)
     fn = getattr(candidate, "fn", None)
     compiled = isinstance(fn, CompiledExpr)
@@ -543,12 +588,37 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
     buffers = [np.empty(size) for _ in range(fn.registers + 2 if compiled else 1)]
     layouts = [np.expand_dims(F, k) for k in range(3)]
 
-    def walk(tiles) -> Witness | None:
+    def views(tile):
+        """A tile's argument columns, and the workspace buffers in its shape."""
+        cols = (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]])
+        shape = tuple(col.size for col in cols)
+        return cols, [b[:math.prod(shape)].reshape(shape) for b in buffers]
+
+    def screen() -> int | None:
+        """The first a of the first screen tile that fails or raises, or None."""
+        for tile in _screen_tiles(n, most):
+            (a, b, c), (lo, hi, value, *scratch) = views(tile)
+            inner = partial(_tile_inner, layouts, tile)
+            try:
+                fn(a, inner(1, 2), regs=[lo, *scratch])
+                fn(b, inner(0, 2), regs=[value, *scratch])
+                np.maximum(lo, value, out=hi)
+                np.minimum(lo, value, out=lo)
+                fn(c, inner(0, 1), regs=[value, *scratch])
+            except (DslError, FuzzySoftError):
+                return tile[0].start
+            np.maximum(hi, value, out=hi)
+            np.minimum(lo, value, out=lo)
+            if not np.subtract(hi, lo, out=hi).max() <= tol:
+                return tile[0].start
+        return None
+
+    def walk(mirror: int | None) -> Witness | None:
         witness = None
-        for tile in tiles:
-            cols = (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]])
-            shape = tuple(col.size for col in cols)
-            diff, *regs = (b[:math.prod(shape)].reshape(shape) for b in buffers)
+        for tile in _cube_tiles(n, most, mirror):
+            if tile[0].stop <= start:
+                continue
+            cols, (diff, *regs) = views(tile)
             if regs:
                 first, second, *scratch = regs
                 f, h = (partial(_call, candidate, regs=[r, *scratch]) for r in (first, second))
@@ -566,12 +636,17 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
             del got, want  # before the next tile's sides are allocated
         return witness
 
+    start = 0
+    if compiled and axiom.screen is not None and axiom.screen(fn):
+        start = screen()
+        if start is None:
+            return None, n ** 3
     try:
-        witness = walk(_cube_tiles(n, most, mirror))
+        witness = walk(mirror)
     except CandidateEvaluationError:
         if mirror is None:
             raise
-        witness = walk(_cube_tiles(n, most))
+        witness = walk(None)
     return witness, n ** 3
 
 

@@ -353,6 +353,9 @@ class CompiledExpr:
     of a zero (``np.minimum(0.0, -0.0)`` is -0.0, and with the operands
     swapped 0.0), and no other operation but ``pow`` (``pow(-0.0, -1)``
     is -inf) turns the sign of a zero into a difference in magnitude.
+    Likewise f(a, +0) and f(a, -0) differ at most in the sign of a zero
+    and raise together, since division by either zero raises; the
+    associativity screen of ``analysis._walk_cube`` rests on both facts.
     """
 
     __slots__ = ("_run", "height", "node", "registers", "symmetric", "variables")

@@ -44,6 +44,7 @@ from fuzzysoft.analysis import (
     _cube_tiles,
     _grid_matrix,
     _locate_failure,
+    _screen_tiles,
     _smallest_violation,
     _sorted_pair,
     _tile_inner,
@@ -984,6 +985,113 @@ def _assert_the_walks_match(kind, text, steps):
     except CandidateEvaluationError:  # the grid matrix raises: no cube is walked
         return
     assert outcome == _cube_outcome(kind, candidate, steps, _full_walk_cube)
+
+
+# --- the sorted-triple screen of associativity -------------------------------------------
+
+@pytest.mark.parametrize("most", [1, 4, 40, 2**10, 2**15])
+def test_screen_tiles_cover_the_sorted_triples_in_order_of_their_first_plane(most):
+    for n in range(2, 41):
+        covered = np.zeros((n, n, n), dtype=bool)
+        first = 0
+        for tile in _screen_tiles(n, most):
+            xs, ys, zs = _ranges(tile, n)
+            assert 0 < len(xs) * len(ys) * len(zs) <= min(n ** 3, max(most, n))
+            assert xs.start >= first
+            first = xs.start
+            covered[xs.start:xs.stop, ys.start:ys.stop, zs.start:zs.stop] = True
+        a, b, c = np.ogrid[:n, :n, :n]
+        assert covered[(a <= b) & (b <= c)].all(), n
+
+
+def test_screen_tiles_at_the_benchmark_grid_are_fewer_than_the_mirrored_walks():
+    assert len(list(_screen_tiles(257))) <= 230
+
+
+#: Symmetric, and NaN where min(x, y) > c: 10**200 squared is inf, and 0 * inf
+#: is NaN.  At a sorted triple whose least coordinate alone is at most c,
+#: the screen's first value is NaN and the other two are that coordinate.
+_NAN_ABOVE = "min(x, y) + 0*(max(min(x, y) - {c}, 0)*%s*%s)" % (("1" + "0" * 200,) * 2)
+
+#: Symmetric expressions with a parameter c, in order: four associative up
+#: to rounding (the last the Hamacher product), one off by up to 1e-10 * c,
+#: one failing above c, one associative at c = 1 only, one raising in the
+#: cube for some c, and one NaN above c; then |x - y| and its negation, in
+#: which two of the screen's three values agree at every sorted triple
+#: (the first two, and the last two).
+_ASSOCIATIVE_FAMILIES = (
+    "x*y*{c}", "x + y - x*y*{c}", "min(min(x, y), {c})", "x*y/({c} + (1 - {c})*(x + y - x*y))",
+    "min(x, y) + x*y*{c}*0.0000000001", _LATE_SYMMETRIC.replace("{t}", "{c}"),
+    "max(x + y - {c}, 0)", _RAISES_IN_THE_CUBE, _NAN_ABOVE,
+    "max(x, y) - min(x, y)", "min(x, y) - max(x, y)",
+)
+
+_symmetric_texts = st.one_of(
+    st.builds(joined_with_its_swap, asts.map(pretty_print), COMMUTATIVE_OPS).map(
+        lambda text: text.replace("pow", "max")),
+    st.builds(str.format, st.sampled_from(_ASSOCIATIVE_FAMILIES),
+              c=st.sampled_from(["0", "0.25", "0.3", "0.5", "0.99", "1", "0.3125", "1.0625",
+                                 "1.4375", "1.863"])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_symmetric_texts, steps=st.sampled_from([2, 3, 7, 16, 40, 100]),
+       tol=st.sampled_from([1e-12, 1e-9, 0.01]))
+def test_the_screen_passes_exactly_when_the_full_walk_finds_nothing(text, steps, tol):
+    candidate = scalar_from_expression(text)
+    assert candidate.fn.symmetric
+    axiom = next(axiom for axiom in _TNORM_AXIOMS if axiom.grid is None)
+    g = grid_points(steps)
+    walked = []
+
+    def outcome(walk):
+        with np.errstate(all="ignore"):
+            try:
+                witness, points = walk(axiom, candidate, F, g, tol)
+            except CandidateEvaluationError as err:
+                return type(err), str(err), repr(err.point)
+        return repr(witness), points
+
+    try:
+        F = _grid_matrix(candidate, g)
+    except CandidateEvaluationError:  # no cube is walked
+        return
+    full = outcome(_full_walk_cube)
+    with mock.patch.object(analysis, "_cube_tiles",
+                           lambda *args: walked.append(args) or _cube_tiles(*args)):
+        assert outcome(_walk_cube) == full
+    assert (not walked) == (full == ("None", len(g) ** 3))
+
+
+@pytest.mark.parametrize("text", [
+    *(_LATE_SYMMETRIC.format(t=t) for t in (0.19, 0.44, 0.8)),
+    *(_RAISES_IN_THE_CUBE.format(c=c) for c in (1.1602999999999999, 1.6563)),
+    _NAN_ABOVE.format(c=0.45),
+])
+def test_a_walk_after_a_failing_screen_tile_keeps_the_tiles_that_reach_its_first_plane(text):
+    # At 100 steps screen tiles start at a-planes 0, 20, 45 and 81, inside
+    # the mirrored tiles of x-planes 18 to 20, 42 to 46 and 75 to 86 (and
+    # the unmirrored one of 18 to 20).  Each candidate but the last first
+    # violates or raises in one of those planes.  The last fails at a = 0
+    # by one NaN value of three, and with all three NaN from a = 0.46 on.
+    _assert_the_walks_match("tnorm", text, 100)
+
+
+def test_a_late_failing_symmetric_walk_screens_most_of_the_cube():
+    candidate = scalar_from_expression(_LATE_SYMMETRIC.format(t=0.99))
+    evaluated = []
+
+    def inner(layouts, tile, i, j):
+        if not evaluated or evaluated[-1] is not tile:
+            evaluated.append(tile)
+        return _tile_inner(layouts, tile, i, j)
+
+    with mock.patch.object(analysis, "_tile_inner", inner):
+        outcome = _cube_outcome("tnorm", candidate, 256)
+    assert outcome == _cube_outcome("tnorm", candidate, 256, _full_walk_cube)
+    assert outcome[2] is False
+    assert len(evaluated) < len(list(_cube_tiles(257, mirror=2))) == 347
 
 
 # --- locating an evaluation error ------------------------------------------------------

@@ -408,7 +408,8 @@ def test_a_symmetric_expression_swaps_its_arguments_up_to_the_sign_of_zero(ast, 
     # An expression joined with its own swap by a commutative operation is
     # symmetric, unless it has a pow.  On every pair of edge values a
     # symmetric expression's swapped call gives the same magnitude, is NaN
-    # when it is, and raises when it does.
+    # when it is, and raises when it does; so does its call with a second
+    # argument of the other sign of zero.
     text = joined_with_its_swap(pretty_print(ast), op) if mirrored else pretty_print(ast)
     compiled = CompiledExpr(parse_scalar(text))
     if mirrored:
@@ -417,11 +418,12 @@ def test_a_symmetric_expression_swaps_its_arguments_up_to_the_sign_of_zero(ast, 
         return
     for a, b in itertools.product(map(float, _EDGE_VALUES), repeat=2):
         ok, value = _outcome(compiled, a, b)
-        ok_swapped, swapped_value = _outcome(compiled, b, a)
-        assert ok_swapped == ok, (a, b)
-        if ok:
-            assert abs(value) == abs(swapped_value) or math.isnan(value) and math.isnan(
-                swapped_value), (a, b, value, swapped_value)
+        for other in [(b, a)] + [(a, -b)] * (b == 0):
+            ok_other, other_value = _outcome(compiled, *other)
+            assert ok_other == ok, (a, b, other)
+            if ok:
+                assert abs(value) == abs(other_value) or math.isnan(value) and math.isnan(
+                    other_value), (a, b, other, value, other_value)
 
 
 def test_pow_turns_the_sign_of_a_zero_into_a_difference_in_magnitude():
