@@ -44,6 +44,22 @@ GRID_256_TCONORMS = ("maximum", "probsum", "boundedsum")
 GRID_256_EXPRS = ("min(x, y) + 0.001*(max(x - 0.99, 0)*max(y - 0.99, 0))",
                   "x*y + 0*(1/(x + y - 1.8338470458984375))")
 
+# Cube walks that fail early, with and without a division: the exchange
+# of the builtin implications at the benchmark grid, then (kind, grid,
+# expression).  Each "1/(x + y - 1.0625)" case violates its axiom first
+# and raises later, in the cube only; "1/(2 + x)" and "1/(3 + x + y)"
+# divide and never raise.
+GRID_256_IMPLICATIONS = ("lukasiewicz-implication", "godel-implication",
+                         "kleene-dienes-implication")
+EARLY_FAILURES = (
+    ("implication", "256", "min(1, 1 - x + y*y)"),
+    ("implication", "256", "min(1, 1 - x + y*y) + 0*(1/(2 + x))"),
+    ("implication", "100", "min(1, 1 - x + y*y) + 0*(1/(x + y - 1.0625))"),
+    ("tnorm", "100", "x*y*y + 0*(1/(x + y - 1.0625))"),
+    ("tnorm", "256", "(x + y)*0.5"),
+    ("tnorm", "256", "(x + y)*0.5 + 0*(1/(3 + x + y))"),
+)
+
 
 def _cases() -> list[list[str]]:
     cases = []
@@ -75,6 +91,10 @@ def _cases() -> list[list[str]]:
             cases.append(["check", "--kind", kind, "--builtin", name, "--grid", "256"])
         for text in GRID_256_EXPRS:
             cases.append(["check", "--kind", kind, "--expr", text, "--grid", "256"])
+    for name in GRID_256_IMPLICATIONS:
+        cases.append(["check", "--kind", "implication", "--builtin", name, "--grid", "256"])
+    for kind, grid, text in EARLY_FAILURES:
+        cases.append(["check", "--kind", kind, "--expr", text, "--grid", grid])
     return [case + ["--format", "json"] for case in cases]
 
 
