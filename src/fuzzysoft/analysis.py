@@ -28,11 +28,11 @@ along each axis (which implies the quantified property on the whole
 grid), plus jointly on sampled pairs of pairs.  Associativity and
 exchange check the full grid cube, so their cost grows with the cube of
 the grid resolution; the default 64 steps gives roughly 275k triples,
-all counted in ``points``.  A compiled expression evaluates only the
-half of the cube where the axiom mirrors onto itself: for exchange, and
-for associativity when the expression is ``symmetric``, which first
-screens the sorted triples, a sixth of the cube, and walks that half
-only when the screen fails (``_walk_cube``).
+all counted in ``points``.  A compiled expression first screens the
+triples onto which the axiom mirrors the rest: exchange its x <= y half,
+and associativity, when the expression is ``symmetric``, its sorted
+triples, a sixth of the cube; the cube is walked only from the first
+plane where the screen fails (``_walk_cube``).
 """
 
 from __future__ import annotations
@@ -354,29 +354,27 @@ def _adjacent(F: np.ndarray, g: np.ndarray, axis: int) -> tuple:
     return (g[:, None], g[None, :-1], g[:, None], g[None, 1:]), F[:, :-1], F[:, 1:]
 
 
-def _cube_tiles(n: int, most: int = CUBE_TILE_POINTS, mirror: int | None = None):
+def _cube_tiles(n: int, most: int = CUBE_TILE_POINTS, mirror: bool = False):
     """The grid cube of ``n`` points a side as index ranges (xs, ys, zs) in
     C order, each tile at most ``max(most, n)`` points: a block of
     x-planes, or, when one plane is larger than ``most``, a block of
-    y-rows inside one plane.  With ``mirror`` (1 for y, 2 for z) a tile's
-    mirror axis starts at its first x-plane a, which leaves n * (n - a)
-    points a plane, and tiles are sized by that clipped extent; the
-    tiles cover every triple whose mirror coordinate is at least its x
-    (347 tiles at 256 steps, where the full cube takes 771).  Without,
-    every axis not tiled spans the grid."""
+    y-rows inside one plane; z spans the grid.  With ``mirror`` y starts
+    at the tile's first x-plane a, which leaves n * (n - a) points a
+    plane, and tiles are sized by that clipped extent; they cover every
+    triple with x <= y (347 tiles at 256 steps, where the full cube takes
+    771)."""
     x = 0
     while x < n:
-        clip = 0 if mirror is None else x
-        yz = [slice(x if axis == mirror else None, None) for axis in (1, 2)]
+        clip = x if mirror else 0
         plane = n * (n - clip)
         if plane <= most:
             block = most // plane
-            yield slice(x, x + block), *yz
+            yield slice(x, x + block), slice(x if mirror else None, None), slice(None)
             x += block
         else:
-            rows = max(1, most // (n - clip if mirror == 2 else n))
-            for y in range(clip if mirror == 1 else 0, n, rows):
-                yield slice(x, x + 1), slice(y, y + rows), yz[1]
+            rows = max(1, most // n)
+            for y in range(clip, n, rows):
+                yield slice(x, x + 1), slice(y, y + rows), slice(None)
             x += 1
 
 
@@ -438,12 +436,11 @@ class _Axiom(Record):
     ``None`` the axiom walks the grid cube, its relation is "==", and its
     sides are ``sides(f, h, inner, x, y, z)``: got is a call of f and want
     a call of h (the candidate, each side with its own output), and
-    ``inner(i, j)`` is f at argument columns i and j.  ``mirror(fn)`` is
-    the axis (1 for y, 2 for z) that ``_walk_cube`` may fold onto x for
-    the compiled expression ``fn``, or None.  ``screen(fn)`` is true when
-    the axiom holds on the cube for ``fn`` exactly when f(a, f(b, c)),
-    f(b, f(a, c)) and f(c, f(a, b)) agree at every sorted triple
-    a <= b <= c, which ``_walk_cube`` then checks first."""
+    ``inner(i, j)`` is f at argument columns i and j.  ``screen(fn)`` is
+    None or (tiles, count) for the compiled expression ``fn``: the cube
+    violates or raises exactly when, at some triple of ``tiles(n, most)``,
+    the first ``count`` of f(a, F[b, c]), f(b, F[a, c]) and f(c, F[a, b])
+    spread beyond the tolerance or raise (``_walk_cube``)."""
 
     label: str
     description: str
@@ -451,7 +448,6 @@ class _Axiom(Record):
     grid: Callable | None
     draw: Callable | None
     sides: Callable
-    mirror: Callable | None = None
     screen: Callable | None = None
 
 
@@ -484,7 +480,7 @@ def _binary_axioms(unit: float, name: str) -> tuple[_Axiom, ...]:
                lambda f, x, y: (f(x, y), f(y, x))),
         _Axiom("iv", "associativity f(x, f(y, z)) = f(f(x, y), z)", "==", None, _uniform(3),
                lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(inner(0, 1), z)),
-               lambda fn: 2 if fn.symmetric else None, lambda fn: fn.symmetric),
+               lambda fn: (_screen_tiles, 3) if fn.symmetric else None),
         _Axiom("v", "monotonicity: f(x1, y1) <= f(x2, y2) whenever x1 <= x2 and y1 <= y2",
                "<=", lambda F, g: (_adjacent(F, g, 0), _adjacent(F, g, 1)),
                _pair_draw(True, True), _pair_sides),
@@ -505,7 +501,8 @@ _IMPLICATION_AXIOMS = (
     _Axiom("iv", "boundary h(0, y) = 1", "==", lambda F, g: (((0.0, g), F[0, :], 1.0),),
            lambda rng, m: (0.0, rng.random(m)), lambda f, x, y: (f(x, y), 1.0)),
     _Axiom("v", "exchange h(x, h(y, z)) = h(y, h(x, z))", "==", None, _uniform(3),
-           lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(y, inner(0, 2))), lambda fn: 1),
+           lambda f, h, inner, x, y, z: (f(x, inner(1, 2)), h(y, inner(0, 2))),
+           lambda fn: (partial(_cube_tiles, mirror=True), 2)),
 )
 
 _ENDS = np.array([1.0, 0.0])
@@ -526,63 +523,49 @@ _NEGATION_AXIOMS = (
 
 def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
                tol: float) -> tuple[Witness | None, int]:
-    """(witness, points) of an axiom over the grid cube, walked tile by tile
-    in C order, under the caller's ``np.errstate``; points counts all n**3
-    triples, walked or not.
+    """(witness, points) of an axiom over the grid cube, under the caller's
+    ``np.errstate``; points counts all n**3 triples, walked or not.
 
-    The walk owns one workspace: flat buffers the size of the largest
-    tile, viewed per tile, for a tile's |got - want| and, for a compiled
-    expression (every builtin, parsed expression and dual), the register
-    files of its two sides (a first register each, the rest shared), so a
-    tile allocates no tile-sized array.  Any other candidate (an ``fn``
-    that is not a ``CompiledExpr``) is called as usual, on half-size
-    tiles (``CUBE_TILE_POINTS`` gives the reasons).  A tile passes when
-    its largest difference is at most ``tol`` and its smallest at least
-    ``-tol`` (NaN fails); only a failing tile builds its mask.
+    The witness and any evaluation error come from one walk over the tiles
+    of ``_cube_tiles`` in C order, got before want in each: the first tile
+    that violates holds the smallest violation, and the first that raises
+    names the error.  The walk owns one workspace: flat buffers the size of
+    the largest tile, viewed per tile, for a tile's |got - want| and, for a
+    compiled expression (every builtin, parsed expression and dual), the
+    register files of its two sides (a first register each, the rest
+    shared), so a tile allocates no tile-sized array.  Any other candidate
+    (an ``fn`` that is not a ``CompiledExpr``) is called as usual on
+    half-size tiles (``CUBE_TILE_POINTS`` gives the reasons) over the whole
+    cube.  A tile passes when its largest difference is at most ``tol`` and
+    its smallest at least ``-tol`` (NaN fails); only a failing tile builds
+    its mask.
 
-    A compiled expression walks half the cube where the axiom mirrors
-    onto itself (``_Axiom.mirror``).  Exchange does for every expression:
-    swapping x and y swaps its got and want.  Associativity does for a
-    ``symmetric`` expression: swapping x and z swaps its got and want up
-    to the sign of a zero (``CompiledExpr.symmetric``).  A mirrored triple
-    then has the same |got - want|, is NaN when it is, and raises when it
-    does, so the smallest violating or raising triple has x no larger than
-    its mirror coordinate.  The walk takes the mirrored tiles of
-    ``_cube_tiles``, sized by their clipped extent: they come in C order
-    and cover every such triple, so the first tile that violates holds
-    the smallest violation, the full walk's witness.  Which side an error
-    is reported from depends on where tiles end, though: a mirrored tile
-    can reach past the unmirrored tile that raises first, and hold a got
-    side that raises beyond it.  So when a mirrored walk raises, the cube
-    is walked again unmirrored, which raises at the full walk's point,
-    got before want.
+    A compiled expression's screen (``_Axiom.screen``) decides where the
+    walk starts.  Exchange swaps got and want when x and y swap, so on the
+    x <= y half f(a, F[b, c]) and f(b, F[a, c]) are got and want of every
+    triple.  Associativity of a ``symmetric`` expression is screened on the
+    sorted triples a <= b <= c (``_screen_tiles``): at (x, y, z), want
+    f(F[x, y], z) is f(z, F[x, y]), F[y, z] is F[z, y] and f(x, +0) is
+    f(x, -0), each but for the sign of a zero, which changes no magnitude
+    and no raise (``CompiledExpr.symmetric``), so over a triple's six
+    orderings got and want run through every pair of f(a, F[b, c]),
+    f(b, F[a, c]) and f(c, F[a, b]).  A screen tile passes when the spread
+    of its values, max - min, is at most ``tol`` (NaN fails), which is
+    their largest difference since rounding is monotone; the workspace
+    holds their running minimum and maximum, the value just evaluated and
+    the scratch registers.  So the cube violates or raises
+    exactly when a screen tile does.  Screen tiles come in order of their
+    first a, so every triple whose least screened coordinate lies below the
+    first failing plane, or below the first a of a tile that raises, passed:
+    the walk skips each tile whose x or y all lie below it.
 
-    Associativity of a symmetric expression (``_Axiom.screen``) is first
-    screened on the sorted triples a <= b <= c alone (``_screen_tiles``),
-    a sixth of the cube, at three values each: f(a, F[b, c]),
-    f(b, F[a, c]) and f(c, F[a, b]).  The workspace's first two buffers
-    keep their running minimum and maximum, the third the value just
-    evaluated, and the rest are its scratch registers; a tile passes when
-    max - min is at most ``tol`` (NaN fails).  The screen is exact.  At
-    (x, y, z), got is f(x, F[y, z]) and want is f(F[x, y], z), which is
-    f(z, F[x, y]) but for the sign of a zero.  F[y, z] is F[z, y] but for
-    the sign of a zero, and f(x, +0) and f(x, -0) differ at most in the
-    sign of a zero; no such swap changes whether f raises
-    (``CompiledExpr.symmetric``).  So over the six orderings of a, b and
-    c, got and want run through every ordered pair of the three values,
-    and since rounding is monotone, the rounded max - min is their largest
-    rounded difference: the cube violates or raises exactly when some
-    sorted triple does.  When every screen tile passes, so does the cube.
-    Otherwise the mirrored walk runs (and on a raise the unmirrored one),
-    without the tiles whose x-planes all end before the failing screen
-    tile's first a: screen tiles come in order of their first a and cover
-    every sorted triple, so every triple with a smaller least coordinate
-    passed.  The walks keep their tile boundaries, on which the reported
-    error depends."""
+    The walk stops at its witness tile unless a later one may raise.  Only
+    division raises (``CompiledExpr.divides``), so the screen of an
+    expression that divides runs to its end, past its failures without
+    comparing, to learn whether a tile raises."""
     n = len(g)
     fn = getattr(candidate, "fn", None)
     compiled = isinstance(fn, CompiledExpr)
-    mirror = axiom.mirror(fn) if compiled else None
     most = CUBE_TILE_POINTS if compiled else CUBE_TILE_POINTS // 2
     size = min(n ** 3, max(most, n))
     buffers = [np.empty(size) for _ in range(fn.registers + 2 if compiled else 1)]
@@ -594,9 +577,13 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
         shape = tuple(col.size for col in cols)
         return cols, [b[:math.prod(shape)].reshape(shape) for b in buffers]
 
-    def screen() -> int | None:
-        """The first a of the first screen tile that fails or raises, or None."""
-        for tile in _screen_tiles(n, most):
+    def screen(tiles, count: int) -> tuple[int | None, bool]:
+        """The first plane a at which a screen tile fails or raises (None if
+        none does), and whether some tile raises."""
+        start = n
+        for tile in tiles(n, most):
+            if tile[0].start >= start and not fn.divides:
+                break
             (a, b, c), (lo, hi, value, *scratch) = views(tile)
             inner = partial(_tile_inner, layouts, tile)
             try:
@@ -604,49 +591,44 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
                 fn(b, inner(0, 2), regs=[value, *scratch])
                 np.maximum(lo, value, out=hi)
                 np.minimum(lo, value, out=lo)
-                fn(c, inner(0, 1), regs=[value, *scratch])
+                if count == 3:
+                    fn(c, inner(0, 1), regs=[value, *scratch])
+                    np.maximum(hi, value, out=hi)
+                    np.minimum(lo, value, out=lo)
             except (DslError, FuzzySoftError):
-                return tile[0].start
-            np.maximum(hi, value, out=hi)
-            np.minimum(lo, value, out=lo)
-            if not np.subtract(hi, lo, out=hi).max() <= tol:
-                return tile[0].start
-        return None
+                return tile[0].start, True
+            # A tile past the first failing plane only learns whether it raises.
+            if tile[0].start < start and not np.subtract(hi, lo, out=hi).max() <= tol:
+                first_failing = int(np.argmin((hi <= tol).all(axis=(1, 2))))
+                start = min(start, tile[0].start + first_failing)
+        return (None if start == n else start), False
 
-    def walk(mirror: int | None) -> Witness | None:
-        witness = None
-        for tile in _cube_tiles(n, most, mirror):
-            if tile[0].stop <= start:
-                continue
-            cols, (diff, *regs) = views(tile)
-            if regs:
-                first, second, *scratch = regs
-                f, h = (partial(_call, candidate, regs=[r, *scratch]) for r in (first, second))
-            else:
-                f = h = partial(_call, candidate)
-            got, want = axiom.sides(f, h, partial(_tile_inner, layouts, tile), *cols)
-            # C order over an increasing grid is lexicographic order: once a
-            # tile has given the witness, no later tile holds a strictly
-            # smaller tuple, so later tiles are evaluated only.
-            if witness is None:
-                np.subtract(got, want, out=diff)
-                if not (diff.max() <= tol and diff.min() >= -tol):
-                    bad = ~(np.abs(diff, out=diff) <= tol)
-                    witness = _smallest_violation(cols, got, want, bad, "==")[1]
-            del got, want  # before the next tile's sides are allocated
-        return witness
-
-    start = 0
-    if compiled and axiom.screen is not None and axiom.screen(fn):
-        start = screen()
+    start, may_raise = 0, not compiled or fn.divides
+    if compiled and (plan := axiom.screen(fn)):
+        start, may_raise = screen(*plan)
         if start is None:
             return None, n ** 3
-    try:
-        witness = walk(mirror)
-    except CandidateEvaluationError:
-        if mirror is None:
-            raise
-        witness = walk(None)
+    witness = None
+    for tile in _cube_tiles(n, most):
+        if min(tile[0].stop, tile[1].stop or n) <= start:
+            continue
+        cols, (diff, *regs) = views(tile)
+        if regs:
+            f, h = (partial(_call, candidate, regs=[r, *regs[2:]]) for r in regs[:2])
+        else:
+            f = h = partial(_call, candidate)
+        got, want = axiom.sides(f, h, partial(_tile_inner, layouts, tile), *cols)
+        # C order over an increasing grid is lexicographic order: once a
+        # tile has given the witness, no later tile holds a strictly
+        # smaller tuple, so later tiles are only evaluated, to raise.
+        if witness is None:
+            np.subtract(got, want, out=diff)
+            if not (diff.max() <= tol and diff.min() >= -tol):
+                bad = ~(np.abs(diff, out=diff) <= tol)
+                witness = _smallest_violation(cols, got, want, bad, "==")[1]
+                if not may_raise:
+                    break
+        del got, want  # before the next tile's sides are allocated
     return witness, n ** 3
 
 

@@ -356,13 +356,17 @@ class CompiledExpr:
     Likewise f(a, +0) and f(a, -0) differ at most in the sign of a zero
     and raise together, since division by either zero raises; the
     associativity screen of ``analysis._walk_cube`` rests on both facts.
+
+    ``divides``: the expression has a ``/``.  Division is the one
+    operation that raises once both variables are bound, so without one
+    an evaluation on arrays never raises.
     """
 
-    __slots__ = ("_run", "height", "node", "registers", "symmetric", "variables")
+    __slots__ = ("_run", "divides", "height", "node", "registers", "symmetric", "variables")
 
     def __init__(self, node: ScalarExpr):
         self.node = node
-        self._run, top, self.variables, self.height = _compile(node, 0)
+        self._run, top, self.variables, self.height, self.divides = _compile(node, 0)
         self.registers = max(1, top + 1)
         form = _commuted_form(node, False)
         self.symmetric = form is not None and form == _commuted_form(node, True)
@@ -381,13 +385,14 @@ class CompiledExpr:
 
 
 def _compile(node: ScalarExpr, r: int):
-    """``(run, top, names, height)``: ``run(x, y, regs)`` evaluates
-    ``node`` as register r, ``top`` is the highest register it writes, -1
-    for a leaf, ``names`` maps each variable it reads to its left-most
-    ``Var``, and ``height`` counts its levels above the leaves."""
+    """``(run, top, names, height, divides)``: ``run(x, y, regs)``
+    evaluates ``node`` as register r, ``top`` is the highest register it
+    writes, -1 for a leaf, ``names`` maps each variable it reads to its
+    left-most ``Var``, ``height`` counts its levels above the leaves, and
+    ``divides`` tells whether it has a ``/``."""
     if isinstance(node, Num):
         value = node.value
-        return (lambda x, y, regs: value), -1, {}, 0
+        return (lambda x, y, regs: value), -1, {}, 0, False
     if isinstance(node, Var):
         first, name, span = node.name == "x", node.name, node.span
 
@@ -396,7 +401,7 @@ def _compile(node: ScalarExpr, r: int):
             if bound is None:
                 raise UnboundVariableError(f"variable {name!r} is not bound", span)
             return bound
-        return run_var, -1, {name: node}, 0
+        return run_var, -1, {name: node}, 0, False
     if isinstance(node, Neg):
         kids, ufunc = (node.operand,), np.negative
     elif isinstance(node, BinOp):
@@ -406,16 +411,17 @@ def _compile(node: ScalarExpr, r: int):
     else:
         raise TypeError(f"not a scalar expression node: {node!r}")
     compiled = [_compile(kid, r + i) for i, kid in enumerate(kids)]
-    top = max(r, *(kid_top for _, kid_top, _, _ in compiled))
-    names = {name: var for _, _, kid_names, _ in reversed(compiled)
+    top = max(r, *(kid_top for _, kid_top, *_ in compiled))
+    names = {name: var for _, _, kid_names, *_ in reversed(compiled)
              for name, var in kid_names.items()}
-    height = 1 + max(kid_height for *_, kid_height in compiled)
+    height = 1 + max(kid_height for *_, kid_height, _ in compiled)
+    below = any(kid_divides for *_, kid_divides in compiled)
     if len(compiled) == 1:
         operand = compiled[0][0]
 
         def run_unary(x, y, regs):
             return ufunc(operand(x, y, regs), out=None if regs is None else regs[r])
-        return _in_own_shape(run_unary, names, r), top, names, height
+        return _in_own_shape(run_unary, names, r), top, names, height, below
     (left, *_), (right, *_) = compiled
     divides, span = ufunc is np.divide, node.span
 
@@ -425,7 +431,7 @@ def _compile(node: ScalarExpr, r: int):
         if divides and not np.all(b):  # some divisor is 0 or -0
             raise DivisionByZeroError("division by zero", span)
         return ufunc(a, b, out=None if regs is None else regs[r])
-    return _in_own_shape(run_binary, names, r), top, names, height
+    return _in_own_shape(run_binary, names, r), top, names, height, divides or below
 
 
 def substitute(node: ScalarExpr, replace) -> ScalarExpr:

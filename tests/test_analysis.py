@@ -819,7 +819,7 @@ def _ranges(tile, n):
     return [range(*axis.indices(n)) for axis in tile]
 
 
-@pytest.mark.parametrize("mirror", [1, 2])
+@pytest.mark.parametrize("mirror", [1])
 @pytest.mark.parametrize("n, most", [(2, 2**15), (3, 4), (17, 2**15), (17, 40), (101, 2**15),
                                      (182, 2**15), (257, 2**15), (257, 2**14), (300, 2**15)])
 def test_mirrored_cube_tiles_cover_the_half_cube_in_c_order(mirror, n, most):
@@ -841,15 +841,15 @@ def test_mirrored_cube_tiles_cover_the_half_cube_in_c_order(mirror, n, most):
     assert covered[np.broadcast_to(half, covered.shape)].all()
 
 
-@pytest.mark.parametrize("mirror", [1, 2])
+@pytest.mark.parametrize("mirror", [1])
 def test_mirrored_cube_tiles_at_the_benchmark_grid_are_about_half(mirror):
     assert len(list(_cube_tiles(257))) == 771
     assert len(list(_cube_tiles(257, mirror=mirror))) <= 350
 
 
 def _full_walk_cube(axiom, candidate, F, g, tol):
-    """Reference: the cube walk with every tile whole, as it ran before a
-    mirrored axiom walked half the cube."""
+    """Reference: the cube walk over every tile of the whole cube, with no
+    screen and no early stop."""
     n = len(g)
     compiled = isinstance(getattr(candidate, "fn", None), CompiledExpr)
     most = CUBE_TILE_POINTS if compiled else CUBE_TILE_POINTS // 2
@@ -948,6 +948,8 @@ def test_a_mirrored_walk_matches_the_full_walk_on_random_expressions(kind, text,
 
 @pytest.mark.parametrize("text", [
     "max(x + y - 1, 0)", "min(1, 1 - x + y)", _LATE_SYMMETRIC.format(t=0.99),
+    # Fails first at (253, 253, 254) / 256, in the tile of y-rows 127 to 253.
+    _LATE_SYMMETRIC.format(t=0.985),
     # Raises first at (231, 241, 252) / 256, in the second side, inside the
     # mirrored associativity tile of x-planes 228 to 231.
     _RAISES_IN_THE_CUBE.format(c=1.8338470458984375),
@@ -958,24 +960,6 @@ def test_a_mirrored_walk_matches_the_full_walk_at_the_benchmark_grid(text, kind)
     # two or three y-row tiles a plane up to x-plane 129, then blocks of
     # whole clipped planes, against three y-row tiles in every plane.
     _assert_the_walks_match(kind, text, 256)
-
-
-def test_a_mirrored_walk_that_raises_reports_the_point_of_the_full_walk():
-    # The first raising triple, (0.9, 0.97, 0.99), raises in the second
-    # side only, and the unmirrored tile that holds it (x-planes 90 to 92)
-    # raises in no first side.  The mirrored tile that holds it spans
-    # x-planes 87 to 100, and its first side raises at (0.97, 0.94, 0.95):
-    # a walk of mirrored tiles alone would name that point.
-    candidate = scalar_from_expression(_RAISES_IN_THE_CUBE.format(c=1.863))
-    outcome = _cube_outcome("tnorm", candidate, 100)
-    assert outcome == _cube_outcome("tnorm", candidate, 100, _full_walk_cube)
-    assert outcome[2] == repr((0.9 * 0.97, 0.99))
-    assert [t[0] for t in _cube_tiles(101, mirror=2) if t[0].start <= 90 < t[0].stop] == [
-        slice(87, 110)]
-    mirrored_only = partial(_cube_tiles, mirror=2)
-    with mock.patch.object(analysis, "_cube_tiles", lambda n, most, mirror=None:
-                           mirrored_only(n, most)):
-        assert _cube_outcome("tnorm", candidate, 100)[2] == repr((0.97, 0.94 * 0.95))
 
 
 def _assert_the_walks_match(kind, text, steps):
@@ -1091,7 +1075,122 @@ def test_a_late_failing_symmetric_walk_screens_most_of_the_cube():
         outcome = _cube_outcome("tnorm", candidate, 256)
     assert outcome == _cube_outcome("tnorm", candidate, 256, _full_walk_cube)
     assert outcome[2] is False
-    assert len(evaluated) < len(list(_cube_tiles(257, mirror=2))) == 347
+    assert len(evaluated) < len(list(_cube_tiles(257, mirror=True))) == 347
+
+
+# --- the exchange screen, and where the walk stops ----------------------------------------
+
+#: Implications with a parameter c, in order: Łukasiewicz and Reichenbach,
+#: which exchange at c = 1 only; Kleene-Dienes capped at c, which exchanges
+#: for c >= 1; one failing early, and raising in the cube for some c; one
+#: exchanging, and raising in the cube for some c; and Kleene-Dienes, NaN
+#: where min(x, y) > c.
+_EXCHANGE_FAMILIES = (
+    "min(1, {c} - x + y)", "1 - x + {c}*x*y", "max(1 - x, min(y, {c}))",
+    "min(1, 1 - x + y*y) + 0*(1/(x + y - {c}))", "1 - x + x*y + 0*(1/(x + y - {c}))",
+    _NAN_ABOVE.replace("min(x, y) + ", "max(1 - x, y) + "),
+)
+
+_exchange_texts = st.one_of(
+    asts.map(pretty_print),
+    st.builds(str.format, st.sampled_from(_EXCHANGE_FAMILIES),
+              c=st.sampled_from(["0", "0.25", "0.5", "0.99", "1", "1.0625", "1.4375", "1.863"])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_exchange_texts, steps=st.sampled_from([2, 3, 7, 16, 40, 100]),
+       tol=st.sampled_from([1e-12, 1e-9, 0.01]))
+def test_the_exchange_screen_passes_exactly_when_the_full_walk_finds_nothing(text, steps, tol):
+    candidate = scalar_from_expression(text)
+    axiom = next(axiom for axiom in _IMPLICATION_AXIOMS if axiom.grid is None)
+    g = grid_points(steps)
+    mirrored = []  # one entry per call of _cube_tiles: the screen's True, the walk's False
+
+    def outcome(walk):
+        with np.errstate(all="ignore"):
+            try:
+                witness, points = walk(axiom, candidate, F, g, tol)
+            except CandidateEvaluationError as err:
+                return type(err), str(err), repr(err.point)
+        return repr(witness), points
+
+    try:
+        F = _grid_matrix(candidate, g)
+    except CandidateEvaluationError:  # no cube is walked
+        return
+    full = outcome(_full_walk_cube)
+    with mock.patch.object(analysis, "_cube_tiles", lambda n, most, mirror=False:
+                           mirrored.append(mirror) or _cube_tiles(n, most, mirror)):
+        assert outcome(_walk_cube) == full
+    assert mirrored[0] is True
+    assert (False not in mirrored) == (full == ("None", len(g) ** 3))
+
+
+def _walked_tiles(kind, text, steps):
+    """The cube check of ``text`` (or its error), and the tiles at which it
+    evaluated the candidate, screen tiles first, in order."""
+    candidate = scalar_from_expression(text)
+    check_fn, label = _CUBE_CHECKS[kind]
+    tiles = []
+
+    def inner(layouts, tile, i, j):
+        if not tiles or tiles[-1] is not tile:
+            tiles.append(tile)
+        return _tile_inner(layouts, tile, i, j)
+
+    with mock.patch.object(analysis, "_tile_inner", inner):
+        try:
+            check = check_fn(candidate, CheckConfig(grid_steps=steps, random_samples=0))
+        except CandidateEvaluationError as err:
+            return err, tiles
+    return check.check(label), tiles
+
+
+@pytest.mark.parametrize("kind, text, steps, screen_tiles, walk_tiles", [
+    ("tnorm", "x*y*y", 100, 0, 1),  # not symmetric, so not screened
+    ("tnorm", "(x + y)*0.5", 256, 1, 1),
+    # Fails first at (1, 241, 0) / 256, in the fifth screen tile (x-plane 1,
+    # y from 128), and in the fifth tile of the walk (x-plane 1, y to 253).
+    ("implication", "min(1, 1 - x + y*y)", 256, 5, 2),
+    # Fails first at x-plane 254, inside the last screen tile (a from 247),
+    # so the walk evaluates one tile: x-plane 254, y from 254.
+    ("tnorm", _LATE_SYMMETRIC.format(t=0.99), 256, 207, 1),
+])
+def test_a_walk_that_cannot_raise_stops_at_its_witness_tile(kind, text, steps, screen_tiles,
+                                                             walk_tiles):
+    assert not scalar_from_expression(text).fn.divides
+    check, tiles = _walked_tiles(kind, text, steps)
+    assert len(tiles) == screen_tiles + walk_tiles
+    walk = list(_cube_tiles(steps + 1))
+    assert tiles[-1] == walk[_tile_of(check.witness.args, steps)]
+    assert len(walk) == (34 if steps == 100 else 771)
+
+
+@pytest.mark.parametrize("kind, text, steps, point, tiles_walked", [
+    # Not symmetric, so not screened: the walk finds its witness in its
+    # first tile and walks on to the sixth (x-planes 15 to 17), which raises.
+    ("tnorm", "x*y*y + 0*(1/(x + y - 1.0625))", 100, (0.16, 0.9025), 6),
+    # The screen raises in its first tile, so the walk, from x-plane 0,
+    # raises in its first tile too, in the second side, at
+    # h(0.07, F[0.01, 0.05]).
+    ("implication", "min(1, 1 - x + y*y) + 0*(1/(x + y - 1.0625))", 100,
+     (0.07, 0.9924999999999999), 2),
+    # Symmetric: the screen fails in its first tile and raises in its last
+    # of 8 (a from 31), since x*y is 8001/8192 only at (63/64, 127/128), so
+    # the walk goes from the tile of x-plane 31 to the one of 63 and 64.
+    ("tnorm", "(x + y)*0.5 + 0*(1/(x*y - 0.9766845703125))", 64, (0.984375, 0.9921875), 14),
+])
+def test_a_walk_that_may_raise_goes_on_past_its_witness(kind, text, steps, point, tiles_walked):
+    candidate = scalar_from_expression(text)
+    outcome = _cube_outcome(kind, candidate, steps)
+    assert outcome == _cube_outcome(kind, candidate, steps, _full_walk_cube)
+    assert outcome[0] is CandidateEvaluationError and outcome[2] == repr(point)
+    error, tiles = _walked_tiles(kind, text, steps)
+    assert error.point == point and len(tiles) == tiles_walked
+    # Without its division the candidate fails in the first tile.
+    check, _ = _walked_tiles(kind, text.split(" + 0*(1/")[0], steps)
+    assert _tile_of(check.witness.args, steps) == 0
 
 
 # --- locating an evaluation error ------------------------------------------------------

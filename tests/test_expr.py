@@ -393,6 +393,19 @@ def test_compiled_expression_knows_whether_it_is_symmetric(text, symmetric):
     assert CompiledExpr(parse_scalar(text)).symmetric is symmetric
 
 
+@settings(max_examples=300, deadline=None)
+@given(ast=asts)
+def test_an_expression_that_does_not_divide_never_raises_on_bound_variables(ast):
+    # The cube walk stops at its witness tile when nothing can raise.
+    compiled = CompiledExpr(parse_scalar(pretty_print(ast)))
+    assert compiled.divides is ("/" in pretty_print(ast))
+    if not compiled.divides:
+        x, y = np.meshgrid(_EDGE_VALUES, _EDGE_VALUES)
+        regs = [np.empty(x.shape) for _ in range(compiled.registers)]
+        with np.errstate(all="ignore"):
+            compiled(x, y, regs=regs)
+
+
 def joined_with_its_swap(text: str, op: str) -> str:
     """``text`` and its x-y swap as the operands of a commutative ``op``."""
     swapped = re.sub(r"\b[xy]\b", lambda m: "y" if m.group() == "x" else "x", text)
