@@ -562,7 +562,7 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
     The walk stops at its witness tile unless a later one may raise.  Only
     division raises (``CompiledExpr.divides``), so the screen of an
     expression that divides runs to its end, past its failures without
-    comparing, to learn whether a tile raises."""
+    folding, to learn whether a tile raises."""
     n = len(g)
     fn = getattr(candidate, "fn", None)
     compiled = isinstance(fn, CompiledExpr)
@@ -586,19 +586,22 @@ def _walk_cube(axiom: _Axiom, candidate, F: np.ndarray, g: np.ndarray,
                 break
             (a, b, c), (lo, hi, value, *scratch) = views(tile)
             inner = partial(_tile_inner, layouts, tile)
+            # A tile past the first failing plane only learns whether it raises.
+            folds = tile[0].start < start
             try:
                 fn(a, inner(1, 2), regs=[lo, *scratch])
                 fn(b, inner(0, 2), regs=[value, *scratch])
-                np.maximum(lo, value, out=hi)
-                np.minimum(lo, value, out=lo)
+                if folds:
+                    np.maximum(lo, value, out=hi)
+                    np.minimum(lo, value, out=lo)
                 if count == 3:
                     fn(c, inner(0, 1), regs=[value, *scratch])
-                    np.maximum(hi, value, out=hi)
-                    np.minimum(lo, value, out=lo)
+                    if folds:
+                        np.maximum(hi, value, out=hi)
+                        np.minimum(lo, value, out=lo)
             except (DslError, FuzzySoftError):
                 return tile[0].start, True
-            # A tile past the first failing plane only learns whether it raises.
-            if tile[0].start < start and not np.subtract(hi, lo, out=hi).max() <= tol:
+            if folds and not np.subtract(hi, lo, out=hi).max() <= tol:
                 first_failing = int(np.argmin((hi <= tol).all(axis=(1, 2))))
                 start = min(start, tile[0].start + first_failing)
         return (None if start == n else start), False

@@ -35,9 +35,9 @@ from .errors import (
 )
 from .expr import (
     MAX_DEPTH,
-    BinOp,
     CompiledExpr,
     Num,
+    Op,
     ScalarExpr,
     format_number,
     parse_scalar,
@@ -247,8 +247,8 @@ def dual_of(scalar: ScalarConnective) -> ScalarConnective:
     inner = scalar.fn
     if isinstance(inner, CompiledExpr) and inner.height + 2 <= MAX_DUAL_HEIGHT:
         span = inner.node.span
-        body = substitute(inner.node, lambda var: BinOp("-", Num(1.0, var.span), var, var.span))
-        fn = CompiledExpr(BinOp("-", Num(1.0, span), body, span))
+        body = substitute(inner.node, lambda var: Op("-", (Num(1.0, var.span), var), var.span))
+        fn = CompiledExpr(Op("-", (Num(1.0, span), body), span))
     else:
         def fn(x, y):
             return 1.0 - inner(1.0 - x, 1.0 - y)

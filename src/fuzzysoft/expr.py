@@ -11,6 +11,9 @@ Grammar (full EBNF in docs/grammar.md):
             | "abs" "(" expr ")"
             | "(" expr ")"
 
+A parse is a tree of three node kinds: ``Num``, ``Var`` and ``Op``, an
+operator or function on its operands (unary minus is ``Op("-", (x,))``).
+
 Numbers are plain decimals of ASCII digits with an optional fraction;
 exponent notation is rejected so test vectors stay human-auditable.
 Identifiers start with a ``str.isalpha()`` character or ``_`` and continue
@@ -149,28 +152,17 @@ class Var(SyntaxNode):
     span: SourceSpan
 
 
-class Neg(SyntaxNode):
-    operand: "ScalarExpr"
-    span: SourceSpan
-
-
-class BinOp(SyntaxNode):
+class Op(SyntaxNode):
     op: str
-    left: "ScalarExpr"
-    right: "ScalarExpr"
-    span: SourceSpan
-
-
-class Call(SyntaxNode):
-    func: str
     args: tuple["ScalarExpr", ...]
     span: SourceSpan
 
 
-ScalarExpr = Union[Num, Var, Neg, BinOp, Call]
+ScalarExpr = Union[Num, Var, Op]
 
 #: Each binary operator and function to the ufunc that computes it; a
-#: function takes the ufunc's ``nin`` arguments.  ``Neg`` is ``np.negative``.
+#: function takes the ufunc's ``nin`` arguments.  Unary minus is
+#: ``np.negative``.
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
            "min": np.minimum, "max": np.maximum, "pow": np.power, "abs": np.absolute}
 _VARIABLES = ("x", "y")
@@ -259,7 +251,7 @@ class _ScalarParser:
             right = parse_operand()
             height = max(height, self.height) + 1
             self.check_depth(self.depth + height, tok)
-            node = BinOp(tok.text, node, right, node.span.merge(right.span))
+            node = Op(tok.text, (node, right), node.span.merge(right.span))
 
     def parse_factor(self) -> ScalarExpr:
         tok = self.peek()
@@ -267,7 +259,7 @@ class _ScalarParser:
             self.advance()
             with self.level(tok):
                 operand = self.parse_factor()
-            return Neg(operand, tok.span.merge(operand.span))
+            return Op("-", (operand,), tok.span.merge(operand.span))
         return self.parse_atom()
 
     def parse_atom(self) -> ScalarExpr:
@@ -313,7 +305,7 @@ class _ScalarParser:
                 f"{func} takes exactly {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
                 name_tok.span.merge(close.span),
             )
-        return Call(func, tuple(args), name_tok.span.merge(close.span))
+        return Op(func, tuple(args), name_tok.span.merge(close.span))
 
 
 def parse_scalar(text: str) -> ScalarExpr:
@@ -402,15 +394,10 @@ def _compile(node: ScalarExpr, r: int):
                 raise UnboundVariableError(f"variable {name!r} is not bound", span)
             return bound
         return run_var, -1, {name: node}, 0, False
-    if isinstance(node, Neg):
-        kids, ufunc = (node.operand,), np.negative
-    elif isinstance(node, BinOp):
-        kids, ufunc = (node.left, node.right), _UFUNCS[node.op]
-    elif isinstance(node, Call):
-        kids, ufunc = node.args, _UFUNCS[node.func]
-    else:
+    if not isinstance(node, Op):
         raise TypeError(f"not a scalar expression node: {node!r}")
-    compiled = [_compile(kid, r + i) for i, kid in enumerate(kids)]
+    ufunc = np.negative if (node.op, len(node.args)) == ("-", 1) else _UFUNCS[node.op]
+    compiled = [_compile(kid, r + i) for i, kid in enumerate(node.args)]
     top = max(r, *(kid_top for _, kid_top, *_ in compiled))
     names = {name: var for _, _, kid_names, *_ in reversed(compiled)
              for name, var in kid_names.items()}
@@ -441,12 +428,7 @@ def substitute(node: ScalarExpr, replace) -> ScalarExpr:
         return replace(node)
     if isinstance(node, Num):
         return node
-    if isinstance(node, Neg):
-        return Neg(substitute(node.operand, replace), node.span)
-    if isinstance(node, BinOp):
-        return BinOp(node.op, substitute(node.left, replace), substitute(node.right, replace),
-                     node.span)
-    return Call(node.func, tuple(substitute(arg, replace) for arg in node.args), node.span)
+    return Op(node.op, tuple(substitute(arg, replace) for arg in node.args), node.span)
 
 
 _COMMUTATIVE = frozenset(("+", "*", "min", "max"))
@@ -461,16 +443,10 @@ def _commuted_form(node: ScalarExpr, swap: bool):
         return ("num", node.value)
     if isinstance(node, Var):
         return ("var", _SWAPPED[node.name] if swap else node.name)
-    if isinstance(node, Neg):
-        op, kids = "neg", (node.operand,)
-    elif isinstance(node, BinOp):
-        op, kids = node.op, (node.left, node.right)
-    else:
-        op, kids = node.func, node.args
-    forms = [_commuted_form(kid, swap) for kid in kids]
-    if op == "pow" or None in forms:
+    forms = [_commuted_form(arg, swap) for arg in node.args]
+    if node.op == "pow" or None in forms:
         return None
-    return (op, *(sorted(forms) if op in _COMMUTATIVE else forms))
+    return (node.op, *(sorted(forms) if node.op in _COMMUTATIVE else forms))
 
 
 def _in_own_shape(run, names, r: int):
@@ -521,17 +497,16 @@ def _fmt(node: ScalarExpr, parent_prec: int, is_right: bool) -> str:
         return format_number(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Call):
+    if node.op in _FUNCTIONS:
         args = ", ".join(_fmt(arg, -1, False) for arg in node.args)
-        return f"{node.func}({args})"
-    if isinstance(node, Neg):
-        text = "-" + _fmt(node.operand, _UNARY_PREC, False)
+        return f"{node.op}({args})"
+    if len(node.args) == 1:
+        text = "-" + _fmt(node.args[0], _UNARY_PREC, False)
         prec = _UNARY_PREC
     else:
         prec = _BIN_PREC[node.op]
-        left = _fmt(node.left, prec, False)
-        right = _fmt(node.right, prec, True)
-        text = f"{left} {node.op} {right}"
+        left, right = node.args
+        text = f"{_fmt(left, prec, False)} {node.op} {_fmt(right, prec, True)}"
     if prec < parent_prec or (prec == parent_prec and is_right):
         return f"({text})"
     return text

@@ -18,7 +18,7 @@ from fuzzysoft import (
 )
 from fuzzysoft.connectives import scalar_from_expression, scalar_from_parsed
 from fuzzysoft import expr
-from fuzzysoft.expr import MAX_DEPTH, BinOp, Call, CompiledExpr, Neg, Num, SourceSpan, Var
+from fuzzysoft.expr import MAX_DEPTH, CompiledExpr, Num, Op, SourceSpan, Var
 
 
 def test_token_count_matches_grammar():
@@ -119,12 +119,10 @@ def test_residuum_boundary():
 
 def test_precedence():
     # unary minus binds tighter than *, which binds tighter than +
-    assert parse_scalar("-x*y+1") == BinOp(
-        "+",
-        BinOp("*", Neg(Var("x", None), None), Var("y", None), None),
+    assert parse_scalar("-x*y+1") == Op("+", (
+        Op("*", (Op("-", (Var("x", None),), None), Var("y", None)), None),
         Num(1.0, None),
-        None,
-    )
+    ), None)
 
 
 def test_parse_error_at_end_of_input():
@@ -271,13 +269,13 @@ _leaves = st.one_of(_numbers, _vars)
 
 def _compound(children):
     binops = st.tuples(st.sampled_from("+-*/"), children, children).map(
-        lambda t: BinOp(t[0], t[1], t[2], None)
+        lambda t: Op(t[0], (t[1], t[2]), None)
     )
-    negs = children.map(lambda c: Neg(c, None))
+    negs = children.map(lambda c: Op("-", (c,), None))
     calls2 = st.tuples(st.sampled_from(("min", "max", "pow")), children, children).map(
-        lambda t: Call(t[0], (t[1], t[2]), None)
+        lambda t: Op(t[0], (t[1], t[2]), None)
     )
-    calls1 = children.map(lambda c: Call("abs", (c,), None))
+    calls1 = children.map(lambda c: Op("abs", (c,), None))
     return st.one_of(binops, negs, calls2, calls1)
 
 
@@ -288,6 +286,27 @@ asts = st.recursive(_leaves, _compound, max_leaves=25)
 def test_pretty_print_reparse_is_structural_identity(ast):
     rendered = pretty_print(ast)
     assert parse_scalar(rendered) == ast
+
+
+def _nodes(node):
+    """``node`` and every node below it, in preorder."""
+    yield node
+    for arg in getattr(node, "args", ()):
+        yield from _nodes(arg)
+
+
+@given(asts)
+def test_every_operation_is_an_op_and_substitution_keeps_its_spans(ast):
+    # Spans take no part in ==, and dual_of's error messages rely on them.
+    parsed = parse_scalar(pretty_print(ast))
+    for node in _nodes(parsed):
+        if not isinstance(node, (Num, Var)):
+            assert type(node) is Op
+            arity = len(node.args)
+            assert arity == expr._UFUNCS[node.op].nin or (node.op, arity) == ("-", 1)
+    same = expr.substitute(parsed, lambda var: var)
+    pairs = list(zip(_nodes(parsed), _nodes(same), strict=True))
+    assert all(node.span == kept.span for node, kept in pairs if not isinstance(node, Var))
 
 
 #: Values that make NaN, inf and -0.0 turn up through division, pow and minus.
@@ -386,6 +405,9 @@ def test_a_plain_call_on_python_floats_gives_the_bits_of_python_arithmetic(op):
     ("x * y / (x + y)", True),
     ("x*y*y", False),
     ("x - y", False),
+    ("-x + -y", True),  # unary minus and subtraction stay apart
+    ("-x - y", False),
+    ("-(x - y)", False),
     ("x + (y + 1)", False),    # its swap y + (x + 1) rounds differently
     ("pow(x * y, 2)", False),  # pow(-0.0, -1) is -inf: no pow is symmetric
 ])
@@ -461,7 +483,7 @@ def test_number_rendering_round_trips():
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_a_non_finite_number_in_a_built_ast_is_a_parse_error_at_its_span(value):
     span = SourceSpan(4, 7, 1, 5)
-    ast = BinOp("*", Var("x", SourceSpan(0, 1, 1, 1)), Num(value, span), SourceSpan(0, 7, 1, 1))
+    ast = Op("*", (Var("x", SourceSpan(0, 1, 1, 1)), Num(value, span)), SourceSpan(0, 7, 1, 1))
     for render in (pretty_print, scalar_from_parsed):
         with pytest.raises(ParseError, match=r"^1:5: number .* is not finite$") as err:
             render(ast)

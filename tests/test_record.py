@@ -16,7 +16,7 @@ from fuzzysoft.analysis import (AxiomCheck, AxiomReport, CheckConfig, Classifica
 from fuzzysoft.connectives import (KIND_TNORM, LIFT_TNORM, LiftedConnective, ScalarConnective,
                                    builtin)
 from fuzzysoft.errors import ValidationError
-from fuzzysoft.expr import BinOp, Call, Neg, Num, SourceSpan, Token, Var, parse_scalar
+from fuzzysoft.expr import Num, Op, SourceSpan, Token, Var, parse_scalar
 from fuzzysoft.script import (ApplyOp, Assign, ComplementOp, NameRef, Print, Save, Script,
                               ScriptResult)
 from fuzzysoft.sets import FuzzySet, FuzzySoftSet, Universe
@@ -60,9 +60,9 @@ CASES = [
     (ScriptResult, dict(printed=("S",), saved=(), env={"S": 1})),
     (Num, dict(value=1.5, span=SPAN)),
     (Var, dict(name="x", span=SPAN)),
-    (Neg, dict(operand=Num(1.5, SPAN), span=SPAN)),
-    (BinOp, dict(op="+", left=Var("x", SPAN), right=Num(1.5, SPAN), span=SPAN)),
-    (Call, dict(func="min", args=(Var("x", SPAN), Var("y", SPAN)), span=SPAN)),
+    (Op, dict(op="-", args=(Num(1.5, SPAN),), span=SPAN)),
+    (Op, dict(op="+", args=(Var("x", SPAN), Num(1.5, SPAN)), span=SPAN)),
+    (Op, dict(op="min", args=(Var("x", SPAN), Var("y", SPAN)), span=SPAN)),
     (NameRef, dict(name="S", span=SPAN)),
     (ComplementOp, dict(operand=S, span=SPAN)),
     (ApplyOp, dict(connective=builtin("product"), left=S, right=G, span=SPAN)),
@@ -70,8 +70,10 @@ CASES = [
     (Print, dict(expr=S, span=SPAN)),
     (Save, dict(expr=S, path="out.fss", span=SPAN)),
 ]
-AST_NODES = (Num, Var, Neg, BinOp, Call, NameRef, ComplementOp, ApplyOp, Assign, Print, Save)
-IDS = [cls.__name__ for cls, _ in CASES]
+AST_NODES = (Num, Var, Op, NameRef, ComplementOp, ApplyOp, Assign, Print, Save)
+#: The three ``Op`` rows: a unary minus, an operator and a function.
+OP_KINDS = {"-": "minus", "+": "operator", "min": "function"}
+IDS = [f"Op-{OP_KINDS[kwargs['op']]}" if cls is Op else cls.__name__ for cls, kwargs in CASES]
 
 
 @pytest.mark.parametrize("cls, kwargs", CASES, ids=IDS)
@@ -120,7 +122,7 @@ def test_missing_unknown_and_repeated_arguments_raise_type_error(cls, kwargs):
 
 
 @pytest.mark.parametrize("cls, kwargs", [case for case in CASES if case[0] in AST_NODES],
-                         ids=[cls.__name__ for cls in AST_NODES])
+                         ids=[i for case, i in zip(CASES, IDS) if case[0] in AST_NODES])
 def test_ast_nodes_ignore_their_span(cls, kwargs):
     here, there = cls(**kwargs), cls(**{**kwargs, "span": OTHER_SPAN})
     assert here == there and hash(here) == hash(there)
@@ -132,10 +134,10 @@ def test_tokens_compare_their_span():
 
 
 @pytest.mark.parametrize("first, second", [
-    (Print(S, SPAN), Neg(S, SPAN)),
+    (Print(S, SPAN), Op("-", (S,), SPAN)),
     (ComplementOp(S, SPAN), Print(S, SPAN)),
     (NameRef("x", SPAN), Var("x", SPAN)),
-    (Neg(S, SPAN), ComplementOp(S, SPAN)),
+    (Op("-", (S,), SPAN), ComplementOp(S, SPAN)),
 ], ids=["print-neg", "complement-print", "nameref-var", "neg-complement"])
 def test_records_of_different_types_are_unequal(first, second):
     assert first != second and second != first
