@@ -27,9 +27,10 @@ def test_docstrings_count_apart_from_code_and_comments_count_as_neither():
     assert code_lines.count(SOURCE) == (4, 3)
 
 
-def test_the_total_follows_the_modules(tmp_path, capsys):
+def test_the_total_follows_the_modules(tmp_path, capsys, monkeypatch):
     (tmp_path / "a.py").write_text(SOURCE, encoding="utf-8")
     (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
-    assert code_lines.main([str(tmp_path)]) == 0
+    monkeypatch.setattr(code_lines, "PACKAGE", tmp_path)
+    assert code_lines.main() == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["4", "3", "a.py"], ["1", "0", "b.py"], ["5", "3", "total"]]

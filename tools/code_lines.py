@@ -5,11 +5,10 @@ whole statement spans it; it holds code if any other token spans it,
 except COMMENT, NL, NEWLINE, INDENT and DEDENT.  Blank and comment-only
 lines count as neither.  Run it from the root of the repository:
 
-    python tools/code_lines.py                  # every module of src/fuzzysoft
-    python tools/code_lines.py FILE_OR_DIR ...  # the modules given
+    python tools/code_lines.py
 
-It prints one line per module, then the total, each as
-``code docstring name``.
+It prints one line per module of ``src/fuzzysoft``, then the total, each
+as ``code docstring name``.
 """
 
 import sys
@@ -40,14 +39,9 @@ def count(source: str) -> tuple[int, int]:
     return len(code), len(docstring)
 
 
-def modules(paths: list[Path]) -> list[Path]:
-    return [module for path in paths
-            for module in (sorted(path.rglob("*.py")) if path.is_dir() else [path])]
-
-
-def main(argv: list[str]) -> int:
+def main() -> int:
     total_code = total_docstring = 0
-    for module in modules([Path(arg) for arg in argv] or [PACKAGE]):
+    for module in sorted(PACKAGE.glob("*.py")):
         code, docstring = count(module.read_text(encoding="utf-8"))
         total_code += code
         total_docstring += docstring
@@ -57,4 +51,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
