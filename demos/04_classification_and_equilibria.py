@@ -10,7 +10,6 @@ from fuzzysoft import (
     CheckConfig,
     builtin,
     classify_elements,
-    continuity_probe,
     find_equilibria,
     lift_negation,
 )
@@ -45,13 +44,3 @@ for entry in result.entries:
     print(f"equilibrium at {entry.label}: {entry.value:.12f} "
           f"(residual {entry.residual:.2e})")
 print(f"count: {result.count} (never more than the number of labels)")
-print()
-
-# The continuity probe is a heuristic fine-grid scan -- useful to spot
-# jumps, never a proof.  All builtin t-norms/t-conorms move at most one
-# grid spacing per step; the ordering-based implication does not.
-for name in ("product", "boundedsum", "godel-implication"):
-    estimate = continuity_probe(builtin(name), CheckConfig(grid_steps=64))
-    flag = "suspected discontinuity" if estimate.suspected_discontinuity else "smooth"
-    print(f"{name}: max jump {estimate.max_jump:.4g} over spacing "
-          f"{estimate.spacing:.4g} -> {flag}")

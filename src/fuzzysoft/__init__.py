@@ -8,8 +8,7 @@ The package provides:
   expression-defined, and their lifts to tagged memberships
   (``fuzzysoft.connectives``);
 - a grid-plus-samples verification engine with counterexample witnesses,
-  element classification, equilibrium solving and a continuity probe
-  (``fuzzysoft.analysis``);
+  element classification and equilibrium solving (``fuzzysoft.analysis``);
 - an expression and script language (``fuzzysoft.expr``,
   ``fuzzysoft.script``), JSON serialization (``fuzzysoft.fileio``) and a
   command-line interface (``fuzzysoft.cli``).
@@ -20,7 +19,6 @@ from .analysis import (
     AxiomReport,
     CheckConfig,
     ClassificationReport,
-    ContinuityEstimate,
     EquilibriumEntry,
     EquilibriumResult,
     Witness,
@@ -30,7 +28,6 @@ from .analysis import (
     check_tconorm_axioms,
     check_tnorm_axioms,
     classify_elements,
-    continuity_probe,
     find_equilibria,
 )
 from .connectives import (

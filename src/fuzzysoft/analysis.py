@@ -1,5 +1,5 @@
-"""Axiom verification with counterexample search, element classification,
-equilibrium solving, and a continuity probe.
+"""Axiom verification with counterexample search, element classification
+and equilibrium solving.
 
 Every check evaluates the candidate over a regular grid on [0, 1] plus a
 configurable number of pseudo-random samples drawn from a seeded
@@ -55,10 +55,10 @@ from .tags import ParamTag, number_or_none
 #: of magnitude finer than the default verdict tolerance.
 BISECTION_BRACKET = 1e-12
 
-#: The continuity probe flags a jump larger than this multiple of the
-#: fine-grid spacing (builtin connectives move at most one spacing per
-#: step along an axis).
-CONTINUITY_JUMP_FACTOR = 10.0
+#: Most points of the grid cube a check may walk, 1024**3: the largest
+#: grid is 1023 steps.  The cube costs time, not memory, since a walk
+#: holds one tile of it.
+MAX_CUBE_POINTS = 2**30
 
 #: Most points in one tile of the grid cube: each float64 buffer of the
 #: walk's workspace is 256 KiB, so a tile's registers and difference stay
@@ -91,11 +91,11 @@ def _plain(value):
 class CheckConfig(_Report):
     """Shared configuration for every verification routine.
 
-    No array it asks for may exceed ``MAX_ARRAY_VALUES``: the continuity
-    probe's (4n + 1)**2 grid matrix caps n at 1023, and the (samples, 4)
-    pair-of-pairs columns cap the samples at 2**22.  The probe holds that
-    matrix and one matrix of its jumps along an axis at once, about
-    256 MiB at n = 1023.  The counts and the seed are stored as ``int``
+    A check of n grid steps walks the (n + 1)**3 points of the grid cube,
+    so ``MAX_CUBE_POINTS`` = 1024**3 caps n at 1023, where a check takes
+    seconds, not minutes, and holds one tile of the cube; the (samples, 4)
+    pair-of-pairs columns may not exceed ``MAX_ARRAY_VALUES``, which caps
+    the samples at 2**22.  The counts and the seed are stored as ``int``
     (``operator.index``, no ``bool``) and the tolerance as a ``float``
     that is positive and below 1: memberships lie in [0, 1], so a
     tolerance of 1 or more admits any difference between two of them, and
@@ -119,11 +119,12 @@ class CheckConfig(_Report):
         if tolerance is None:
             raise ConfigError(f"tolerance must be a real number, got {self.tolerance!r}")
         object.__setattr__(self, "tolerance", tolerance)
-        for name, size in (("grid_steps", (4 * self.grid_steps + 1) ** 2),
-                           ("random_samples", 4 * self.random_samples)):
-            if size > MAX_ARRAY_VALUES:
-                raise ConfigError(f"{name} = {getattr(self, name)} needs an array of {size} "
-                                  f"values, more than MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
+        if (points := (self.grid_steps + 1) ** 3) > MAX_CUBE_POINTS:
+            raise ConfigError(f"grid_steps = {self.grid_steps} needs a grid cube of {points} "
+                              f"points, more than MAX_CUBE_POINTS = {MAX_CUBE_POINTS}")
+        if (size := 4 * self.random_samples) > MAX_ARRAY_VALUES:
+            raise ConfigError(f"random_samples = {self.random_samples} needs an array of {size} "
+                              f"values, more than MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
         if not 0 < self.tolerance < math.inf:
             raise ConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.tolerance >= 1:
@@ -239,18 +240,6 @@ class EquilibriumResult(_Report):
             if entry.label == label:
                 return entry
         raise KeyError(f"no entry for label {label!r}")
-
-
-class ContinuityEstimate(_Report):
-    """Heuristic continuity estimate from a fine-grid scan; never a proof."""
-
-    candidate: str
-    fine_steps: int
-    spacing: float
-    max_jump: float
-    at: tuple[float, float, float, float]
-    threshold: float
-    suspected_discontinuity: bool
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +713,7 @@ def check_negation_axioms(
 
 
 # ---------------------------------------------------------------------------
-# Classification, equilibria, continuity
+# Classification and equilibria
 
 
 def classify_elements(candidate: ScalarConnective, cfg: CheckConfig | None = None) -> ClassificationReport:
@@ -817,40 +806,3 @@ def find_equilibria(
             EquilibriumEntry(label, x_star, residual, residual <= cfg.tolerance)
         )
     return EquilibriumResult(tuple(entries), cfg.tolerance)
-
-
-def continuity_probe(candidate: ScalarConnective, cfg: CheckConfig | None = None) -> ContinuityEstimate:
-    """Heuristic continuity scan on a grid four times finer than the
-    configured one: the largest jump between adjacent neighbours along
-    either axis is compared against ``CONTINUITY_JUMP_FACTOR`` spacings
-    (builtins move at most one spacing per step); a NaN jump, as inf - inf
-    at a pole, counts as unbounded.  A flag here suggests a discontinuity;
-    the absence of one proves nothing.
-    """
-    cfg = cfg or CheckConfig()
-    fine_steps = 4 * cfg.grid_steps
-    g, F = _binary_grid(candidate, fine_steps)
-    spacing = 1.0 / fine_steps
-
-    def largest_jump(axis: int) -> tuple[float, tuple[float, ...]]:
-        """The largest jump along ``axis`` and its two points; the jumps are
-        one matrix, made in place and dropped on return."""
-        with np.errstate(invalid="ignore"):
-            jumps = np.diff(F, axis=axis)
-        np.abs(jumps, out=jumps)
-        jumps[np.isnan(jumps)] = np.inf
-        i, j = np.unravel_index(np.argmax(jumps), jumps.shape)
-        return float(jumps[i, j]), tuple(map(float, (g[i], g[j], g[i + 1 - axis], g[j + axis])))
-
-    # Along x, then along y; on a tie, x's.
-    max_jump, at = max(map(largest_jump, (0, 1)), key=operator.itemgetter(0))
-    threshold = CONTINUITY_JUMP_FACTOR * spacing
-    return ContinuityEstimate(
-        candidate=candidate.name,
-        fine_steps=fine_steps,
-        spacing=spacing,
-        max_jump=max_jump,
-        at=at,
-        threshold=threshold,
-        suspected_discontinuity=max_jump > threshold,
-    )

@@ -26,7 +26,6 @@ import numpy as np
 
 from .analysis import (
     CUBE_TILE_POINTS,
-    MAX_ARRAY_VALUES,
     AxiomReport,
     CheckConfig,
     ClassificationReport,
@@ -309,9 +308,6 @@ def _cmd_dual(args) -> int:
     n = args.table
     if n < 2:
         raise ValueError(f"--table needs at least 2 points, got {n}")
-    if n * n > MAX_ARRAY_VALUES:
-        raise ValueError(f"--table {n} needs {n * n} cells, more than "
-                         f"MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES}")
     if n > MAX_TABLE:
         raise ValueError(f"--table {n} is larger than MAX_TABLE = {MAX_TABLE}")
     g = grid_points(n - 1)

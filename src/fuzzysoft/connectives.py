@@ -72,9 +72,12 @@ class ScalarConnective(Record):
     """A unary or binary function on [0, 1].
 
     ``kind`` and ``continuity`` are declared metadata: evaluation depends
-    only on the arity and the body.  Calling the connective accepts floats
-    or numpy arrays and returns the raw, unclamped result.  ``fn``, the
-    body, may be any elementwise callable; ``==`` ignores it and ``expr``.
+    only on the arity and the body.  Nothing in the package reads
+    ``continuity``, and it proves nothing: it is ``True`` for every
+    builtin, the discontinuous ``godel-implication`` included.  Calling
+    the connective accepts floats or numpy arrays and returns the raw,
+    unclamped result.  ``fn``, the body, may be any elementwise callable;
+    ``==`` ignores it and ``expr``.
     """
 
     _uncompared = ("fn", "expr")

@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-import warnings
 from functools import partial
 from unittest import mock
 
@@ -18,7 +17,6 @@ from fuzzysoft import (
     check_tconorm_axioms,
     check_tnorm_axioms,
     classify_elements,
-    continuity_probe,
     dual_of,
     find_equilibria,
     lift_negation,
@@ -27,11 +25,10 @@ from fuzzysoft import (
 from fuzzysoft import analysis
 from fuzzysoft.analysis import (
     CUBE_TILE_POINTS,
-    MAX_ARRAY_VALUES,
+    MAX_CUBE_POINTS,
     AxiomCheck,
     AxiomReport,
     ClassificationReport,
-    ContinuityEstimate,
     EquilibriumEntry,
     EquilibriumResult,
     Witness,
@@ -480,72 +477,11 @@ def test_no_sign_change_is_a_verdict_not_an_error():
     assert "sign change" in entry.note
 
 
-# --- continuity probe -----------------------------------------------------------------------
-
-_CONTINUOUS_BINARY_BUILTINS = (
-    "product", "minimum", "lukasiewicz", "maximum", "probsum", "boundedsum",
-    "lukasiewicz-implication", "kleene-dienes-implication",
-)
-
-
-@pytest.mark.parametrize("name", _CONTINUOUS_BINARY_BUILTINS)
-def test_probe_clears_lipschitz_builtins(name):
-    cfg = CheckConfig(grid_steps=32)
-    estimate = continuity_probe(builtin(name), cfg)
-    # per-axis Lipschitz-1, so adjacent jumps stay within 2 grid spacings
-    assert estimate.max_jump <= 2.0 / estimate.fine_steps + 1e-12
-    assert not estimate.suspected_discontinuity
-
-
-def test_probe_flags_jump():
-    estimate = continuity_probe(builtin("godel-implication"), CheckConfig(grid_steps=32))
-    assert estimate.suspected_discontinuity
-    x1, y1, x2, y2 = estimate.at
-    g = builtin("godel-implication")
-    assert abs(float(g(x2, y2)) - float(g(x1, y1))) == estimate.max_jump
-
-
-def test_probe_of_an_infinite_grid_matrix_warns_nothing():
-    # 1/x is inf along x = 0, so adjacent differences there are inf - inf.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        estimate = continuity_probe(scalar_from_expression("pow(x, -1)"),
-                                    CheckConfig(grid_steps=4))
-    # An undefined jump counts as unbounded, so the pole is flagged.
-    assert estimate.to_dict() == {
-        "candidate": "pow(x, -1)", "fine_steps": 16, "spacing": 0.0625,
-        "max_jump": math.inf, "at": [0.0, 0.0, 0.0625, 0.0], "threshold": 0.625,
-        "suspected_discontinuity": True}
-
-
 def test_grid_points_are_correctly_rounded_quotients():
-    # Checks, the probe and ``dual --table`` all take their points here.
+    # Checks, classification and ``dual --table`` all take their points here.
     for steps in range(1, 1024):
         assert grid_points(steps).tolist() == [k / steps for k in range(steps + 1)]
         assert np.array_equal(grid_points(steps), np.arange(steps + 1) / steps)
-
-
-@pytest.mark.parametrize("name", ["godel-implication", "lukasiewicz"])
-def test_probe_memory_is_the_grid_matrix_and_one_jump_matrix(name):
-    # Grid 300: a 1201 x 1201 matrix of 11 MiB.  The probe holds it, one
-    # axis's jumps (absolute values taken in place) and their NaN mask;
-    # a copy for the absolute values and the other axis's jumps made 4.
-    matrix_bytes = (4 * 300 + 1) ** 2 * 8
-    tracemalloc.start()
-    try:
-        continuity_probe(builtin(name), CheckConfig(grid_steps=300))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.25 * matrix_bytes, f"peak {peak / matrix_bytes:.2f} matrices"
-
-
-@pytest.mark.parametrize("text", ["pow(x, -1)", "pow(x, -1)*0 + x*y", "pow(x - 2, 0.5)"])
-def test_probe_counts_an_undefined_jump_as_unbounded(text):
-    # inf - inf and inf * 0 put NaN into the differences or the grid matrix.
-    estimate = continuity_probe(scalar_from_expression(text), CheckConfig(grid_steps=4))
-    assert estimate.max_jump == math.inf
-    assert estimate.suspected_discontinuity
 
 
 # --- configuration bounds --------------------------------------------------------
@@ -555,13 +491,35 @@ def test_config_bounds_the_largest_array_without_allocating():
     # grid 256 and 20,000 samples, and the largest grid the bound admits.
     for grid, samples in ((64, 10000), (180, 2000), (256, 20000), (1023, 2**22)):
         CheckConfig(grid_steps=grid, random_samples=samples)
-    assert (4 * 1023 + 1) ** 2 <= MAX_ARRAY_VALUES < (4 * 1024 + 1) ** 2
-    with pytest.raises(ValueError, match="grid_steps = 1024 needs an array"):
+    assert (1023 + 1) ** 3 == MAX_CUBE_POINTS < (1024 + 1) ** 3
+    with pytest.raises(ValueError, match="grid_steps = 1024 needs a grid cube of 1076890625 "
+                                         "points, more than MAX_CUBE_POINTS = 1073741824"):
         CheckConfig(grid_steps=1024)
     with pytest.raises(ValueError, match="random_samples = 4194305 needs an array"):
         CheckConfig(random_samples=2**22 + 1)
     with pytest.raises(ValueError, match="grid_steps"):
         CheckConfig(grid_steps=10**12)
+
+
+# --- relations -------------------------------------------------------------------
+
+_TOL = 2.0**-20  # exact sums with 0.5 and 1.0, so each band edge is hit exactly
+
+
+@pytest.mark.parametrize("relation, want, within, beyond", [
+    ("==", 0.5, [0.5 - _TOL, 0.5 + _TOL], [0.5 - 2 * _TOL, 0.5 + 2 * _TOL]),
+    ("<=", 0.5, [0.5 + _TOL], [0.5 + 2 * _TOL]),
+    (">=", 0.5, [0.5 - _TOL], [0.5 - 2 * _TOL]),
+    ("in [0, 1]", None, [-_TOL, 1.0 + _TOL], [-2 * _TOL, 1.0 + 2 * _TOL]),
+], ids=["equal", "at-most", "at-least", "codomain"])
+def test_a_relation_holds_up_to_the_tolerance_and_nan_violates_it(relation, want, within,
+                                                                   beyond):
+    def violated(got):
+        return _violations(np.array(got), want, relation, _TOL).tolist()
+
+    assert violated(within) == [False] * len(within)
+    assert violated(beyond) == [True] * len(beyond)
+    assert violated([math.nan]) == [True]
 
 
 # --- witness selection -------------------------------------------------------------
@@ -1564,7 +1522,6 @@ _REFERENCE_TO_DICT = {
     ClassificationReport: _reference_classification,
     EquilibriumEntry: lambda e: dict(vars(e)),
     EquilibriumResult: _reference_equilibria,
-    ContinuityEstimate: lambda e: {**vars(e), "at": list(e.at)},
 }
 
 _REPORT_CASES = {
@@ -1580,7 +1537,6 @@ _REPORT_CASES = {
     "equilibria": lambda: find_equilibria(
         {"a": builtin("standard-negation"), "b": scalar_from_expression("0-1-x", arity=1)},
         ["a", "b"]),
-    "continuity": lambda: continuity_probe(builtin("godel-implication"), CheckConfig(grid_steps=8)),
 }
 
 

@@ -565,11 +565,10 @@ def test_eval_script_unary_connective_exit_two(files, capsys, connective, column
 
 
 def test_dual_table_is_bounded_like_a_check_grid(capsys):
-    # 4096**2 cells is the most MAX_ARRAY_VALUES admits; one more point is
-    # refused before anything is printed or evaluated.
+    # MAX_TABLE refuses any table past 1024 points, before anything is
+    # printed or evaluated.
     assert run_cli(["dual", "--builtin", "product", "--table", "4097"]) == 2
-    assert capsys.readouterr() == ("", "error: --table 4097 needs 16785409 cells, "
-                                       "more than MAX_ARRAY_VALUES = 16777216\n")
+    assert capsys.readouterr() == ("", "error: --table 4097 is larger than MAX_TABLE = 1024\n")
     assert run_cli(["dual", "--expr", "x*y", "--table", str(10**9)]) == 2
     assert capsys.readouterr().out == ""
 
@@ -816,7 +815,7 @@ def test_oversized_grid_or_samples_exit_two(capsys):
     # CheckConfig rejects the size before any array is made.
     assert run_cli(["check", "--kind", "tnorm", "--builtin", "product",
                     "--grid", "1000000000"]) == 2
-    assert "grid_steps = 1000000000 needs an array" in capsys.readouterr().err
+    assert "grid_steps = 1000000000 needs a grid cube" in capsys.readouterr().err
     assert run_cli(["classify", "--builtin", "product", "--grid", "5000"]) == 2
     assert run_cli(["check", "--kind", "negation", "--builtin", "standard-negation",
                     "--samples", "100000000"]) == 2

@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from fuzzysoft.analysis import (AxiomCheck, AxiomReport, CheckConfig, ClassificationReport,
-                                ContinuityEstimate, EquilibriumEntry, EquilibriumResult,
-                                Witness, ZeroDivisor)
+                                EquilibriumEntry, EquilibriumResult, Witness, ZeroDivisor)
 from fuzzysoft.connectives import (KIND_TNORM, LIFT_TNORM, LiftedConnective, ScalarConnective,
                                    builtin)
 from fuzzysoft.errors import ValidationError
@@ -43,9 +42,6 @@ CASES = [
                                 zero_divisors=(ZeroDivisor(0.5, 0.5),))),
     (EquilibriumEntry, dict(label="a", value=0.5, residual=0.0, is_equilibrium=True, note="n")),
     (EquilibriumResult, dict(entries=(ENTRY,), tolerance=1e-9)),
-    (ContinuityEstimate, dict(candidate="product", fine_steps=16, spacing=0.0625, max_jump=0.0625,
-                              at=(0.0, 0.0, 0.0625, 0.0), threshold=0.625,
-                              suspected_discontinuity=False)),
     (LiftedConnective, dict(kind=LIFT_TNORM, scalar=builtin("product"), family=None,
                             default=None)),
     (ScalarConnective, dict(name="product", arity=2, kind=KIND_TNORM, continuity=True,

@@ -982,6 +982,16 @@ def test_kernel_error_in_a_row_is_raised_before_that_rows_other_faults():
         apply_connective(scalar_from_expression("y/x"), s, fss(["u"], {"a": (0.5,)}))
 
 
+def test_the_pairs_before_a_codomain_fault_are_clamped_before_they_merge():
+    # Under x + y, (a,b) = 1 - 5e-13 and (b,a) = 1 + 9e-13 are 1.4e-12 apart,
+    # but (b,a) clamps to 1, within CLAMP_TOLERANCE of (a,b): they merge, and
+    # the fault of row b after (b,a), (b,b) = 1.1, is raised.
+    s = fss(["u"], {"a": (0.5,), "b": (0.6,)})
+    g = fss(["u"], {"a": (0.4 + 9e-13,), "b": (0.5 - 5e-13,)})
+    with pytest.raises(CodomainError, match="under tag 'b\\*b'"):
+        apply_connective(scalar_from_expression("x + y"), s, g)
+
+
 # --- the pair loop against the per-row reference ------------------------------------
 
 def _reference_apply(conn, f1, f2):
