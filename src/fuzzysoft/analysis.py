@@ -2,8 +2,12 @@
 and equilibrium solving.
 
 Every check evaluates the candidate over a regular grid on [0, 1] plus a
-configurable number of pseudo-random samples drawn from a seeded
-generator, so identical inputs always produce identical reports.  A
+configurable number of pseudo-random samples drawn from one seeded
+generator, so identical inputs always produce identical reports.  The
+samples are drawn axiom by axiom in table order: x before y, a sorted pair
+as the min and max of an (m, 2) draw (``_sorted_pair``), an argument
+shared by both points of a pair as one draw repeated, and a boundary
+axiom draws only its free column.  A
 failed check carries a witness that re-evaluates to a violation beyond the
 tolerance: the lexicographically smallest violating argument tuple over
 the grid points (or grid cube) and the samples, equal tuples going to the
@@ -722,7 +726,10 @@ def classify_elements(candidate: ScalarConnective, cfg: CheckConfig | None = Non
     that f(x, y) = 0), all within the configured tolerance.
 
     The zero-divisor witness search walks the positive grid in ascending
-    order and keeps the first hit, so witnesses are deterministic.
+    order and keeps the first hit, so witnesses are deterministic.  The
+    scan takes a check's ``CheckConfig``, so ``MAX_CUBE_POINTS`` caps its
+    ``grid_steps`` at 1023 too, though it builds only the (n + 1)**2 grid
+    matrix and walks no cube.
     """
     cfg = cfg or CheckConfig()
     g, F = _binary_grid(candidate, cfg.grid_steps)

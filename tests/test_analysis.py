@@ -1,7 +1,7 @@
+import ast
 import json
 import math
 import tracemalloc
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -34,10 +34,6 @@ from fuzzysoft.analysis import (
     Witness,
     ZeroDivisor,
     _Axiom,
-    _IMPLICATION_AXIOMS,
-    _TCONORM_AXIOMS,
-    _TNORM_AXIOMS,
-    _call,
     _cube_tiles,
     _grid_matrix,
     _locate_failure,
@@ -47,13 +43,13 @@ from fuzzysoft.analysis import (
     _tile_inner,
     _verify,
     _violations,
-    _walk_cube,
     grid_points,
 )
 from fuzzysoft.connectives import ScalarConnective, builtin_names, resolve_connective
-from fuzzysoft.errors import ConfigError, DslError, EvalError, FuzzySoftError, ValidationError
-from fuzzysoft.expr import CompiledExpr, pretty_print
+from fuzzysoft.errors import ConfigError, EvalError, FuzzySoftError, ValidationError
+from fuzzysoft.expr import pretty_print
 from fuzzysoft.record import Record
+import reference
 from test_expr import COMMUTATIVE_OPS, asts, joined_with_its_swap
 
 FAST = CheckConfig(grid_steps=16, random_samples=200, seed=5)
@@ -62,6 +58,31 @@ FAST = CheckConfig(grid_steps=16, random_samples=200, seed=5)
 def _with_fn(scalar, fn):
     """``scalar`` with its body replaced by the callable ``fn``."""
     return ScalarConnective(**{**vars(scalar), "fn": fn})
+
+
+def _on_the_array_path(scalar):
+    """``scalar`` with its body wrapped: a plain callable, on half-size cube tiles."""
+    return _with_fn(scalar, lambda *args: scalar.fn(*args))
+
+
+_CHECKERS = {"tnorm": check_tnorm_axioms, "tconorm": check_tconorm_axioms,
+             "implication": check_implication_axioms, "negation": check_negation_axioms}
+
+
+def _outcome(run):
+    """A report's JSON text (NaN and -0.0 spelled out), or the error's type, message and point."""
+    try:
+        return json.dumps(run().to_dict())
+    except CandidateEvaluationError as err:
+        return type(err).__name__, str(err), repr(err.point)
+
+
+def _agreed(kind, candidate, cfg):
+    """The ``_outcome`` of the check, once the reference (``tests/reference.py``) gives it too."""
+    lifted = lift_negation(candidate) if kind == "negation" else candidate
+    outcome = _outcome(lambda: _CHECKERS[kind](candidate, cfg))
+    assert outcome == _outcome(lambda: reference.check(kind, lifted, cfg))
+    return outcome
 
 
 # --- axiom suites --------------------------------------------------------------
@@ -326,6 +347,7 @@ def test_a_negation_check_covers_each_entry_then_the_default():
     family = lift_negation({"a": builtin("standard-negation")},
                            default=scalar_from_expression("x", arity=1))
     report = check_negation_axioms(family, cfg=FAST)
+    _agreed("negation", family, FAST)
     assert report.candidate == "family(a: standard-negation, *: x)"
     assert [check.param for check in report.checks] == ["a"] * 4 + [None] * 4
     assert all(check.passed for check in report.checks if check.param == "a")
@@ -652,26 +674,18 @@ def test_passing_check_memory_is_bounded_by_cache_sized_cube_tiles():
 
 # --- the tiled cube walk ---------------------------------------------------------
 
-_CUBE_CHECKS = {"tnorm": (check_tnorm_axioms, "iv"),
-                "implication": (check_implication_axioms, "v")}
+_CUBE_LABELS = {"tnorm": "iv", "implication": "v"}
 
 
-def _whole_cube_check(candidate, kind, steps, tol):
-    """Reference: the whole cube in one broadcast, witness the first row of
-    a stable lexsort of the violating triples; (witness, points)."""
-    g = np.arange(steps + 1, dtype=float) / steps
-    x, y, z = g[:, None, None], g[None, :, None], g[None, None, :]
-    f = partial(_call, candidate)
-    got = f(x, f(y, z))
-    want = f(f(x, y), z) if kind == "tnorm" else f(y, f(x, z))
-    with np.errstate(invalid="ignore"):
-        bad = ~(np.abs(got - want) <= tol)
-    if not bad.any():
-        return None, bad.size
-    triples = [np.broadcast_to(c, bad.shape)[bad] for c in (x, y, z)]
-    first = np.lexsort(triples[::-1])[0]
-    return (Witness(tuple(float(c[first]) for c in triples), float(got[bad][first]),
-                    float(want[bad][first]), "=="), bad.size)
+def _cube_agreed(kind, text, steps, **settings):
+    """``_agreed`` for the check of ``text`` with no samples, so its cube axiom decides."""
+    cfg = CheckConfig(grid_steps=steps, random_samples=0, **settings)
+    return _agreed(kind, scalar_from_expression(text), cfg)
+
+
+def _check_of(outcome, label):
+    """The check labelled ``label`` in a report's JSON text."""
+    return next(check for check in json.loads(outcome)["checks"] if check["label"] == label)
 
 
 def _tile_of(triple, steps):
@@ -694,17 +708,13 @@ _LATE = "min(x, y) + 0.001*max(x - {t}, 0)*max(y - {t}, 0)"
     ("implication", "min(1, 1 - x + y*y)", 100, 0),
     ("implication", "max(1 - x, y)", 181, None),
 ])
-def test_tiled_cube_matches_one_broadcast(kind, text, steps, first_tile):
+def test_tiled_cube_matches_the_reference(kind, text, steps, first_tile):
     # Grid 100 walks blocks of 3 x-planes; grid 181 walks blocks of y-rows,
     # two tiles to a plane.
     n = steps + 1
     assert (n * n <= CUBE_TILE_POINTS) == (steps == 100)
-    candidate = scalar_from_expression(text)
-    check_fn, label = _CUBE_CHECKS[kind]
-    check = check_fn(candidate, CheckConfig(grid_steps=steps, random_samples=0)).check(label)
-    witness, points = _whole_cube_check(candidate, kind, steps, CheckConfig().tolerance)
-    assert (check.witness, check.points, check.passed) == (witness, points, witness is None)
-    assert (None if witness is None else _tile_of(witness.args, steps)) == first_tile
+    witness = _check_of(_cube_agreed(kind, text, steps), _CUBE_LABELS[kind])["witness"]
+    assert (None if witness is None else _tile_of(witness["args"], steps)) == first_tile
 
 
 @pytest.mark.parametrize("kind, text, steps", [
@@ -715,18 +725,14 @@ def test_tiled_cube_matches_one_broadcast(kind, text, steps, first_tile):
     ("implication", "min(1, 1 - x + y*y)", 100),
     ("implication", "max(1 - x, y)", 181),
 ])
-def test_array_path_cube_matches_one_broadcast(kind, text, steps):
+def test_array_path_cube_matches_the_reference(kind, text, steps):
     # A candidate that is not a compiled expression walks half-size tiles
     # and returns fresh arrays.
-    inner = scalar_from_expression(text)
-    candidate = _with_fn(inner, lambda x, y: inner.fn(x, y))
-    check_fn, label = _CUBE_CHECKS[kind]
-    check = check_fn(candidate, CheckConfig(grid_steps=steps, random_samples=0)).check(label)
-    witness, points = _whole_cube_check(candidate, kind, steps, CheckConfig().tolerance)
-    assert repr((check.witness, check.points)) == repr((witness, points))
+    candidate = _on_the_array_path(scalar_from_expression(text))
+    _agreed(kind, candidate, CheckConfig(grid_steps=steps, random_samples=0))
 
 
-def test_tiled_cube_raises_at_the_same_point_as_one_broadcast():
+def test_tiled_cube_raises_at_the_same_point_as_the_reference():
     # x*y*y violates associativity in the first tile; the candidate raises
     # only on off-grid second arguments with x >= 0.5, which no grid matrix
     # value gives, but the outer call f(x, f(y, z)) of a later tile does.
@@ -741,120 +747,46 @@ def test_tiled_cube_raises_at_the_same_point_as_one_broadcast():
 
     cfg = CheckConfig(grid_steps=steps, random_samples=0)
     assert _tile_of(check_tnorm_axioms(inner, cfg).check("iv").witness.args, steps) == 0
-    candidate = _with_fn(inner, raising)
-    with pytest.raises(CandidateEvaluationError) as whole:
-        _whole_cube_check(candidate, "tnorm", steps, cfg.tolerance)
-    with pytest.raises(CandidateEvaluationError) as tiled:
-        check_tnorm_axioms(candidate, cfg)
-    assert whole.value.point[0] == 0.5
-    assert repr(tiled.value.point) == repr(whole.value.point)
+    error, message, point = _agreed("tnorm", _with_fn(inner, raising), cfg)
+    assert error == "CandidateEvaluationError" and point.startswith("(0.5, ")
 
 
 # --- the mirrored cube walk ------------------------------------------------------------
-
-def _unmirrored_tiles(n, most):
-    """The tiling of the cube walk before mirrored tiles were sized by
-    their clipped extent."""
-    rows = max(1, most // n)
-    if rows >= n:
-        block = rows // n
-        for x in range(0, n, block):
-            yield slice(x, x + block), slice(None), slice(None)
-    else:
-        for x in range(n):
-            for y in range(0, n, rows):
-                yield slice(x, x + 1), slice(y, y + rows), slice(None)
-
 
 @pytest.mark.parametrize("most", [2**15, 2**14])
 def test_unmirrored_cube_tiles_are_unchanged(most):
     # Where tiles split decides which side an evaluation error is named in.
     for n in range(2, 301):
-        assert list(_cube_tiles(n, most)) == list(_unmirrored_tiles(n, most)), n
+        assert list(_cube_tiles(n, most)) == list(reference.cube_tiles(n, most)), n
 
 
 def _ranges(tile, n):
     return [range(*axis.indices(n)) for axis in tile]
 
 
-@pytest.mark.parametrize("mirror", [1])
 @pytest.mark.parametrize("n, most", [(2, 2**15), (3, 4), (17, 2**15), (17, 40), (101, 2**15),
                                      (182, 2**15), (257, 2**15), (257, 2**14), (300, 2**15)])
-def test_mirrored_cube_tiles_cover_the_half_cube_in_c_order(mirror, n, most):
-    tiles = [_ranges(tile, n) for tile in _cube_tiles(n, most, mirror)]
+def test_mirrored_cube_tiles_cover_the_half_cube_in_c_order(n, most):
+    tiles = [_ranges(tile, n) for tile in _cube_tiles(n, most, mirror=True)]
     covered = np.zeros((n, n, n), dtype=bool)
     last = (-1, -1, -1)
     for xs, ys, zs in tiles:
         assert 0 < len(xs) * len(ys) * len(zs) <= max(most, n)
-        # The mirror axis starts at the first x-plane, or, when it is the
-        # y-rows of one plane, where the plane's previous tile stopped.
-        start = (ys, zs)[mirror - 1].start
-        assert start == xs.start or (mirror, xs[0], start) == (1, last[0], last[1] + 1)
+        # y starts at the first x-plane, or, when a tile is y-rows of one
+        # plane, where the plane's previous tile stopped.
+        assert ys.start == xs.start or (xs[0], ys.start) == (last[0], last[1] + 1)
         # Every triple of a tile comes after every triple of the tiles before.
         assert (xs[0], ys[0], zs[0]) > last
         last = (xs[-1], ys[-1], zs[-1])
         covered[xs[0]:xs[-1] + 1, ys[0]:ys[-1] + 1, zs[0]:zs[-1] + 1] = True
     x = np.arange(n)
-    half = (x[None, :, None] if mirror == 1 else x[None, None, :]) >= x[:, None, None]
+    half = x[None, :, None] >= x[:, None, None]
     assert covered[np.broadcast_to(half, covered.shape)].all()
 
 
-@pytest.mark.parametrize("mirror", [1])
-def test_mirrored_cube_tiles_at_the_benchmark_grid_are_about_half(mirror):
+def test_mirrored_cube_tiles_at_the_benchmark_grid_are_about_half():
     assert len(list(_cube_tiles(257))) == 771
-    assert len(list(_cube_tiles(257, mirror=mirror))) <= 350
-
-
-def _full_walk_cube(axiom, candidate, F, g, tol):
-    """Reference: the cube walk over every tile of the whole cube, with no
-    screen and no early stop."""
-    n = len(g)
-    compiled = isinstance(getattr(candidate, "fn", None), CompiledExpr)
-    most = CUBE_TILE_POINTS if compiled else CUBE_TILE_POINTS // 2
-    size = min(n ** 3, max(most, n))
-    buffers = [np.empty(size) for _ in range(candidate.fn.registers + 2 if compiled else 1)]
-    layouts = [np.expand_dims(F, k) for k in range(3)]
-    workspace = {}  # tile shape -> (diff, f, h)
-
-    def views(shape):
-        diff, *regs = (b[:math.prod(shape)].reshape(shape) for b in buffers)
-        if not regs:
-            return diff, partial(_call, candidate), partial(_call, candidate)
-        got, want, *scratch = regs
-        return (diff, partial(_call, candidate, regs=[got, *scratch]),
-                partial(_call, candidate, regs=[want, *scratch]))
-
-    witness, points = None, 0
-    for tile in _cube_tiles(n, most):
-        cols = (g[tile[0], None, None], g[None, tile[1], None], g[None, None, tile[2]])
-        shape = (cols[0].size, cols[1].size, n)
-        if shape not in workspace:
-            workspace[shape] = views(shape)
-        diff, f, h = workspace[shape]
-        got, want = axiom.sides(f, h, partial(_tile_inner, layouts, tile), *cols)
-        points += diff.size
-        if witness is None:
-            np.subtract(got, want, out=diff)
-            if not (diff.max() <= tol and diff.min() >= -tol):
-                bad = ~(np.abs(diff, out=diff) <= tol)
-                witness = _smallest_violation(cols, got, want, bad, "==")[1]
-        del got, want
-    return witness, points
-
-
-def _cube_outcome(kind, candidate, steps, walk=_walk_cube):
-    """The cube axiom's check (witness repr, points, passed), or the
-    error's type, message and point, with ``walk`` as the cube walk."""
-    axiom = next(axiom for axiom in _BINARY_AXIOMS[kind] if axiom.grid is None)
-    g = np.arange(steps + 1, dtype=float) / steps
-    F = _grid_matrix(candidate, g)
-    with mock.patch.object(analysis, "_walk_cube", walk):
-        try:
-            check = _verify(axiom, candidate, F, g, np.random.default_rng(0),
-                            CheckConfig(grid_steps=steps, random_samples=0))
-        except CandidateEvaluationError as err:
-            return type(err), str(err), repr(err.point)
-    return repr(check.witness), check.points, check.passed
+    assert len(list(_cube_tiles(257, mirror=True))) <= 350
 
 
 #: Symmetric, and raises only where f(x, f(y, z)) or f(f(x, y), z) sums to
@@ -868,13 +800,11 @@ _RAISES_IN_THE_CUBE = "x*y + 0*(1/(x + y - {c}))"
 _LATE_SYMMETRIC = "min(x, y) + 0.001*(max(x - {t}, 0)*max(y - {t}, 0))"
 
 
-def test_a_mirrored_walk_raises_where_the_full_walk_does():
-    candidate = scalar_from_expression(_RAISES_IN_THE_CUBE.format(c=1.0625))
-    assert candidate.fn.symmetric
-    outcome = _cube_outcome("tnorm", candidate, 100)
-    assert outcome == _cube_outcome("tnorm", candidate, 100, _full_walk_cube)
-    assert outcome[0] is CandidateEvaluationError
-    assert outcome[2] == repr((0.11 * 0.75, 0.98))
+def test_a_mirrored_walk_raises_where_the_reference_does():
+    text = _RAISES_IN_THE_CUBE.format(c=1.0625)
+    assert scalar_from_expression(text).fn.symmetric
+    error, message, point = _cube_agreed("tnorm", text, 100)
+    assert error == "CandidateEvaluationError" and point == repr((0.11 * 0.75, 0.98))
     assert _tile_of((0.11, 0.75), 100) == 3
 
 
@@ -890,9 +820,9 @@ def test_a_mirrored_walk_raises_where_the_full_walk_does():
 ])
 @pytest.mark.parametrize("kind", ["tnorm", "implication"])
 @pytest.mark.parametrize("steps", [100, 181])
-def test_a_mirrored_walk_matches_the_full_walk(text, kind, steps):
+def test_a_mirrored_walk_matches_the_reference(text, kind, steps):
     # Grid 100 walks blocks of x-planes; grid 181 walks blocks of y-rows.
-    _assert_the_walks_match(kind, text, steps)
+    _cube_agreed(kind, text, steps)
 
 
 @settings(max_examples=100, deadline=None)
@@ -900,8 +830,8 @@ def test_a_mirrored_walk_matches_the_full_walk(text, kind, steps):
        text=st.one_of(asts.map(pretty_print),
                       st.builds(joined_with_its_swap, asts.map(pretty_print), COMMUTATIVE_OPS)),
        steps=st.sampled_from([100, 181]))
-def test_a_mirrored_walk_matches_the_full_walk_on_random_expressions(kind, text, steps):
-    _assert_the_walks_match(kind, text, steps)
+def test_a_mirrored_walk_matches_the_reference_on_random_expressions(kind, text, steps):
+    _cube_agreed(kind, text, steps)
 
 
 @pytest.mark.parametrize("text", [
@@ -913,20 +843,11 @@ def test_a_mirrored_walk_matches_the_full_walk_on_random_expressions(kind, text,
     _RAISES_IN_THE_CUBE.format(c=1.8338470458984375),
 ])
 @pytest.mark.parametrize("kind", ["tnorm", "implication"])
-def test_a_mirrored_walk_matches_the_full_walk_at_the_benchmark_grid(text, kind):
+def test_a_mirrored_walk_matches_the_reference_at_the_benchmark_grid(text, kind):
     # Grid 256 is where mirrored tiles differ most from unmirrored ones:
     # two or three y-row tiles a plane up to x-plane 129, then blocks of
     # whole clipped planes, against three y-row tiles in every plane.
-    _assert_the_walks_match(kind, text, 256)
-
-
-def _assert_the_walks_match(kind, text, steps):
-    candidate = scalar_from_expression(text)
-    try:
-        outcome = _cube_outcome(kind, candidate, steps)
-    except CandidateEvaluationError:  # the grid matrix raises: no cube is walked
-        return
-    assert outcome == _cube_outcome(kind, candidate, steps, _full_walk_cube)
+    _cube_agreed(kind, text, 256)
 
 
 # --- the sorted-triple screen of associativity -------------------------------------------
@@ -980,30 +901,26 @@ _symmetric_texts = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(text=_symmetric_texts, steps=st.sampled_from([2, 3, 7, 16, 40, 100]),
        tol=st.sampled_from([1e-12, 1e-9, 0.01]))
-def test_the_screen_passes_exactly_when_the_full_walk_finds_nothing(text, steps, tol):
-    candidate = scalar_from_expression(text)
-    assert candidate.fn.symmetric
-    axiom = next(axiom for axiom in _TNORM_AXIOMS if axiom.grid is None)
-    g = grid_points(steps)
-    walked = []
+def test_the_screen_passes_exactly_when_the_reference_finds_nothing(text, steps, tol):
+    assert scalar_from_expression(text).fn.symmetric
+    if screened := _screened("tnorm", text, steps, tol):
+        passed, mirrored = screened
+        assert (not mirrored) == passed
 
-    def outcome(walk):
-        with np.errstate(all="ignore"):
-            try:
-                witness, points = walk(axiom, candidate, F, g, tol)
-            except CandidateEvaluationError as err:
-                return type(err), str(err), repr(err.point)
-        return repr(witness), points
 
+def _screened(kind, text, steps, tol):
+    """Whether the agreed check of ``text`` passed its cube axiom, and the
+    ``mirror`` of each call of ``_cube_tiles`` (the exchange screen's True,
+    a walk's False); None if the grid matrix raises: no cube is screened."""
     try:
-        F = _grid_matrix(candidate, g)
-    except CandidateEvaluationError:  # no cube is walked
-        return
-    full = outcome(_full_walk_cube)
-    with mock.patch.object(analysis, "_cube_tiles",
-                           lambda *args: walked.append(args) or _cube_tiles(*args)):
-        assert outcome(_walk_cube) == full
-    assert (not walked) == (full == ("None", len(g) ** 3))
+        _grid_matrix(scalar_from_expression(text), grid_points(steps))
+    except CandidateEvaluationError:
+        return None
+    mirrored = []
+    with mock.patch.object(analysis, "_cube_tiles", lambda n, most, mirror=False:
+                           mirrored.append(mirror) or _cube_tiles(n, most, mirror)):
+        outcome = _cube_agreed(kind, text, steps, tolerance=tol)
+    return isinstance(outcome, str) and _check_of(outcome, _CUBE_LABELS[kind])["passed"], mirrored
 
 
 @pytest.mark.parametrize("text", [
@@ -1017,23 +934,15 @@ def test_a_walk_after_a_failing_screen_tile_keeps_the_tiles_that_reach_its_first
     # the unmirrored one of 18 to 20).  Each candidate but the last first
     # violates or raises in one of those planes.  The last fails at a = 0
     # by one NaN value of three, and with all three NaN from a = 0.46 on.
-    _assert_the_walks_match("tnorm", text, 100)
+    _cube_agreed("tnorm", text, 100)
 
 
 def test_a_late_failing_symmetric_walk_screens_most_of_the_cube():
-    candidate = scalar_from_expression(_LATE_SYMMETRIC.format(t=0.99))
-    evaluated = []
-
-    def inner(layouts, tile, i, j):
-        if not evaluated or evaluated[-1] is not tile:
-            evaluated.append(tile)
-        return _tile_inner(layouts, tile, i, j)
-
-    with mock.patch.object(analysis, "_tile_inner", inner):
-        outcome = _cube_outcome("tnorm", candidate, 256)
-    assert outcome == _cube_outcome("tnorm", candidate, 256, _full_walk_cube)
-    assert outcome[2] is False
-    assert len(evaluated) < len(list(_cube_tiles(257, mirror=True))) == 347
+    text = _LATE_SYMMETRIC.format(t=0.99)
+    _cube_agreed("tnorm", text, 256)
+    check, tiles = _walked_tiles("tnorm", text, 256)
+    assert not check.passed
+    assert len(tiles) < len(list(_cube_tiles(257, mirror=True))) == 347
 
 
 # --- the exchange screen, and where the walk stops ----------------------------------------
@@ -1059,37 +968,16 @@ _exchange_texts = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(text=_exchange_texts, steps=st.sampled_from([2, 3, 7, 16, 40, 100]),
        tol=st.sampled_from([1e-12, 1e-9, 0.01]))
-def test_the_exchange_screen_passes_exactly_when_the_full_walk_finds_nothing(text, steps, tol):
-    candidate = scalar_from_expression(text)
-    axiom = next(axiom for axiom in _IMPLICATION_AXIOMS if axiom.grid is None)
-    g = grid_points(steps)
-    mirrored = []  # one entry per call of _cube_tiles: the screen's True, the walk's False
-
-    def outcome(walk):
-        with np.errstate(all="ignore"):
-            try:
-                witness, points = walk(axiom, candidate, F, g, tol)
-            except CandidateEvaluationError as err:
-                return type(err), str(err), repr(err.point)
-        return repr(witness), points
-
-    try:
-        F = _grid_matrix(candidate, g)
-    except CandidateEvaluationError:  # no cube is walked
-        return
-    full = outcome(_full_walk_cube)
-    with mock.patch.object(analysis, "_cube_tiles", lambda n, most, mirror=False:
-                           mirrored.append(mirror) or _cube_tiles(n, most, mirror)):
-        assert outcome(_walk_cube) == full
-    assert mirrored[0] is True
-    assert (False not in mirrored) == (full == ("None", len(g) ** 3))
+def test_the_exchange_screen_passes_exactly_when_the_reference_finds_nothing(text, steps, tol):
+    if screened := _screened("implication", text, steps, tol):
+        passed, mirrored = screened
+        assert mirrored[0] is True and (False not in mirrored) == passed
 
 
 def _walked_tiles(kind, text, steps):
     """The cube check of ``text`` (or its error), and the tiles at which it
     evaluated the candidate, screen tiles first, in order."""
     candidate = scalar_from_expression(text)
-    check_fn, label = _CUBE_CHECKS[kind]
     tiles = []
 
     def inner(layouts, tile, i, j):
@@ -1099,10 +987,10 @@ def _walked_tiles(kind, text, steps):
 
     with mock.patch.object(analysis, "_tile_inner", inner):
         try:
-            check = check_fn(candidate, CheckConfig(grid_steps=steps, random_samples=0))
+            report = _CHECKERS[kind](candidate, CheckConfig(grid_steps=steps, random_samples=0))
         except CandidateEvaluationError as err:
             return err, tiles
-    return check.check(label), tiles
+    return report.check(_CUBE_LABELS[kind]), tiles
 
 
 @pytest.mark.parametrize("kind, text, steps, screen_tiles, walk_tiles", [
@@ -1140,10 +1028,8 @@ def test_a_walk_that_cannot_raise_stops_at_its_witness_tile(kind, text, steps, s
     ("tnorm", "(x + y)*0.5 + 0*(1/(x*y - 0.9766845703125))", 64, (0.984375, 0.9921875), 14),
 ])
 def test_a_walk_that_may_raise_goes_on_past_its_witness(kind, text, steps, point, tiles_walked):
-    candidate = scalar_from_expression(text)
-    outcome = _cube_outcome(kind, candidate, steps)
-    assert outcome == _cube_outcome(kind, candidate, steps, _full_walk_cube)
-    assert outcome[0] is CandidateEvaluationError and outcome[2] == repr(point)
+    error, message, at = _cube_agreed(kind, text, steps)
+    assert error == "CandidateEvaluationError" and at == repr(point)
     error, tiles = _walked_tiles(kind, text, steps)
     assert error.point == point and len(tiles) == tiles_walked
     # Without its division the candidate fails in the first tile.
@@ -1152,18 +1038,6 @@ def test_a_walk_that_may_raise_goes_on_past_its_witness(kind, text, steps, point
 
 
 # --- locating an evaluation error ------------------------------------------------------
-
-def _walk_to_failure(candidate, args, shape):
-    """Reference: call the candidate point by point in C order."""
-    broadcast = [np.broadcast_to(np.asarray(a, dtype=float), shape) for a in args]
-    for idx in np.ndindex(shape):
-        point = tuple(float(b[idx]) for b in broadcast)
-        try:
-            candidate(*point)
-        except (DslError, FuzzySoftError):
-            return point
-    return tuple(float("nan") for _ in args)
-
 
 _NUMERATORS = ("1", "x", "y", "x*y", "1-x")
 _DENOMINATORS = ("x - 0.5", "y - 0.25", "x - y", "x*y - 0.25", "x + y - 1", "1 - x", "y",
@@ -1194,7 +1068,7 @@ def test_located_failure_matches_a_point_by_point_walk(case):
     candidate, args = case
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     assert repr(_locate_failure(candidate, args, shape)) == repr(
-        _walk_to_failure(candidate, args, shape))
+        reference.walk_to_failure(candidate, args, shape))
 
 
 def test_locating_a_failure_takes_logarithmically_many_calls():
@@ -1215,57 +1089,6 @@ def test_locating_a_failure_takes_logarithmically_many_calls():
 
 # --- witness re-evaluation (ROADMAP contract 3b) -----------------------------------
 
-def _pair_sides_scalar(f, x1, y1, x2, y2):
-    return f(x1, y1), f(x2, y2)
-
-
-def _unit_boundary(unit: float, free: int):
-    def sides(f, x, y):
-        assert (x, y)[1 - free] == unit
-        return f(x, y), (x, y)[free]
-    return sides
-
-
-def _falsity_boundary(f, x, y):
-    assert x == 0.0
-    return f(x, y), 1.0
-
-
-#: Each axiom written again with scalar calls: (kind, label) -> (relation, sides).
-_SCALAR_AXIOMS = {
-    **{(kind, label): entry
-       for kind, unit in (("tnorm", 1.0), ("tconorm", 0.0))
-       for label, entry in {
-           "codomain": ("in [0, 1]", lambda f, x, y: (f(x, y), None)),
-           "i": ("==", _unit_boundary(unit, 1)),
-           "ii": ("==", _unit_boundary(unit, 0)),
-           "iii": ("==", lambda f, x, y: (f(x, y), f(y, x))),
-           "iv": ("==", lambda f, x, y, z: (f(x, f(y, z)), f(f(x, y), z))),
-           "v": ("<=", _pair_sides_scalar),
-       }.items()},
-    ("implication", "codomain"): ("in [0, 1]", lambda f, x, y: (f(x, y), None)),
-    ("implication", "i"): (">=", _pair_sides_scalar),
-    ("implication", "ii"): ("<=", _pair_sides_scalar),
-    ("implication", "iii"): ("==", _unit_boundary(1.0, 1)),
-    ("implication", "iv"): ("==", _falsity_boundary),
-    ("implication", "v"): ("==", lambda f, x, y, z: (f(x, f(y, z)), f(y, f(x, z)))),
-    ("negation", "codomain"): ("in [0, 1]", lambda f, x: (f(x), None)),
-    ("negation", "i"): ("==", lambda f, x: (f(x), 1.0 - x)),
-    ("negation", "ii"): (">=", lambda f, x1, x2: (f(x1), f(x2))),
-    ("negation", "iii"): ("==", lambda f, x: (f(f(x)), x)),
-}
-
-
-def _holds(got: float, want: float | None, relation: str, tol: float) -> bool:
-    if relation == "==":
-        return abs(got - want) <= tol
-    if relation == "<=":
-        return got <= want + tol
-    if relation == ">=":
-        return got >= want - tol
-    return -tol <= got <= 1.0 + tol
-
-
 _EXPRESSIONS = st.recursive(
     st.sampled_from(["x", "y", "0", "1", "0.5", "0.25", "2", "-1"]),
     lambda inner: st.one_of(
@@ -1276,8 +1099,12 @@ _EXPRESSIONS = st.recursive(
         inner.map(lambda e: f"abs({e})")),
     max_leaves=6)
 
-_CHECKERS = {"tnorm": check_tnorm_axioms, "tconorm": check_tconorm_axioms,
-             "implication": check_implication_axioms, "negation": check_negation_axioms}
+
+def _of_kind(kind, text):
+    """``text`` as a candidate of ``kind``: a negation reads x for y."""
+    if kind == "negation":
+        return scalar_from_expression(text.replace("y", "x"), arity=1)
+    return scalar_from_expression(text)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1286,147 +1113,45 @@ _CHECKERS = {"tnorm": check_tnorm_axioms, "tconorm": check_tconorm_axioms,
        tol=st.sampled_from([1e-9, 1e-3, 0.1]))
 def test_every_witness_violates_its_axiom_when_evaluated_again(kind, text, steps, samples,
                                                                seed, tol):
-    arity = 1 if kind == "negation" else 2
-    candidate = scalar_from_expression(text.replace("y", "x") if arity == 1 else text,
-                                       arity=arity)
+    candidate = _of_kind(kind, text)
     cfg = CheckConfig(grid_steps=steps, random_samples=samples, seed=seed, tolerance=tol)
     report = _CHECKERS[kind](candidate, cfg=cfg)
     for check in report.checks:
         if check.passed:
             assert check.witness is None
             continue
-        relation, sides = _SCALAR_AXIOMS[kind, check.label]
+        # The axiom as the reference states it, called with scalars.
+        axiom = next(axiom for axiom in reference.AXIOMS[kind] if axiom.label == check.label)
         witness = check.witness
-        assert witness.relation == relation
-        evaluated = sides(lambda *args: float(candidate(*args)), *witness.args)
-        assert not _holds(*evaluated, relation, tol), (check.label, witness, evaluated)
+        assert witness.relation == axiom.relation
+        evaluated = axiom.sides(lambda *args: float(candidate(*args)), *witness.args)
+        assert reference.violated(*evaluated, axiom.relation, tol), (check.label, witness,
+                                                                     evaluated)
 
 
-# --- grid parts as views of the grid matrix --------------------------------------------
-
-def _repeated_pairs(g):
-    return np.repeat(g, len(g)), np.tile(g, len(g))
-
-
-def _repeated_adjacent(g, axis):
-    n = len(g)
-    if axis == 0:
-        y = np.tile(g, n - 1)
-        return np.repeat(g[:-1], n), y, np.repeat(g[1:], n), y
-    x = np.repeat(g, n - 1)
-    return x, np.tile(g[:-1], n), x, np.tile(g[1:], n)
-
-
-def _repeated_adjacent_both(g):
-    return tuple(map(np.concatenate, zip(_repeated_adjacent(g, 0), _repeated_adjacent(g, 1))))
-
-
-#: Each binary grid part as n**2-length argument columns: (kind, label) -> columns(g).
-_GATHERED_GRIDS = {
-    **{(kind, label): grid
-       for kind, unit in (("tnorm", 1.0), ("tconorm", 0.0))
-       for label, grid in {
-           "codomain": _repeated_pairs,
-           "i": lambda g, unit=unit: (unit, g),
-           "ii": lambda g, unit=unit: (g, unit),
-           "iii": _repeated_pairs,
-           "v": _repeated_adjacent_both,
-       }.items()},
-    ("implication", "codomain"): _repeated_pairs,
-    ("implication", "i"): partial(_repeated_adjacent, axis=0),
-    ("implication", "ii"): partial(_repeated_adjacent, axis=1),
-    ("implication", "iii"): lambda g: (1.0, g),
-    ("implication", "iv"): lambda g: (0.0, g),
-}
-
-_BINARY_AXIOMS = {"tnorm": _TNORM_AXIOMS, "tconorm": _TCONORM_AXIOMS,
-                  "implication": _IMPLICATION_AXIOMS}
-
-
-def _gathered_check(kind, candidate, cfg):
-    """Reference: the binary check as the verifier once ran it.  Each grid
-    part builds n**2-length argument columns and gathers the grid matrix at
-    them by rint; the cube walk and the samples are the module's own."""
-    g = np.arange(cfg.grid_steps + 1, dtype=float) / cfg.grid_steps
-    F = _grid_matrix(candidate, g)
-
-    def table(x, y):
-        return F[np.rint(np.multiply(x, cfg.grid_steps)).astype(np.intp),
-                 np.rint(np.multiply(y, cfg.grid_steps)).astype(np.intp)]
-
-    rng = np.random.default_rng(cfg.seed)
-    call = partial(_call, candidate)
-    checks = []
-    for axiom in _BINARY_AXIOMS[kind]:
-        sample = None if axiom.draw is None else axiom.draw(rng, cfg.random_samples)
-        with np.errstate(all="ignore"):
-            if axiom.grid is None:
-                witness, points = _walk_cube(axiom, candidate, F, g, cfg.tolerance)
-                parts = [] if sample is None else [
-                    (partial(axiom.sides, call, call, lambda i, j: call(sample[i], sample[j])),
-                     sample)]
-            else:
-                witness, points = None, 0
-                parts = [(partial(axiom.sides, table), _GATHERED_GRIDS[kind, axiom.label](g))]
-                if sample is not None:
-                    parts.append((partial(axiom.sides, call), sample))
-            for sides, cols in parts:
-                got, want = sides(*cols)
-                got = np.broadcast_to(np.asarray(got, dtype=float),
-                                      np.broadcast_shapes(*map(np.shape, cols)))
-                bad = _violations(got, want, axiom.relation, cfg.tolerance)
-                points += bad.size
-                if bad.any():
-                    found = _smallest_violation(cols, got, want, bad, axiom.relation)[1]
-                    if witness is None or found.args < witness.args:
-                        witness = found
-        checks.append(AxiomCheck(axiom.label, axiom.description, witness is None, witness,
-                                 points))
-    return AxiomReport(kind, candidate.name, cfg, tuple(checks))
-
-
-def _outcome(run):
-    """A report's JSON text (NaN and -0.0 spelled out), or the error's
-    type, message and point."""
-    try:
-        return json.dumps(run().to_dict())
-    except CandidateEvaluationError as err:
-        return type(err).__name__, str(err), repr(err.point)
-
-
-def _array_path_check(kind, candidate, cfg):
-    """Reference: the module's own check, with the candidate's body wrapped
-    so that the cube walk takes the array path, not the register path."""
-    forced = _with_fn(candidate, lambda x, y: candidate.fn(x, y))
-    return _CHECKERS[kind](forced, cfg)
-
-
-def _assert_views_match_the_gather(kind, candidate, steps, samples, seed=0,
-                                   reference=_gathered_check):
-    cfg = CheckConfig(grid_steps=steps, random_samples=samples, seed=seed)
-    outcome = _outcome(lambda: _CHECKERS[kind](candidate, cfg))
-    assert outcome == _outcome(lambda: reference(kind, candidate, cfg))
-    return outcome
-
+# --- every check against the reference verifier ----------------------------------------
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(sorted(_BINARY_AXIOMS)), text=_EXPRESSIONS,
+@given(kind=st.sampled_from(sorted(_CHECKERS)), text=_EXPRESSIONS,
        steps=st.integers(2, 40), samples=st.sampled_from([0, 1, 7, 300]),
        seed=st.integers(0, 2**16))
-def test_grid_views_match_the_gathered_columns(kind, text, steps, samples, seed):
-    _assert_views_match_the_gather(kind, scalar_from_expression(text), steps, samples, seed)
+def test_checks_match_the_reference(kind, text, steps, samples, seed):
+    _agreed(kind, _of_kind(kind, text),
+            CheckConfig(grid_steps=steps, random_samples=samples, seed=seed))
 
 
-@pytest.mark.parametrize("name", [n for n in builtin_names() if n != "sugeno(L)"
-                                  and builtin(n).arity == 2])
-@pytest.mark.parametrize("kind", sorted(_BINARY_AXIOMS))
-@pytest.mark.parametrize("steps, samples, reference", [
-    (2, 0, _gathered_check), (7, 50, _gathered_check), (40, 200, _gathered_check),
-    (40, 200, _array_path_check),  # the register path against the array path
-], ids=["2-0", "7-50", "40-200", "40-200-array-path"])
-def test_grid_views_match_the_gathered_columns_on_builtins(name, kind, steps, samples,
-                                                           reference):
-    _assert_views_match_the_gather(kind, builtin(name), steps, samples, reference=reference)
+_BUILTIN_KINDS = [
+    (name, kind) for name in [*builtin_names(), "sugeno(1)", "sugeno(0.5)"] if name != "sugeno(L)"
+    for kind in (["negation"] if builtin(name).arity == 1 else ["implication", "tconorm", "tnorm"])]
+
+
+@pytest.mark.parametrize("name, kind", _BUILTIN_KINDS)
+@pytest.mark.parametrize("steps, samples", [(2, 0), (7, 50), (40, 200)])
+@pytest.mark.parametrize("path", ["register", "array"])
+def test_builtins_match_the_reference(name, kind, steps, samples, path):
+    # The array path calls the builtin's body as a plain callable.
+    candidate = builtin(name) if path == "register" else _on_the_array_path(builtin(name))
+    _agreed(kind, candidate, CheckConfig(grid_steps=steps, random_samples=samples))
 
 
 @pytest.mark.parametrize("text, value", [
@@ -1436,10 +1161,10 @@ def test_grid_views_match_the_gathered_columns_on_builtins(name, kind, steps, sa
     ("x*y*(0 - 1)", "-0.0"),                  # -0.0 where x or y is 0
     ("x + y - 1", "-1.0"),                    # values outside [0, 1]
 ])
-@pytest.mark.parametrize("kind", sorted(_BINARY_AXIOMS))
-def test_grid_views_match_the_gathered_columns_on_special_values(text, value, kind):
-    report = _assert_views_match_the_gather(kind, scalar_from_expression(text), 12, 40)
-    assert value in report
+@pytest.mark.parametrize("kind", ["implication", "tconorm", "tnorm"])
+def test_special_values_match_the_reference(text, value, kind):
+    cfg = CheckConfig(grid_steps=12, random_samples=40)
+    assert value in _agreed(kind, scalar_from_expression(text), cfg)
 
 
 def _raising_on(inner, where):
@@ -1455,13 +1180,29 @@ def _raising_on(inner, where):
     (lambda x, y: (x > 0.3001) & (x < 0.3002), 20000),      # no grid point up to 40 steps
     (lambda x, y: (x >= 0.5) & (y > 0.0) & (y < 0.01), 0),  # off-grid second arguments: the cube
 ])
-@pytest.mark.parametrize("kind", sorted(_BINARY_AXIOMS))
-def test_grid_views_match_the_gathered_columns_when_the_candidate_raises(where, samples, kind):
-    candidate = _raising_on(scalar_from_expression("x*y*y"), where)
-    _assert_views_match_the_gather(kind, candidate, 40, samples)
-    with pytest.raises(CandidateEvaluationError) as err:
-        _CHECKERS[kind](candidate, CheckConfig(grid_steps=40, random_samples=samples))
-    assert where(*map(np.array, err.value.point))
+@pytest.mark.parametrize("kind", ["implication", "tconorm", "tnorm"])
+def test_raising_candidates_match_the_reference(where, samples, kind):
+    cfg = CheckConfig(grid_steps=40, random_samples=samples)
+    error, message, point = _agreed(kind, _raising_on(scalar_from_expression("x*y*y"), where), cfg)
+    assert where(*map(np.array, ast.literal_eval(point)))
+
+
+#: p = max(0, x*(0.5 - x)) vanishes at the grid points 0, 1/2 and 1 of two steps, so
+#: each candidate passes its axiom there and fails it between them: its witness is a
+#: sample, of one of the shapes that the draw schedule has.
+_P = "max(0, {v}*(0.5 - {v}))"
+
+
+@pytest.mark.parametrize("kind, text, label", [
+    ("tnorm", "x*y - " + _P.format(v="x"), "codomain"),  # two uniform columns
+    ("tnorm", "x*y + %s*%s" % (_P.format(v="x"), _P.format(v="y")), "iv"),  # three
+    ("tnorm", "x*y - 2*" + _P.format(v="x"), "v"),  # two sorted pairs
+    ("implication", "max(1 - x, y) + 10*" + _P.format(v="x"), "i"),  # a sorted pair, a repeat
+], ids=["uniform-2", "uniform-3", "sorted-pairs", "sorted-pair-and-repeat"])
+def test_a_sampled_witness_matches_the_reference(kind, text, label):
+    cfg = CheckConfig(grid_steps=2, random_samples=200)
+    witness = _check_of(_agreed(kind, scalar_from_expression(text), cfg), label)["witness"]
+    assert not {2 * v for v in witness["args"]} <= {0.0, 1.0, 2.0}, witness
 
 
 # --- report serialization ----------------------------------------------------

@@ -88,6 +88,17 @@ MUTANTS = (
     Mutant("witness-tie-to-the-later-part", "analysis.py",
            "if witness is None or found.args < witness.args:",
            "if witness is None or found.args <= witness.args:", _ANALYSIS),
+    # The sample draws, x before y: only a reference that draws on its own can kill these.
+    Mutant("sample-columns-reversed", "analysis.py",
+           "return lambda rng, m: tuple(rng.random(m) for _ in range(count))",
+           "return lambda rng, m: tuple(rng.random(m) for _ in range(count))[::-1]",
+           ("tests/test_analysis.py",)),
+    Mutant("pair-draw-y-before-x", "analysis.py",
+           "        x1, x2 = _sorted_pair(rng, m) if sort_x else (rng.random(m),) * 2\n"
+           "        y1, y2 = _sorted_pair(rng, m) if sort_y else (rng.random(m),) * 2\n",
+           "        y1, y2 = _sorted_pair(rng, m) if sort_y else (rng.random(m),) * 2\n"
+           "        x1, x2 = _sorted_pair(rng, m) if sort_x else (rng.random(m),) * 2\n",
+           ("tests/test_analysis.py",)),
     # _violations, one relation each.
     Mutant("violation-equal-lets-nan-pass", "analysis.py",
            "return ~(np.abs(diff, out=diff) <= tol)",
