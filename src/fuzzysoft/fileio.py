@@ -181,7 +181,12 @@ def load_fss(path: str | Path) -> FuzzySoftSet:
         raise DocumentError(f"{path} holds more than "
                             f"MAX_DOCUMENT_BYTES = {MAX_DOCUMENT_BYTES} bytes")
     try:
-        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_decode_object)
+        # Drop the bytes once decoded and the text once parsed: neither is held
+        # while the document is built and validated.
+        text = data.decode("utf-8")
+        del data
+        doc = json.loads(text, object_pairs_hook=_decode_object)
+        del text
     except RecursionError:
         raise DocumentError(f"{path} is not valid JSON: nesting too deep") from None
     except ValueError as err:  # not UTF-8, JSONDecodeError, or an integer past the digit limit

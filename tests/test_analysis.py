@@ -37,12 +37,12 @@ from fuzzysoft.analysis import (
     _cube_tiles,
     _grid_matrix,
     _locate_failure,
+    _part_witness,
     _screen_tiles,
     _smallest_violation,
     _sorted_pair,
     _tile_inner,
     _verify,
-    _violations,
     grid_points,
 )
 from fuzzysoft.connectives import ScalarConnective, builtin_names, resolve_connective
@@ -537,11 +537,14 @@ _TOL = 2.0**-20  # exact sums with 0.5 and 1.0, so each band edge is hit exactly
 def test_a_relation_holds_up_to_the_tolerance_and_nan_violates_it(relation, want, within,
                                                                    beyond):
     def violated(got):
-        return _violations(np.array(got), want, relation, _TOL).tolist()
+        """Whether each value, as a part of its own, violates the relation."""
+        return [_part_witness((0.0,), np.array([v]), want, relation, _TOL) is not None
+                for v in got]
 
     assert violated(within) == [False] * len(within)
     assert violated(beyond) == [True] * len(beyond)
     assert violated([math.nan]) == [True]
+    assert _part_witness((np.empty(0),), np.empty(0), want, relation, _TOL) is None
 
 
 # --- witness selection -------------------------------------------------------------
@@ -549,33 +552,31 @@ def test_a_relation_holds_up_to_the_tolerance_and_nan_violates_it(relation, want
 def _lexsort_witness(parts):
     """Reference: gather every violation of every part and take the first
     row of a stable lexsort, as the verifier once did."""
-    rows, got_bad, want_bad, where = [], [], [], []
-    for number, (cols, got, want, bad) in enumerate(parts):
+    rows, got_bad, want_bad = [], [], []
+    for cols, got, want, bad in parts:
         if bad.any():
             rows.append(np.column_stack([np.broadcast_to(c, bad.shape)[bad] for c in cols]))
             got_bad.append(got[bad])
             want_bad.append(np.broadcast_to(want, bad.shape)[bad])
-            where += [(number, int(i)) for i in np.flatnonzero(bad)]
     if not rows:
         return None
     rows = np.concatenate(rows)
     index = int(np.lexsort(rows.T[::-1])[0])
-    return (where[index], tuple(float(v) for v in rows[index]),
+    return (tuple(float(v) for v in rows[index]),
             float(np.concatenate(got_bad)[index]), float(np.concatenate(want_bad)[index]))
 
 
 def _streamed_witness(parts):
     """Each part reduced on its own; a later part replaces the kept point
-    only with a strictly smaller tuple, as ``_verify`` does."""
+    only with a strictly smaller tuple, as ``_verify`` does.  Each point
+    has its own got, so (args, got, want) names the point picked."""
     best = None
-    for number, (cols, got, want, bad) in enumerate(parts):
+    for cols, got, want, bad in parts:
         if bad.any():
-            index, found = _smallest_violation(cols, got, want, bad, "==")
-            if best is None or found.args < best[1].args:
-                best = ((number, index), found)
-    if best is None:
-        return None
-    return best[0], best[1].args, best[1].got, best[1].want
+            found = _smallest_violation(cols, got, want, bad, "==")
+            if best is None or found.args < best.args:
+                best = found
+    return None if best is None else (best.args, best.got, best.want)
 
 
 #: Few distinct values, so equal columns and equal tuples are common.
@@ -622,7 +623,7 @@ def test_witness_ties_go_to_the_earlier_part():
     cols = (np.array([0.5, 0.25]), 1.0)
     first = (cols, np.array([0.1, 0.2]), 0.0, np.array([False, True]))
     second = (cols, np.array([0.3, 0.4]), 0.0, np.array([True, True]))
-    expected = ((0, 1), (0.25, 1.0), 0.2, 0.0)
+    expected = ((0.25, 1.0), 0.2, 0.0)  # the first part's second point
     assert _streamed_witness([first, second]) == _lexsort_witness([first, second]) == expected
 
 
@@ -764,29 +765,33 @@ def _ranges(tile, n):
     return [range(*axis.indices(n)) for axis in tile]
 
 
-@pytest.mark.parametrize("n, most", [(2, 2**15), (3, 4), (17, 2**15), (17, 40), (101, 2**15),
-                                     (182, 2**15), (257, 2**15), (257, 2**14), (300, 2**15)])
-def test_mirrored_cube_tiles_cover_the_half_cube_in_c_order(n, most):
-    tiles = [_ranges(tile, n) for tile in _cube_tiles(n, most, mirror=True)]
-    covered = np.zeros((n, n, n), dtype=bool)
-    last = (-1, -1, -1)
-    for xs, ys, zs in tiles:
-        assert 0 < len(xs) * len(ys) * len(zs) <= max(most, n)
-        # y starts at the first x-plane, or, when a tile is y-rows of one
-        # plane, where the plane's previous tile stopped.
-        assert ys.start == xs.start or (xs[0], ys.start) == (last[0], last[1] + 1)
-        # Every triple of a tile comes after every triple of the tiles before.
-        assert (xs[0], ys[0], zs[0]) > last
-        last = (xs[-1], ys[-1], zs[-1])
-        covered[xs[0]:xs[-1] + 1, ys[0]:ys[-1] + 1, zs[0]:zs[-1] + 1] = True
-    x = np.arange(n)
-    half = x[None, :, None] >= x[:, None, None]
-    assert covered[np.broadcast_to(half, covered.shape)].all()
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("most", [1, 4, 40, 2**10, 2**14, 2**15])
+def test_screen_tiles_cover_the_ascending_triples_in_order_of_their_first_plane(most, k):
+    # k = 2 covers every a <= b for any c, and k = 3 every a <= b <= c.
+    for n in [*range(2, 41), 101, 182, 257]:
+        covered = np.zeros((n, n, n), dtype=bool)
+        first = 0
+        for tile in _screen_tiles(n, most, k):
+            xs, ys, zs = _ranges(tile, n)
+            assert 0 < len(xs) * len(ys) * len(zs) <= min(n ** 3, max(most, n))
+            assert xs.start >= first
+            first = xs.start
+            covered[xs.start:xs.stop, ys.start:ys.stop, zs.start:zs.stop] = True
+        a, b, c = np.ogrid[:n, :n, :n]
+        assert covered[(a <= b) & ((b <= c) if k == 3 else (c >= 0))].all(), n
 
 
-def test_mirrored_cube_tiles_at_the_benchmark_grid_are_about_half():
+def test_tiles_at_the_benchmark_grid():
     assert len(list(_cube_tiles(257))) == 771
-    assert len(list(_cube_tiles(257, mirror=True))) <= 350
+
+    def extent(k):
+        tiles = [_ranges(tile, 257) for tile in _screen_tiles(257, CUBE_TILE_POINTS, k)]
+        return len(tiles), sum(len(xs) * len(ys) * len(zs) for xs, ys, zs in tiles)
+
+    # Against 8,520,321 triples with a <= b and 2,862,209 with a <= b <= c.
+    assert extent(2) == (321, 8_717_183)
+    assert extent(3) == (207, 3_332_249)
 
 
 #: Symmetric, and raises only where f(x, f(y, z)) or f(f(x, y), z) sums to
@@ -839,37 +844,19 @@ def test_a_mirrored_walk_matches_the_reference_on_random_expressions(kind, text,
     # Fails first at (253, 253, 254) / 256, in the tile of y-rows 127 to 253.
     _LATE_SYMMETRIC.format(t=0.985),
     # Raises first at (231, 241, 252) / 256, in the second side, inside the
-    # mirrored associativity tile of x-planes 228 to 231.
+    # exchange screen tile of a-planes 231 to 237 and the associativity one
+    # of a-planes 207 to 246.
     _RAISES_IN_THE_CUBE.format(c=1.8338470458984375),
 ])
 @pytest.mark.parametrize("kind", ["tnorm", "implication"])
 def test_a_mirrored_walk_matches_the_reference_at_the_benchmark_grid(text, kind):
-    # Grid 256 is where mirrored tiles differ most from unmirrored ones:
-    # two or three y-row tiles a plane up to x-plane 129, then blocks of
-    # whole clipped planes, against three y-row tiles in every plane.
+    # Grid 256 is where screen tiles differ most from the walk's: blocks of
+    # 16 b-rows in 7 a-planes (exchange), or in 7 to 40 (associativity),
+    # against three y-row tiles in every x-plane.
     _cube_agreed(kind, text, 256)
 
 
 # --- the sorted-triple screen of associativity -------------------------------------------
-
-@pytest.mark.parametrize("most", [1, 4, 40, 2**10, 2**15])
-def test_screen_tiles_cover_the_sorted_triples_in_order_of_their_first_plane(most):
-    for n in range(2, 41):
-        covered = np.zeros((n, n, n), dtype=bool)
-        first = 0
-        for tile in _screen_tiles(n, most):
-            xs, ys, zs = _ranges(tile, n)
-            assert 0 < len(xs) * len(ys) * len(zs) <= min(n ** 3, max(most, n))
-            assert xs.start >= first
-            first = xs.start
-            covered[xs.start:xs.stop, ys.start:ys.stop, zs.start:zs.stop] = True
-        a, b, c = np.ogrid[:n, :n, :n]
-        assert covered[(a <= b) & (b <= c)].all(), n
-
-
-def test_screen_tiles_at_the_benchmark_grid_are_fewer_than_the_mirrored_walks():
-    assert len(list(_screen_tiles(257))) <= 230
-
 
 #: Symmetric, and NaN where min(x, y) > c: 10**200 squared is inf, and 0 * inf
 #: is NaN.  At a sorted triple whose least coordinate alone is at most c,
@@ -904,23 +891,25 @@ _symmetric_texts = st.one_of(
 def test_the_screen_passes_exactly_when_the_reference_finds_nothing(text, steps, tol):
     assert scalar_from_expression(text).fn.symmetric
     if screened := _screened("tnorm", text, steps, tol):
-        passed, mirrored = screened
-        assert (not mirrored) == passed
+        passed, tilings = screened
+        assert tilings == ([3] if passed else [3, "walk"])
 
 
 def _screened(kind, text, steps, tol):
     """Whether the agreed check of ``text`` passed its cube axiom, and the
-    ``mirror`` of each call of ``_cube_tiles`` (the exchange screen's True,
-    a walk's False); None if the grid matrix raises: no cube is screened."""
+    tilings it took, in order: the k of each screen, and "walk" for each
+    walk; None if the grid matrix raises: no cube is screened."""
     try:
         _grid_matrix(scalar_from_expression(text), grid_points(steps))
     except CandidateEvaluationError:
         return None
-    mirrored = []
-    with mock.patch.object(analysis, "_cube_tiles", lambda n, most, mirror=False:
-                           mirrored.append(mirror) or _cube_tiles(n, most, mirror)):
+    tilings = []
+    with mock.patch.object(analysis, "_screen_tiles", lambda n, most, k:
+                           tilings.append(k) or _screen_tiles(n, most, k)), \
+         mock.patch.object(analysis, "_cube_tiles", lambda n, most:
+                           tilings.append("walk") or _cube_tiles(n, most)):
         outcome = _cube_agreed(kind, text, steps, tolerance=tol)
-    return isinstance(outcome, str) and _check_of(outcome, _CUBE_LABELS[kind])["passed"], mirrored
+    return isinstance(outcome, str) and _check_of(outcome, _CUBE_LABELS[kind])["passed"], tilings
 
 
 @pytest.mark.parametrize("text", [
@@ -929,10 +918,10 @@ def _screened(kind, text, steps, tol):
     _NAN_ABOVE.format(c=0.45),
 ])
 def test_a_walk_after_a_failing_screen_tile_keeps_the_tiles_that_reach_its_first_plane(text):
-    # At 100 steps screen tiles start at a-planes 0, 20, 45 and 81, inside
-    # the mirrored tiles of x-planes 18 to 20, 42 to 46 and 75 to 86 (and
-    # the unmirrored one of 18 to 20).  Each candidate but the last first
-    # violates or raises in one of those planes.  The last fails at a = 0
+    # At 100 steps screen tiles start at a-planes 0, 20, 45 and 81, and the
+    # walk's tiles are three x-planes each, so plane 20 lies inside the
+    # walk's tile of planes 18 to 20.  Each candidate but the last first
+    # violates or raises at plane 20, 45 or 81.  The last fails at a = 0
     # by one NaN value of three, and with all three NaN from a = 0.46 on.
     _cube_agreed("tnorm", text, 100)
 
@@ -942,7 +931,7 @@ def test_a_late_failing_symmetric_walk_screens_most_of_the_cube():
     _cube_agreed("tnorm", text, 256)
     check, tiles = _walked_tiles("tnorm", text, 256)
     assert not check.passed
-    assert len(tiles) < len(list(_cube_tiles(257, mirror=True))) == 347
+    assert len(tiles) < len(list(_screen_tiles(257, CUBE_TILE_POINTS, 2))) == 321
 
 
 # --- the exchange screen, and where the walk stops ----------------------------------------
@@ -970,8 +959,24 @@ _exchange_texts = st.one_of(
        tol=st.sampled_from([1e-12, 1e-9, 0.01]))
 def test_the_exchange_screen_passes_exactly_when_the_reference_finds_nothing(text, steps, tol):
     if screened := _screened("implication", text, steps, tol):
-        passed, mirrored = screened
-        assert mirrored[0] is True and (False not in mirrored) == passed
+        passed, tilings = screened
+        assert tilings == ([2] if passed else [2, "walk"])
+
+
+#: Kleene-Dienes, raised where x = 0.17 and y = 0.97: at 100 steps exchange
+#: fails only where x and y are 0.03 and 0.17, in either order.
+_FAILS_AT_3_AND_17 = ("max(1 - x, y) + 0.01*max(0, 0.005 - abs(x - 0.17))"
+                      "*max(0, 0.005 - abs(y - 0.97))")
+
+
+def test_an_exchange_screen_folds_the_rest_of_the_block_of_its_first_failure():
+    # The screen's first block is a-planes 0 to 19 in b-rows of 16.  Its
+    # first tile fails first at b = 3 < a = 17; the mirror, a = 3 < b = 17,
+    # lies in the block's second tile, so the walk starts at plane 3.
+    tiles = list(_screen_tiles(101, CUBE_TILE_POINTS, 2))[:2]
+    assert [(t[0].stop, t[1].start, t[1].stop) for t in tiles] == [(20, 0, 16), (20, 16, 32)]
+    witness = _check_of(_cube_agreed("implication", _FAILS_AT_3_AND_17, 100), "v")["witness"]
+    assert witness["args"] == [0.03, 0.17, 0.0]
 
 
 def _walked_tiles(kind, text, steps):
@@ -996,9 +1001,10 @@ def _walked_tiles(kind, text, steps):
 @pytest.mark.parametrize("kind, text, steps, screen_tiles, walk_tiles", [
     ("tnorm", "x*y*y", 100, 0, 1),  # not symmetric, so not screened
     ("tnorm", "(x + y)*0.5", 256, 1, 1),
-    # Fails first at (1, 241, 0) / 256, in the fifth screen tile (x-plane 1,
-    # y from 128), and in the fifth tile of the walk (x-plane 1, y to 253).
-    ("implication", "min(1, 1 - x + y*y)", 256, 5, 2),
+    # Fails first at (1, 241, 0) / 256.  The screen folds the 17 tiles of its
+    # first block (a from 0 to 6), whose first failing plane is 1, and the
+    # walk goes from x-plane 1 to the fifth tile (x-plane 1, y to 253).
+    ("implication", "min(1, 1 - x + y*y)", 256, 17, 2),
     # Fails first at x-plane 254, inside the last screen tile (a from 247),
     # so the walk evaluates one tile: x-plane 254, y from 254.
     ("tnorm", _LATE_SYMMETRIC.format(t=0.99), 256, 207, 1),

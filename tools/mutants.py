@@ -47,7 +47,10 @@ _SETS = ("tests/test_sets.py", "tests/test_golden_sets.py")
 _FILEIO = ("tests/test_fileio.py", "tests/test_golden_sets.py")
 
 MUTANTS = (
-    # _walk_cube's screen: where it stops, which tiles it folds, the plane it reports.
+    # _walk_cube's screen: the triples it covers, where it stops, which tiles it
+    # folds, the plane it reports.
+    Mutant("exchange-screened-with-c-from-b0", "analysis.py",
+           "slice(b if k == 3 else 0, None)", "slice(b, None)", _ANALYSIS),
     Mutant("screen-break-past-the-plane", "analysis.py",
            "if tile[0].start >= start and not fn.divides:",
            "if tile[0].start > start and not fn.divides:", _ANALYSIS),
@@ -72,13 +75,10 @@ MUTANTS = (
            "if min(tile[0].stop, tile[1].stop or n) <= start:",
            "if tile[0].stop <= start:", _ANALYSIS),
     Mutant("walk-stops-though-it-may-raise", "analysis.py",
-           "if not may_raise:", "if True:", _ANALYSIS),
+           "if witness and not may_raise:", "if witness:", _ANALYSIS),
     Mutant("walk-stops-an-uncompiled-candidate", "analysis.py",
            "start, may_raise = 0, not compiled or fn.divides",
            "start, may_raise = 0, compiled and fn.divides", _ANALYSIS),
-    Mutant("walk-tile-passes-below-want", "analysis.py",
-           "if not (diff.max() <= tol and diff.min() >= -tol):",
-           "if not diff.max() <= tol:", _ANALYSIS),
     # The witness: the lexicographically smallest violation, ties to the earlier part.
     Mutant("witness-largest-first-column", "analysis.py",
            "mask = mask & (col == np.min(col, where=mask, initial=np.inf))",
@@ -86,8 +86,8 @@ MUTANTS = (
     Mutant("witness-columns-reversed", "analysis.py",
            "for col in cols:", "for col in cols[::-1]:", _ANALYSIS),
     Mutant("witness-tie-to-the-later-part", "analysis.py",
-           "if witness is None or found.args < witness.args:",
-           "if witness is None or found.args <= witness.args:", _ANALYSIS),
+           "if found and (witness is None or found.args < witness.args):",
+           "if found and (witness is None or found.args <= witness.args):", _ANALYSIS),
     # The sample draws, x before y: only a reference that draws on its own can kill these.
     Mutant("sample-columns-reversed", "analysis.py",
            "return lambda rng, m: tuple(rng.random(m) for _ in range(count))",
@@ -99,17 +99,23 @@ MUTANTS = (
            "        y1, y2 = _sorted_pair(rng, m) if sort_y else (rng.random(m),) * 2\n"
            "        x1, x2 = _sorted_pair(rng, m) if sort_x else (rng.random(m),) * 2\n",
            ("tests/test_analysis.py",)),
-    # _violations, one relation each.
+    # _part_witness: when an "==" part passes, and each relation's violations.
+    Mutant("part-passes-on-the-max-alone", "analysis.py",
+           "if diff.max(initial=0.0) <= tol and diff.min(initial=0.0) >= -tol:",
+           "if diff.max(initial=0.0) <= tol:", _ANALYSIS),
+    Mutant("part-passes-on-the-min-alone", "analysis.py",
+           "if diff.max(initial=0.0) <= tol and diff.min(initial=0.0) >= -tol:",
+           "if diff.min(initial=0.0) >= -tol:", _ANALYSIS),
     Mutant("violation-equal-lets-nan-pass", "analysis.py",
-           "return ~(np.abs(diff, out=diff) <= tol)",
-           "return np.abs(diff, out=diff) > tol", _ANALYSIS),
+           "bad = ~(np.abs(diff, out=diff) <= tol)",
+           "bad = np.abs(diff, out=diff) > tol", _ANALYSIS),
     Mutant("violation-at-most-without-tolerance", "analysis.py",
-           "return ~(got <= want + tol)", "return ~(got <= want)", _ANALYSIS),
+           "bad = ~(got <= want + tol)", "bad = ~(got <= want)", _ANALYSIS),
     Mutant("violation-at-least-without-tolerance", "analysis.py",
-           "return ~(got >= want - tol)", "return ~(got >= want)", _ANALYSIS),
+           "bad = ~(got >= want - tol)", "bad = ~(got >= want)", _ANALYSIS),
     Mutant("violation-codomain-without-tolerance", "analysis.py",
-           "return ~((got >= -tol) & (got <= 1.0 + tol))",
-           "return ~((got >= 0.0) & (got <= 1.0))", _ANALYSIS),
+           "bad = ~((got >= -tol) & (got <= 1.0 + tol))",
+           "bad = ~((got >= 0.0) & (got <= 1.0))", _ANALYSIS),
     # apply_connective's collision check.
     Mutant("collision-needs-equal-rows", "sets.py",
            ".max(axis=1) > CLAMP_TOLERANCE", ".max(axis=1) > 0.0", _SETS),
