@@ -40,8 +40,9 @@ from .analysis import (
 )
 from .connectives import (
     ScalarConnective,
+    builtin,
     dual_of,
-    resolve_builtin,
+    require_arity,
     resolve_connective,
     scalar_from_expression,
 )
@@ -153,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_candidate(args, arity: int) -> ScalarConnective:
     if args.builtin is not None:
-        return resolve_builtin(args.builtin, arity)
+        return require_arity(builtin(args.builtin), arity)
     return scalar_from_expression(args.expr, arity=arity)
 
 

@@ -206,15 +206,10 @@ def check_arity(conn, arity: int):
     return conn
 
 
-def resolve_builtin(name: str, arity: int) -> ScalarConnective:
-    """Look up a builtin and require the given arity."""
-    return require_arity(builtin(name), arity)
-
-
 def resolve_connective(text: str, arity: int = 2) -> ScalarConnective:
     """Resolve ``text`` as a builtin name first, else parse it as an expression."""
     try:
-        return resolve_builtin(text, arity)
+        return require_arity(builtin(text), arity)
     except UnknownBuiltinError:
         return scalar_from_expression(text, arity=arity)
 

@@ -166,15 +166,19 @@ def document_to_fss(doc, source: str = "document") -> FuzzySoftSet:
 def load_fss(path: str | Path) -> FuzzySoftSet:
     """Read and validate a JSON fuzzy soft set file of at most ``MAX_DOCUMENT_BYTES``.
 
-    A regular file is refused on its size before anything is read; any
-    other file (a FIFO, a device) is read up to one byte past the cap."""
+    A regular file is refused on its size before anything is read, and
+    read at one byte past its size, so the buffer is no larger than the
+    file.  Only when that byte comes (a FIFO or a device, whose size is 0,
+    or a file that grew) is it read on, up to one byte past the cap."""
     path = Path(path)
     try:
         if (size := path.stat().st_size) > MAX_DOCUMENT_BYTES:
             raise DocumentError(f"{path} is {size} bytes, more than "
                                 f"MAX_DOCUMENT_BYTES = {MAX_DOCUMENT_BYTES}")
         with path.open("rb") as handle:
-            data = handle.read(MAX_DOCUMENT_BYTES + 1)
+            data = handle.read(size + 1)
+            if len(data) > size:
+                data += handle.read(MAX_DOCUMENT_BYTES + 1 - len(data))
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}") from None
     if len(data) > MAX_DOCUMENT_BYTES:

@@ -1,7 +1,10 @@
 """Set-level scripts: assignments, printing and saving of fuzzy soft sets
 composed with union, intersect, complement and connective application.
-``union`` and ``intersect`` parse as ``apply`` of the builtin that
-``sets.SET_OPERATIONS`` names for them.
+Each set function parses to one ``SetOp`` node holding its connective:
+``complement`` holds ``standard-negation``, ``union`` and ``intersect``
+the builtins that ``sets.SET_OPERATIONS`` names, and ``apply`` the one it
+is given.  A node of a unary connective evaluates by ``negate_fss``, of a
+binary one by ``apply_connective``.
 
 Statement forms (full EBNF in docs/grammar.md)::
 
@@ -25,9 +28,10 @@ from typing import Iterable, Mapping, Union
 
 from .connectives import (
     ScalarConnective,
+    builtin,
     builtin_names,
     dual_of,
-    resolve_builtin,
+    require_arity,
     scalar_from_parsed,
 )
 from .errors import (
@@ -54,11 +58,13 @@ from .expr import (
 )
 from .fileio import save_fss
 from .record import Record
-from .sets import SET_OPERATIONS, FuzzySoftSet, apply_connective, complement_fss, render_fss
+from .sets import SET_OPERATIONS, FuzzySoftSet, apply_connective, negate_fss, render_fss
 
-#: The script's words, the set operations, the functions and the variables.
-_KEYWORDS = frozenset({"print", "save", "apply", "complement", "dual", "fn",
-                       *SET_OPERATIONS, *_FUNCTIONS, *_VARIABLES})
+#: Each set function to the builtin it applies; ``apply`` parses its own.
+_SET_FUNCTIONS = {"complement": "standard-negation", **SET_OPERATIONS, "apply": None}
+
+#: The script's words, the set functions, the functions and the variables.
+_KEYWORDS = frozenset({"print", "save", "dual", "fn", *_SET_FUNCTIONS, *_FUNCTIONS, *_VARIABLES})
 
 #: Names no assignment may take: the keywords and the builtin names.
 _UNASSIGNABLE = _KEYWORDS | {name.partition("(")[0] for name in builtin_names()}
@@ -71,19 +77,13 @@ class NameRef(SyntaxNode):
     span: SourceSpan
 
 
-class ComplementOp(SyntaxNode):
-    operand: "SetExpr"
-    span: SourceSpan
-
-
-class ApplyOp(SyntaxNode):
+class SetOp(SyntaxNode):
     connective: ScalarConnective
-    left: "SetExpr"
-    right: "SetExpr"
+    operands: tuple["SetExpr", ...]
     span: SourceSpan
 
 
-SetExpr = Union[NameRef, ComplementOp, ApplyOp]
+SetExpr = Union[NameRef, SetOp]
 
 
 class Assign(SyntaxNode):
@@ -172,27 +172,21 @@ class _ScriptParser(_ScalarParser):
         tok = self.peek()
         if tok.kind != IDENT:
             raise ParseError(f"expected a set expression, found {tok.describe()}", tok.span)
-        if tok.text == "complement":
-            self.advance()
-            self.expect_punct("(", "after 'complement'")
-            with self.level(tok):
-                operand = self.parse_setexpr()
-            end = self.expect_punct(")", "to close 'complement'")
-            return ComplementOp(operand, tok.span.merge(end.span))
-        if tok.text in ("apply", *SET_OPERATIONS):
+        if tok.text in _SET_FUNCTIONS:
             self.advance()
             self.expect_punct("(", f"after {tok.text!r}")
             with self.level(tok):
-                if tok.text == "apply":
+                if name := _SET_FUNCTIONS[tok.text]:
+                    conn = builtin(name)
+                else:
                     conn = self.parse_connective()
                     self.expect_punct(",", "after the connective")
-                else:
-                    conn = resolve_builtin(SET_OPERATIONS[tok.text], 2)
-                left = self.parse_setexpr()
-                self.expect_punct(",", f"between the operands of {tok.text!r}")
-                right = self.parse_setexpr()
+                operands = [self.parse_setexpr()]
+                for _ in range(1, conn.arity):
+                    self.expect_punct(",", f"between the operands of {tok.text!r}")
+                    operands.append(self.parse_setexpr())
             end = self.expect_punct(")", f"to close {tok.text!r}")
-            return ApplyOp(conn, left, right, tok.span.merge(end.span))
+            return SetOp(conn, tuple(operands), tok.span.merge(end.span))
         name_tok = self.advance()
         if name_tok.text in _KEYWORDS:
             raise ParseError(
@@ -253,7 +247,7 @@ class _ScriptParser(_ScalarParser):
             name = f"{name}({sign}{num.text})"
             span = span.merge(end.span)
         try:
-            return resolve_builtin(name, 2)
+            return require_arity(builtin(name), 2)
         except (UnknownBuiltinError, ArityError) as err:
             raise ParseError(str(err), span) from None
 
@@ -304,10 +298,9 @@ def eval_script(
                     f"identifier {node.name!r} has no bound value", node.span
                 )
             return value
-        if isinstance(node, ComplementOp):
-            return complement_fss(eval_set(node.operand))
-        if isinstance(node, ApplyOp):
-            return apply_connective(node.connective, eval_set(node.left), eval_set(node.right))
+        if isinstance(node, SetOp):
+            operation = negate_fss if node.connective.arity == 1 else apply_connective
+            return operation(node.connective, *map(eval_set, node.operands))
         raise TypeError(f"not a set expression node: {node!r}")
 
     for statement in script.statements:

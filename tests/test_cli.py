@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import threading
@@ -103,6 +104,26 @@ def test_negative_seed_is_a_usage_error_that_names_it(capsys):
     assert run_cli(["check", "--kind", "tnorm", "--builtin", "product", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: seed must be >= 0, got -1\n")
+
+
+def test_main_exits_with_the_code_of_run_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fuzzysoft", "check", "--kind", "tnorm",
+                                      "--builtin", "minimum", "--grid", "8", "--samples", "50"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
+def test_the_module_run_as_a_script_calls_main(monkeypatch, capsys):
+    # Unimported first, so runpy finds no module of that name already loaded
+    # (a RuntimeWarning, which fails the suite).
+    monkeypatch.setattr(sys, "argv", ["fuzzysoft", "check"])
+    monkeypatch.delitem(sys.modules, "fuzzysoft.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("fuzzysoft.cli", run_name="__main__")
+    assert exit_.value.code == 2
+    assert "usage: fuzzysoft check" in capsys.readouterr().err
 
 
 def test_check_usage_error_exit_two():

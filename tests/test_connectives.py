@@ -32,7 +32,7 @@ from fuzzysoft import (
 )
 from fuzzysoft.analysis import CheckConfig, check_implication_axioms, check_tconorm_axioms
 from fuzzysoft.connectives import (_BUILTINS, MAX_DUAL_HEIGHT, ScalarConnective,
-                                   into_unit_interval, resolve_builtin)
+                                   into_unit_interval)
 from fuzzysoft.expr import CompiledExpr, format_number
 
 units = st.floats(0, 1)
@@ -562,7 +562,6 @@ def test_every_binary_use_rejects_a_unary_connective_in_one_wording():
         lambda: classify_elements(negation),
         lambda: dual_of(negation),
         lambda: lift_tnorm(negation),
-        lambda: resolve_builtin("standard-negation", 2),
         lambda: resolve_connective("standard-negation", 2),
     ]
     for use in uses:

@@ -170,6 +170,36 @@ def test_the_byte_cap_holds_for_a_fifo(tmp_path):
     assert not writer.is_alive()
 
 
+def test_a_regular_file_is_read_at_its_own_size(tmp_path):
+    # Reading up to the cap reserved a MAX_DOCUMENT_BYTES buffer, so every
+    # load peaked at 4 MiB by tracemalloc, however small its file.
+    path = tmp_path / "s.fss"
+    save_fss(make_fuzzy_soft_set(["u1", "u2"], {"a": (0.25, 0.5)}), path)
+    load_fss(path)
+    tracemalloc.start()
+    try:
+        load_fss(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_a_file_that_grew_after_its_size_was_read_is_read_whole(tmp_path, monkeypatch):
+    path = tmp_path / "s.fss"
+    fss = make_fuzzy_soft_set(["u1", "u2"], {"a": (0.25, 0.5)})
+    save_fss(fss, path)
+    stat = type(path).stat
+
+    def stat_at_ten_bytes(self, **kwargs):
+        fields = stat(self, **kwargs)
+        return os.stat_result((*fields[:6], 10, *fields[7:]))
+
+    monkeypatch.setattr(type(path), "stat", stat_at_ten_bytes)
+    assert path.stat().st_size == 10
+    assert load_fss(path) == fss
+
+
 def test_unknown_top_level_key_rejected():
     with pytest.raises(DocumentError):
         document_to_fss({"universe": ["u"], "parameters": {"a": {"u": 1}}, "extra": 1})

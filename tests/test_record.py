@@ -16,8 +16,7 @@ from fuzzysoft.connectives import (KIND_TNORM, LIFT_TNORM, LiftedConnective, Sca
                                    builtin)
 from fuzzysoft.errors import ValidationError
 from fuzzysoft.expr import Num, Op, SourceSpan, Token, Var, parse_scalar
-from fuzzysoft.script import (ApplyOp, Assign, ComplementOp, NameRef, Print, Save, Script,
-                              ScriptResult)
+from fuzzysoft.script import Assign, NameRef, Print, Save, Script, ScriptResult, SetOp
 from fuzzysoft.sets import FuzzySet, FuzzySoftSet, Universe
 from fuzzysoft.tags import ParamTag, TaggedMembership
 
@@ -60,16 +59,20 @@ CASES = [
     (Op, dict(op="+", args=(Var("x", SPAN), Num(1.5, SPAN)), span=SPAN)),
     (Op, dict(op="min", args=(Var("x", SPAN), Var("y", SPAN)), span=SPAN)),
     (NameRef, dict(name="S", span=SPAN)),
-    (ComplementOp, dict(operand=S, span=SPAN)),
-    (ApplyOp, dict(connective=builtin("product"), left=S, right=G, span=SPAN)),
+    (SetOp, dict(connective=builtin("standard-negation"), operands=(S,), span=SPAN)),
+    (SetOp, dict(connective=builtin("product"), operands=(S, G), span=SPAN)),
     (Assign, dict(name="H", expr=S, span=SPAN)),
     (Print, dict(expr=S, span=SPAN)),
     (Save, dict(expr=S, path="out.fss", span=SPAN)),
 ]
-AST_NODES = (Num, Var, Op, NameRef, ComplementOp, ApplyOp, Assign, Print, Save)
+AST_NODES = (Num, Var, Op, NameRef, SetOp, Assign, Print, Save)
 #: The three ``Op`` rows: a unary minus, an operator and a function.
 OP_KINDS = {"-": "minus", "+": "operator", "min": "function"}
-IDS = [f"Op-{OP_KINDS[kwargs['op']]}" if cls is Op else cls.__name__ for cls, kwargs in CASES]
+#: The two ``SetOp`` rows, by their number of operands.
+SETOP_KINDS = {1: "unary", 2: "binary"}
+IDS = [f"Op-{OP_KINDS[kwargs['op']]}" if cls is Op
+       else f"SetOp-{SETOP_KINDS[len(kwargs['operands'])]}" if cls is SetOp
+       else cls.__name__ for cls, kwargs in CASES]
 
 
 @pytest.mark.parametrize("cls, kwargs", CASES, ids=IDS)
@@ -131,10 +134,10 @@ def test_tokens_compare_their_span():
 
 @pytest.mark.parametrize("first, second", [
     (Print(S, SPAN), Op("-", (S,), SPAN)),
-    (ComplementOp(S, SPAN), Print(S, SPAN)),
+    (SetOp(builtin("standard-negation"), (S,), SPAN), Print(S, SPAN)),
     (NameRef("x", SPAN), Var("x", SPAN)),
-    (Op("-", (S,), SPAN), ComplementOp(S, SPAN)),
-], ids=["print-neg", "complement-print", "nameref-var", "neg-complement"])
+    (Op("-", (S,), SPAN), SetOp(builtin("standard-negation"), (S,), SPAN)),
+], ids=["print-neg", "setop-print", "nameref-var", "neg-setop"])
 def test_records_of_different_types_are_unequal(first, second):
     assert first != second and second != first
     assert not first == second

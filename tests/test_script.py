@@ -12,6 +12,7 @@ from fuzzysoft import (
     ScriptRuntimeError,
     UndefinedNameError,
     apply_connective,
+    complement_fss,
     eval_script,
     load_fss,
     make_fuzzy_soft_set,
@@ -22,7 +23,7 @@ from fuzzysoft import (
 from fuzzysoft.analysis import CheckConfig, check_implication_axioms
 from fuzzysoft.connectives import ScalarConnective, builtin, builtin_names, dual_of
 from fuzzysoft.expr import _UFUNCS, _VARIABLES, CompiledExpr, SourceSpan
-from fuzzysoft.script import _KEYWORDS, Assign, Print, Script
+from fuzzysoft.script import _KEYWORDS, Assign, NameRef, Print, Script, SetOp
 from fuzzysoft.sets import SET_OPERATIONS
 
 SPAN = SourceSpan(0, 1, 1, 1)
@@ -43,13 +44,27 @@ def test_parse_statement_shapes():
     assert isinstance(script.statements[1], Print)
 
 
-@pytest.mark.parametrize("operation, builtin_name", [("union", "maximum"),
-                                                     ("intersect", "minimum")])
-def test_a_set_operation_parses_as_apply_of_its_builtin(operation, builtin_name):
-    parsed = parse_script(f"H = {operation}(S, G);", externals=["S", "G"])
-    assert parsed == parse_script(f"H = apply({builtin_name}, S, G);", externals=["S", "G"])
-    with pytest.raises(ParseError, match=f"between the operands of '{operation}'"):
-        parse_script(f"H = {operation}(S G);", externals=["S", "G"])
+@pytest.mark.parametrize("opening, builtin_name", [
+    ("complement(", "standard-negation"), ("union(", "maximum"), ("intersect(", "minimum"),
+    ("apply(lukasiewicz-implication, ", "lukasiewicz-implication"),
+], ids=["complement", "union", "intersect", "apply"])
+def test_each_set_function_is_one_node_holding_its_connective(env, opening, builtin_name):
+    conn = builtin(builtin_name)
+    names = ("S", "G")[:conn.arity]
+    parsed = parse_script(f"H = {opening}{', '.join(names)});", externals=env)
+    node = parsed.statements[0].expr
+    assert type(node) is SetOp and node.connective == conn
+    assert node.operands == tuple(NameRef(name, SPAN) for name in names)
+    got = eval_script(parsed, env).env["H"]
+    if conn.arity == 1:
+        want = complement_fss(env["S"])
+    else:
+        want = apply_connective(conn, env["S"], env["G"])
+        assert parsed == parse_script(f"H = apply({builtin_name}, S, G);", externals=env)
+        with pytest.raises(ParseError, match=re.escape(f"between the operands of "
+                                                       f"{opening.partition('(')[0]!r}")):
+            parse_script(f"H = {opening}S G);", externals=env)
+    assert got.tags == want.tags and got.values.tobytes() == want.values.tobytes()
 
 
 def test_parse_apply_with_dual():

@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 _ANALYSIS = ("tests/test_analysis.py", "tests/test_golden_reports.py")
 _SETS = ("tests/test_sets.py", "tests/test_golden_sets.py")
 _FILEIO = ("tests/test_fileio.py", "tests/test_golden_sets.py")
+_SCRIPT = ("tests/test_script.py", "tests/test_golden_sets.py")
 
 MUTANTS = (
     # _walk_cube's screen: the triples it covers, where it stops, which tiles it
@@ -143,6 +144,11 @@ MUTANTS = (
     Mutant("save-element-separator-spaced", "fileio.py",
            'prefixes = [",\\n      " + encode_basestring_ascii(element) + ": "',
            'prefixes = [", \\n      " + encode_basestring_ascii(element) + ": "', _FILEIO),
+    # eval_script's one SetOp branch: its operands in order, complement's negation.
+    Mutant("script-operands-reversed", "script.py",
+           "*map(eval_set, node.operands)", "*map(eval_set, node.operands[::-1])", _SCRIPT),
+    Mutant("script-complement-is-sugeno", "script.py",
+           '{"complement": "standard-negation",', '{"complement": "sugeno(1)",', _SCRIPT),
 )
 
 
